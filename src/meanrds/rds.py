@@ -63,10 +63,19 @@ def _fold(c: float) -> float:
 
 
 def fold_norm(delta) -> float:
-    """Euclidean norm of the shortest lift of a difference vector."""
+    """Euclidean norm of the shortest lift of a difference vector.
+
+    Canonical kernel: fold each coordinate, square it as ``f*f``, add the
+    squares left to right and take a correctly rounded square root. Every
+    step is a correctly rounded IEEE operation, so the value does not depend
+    on the libm, and the vectorised fold of the walkers agrees bitwise."""
     if len(delta) == 1:
         return _fold(delta[0] % 1.0)
-    return math.sqrt(math.fsum(_fold(c % 1.0) ** 2 for c in delta))
+    s = 0.0
+    for c in delta:
+        f = _fold(c % 1.0)
+        s += f * f
+    return math.sqrt(s)
 
 
 def torus_distance(x, y) -> float:
@@ -516,6 +525,21 @@ class RandomDynamicalSystem:
 # ---------------------------------------------------------------------------
 # difference-vector walks
 
+def _mat_step(mat, d) -> tuple[float, ...]:
+    """Canonical matrix step: each row's products added left to right,
+    then reduced mod 1."""
+    if len(d) == 1:
+        return ((mat[0][0] * d[0]) % 1.0,)
+    if len(d) == 2:
+        return (
+            (mat[0][0] * d[0] + mat[0][1] * d[1]) % 1.0,
+            (mat[1][0] * d[0] + mat[1][1] * d[1]) % 1.0,
+        )
+    return tuple(
+        (mat[i][0] * d[0] + mat[i][1] * d[1] + mat[i][2] * d[2]) % 1.0
+        for i in range(3)
+    )
+
 class _LineWalk:
     """Values of the folded difference vector along a Z-orbit, two-sided."""
 
@@ -540,17 +564,7 @@ class _LineWalk:
         return pw, self._mat_step(mat, d)
 
     def _mat_step(self, mat, d):
-        if self.dim == 1:
-            return ((mat[0][0] * d[0]) % 1.0,)
-        if self.dim == 2:
-            return (
-                (mat[0][0] * d[0] + mat[0][1] * d[1]) % 1.0,
-                (mat[1][0] * d[0] + mat[1][1] * d[1]) % 1.0,
-            )
-        return tuple(
-            (mat[i][0] * d[0] + mat[i][1] * d[1] + mat[i][2] * d[2]) % 1.0
-            for i in range(3)
-        )
+        return _mat_step(mat, d)
 
     def ensure(self, lo: int, hi: int):
         while len(self.right_vals) < hi:
@@ -658,10 +672,7 @@ class PairEngine:
             else:
                 nw = self.sys.base.act_generator(i, w, -1)
                 mat = self.sys._inv_maps[i][nw].matrix
-            n = self.sys.dim
-            nd = tuple(
-                math.fsum(mat[r][c] * delta[c] for c in range(n)) % 1.0 for r in range(n)
-            )
+            nd = _mat_step(mat, delta)
             state = (nw, nd)
             self._memo[(omega_idx, elem)] = state
         return state
