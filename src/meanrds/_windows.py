@@ -8,6 +8,11 @@ produce window means that equal the pointwise value bitwise, which several
 equality tests rely on. Float addition is monotone, so pointwise-dominated
 value arrays keep dominated window sums, bitwise, under the same tree.
 
+On the line Z the tree is evaluated once per profile as a dyadic table,
+S_2k[i] = S_k[i] + S_k[i+k], which holds every power-of-two window sum at
+every start with the same additions, and therefore the same bits, as the
+tree on each window (:func:`line_window_means`).
+
 Schedules are powers of two up to the element cap, plus the largest window
 that still fits when the cap is not itself a power of two.
 """
@@ -94,6 +99,35 @@ def translated_means_line(values: np.ndarray, lo: int, offsets, m: int) -> np.nd
         raise ValueError("window out of the computed range")
     rows = sliding_window_view(values, m)[offs]
     return tree_mean_rows(rows)
+
+
+def line_window_means(values: np.ndarray, lo: int, offsets, schedule):
+    """Yield (m, means over the windows [g, g+m) for each g in offsets) for
+    each m of an increasing schedule.
+
+    Power-of-two widths come from one dyadic table, S_2k[i] = S_k[i] +
+    S_k[i+k] over every start i, built level by level as the schedule climbs.
+    These are the additions :func:`tree_sum_rows` makes on each window, so
+    the means are bitwise equal to :func:`translated_means_line`; any other
+    width goes through that function.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    offs = np.asarray(list(offsets), dtype=np.int64) - lo
+    if offs.size == 0:
+        raise ValueError("need at least one offset")
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule must be increasing")
+    if offs.min() < 0 or offs.max() + schedule[-1] > values.shape[0]:
+        raise ValueError("window out of the computed range")
+    level, k = values, 1
+    for m in schedule:
+        if m & (m - 1):
+            yield m, translated_means_line(values, lo, offsets, m)
+            continue
+        while k < m:
+            level = level[:-k] + level[k:]
+            k *= 2
+        yield m, level[offs] / m
 
 
 def mean_line(values: np.ndarray, lo: int, start: int, m: int) -> float:

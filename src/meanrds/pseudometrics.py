@@ -224,7 +224,8 @@ def _window_means_untranslated(source: ValueSource, schedule, cfg: EstimatorConf
     folner = FolnerFamily(source.group, cfg.element_budget)
     if source.group.is_line:
         vals = source.range_values(0, schedule[-1])
-        return [_windows.mean_line(vals, 0, 0, n) for n in schedule]
+        return [float(means[0]) for _, means in
+                _windows.line_window_means(vals, 0, (0,), schedule)]
     means = []
     for n in schedule:
         win = folner.window(n)
@@ -244,8 +245,8 @@ def _translated_window_means(source: ValueSource, schedule, cfg: EstimatorConfig
         lo = min(offsets)
         hi = max(offsets) + schedule[-1]
         vals = source.range_values(lo, hi)
-        for n in schedule:
-            yield n, _windows.translated_means_line(vals, lo, offsets, n), ball
+        for n, means in _windows.line_window_means(vals, lo, offsets, schedule):
+            yield n, means, ball
         return
     grp = source.group
     for n in schedule:

@@ -386,6 +386,11 @@ class BaseSpace:
             if len(p) != len(self.labels):
                 raise SystemSpecError("permutation length must match base size")
             self._powers.append(_PermPowers(p))
+        # cumulative weights over the support, built as numpy's Generator.choice
+        # builds them, so sampling with it gives the draws of rng.choice
+        w = np.asarray([self.weights[i] for i in self.support], dtype=np.float64)
+        self.support_cdf = (w / w.sum()).cumsum()
+        self.support_cdf /= self.support_cdf[-1]
 
     @property
     def size(self) -> int:
@@ -459,6 +464,16 @@ class RandomDynamicalSystem:
         self._inv_maps = tuple(
             tuple(fm.inverse() for fm in row) for row in self.maps
         )
+        # walk-kernel tables per generator and direction: the next base point
+        # and the float matrix applied when stepping from each base point
+        self._steps = []
+        for i in range(gens):
+            succ = [self.base.act_generator(i, w, 1) for w in range(self.base.size)]
+            pred = [self.base.act_generator(i, w, -1) for w in range(self.base.size)]
+            self._steps.append({
+                1: (succ, [_float_rows(fm.matrix) for fm in self.maps[i]]),
+                -1: (pred, [_float_rows(self._inv_maps[i][p].matrix) for p in pred]),
+            })
 
     # -- basic action ------------------------------------------------------
 
@@ -524,67 +539,103 @@ class RandomDynamicalSystem:
 
 # ---------------------------------------------------------------------------
 # difference-vector walks
+#
+# One kernel per fiber dimension walks the raw difference vector ``count``
+# steps in a local-variable loop. ``nxt[w]`` is the base point after one step
+# from w and ``rows[w]`` the float matrix applied there (a float in dimension
+# 1, the row-major entries otherwise). Each row's products are added left to
+# right and reduced mod 1: the canonical matrix step. The kernel returns the
+# final base point and vector and the flat coordinates after every step.
 
-def _mat_step(mat, d) -> tuple[float, ...]:
-    """Canonical matrix step: each row's products added left to right,
-    then reduced mod 1."""
-    if len(d) == 1:
-        return ((mat[0][0] * d[0]) % 1.0,)
-    if len(d) == 2:
-        return (
-            (mat[0][0] * d[0] + mat[0][1] * d[1]) % 1.0,
-            (mat[1][0] * d[0] + mat[1][1] * d[1]) % 1.0,
-        )
-    return tuple(
-        (mat[i][0] * d[0] + mat[i][1] * d[1] + mat[i][2] * d[2]) % 1.0
-        for i in range(3)
-    )
+def _walk_1d(w, d, count, nxt, rows):
+    (x,) = d
+    out = [0.0] * count
+    for k in range(count):
+        x = (rows[w] * x) % 1.0
+        w = nxt[w]
+        out[k] = x
+    return w, (x,), out
+
+
+def _walk_2d(w, d, count, nxt, rows):
+    x, y = d
+    out = []
+    app = out.append
+    for _ in range(count):
+        a, b, c, e = rows[w]
+        x, y = (a * x + b * y) % 1.0, (c * x + e * y) % 1.0
+        w = nxt[w]
+        app(x)
+        app(y)
+    return w, (x, y), out
+
+
+def _walk_3d(w, d, count, nxt, rows):
+    x, y, z = d
+    out = []
+    app = out.append
+    for _ in range(count):
+        a, b, c, e, f, g, h, i, j = rows[w]
+        x, y, z = ((a * x + b * y + c * z) % 1.0,
+                   (e * x + f * y + g * z) % 1.0,
+                   (h * x + i * y + j * z) % 1.0)
+        w = nxt[w]
+        app(x)
+        app(y)
+        app(z)
+    return w, (x, y, z), out
+
+
+_WALKS = {1: _walk_1d, 2: _walk_2d, 3: _walk_3d}
+
+
+def _float_rows(mat):
+    flat = tuple(float(v) for row in mat for v in row)
+    return flat[0] if len(flat) == 1 else flat
+
+
+def _fold_norm_rows(coords: np.ndarray) -> np.ndarray:
+    """:func:`fold_norm` of each row of coordinates in [0, 1], with the same
+    correctly rounded operations in the same order, hence the same bits."""
+    f = np.where(coords <= 0.5, coords, 1.0 - coords)
+    if f.shape[1] == 1:
+        return f[:, 0]
+    s = f[:, 0] * f[:, 0]
+    for j in range(1, f.shape[1]):
+        s += f[:, j] * f[:, j]
+    return np.sqrt(s)
+
 
 class _LineWalk:
-    """Values of the folded difference vector along a Z-orbit, two-sided."""
+    """Folded difference-vector values along a Z-orbit, grown on demand.
+
+    ``right[t]`` is the value at time t >= 0 and ``left[j]`` the value at
+    t = -1-j; ``rstate`` / ``lstate`` hold the (base point, raw difference
+    vector) at the outermost time computed on each side."""
 
     def __init__(self, system: RandomDynamicalSystem, omega0: int, delta0):
-        self.sys = system
-        self.dim = system.dim
-        self.right_vals: list[float] = []   # index t >= 0
-        self.left_vals: list[float] = []    # left_vals[j] is t = -1-j
-        self.rstate = (omega0, delta0)      # state at t = len(right_vals)
-        self.lstate = (omega0, delta0)      # state at t = -len(left_vals)
+        self.walk = _WALKS[system.dim]
+        self.fwd = system._steps[0][1]
+        self.back = system._steps[0][-1]
+        self.right = _fold_norm_rows(np.asarray([delta0], dtype=np.float64))
+        self.left = np.empty(0)
+        self.rstate = self.lstate = (omega0, tuple(delta0))
 
-    def _step_fwd(self, state):
-        w, d = state
-        mat = self.sys.maps[0][w].matrix
-        nw = self.sys.base.act_generator(0, w, 1)
-        return nw, self._mat_step(mat, d)
-
-    def _step_back(self, state):
-        w, d = state
-        pw = self.sys.base.act_generator(0, w, -1)
-        mat = self.sys._inv_maps[0][pw].matrix
-        return pw, self._mat_step(mat, d)
-
-    def _mat_step(self, mat, d):
-        return _mat_step(mat, d)
-
-    def ensure(self, lo: int, hi: int):
-        while len(self.right_vals) < hi:
-            self.right_vals.append(fold_norm(self.rstate[1]))
-            self.rstate = self._step_fwd(self.rstate)
-        while -len(self.left_vals) > lo:
-            self.lstate = self._step_back(self.lstate)
-            self.left_vals.append(fold_norm(self.lstate[1]))
+    def _grow(self, vals, state, steps, count):
+        w, d, raw = self.walk(state[0], state[1], count, *steps)
+        new = _fold_norm_rows(np.asarray(raw, dtype=np.float64).reshape(count, -1))
+        return np.concatenate((vals, new)), (w, d)
 
     def array(self, lo: int, hi: int) -> np.ndarray:
-        """Values at t = lo, ..., hi-1 as a float array."""
-        self.ensure(lo, hi)
-        chunk: list[float] = []
-        if lo < 0:
-            left = self.left_vals[: -lo]
-            left.reverse()
-            chunk.extend(left[: min(hi, 0) - lo])
-        if hi > 0:
-            chunk.extend(self.right_vals[max(lo, 0):hi])
-        return np.asarray(chunk, dtype=np.float64)
+        """Values at t = lo, ..., hi-1 as a new float array."""
+        if hi > len(self.right):
+            self.right, self.rstate = self._grow(
+                self.right, self.rstate, self.fwd, hi - len(self.right))
+        if -lo > len(self.left):
+            self.left, self.lstate = self._grow(
+                self.left, self.lstate, self.back, -lo - len(self.left))
+        left = self.left[max(-hi, 0):max(-lo, 0)][::-1]
+        return np.concatenate((left, self.right[max(lo, 0):max(hi, 0)]))
 
 
 class PairEngine:
@@ -664,16 +715,10 @@ class PairEngine:
             cur = prev_t
         state = self._memo.get((omega_idx, cur), (omega_idx, self.delta0))
         self._memo[(omega_idx, cur)] = state
+        walk = _WALKS[self.sys.dim]
         for elem, i, d in reversed(chain):
-            w, delta = state
-            if d == 1:
-                mat = self.sys.maps[i][w].matrix
-                nw = self.sys.base.act_generator(i, w, 1)
-            else:
-                nw = self.sys.base.act_generator(i, w, -1)
-                mat = self.sys._inv_maps[i][nw].matrix
-            nd = _mat_step(mat, delta)
-            state = (nw, nd)
+            w, delta, _ = walk(state[0], state[1], 1, *self.sys._steps[i][d])
+            state = (w, delta)
             self._memo[(omega_idx, elem)] = state
         return state
 

@@ -1,0 +1,168 @@
+"""Differential tests of the fast kernels against step-by-step references.
+
+Both sides of every comparison run on the same machine with correctly
+rounded IEEE operations, so the comparisons are bitwise and do not depend on
+the platform.
+"""
+
+import numpy as np
+import pytest
+
+from meanrds import catalog
+from meanrds._windows import (
+    line_window_means,
+    mean_line,
+    translated_means_line,
+    window_schedule,
+)
+from meanrds.classify import _sample_support_index
+from meanrds.groups import BudgetError, FolnerFamily, parse_group, search_ball
+from meanrds.pseudometrics import synthetic_source
+from meanrds.rds import (
+    BaseSpace,
+    FiberMap,
+    FiberSpace,
+    RandomDynamicalSystem,
+    fold_norm,
+)
+
+LO, HI = -70, 1100
+
+
+def _dim3_system():
+    # the determinant -1 swap from test_rds, next to a hyperbolic matrix
+    # whose rows have three nonzero entries, so the summation order shows
+    swap = FiberMap(((0, 1, 0), (1, 0, 0), (0, 0, 1)), (0.1, 0.2, 0.3))
+    hyper = FiberMap(((2, 1, 1), (1, 1, 1), (1, 1, 2)), (0.0, 0.5, 0.25))
+    return RandomDynamicalSystem(
+        name="dim3",
+        group=parse_group("Z"),
+        base=BaseSpace(("w0", "w1"), (0.5, 0.5), ((1, 0),)),
+        dim=3,
+        fibers=(FiberSpace.full(3), FiberSpace.full(3)),
+        maps=((swap, hyper),),
+    )
+
+
+SYSTEMS = [catalog.load(n) for n in catalog.names()] + [_dim3_system()]
+
+
+def _row_step(mat, d):
+    out = []
+    for row in mat:
+        s = row[0] * d[0]
+        for a, c in zip(row[1:], d[1:]):
+            s = s + a * c
+        out.append(s % 1.0)
+    return tuple(out)
+
+
+def _reference_walk(system, omega, delta, lo, hi):
+    """fold_norm of the difference vector at t = lo..hi-1, one step at a
+    time from the FiberMap matrices."""
+    vals = {0: fold_norm(delta)}
+    w, d = omega, delta
+    for t in range(1, hi):
+        d = _row_step(system.maps[0][w].matrix, d)
+        w = system.base.act_generator(0, w, 1)
+        vals[t] = fold_norm(d)
+    w, d = omega, delta
+    for t in range(-1, lo - 1, -1):
+        w = system.base.act_generator(0, w, -1)
+        d = _row_step(system.maps[0][w].inverse().matrix, d)
+        vals[t] = fold_norm(d)
+    return np.asarray([vals[t] for t in range(lo, hi)], dtype=np.float64)
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.name)
+def test_line_walk_matches_reference_walk(system):
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        x = system.fibers[0].sample(rng)
+        y = system.fibers[0].sample(rng)
+        engine = system.pair_engine(x, y)
+        refs = {i: _reference_walk(system, i, engine.delta0, LO, HI)
+                for i in range(system.base.size)}
+        # a short request first, so the long one extends a grown walk
+        assert engine.fiber_range(0, -3, 5).tobytes() == refs[0][-3 - LO:5 - LO].tobytes()
+        for i, ref in refs.items():
+            assert engine.fiber_range(i, LO, HI).tobytes() == ref.tobytes()
+        want = np.maximum.reduce([refs[i] for i in engine.admissible])
+        assert engine.dtilde_range(LO, HI).tobytes() == want.tobytes()
+        for t in (LO, -1, 0, 1, HI - 1):
+            assert engine.fiber_at((t,), 0) == refs[0][t - LO]
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.name)
+def test_element_path_matches_line_walk(system):
+    """PairEngine._state_at (the any-group path) takes the same steps."""
+    rng = np.random.default_rng(5)
+    engine = system.pair_engine(system.fibers[0].sample(rng), system.fibers[0].sample(rng))
+    walked = engine.fiber_range(0, -40, 40)
+    stepped = [fold_norm(engine._state_at((t,), 0)[1]) for t in range(-40, 40)]
+    assert walked.tobytes() == np.asarray(stepped).tobytes()
+
+
+def _profiles():
+    rng = np.random.default_rng(3)
+    n = 64 + 10000 + 64
+    scale = 10.0 ** rng.uniform(-3, 3, size=n)
+    squares = synthetic_source("squares").range_values(-64, 10000 + 64)
+    return {"random": rng.random(n) * scale, "squares": squares}
+
+
+@pytest.mark.parametrize("name", ["random", "squares"])
+def test_dyadic_table_matches_translated_means(name):
+    vals = _profiles()[name]
+    offsets = range(-64, 65)
+    schedule = tuple(2 ** k for k in range(13))  # 1 .. 4096
+    seen = []
+    for m, means in line_window_means(vals, -64, offsets, schedule):
+        ref = translated_means_line(vals, -64, offsets, m)
+        assert means.tobytes() == ref.tobytes(), m
+        seen.append(m)
+    assert tuple(seen) == schedule
+
+
+@pytest.mark.parametrize("name", ["random", "squares"])
+def test_non_power_of_two_top_entry_matches(name):
+    vals = _profiles()[name]
+    schedule = window_schedule(FolnerFamily(parse_group("Z")), 10000)
+    assert schedule[-1] == 10000 and schedule[-2] == 8192
+    offsets = range(-64, 65)
+    for m, means in line_window_means(vals, -64, offsets, schedule):
+        assert means.tobytes() == translated_means_line(vals, -64, offsets, m).tobytes()
+    for m, means in line_window_means(vals, -64, (-64,), schedule):
+        assert float(means[0]) == mean_line(vals, -64, -64, m)
+
+
+def test_dyadic_table_rejects_bad_requests():
+    vals = np.arange(16, dtype=np.float64)
+    with pytest.raises(ValueError):
+        list(line_window_means(vals, 0, [0], (4, 2)))
+    with pytest.raises(ValueError):
+        list(line_window_means(vals, 0, [1], (16,)))
+    with pytest.raises(ValueError):
+        list(line_window_means(vals, 0, [-1], (2,)))
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (1.0,), (0.2, 0.3, 0.5), (0.25, 0.0, 0.75)])
+def test_support_sampling_matches_rng_choice(weights):
+    n = len(weights)
+    base = BaseSpace(tuple(f"w{i}" for i in range(n)), weights, (tuple(range(n)),))
+    support = base.support
+    p = np.asarray([weights[i] for i in support])
+    p = p / p.sum()
+    for seed in range(500):
+        ref, new = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert _sample_support_index(base, new) == support[int(ref.choice(len(support), p=p))]
+        assert new.bit_generator.state == ref.bit_generator.state
+
+
+def test_search_ball_is_cached_but_budget_errors_are_not():
+    g = parse_group("Z^2")
+    assert search_ball(g, 5) is search_ball(g, 5)
+    for _ in range(2):
+        with pytest.raises(BudgetError):
+            search_ball(g, 30, element_budget=100)
