@@ -23,7 +23,6 @@ are provided for the openness diagnostics.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,10 +139,9 @@ class RegionResult:
 
 
 def _sample_support_index(base, rng) -> int:
-    support = base.support
-    w = np.asarray([base.weights[i] for i in support], dtype=np.float64)
-    w = w / w.sum()
-    return support[int(rng.choice(len(support), p=w))]
+    """A support index drawn by weight: the draw, and the generator state
+    after it, of ``rng.choice(len(support), p=weights)``."""
+    return base.support[int(base.support_cdf.searchsorted(rng.random(), side="right"))]
 
 
 def _sample_pair(system, delta, rng):
@@ -154,28 +152,17 @@ def _sample_pair(system, delta, rng):
     return idx, x, y
 
 
-def _scan_until_failure(items, evaluate, fails, workers: int):
+def _scan_until_failure(items, evaluate, fails):
     """Evaluate items in order, stopping at the first failing result.
 
-    Returns the evaluated results up to and including the failure. The
-    result list does not depend on the worker count.
+    Returns the evaluated results up to and including the failure.
     """
-    if workers <= 1:
-        out = []
-        for it in items:
-            r = evaluate(it)
-            out.append(r)
-            if fails(r):
-                break
-        return out
     out = []
-    chunk = max(8, workers * 4)
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        for start in range(0, len(items), chunk):
-            for r in ex.map(evaluate, items[start:start + chunk]):
-                out.append(r)
-                if fails(out[-1]):
-                    return out
+    for it in items:
+        r = evaluate(it)
+        out.append(r)
+        if fails(r):
+            break
     return out
 
 
@@ -186,7 +173,10 @@ def wme_test(
     rng,
     workers: int = 1,
 ) -> WmeResult:
-    """Modulus search: largest grid delta keeping all pair separations < eps."""
+    """Modulus search: largest grid delta keeping all pair separations < eps.
+
+    Pairs are evaluated one at a time, in order; ``workers`` is accepted for
+    compatibility and has no effect."""
     rows = []
     for eps in ccfg.eps_list:
         found = None
@@ -198,7 +188,6 @@ def wme_test(
                 pairs,
                 lambda p: banach_mean(pair_source(system, p[1], p[2], "sup"), cfg).value,
                 lambda v: v >= eps,
-                workers,
             )
             tested = len(vals)
             worst = max(vals)
@@ -219,7 +208,7 @@ def mean_l_stable_test(
     """Like the modulus search, with the separation-set density as criterion.
 
     Also verifies the pointwise chain eps * density <= banach + tolerance on
-    every evaluated pair."""
+    every evaluated pair. ``workers`` has no effect, as in :func:`wme_test`."""
     rows = []
     chain_ok = True
     chain_detail = ""
@@ -241,7 +230,6 @@ def mean_l_stable_test(
                 pairs,
                 lambda p: evaluate(p, eps),
                 lambda r: r[0] >= eps,
-                workers,
             )
             tested = len(results)
             worst = max(r[0] for r in results)
@@ -489,7 +477,8 @@ def dichotomy_report(
     seed: int = 0,
     workers: int = 1,
 ) -> ClassificationReport:
-    """Run all three probes and assemble the verdict."""
+    """Run all three probes and assemble the verdict (``workers`` has no
+    effect)."""
     cfg = cfg or EstimatorConfig()
     ccfg = ccfg or ClassifierConfig()
     rng = np.random.default_rng(seed)

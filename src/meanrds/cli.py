@@ -61,7 +61,8 @@ def _add_common(p: argparse.ArgumentParser, suppress: bool):
     d = argparse.SUPPRESS if suppress else None
     p.add_argument("--config", default=d, help="JSON config file merged under the flags")
     p.add_argument("--seed", type=int, default=d)
-    p.add_argument("--workers", type=int, default=d)
+    p.add_argument("--workers", type=int, default=d,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--out", default=d, help="directory for JSON/CSV outputs")
     p.add_argument("--json", action="store_true",
                    default=argparse.SUPPRESS if suppress else False,

@@ -9,6 +9,7 @@ direction (exactly; see :func:`folner_defect`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -202,10 +203,13 @@ def folner_defect(window: FolnerWindow, g) -> Fraction:
     return Fraction(len(base ^ moved), len(base))
 
 
+@functools.lru_cache(maxsize=64)
 def search_ball(
     group: AmenableGroup, radius: int, element_budget: int = DEFAULT_ELEMENT_BUDGET
 ) -> tuple[tuple[int, ...], ...]:
-    """All elements of word length <= radius, lexicographically sorted."""
+    """All elements of word length <= radius, lexicographically sorted.
+
+    Cached per (group, radius, budget); a ``BudgetError`` is not cached."""
     if radius < 0:
         raise GroupSpecError(f"radius must be nonnegative, got {radius}")
     out: list[tuple[int, ...]] = []
