@@ -157,3 +157,11 @@ def test_separation_set_of_hyperbolic_pair_has_positive_banach_density():
     # a threshold above the torus diameter empties the set
     far = density_summary(separation_set(src, 1.0), CFG)
     assert all(est.value == 0.0 for est in far.values())
+
+
+def test_banach_densities_keep_the_first_tie():
+    # every window and translate ties, so the first of each is reported
+    src = synthetic_source("constant:0.3125")
+    for fn in (banach_upper_density, banach_lower_density):
+        est = fn(src, CFG)
+        assert (est.value, est.window_index, est.translate) == (0.3125, 1, (-64,))

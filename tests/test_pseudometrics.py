@@ -315,6 +315,38 @@ def test_sliced_system_domain_errors_and_empty_sup():
     assert est2.value == 0.0  # identical points
 
 
+def _disjoint_system():
+    # the two fibers are disjoint slices, so (0, 0.3) and (0.5, 0.3) share none
+    base = BaseSpace(("w0", "w1"), (0.5, 0.5), ((0, 1),))
+    return RandomDynamicalSystem(
+        name="disjoint",
+        group=parse_group("Z"),
+        base=base,
+        dim=2,
+        fibers=(FiberSpace(2, (((0, 0.0),),)), FiberSpace(2, (((0, 0.5),),))),
+        maps=((FiberMap.identity(2), FiberMap.identity(2)),),
+    )
+
+
+def test_scan_start_rule_on_an_all_inf_profile():
+    """No window mean beats the scan's starting +-inf, so the first scanned
+    window is reported with no translate."""
+    sys_ = _disjoint_system()
+    cfg = EstimatorConfig(n_max=64, m_max=16, search_radius=2)
+    x, y = (0.0, 0.3), (0.5, 0.3)
+    src = pair_source(sys_, x, y)
+    ban = banach_mean(src, cfg)
+    assert (ban.value, ban.window_index, ban.translate) == (math.inf, 1, None)
+    bes = besicovitch_mean(src, cfg)
+    assert (bes.value, bes.window_index, bes.translate) == (math.inf, 8, None)
+    assert bes.tail_start == 8
+    out = pair_summary(sys_, x, y, cfg)
+    assert list(out) == ["besicovitch", "banach", "weyl", "sup-fiber-weyl"]
+    sup = out["sup-fiber-weyl"]
+    assert sup.value == 0.0
+    assert sup.truncation_note == "no common fiber; empty sup reported as 0"
+
+
 def _z2_rotation_system():
     base = BaseSpace(("w0",), (1.0,), ((0,), (0,)))
     return RandomDynamicalSystem(
