@@ -1,10 +1,13 @@
 """Upper, lower, and Banach densities of subsets of the group.
 
 A subset is described by an indicator profile (values 0 or 1). The four
-densities are finite window proxies:
+densities are finite window proxies, each one call of the min-max window
+scan of :mod:`meanrds.pseudometrics`, with its tie and start rules (first
+window and translate on ties; first scanned window and translate None when
+nothing beats the starting +-inf):
 
 * upper / lower: max / min of the ratios |E n F_n| / |F_n| over the tail of
-  the window schedule;
+  the window schedule (untranslated windows);
 * banach upper: min over the schedule of the max over ball translates of the
   window ratio;
 * banach lower: max over the schedule of the min over ball translates.
@@ -21,19 +24,14 @@ Separation sets {g : separation(g) >= eps} of a pair plug in through
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from . import _windows
-from .groups import FolnerFamily
 from .pseudometrics import (
     EstimatorConfig,
     PseudometricEstimate,
     SyntheticSource,
     ValueSource,
-    _translated_window_means,
-    _window_means_untranslated,
+    _scan,
 )
 
 DensityEstimate = PseudometricEstimate
@@ -99,87 +97,21 @@ class SeparationSet(ValueSource):
 
 
 def upper_density(ind: ValueSource, cfg: EstimatorConfig) -> DensityEstimate:
-    folner = FolnerFamily(ind.group, cfg.element_budget)
-    schedule = _windows.window_schedule(folner, cfg.n_max)
-    means = _window_means_untranslated(ind, schedule, cfg)
-    tail = _windows.tail_indices(schedule, cfg.tail_fraction)
-    best = max(tail, key=lambda i: means[i])
-    return DensityEstimate(
-        kind="upper-density",
-        value=float(means[best]),
-        window_index=schedule[best],
-        translate=None,
-        schedule=schedule,
-        tail_start=schedule[tail[0]],
-        truncation_note=UPPER_NOTE,
-        source_label=ind.label,
-    )
+    return _scan(ind, cfg, "upper-density", UPPER_NOTE, outer=max, tail=True)
 
 
 def lower_density(ind: ValueSource, cfg: EstimatorConfig) -> DensityEstimate:
-    folner = FolnerFamily(ind.group, cfg.element_budget)
-    schedule = _windows.window_schedule(folner, cfg.n_max)
-    means = _window_means_untranslated(ind, schedule, cfg)
-    tail = _windows.tail_indices(schedule, cfg.tail_fraction)
-    best = min(tail, key=lambda i: means[i])
-    return DensityEstimate(
-        kind="lower-density",
-        value=float(means[best]),
-        window_index=schedule[best],
-        translate=None,
-        schedule=schedule,
-        tail_start=schedule[tail[0]],
-        truncation_note=LOWER_NOTE,
-        source_label=ind.label,
-    )
+    return _scan(ind, cfg, "lower-density", LOWER_NOTE, outer=min, tail=True)
 
 
 def banach_upper_density(ind: ValueSource, cfg: EstimatorConfig) -> DensityEstimate:
-    folner = FolnerFamily(ind.group, cfg.element_budget)
-    schedule = _windows.window_schedule(folner, cfg.m_max)
-    best_value = math.inf
-    best_m = schedule[0]
-    best_g = None
-    for n, means, ball in _translated_window_means(ind, schedule, cfg):
-        k = int(np.argmax(means))
-        if float(means[k]) < best_value:
-            best_value = float(means[k])
-            best_m = n
-            best_g = ball[k]
-    return DensityEstimate(
-        kind="banach-upper-density",
-        value=best_value,
-        window_index=best_m,
-        translate=best_g,
-        schedule=schedule,
-        tail_start=None,
-        truncation_note=BANACH_UPPER_NOTE.format(m=cfg.m_max, r=cfg.search_radius),
-        source_label=ind.label,
-    )
+    note = BANACH_UPPER_NOTE.format(m=cfg.m_max, r=cfg.search_radius)
+    return _scan(ind, cfg, "banach-upper-density", note, outer=min, inner=max)
 
 
 def banach_lower_density(ind: ValueSource, cfg: EstimatorConfig) -> DensityEstimate:
-    folner = FolnerFamily(ind.group, cfg.element_budget)
-    schedule = _windows.window_schedule(folner, cfg.m_max)
-    best_value = -math.inf
-    best_m = schedule[0]
-    best_g = None
-    for n, means, ball in _translated_window_means(ind, schedule, cfg):
-        k = int(np.argmin(means))
-        if float(means[k]) > best_value:
-            best_value = float(means[k])
-            best_m = n
-            best_g = ball[k]
-    return DensityEstimate(
-        kind="banach-lower-density",
-        value=best_value,
-        window_index=best_m,
-        translate=best_g,
-        schedule=schedule,
-        tail_start=None,
-        truncation_note=BANACH_LOWER_NOTE.format(m=cfg.m_max, r=cfg.search_radius),
-        source_label=ind.label,
-    )
+    note = BANACH_LOWER_NOTE.format(m=cfg.m_max, r=cfg.search_radius)
+    return _scan(ind, cfg, "banach-lower-density", note, outer=max, inner=min)
 
 
 def density_summary(ind: ValueSource, cfg: EstimatorConfig) -> dict[str, DensityEstimate]:

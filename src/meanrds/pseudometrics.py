@@ -1,17 +1,26 @@
 """Besicovitch, Weyl, and Banach mean-separation estimators.
 
-All estimators average a separation profile over Folner windows:
+Every estimator here and in :mod:`meanrds.density` is one min-max scan of
+Folner-window means (``_scan``). For each scheduled window it takes the means
+over the window's translates by the search ball, picks over the translates
+(inner max or min), and picks over the windows (outer max or min):
 
-* ``besicovitch_mean``: window means over the untranslated windows, then the
-  max over the tail of the schedule (finite stand-in for a limsup).
-* ``banach_mean``: min over the schedule of the max over all translated
-  windows within the search radius (finite stand-in for the inf-sup form).
+* ``besicovitch_mean``: untranslated windows on the tail of the n_max
+  schedule, outer max (finite stand-in for a limsup).
+* ``banach_mean``: the whole m_max schedule, inner max over the ball, outer
+  min (finite stand-in for the inf-sup form).
 * ``weyl_mean``: reported through ``banach_mean``; the sup over translated
   window averages and the inf-sup agree in the limit, and the min-max scan is
   the stable finite proxy for both.
-* ``translated_besicovitch_scan``: max over translates of the tail-max of
-  translated window means; a lower bound for the sup over translates, kept as
-  a diagnostic because its tail never settles on expanding systems.
+* ``translated_besicovitch_scan``: the tail of the n_max schedule, inner and
+  outer max; a lower bound for the sup over translates, kept as a diagnostic
+  because its tail never settles on expanding systems.
+
+Ties keep the first window and the first translate (ball order). The scan
+starts from -inf (outer max) or +inf (outer min) at the first scanned window
+with no translate, so when no mean beats that start (every mean +inf under an
+outer min, as for a pair with no common fiber) the estimate reports the first
+scanned window and translate None. Untranslated scans report translate None.
 
 Profiles come either from a pair of points in a system (sup over admissible
 fibers, a single fiber, or the weighted fiber average) or from synthetic
@@ -26,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,125 +227,93 @@ def pair_source(
 
 
 # ---------------------------------------------------------------------------
-# window mean engines
+# the window scan
 
-def _window_means_untranslated(source: ValueSource, schedule, cfg: EstimatorConfig):
-    """Mean of the profile over each untranslated window of the schedule."""
-    folner = FolnerFamily(source.group, cfg.element_budget)
-    if source.group.is_line:
-        vals = source.range_values(0, schedule[-1])
-        return [float(means[0]) for _, means in
-                _windows.line_window_means(vals, 0, (0,), schedule)]
-    means = []
-    for n in schedule:
-        win = folner.window(n)
-        row = np.asarray([source.value(h) for h in win.elements], dtype=np.float64)
-        means.append(float(_windows.tree_mean_rows(row)[0]))
-    return means
-
-
-def _translated_window_means(source: ValueSource, schedule, cfg: EstimatorConfig):
-    """For each scheduled window, the means over all its ball translates.
-
-    Yields (window index, means array, ball elements)."""
-    ball = search_ball(source.group, cfg.search_radius, cfg.element_budget)
-    folner = FolnerFamily(source.group, cfg.element_budget)
+def _window_means(source: ValueSource, schedule, ball, cfg: EstimatorConfig):
+    """For each window index n of the schedule, yield n and the means of the
+    profile over the translates g F_n, one per g of the ball, in ball order."""
     if source.group.is_line:
         offsets = [g[0] for g in ball]
         lo = min(offsets)
-        hi = max(offsets) + schedule[-1]
-        vals = source.range_values(lo, hi)
-        for n, means in _windows.line_window_means(vals, lo, offsets, schedule):
-            yield n, means, ball
+        vals = source.range_values(lo, max(offsets) + schedule[-1])
+        yield from _windows.line_window_means(vals, lo, offsets, schedule)
         return
     grp = source.group
+    folner = FolnerFamily(grp, cfg.element_budget)
     for n in schedule:
         win = folner.window(n)
         rows = np.empty((len(ball), win.size), dtype=np.float64)
         for bi, g in enumerate(ball):
             for hj, h in enumerate(win.elements):
                 rows[bi, hj] = source.value(grp.multiply(g, h))
-        yield n, _windows.tree_mean_rows(rows), ball
+        yield n, _windows.tree_mean_rows(rows)
+
+
+def _scan(source: ValueSource, cfg: EstimatorConfig, kind: str, note: str, *,
+          outer, inner=None, tail: bool = False) -> PseudometricEstimate:
+    """The one min-max window scan behind every estimator and density.
+
+    Scans the tail of the n_max schedule when ``tail`` is set, else the whole
+    m_max schedule. ``inner`` (max or min) picks over the ball translates of
+    each window, or None scans the untranslated windows; ``outer`` (max or
+    min) picks over the windows. Ties keep the first window and translate,
+    and the scan starts from -inf (outer max) or +inf (outer min) at the
+    first scanned window with translate None.
+    """
+    folner = FolnerFamily(source.group, cfg.element_budget)
+    if tail:
+        schedule = _windows.window_schedule(folner, cfg.n_max)
+        scanned = schedule[_windows.tail_indices(schedule, cfg.tail_fraction)[0]:]
+    else:
+        schedule = scanned = _windows.window_schedule(folner, cfg.m_max)
+    if inner is None:
+        ball = (source.group.identity(),)
+    else:
+        ball = search_ball(source.group, cfg.search_radius, cfg.element_budget)
+    pick = np.argmax if inner is max else np.argmin
+    better = operator.gt if outer is max else operator.lt
+    value, window, translate = (-math.inf if outer is max else math.inf), scanned[0], None
+    for n, means in _window_means(source, scanned, ball, cfg):
+        k = int(pick(means))
+        if better(float(means[k]), value):
+            value, window = float(means[k]), n
+            translate = None if inner is None else ball[k]
+    return PseudometricEstimate(
+        kind=kind,
+        value=value,
+        window_index=window,
+        translate=translate,
+        schedule=schedule,
+        tail_start=scanned[0] if tail else None,
+        truncation_note=note,
+        source_label=source.label,
+    )
+
+
+def _as_weyl(est: PseudometricEstimate, kind: str) -> PseudometricEstimate:
+    return dataclasses.replace(est, kind=kind, truncation_note=est.truncation_note + WEYL_NOTE)
 
 
 def besicovitch_mean(source: ValueSource, cfg: EstimatorConfig) -> PseudometricEstimate:
     """Tail max of untranslated window means."""
-    folner = FolnerFamily(source.group, cfg.element_budget)
-    schedule = _windows.window_schedule(folner, cfg.n_max)
-    means = _window_means_untranslated(source, schedule, cfg)
-    tail = _windows.tail_indices(schedule, cfg.tail_fraction)
-    best = max(tail, key=lambda i: means[i])
-    return PseudometricEstimate(
-        kind="besicovitch",
-        value=float(means[best]),
-        window_index=schedule[best],
-        translate=None,
-        schedule=schedule,
-        tail_start=schedule[tail[0]],
-        truncation_note=BESICOVITCH_NOTE,
-        source_label=source.label,
-    )
+    return _scan(source, cfg, "besicovitch", BESICOVITCH_NOTE, outer=max, tail=True)
 
 
 def banach_mean(source: ValueSource, cfg: EstimatorConfig) -> PseudometricEstimate:
     """Min over the schedule of the max over ball-translated window means."""
-    folner = FolnerFamily(source.group, cfg.element_budget)
-    schedule = _windows.window_schedule(folner, cfg.m_max)
-    best_value = math.inf
-    best_m = schedule[0]
-    best_g = None
-    for n, means, ball in _translated_window_means(source, schedule, cfg):
-        k = int(np.argmax(means))
-        s_m = float(means[k])
-        if s_m < best_value:
-            best_value = s_m
-            best_m = n
-            best_g = ball[k]
-    return PseudometricEstimate(
-        kind="banach",
-        value=best_value,
-        window_index=best_m,
-        translate=best_g,
-        schedule=schedule,
-        tail_start=None,
-        truncation_note=BANACH_NOTE.format(m=cfg.m_max, r=cfg.search_radius),
-        source_label=source.label,
-    )
+    note = BANACH_NOTE.format(m=cfg.m_max, r=cfg.search_radius)
+    return _scan(source, cfg, "banach", note, outer=min, inner=max)
 
 
 def weyl_mean(source: ValueSource, cfg: EstimatorConfig) -> PseudometricEstimate:
     """Weyl mean separation, reported through the Banach min-max scan."""
-    est = banach_mean(source, cfg)
-    return dataclasses.replace(
-        est, kind="weyl", truncation_note=est.truncation_note + WEYL_NOTE
-    )
+    return _as_weyl(banach_mean(source, cfg), "weyl")
 
 
 def translated_besicovitch_scan(source: ValueSource, cfg: EstimatorConfig) -> PseudometricEstimate:
     """Max over ball translates of the tail max of translated window means."""
-    folner = FolnerFamily(source.group, cfg.element_budget)
-    schedule = _windows.window_schedule(folner, cfg.n_max)
-    tail = set(_windows.tail_indices(schedule, cfg.tail_fraction))
-    tail_sched = [n for i, n in enumerate(schedule) if i in tail]
-    best_value = -math.inf
-    best_n = tail_sched[0]
-    best_g = None
-    for n, means, ball in _translated_window_means(source, tail_sched, cfg):
-        k = int(np.argmax(means))
-        if float(means[k]) > best_value:
-            best_value = float(means[k])
-            best_n = n
-            best_g = ball[k]
-    return PseudometricEstimate(
-        kind="translated-besicovitch-scan",
-        value=best_value,
-        window_index=best_n,
-        translate=best_g,
-        schedule=schedule,
-        tail_start=tail_sched[0],
-        truncation_note=SCAN_NOTE,
-        source_label=source.label,
-    )
+    return _scan(source, cfg, "translated-besicovitch-scan", SCAN_NOTE,
+                 outer=max, inner=max, tail=True)
 
 
 def mean_curves(source: ValueSource, cfg: EstimatorConfig):
@@ -346,10 +324,13 @@ def mean_curves(source: ValueSource, cfg: EstimatorConfig):
     summation tree, so S_m >= A_m holds bitwise."""
     folner = FolnerFamily(source.group, cfg.element_budget)
     schedule = _windows.window_schedule(folner, cfg.m_max)
-    untranslated = _window_means_untranslated(source, schedule, cfg)
+    ball = search_ball(source.group, cfg.search_radius, cfg.element_budget)
+    untranslated = [
+        float(means[0]) for _, means in
+        _window_means(source, schedule, (source.group.identity(),), cfg)
+    ]
     translated_max = [
-        float(np.max(means)) for _, means, _ in
-        _translated_window_means(source, schedule, cfg)
+        float(np.max(means)) for _, means in _window_means(source, schedule, ball, cfg)
     ]
     return schedule, untranslated, translated_max
 
@@ -381,25 +362,11 @@ def fiber_besicovitch(system, x, y, omega, cfg) -> PseudometricEstimate:
 
 def fiber_weyl(system, x, y, omega, cfg) -> PseudometricEstimate:
     """Weyl mean separation within one fiber, via the same min-max scan."""
-    est = banach_mean(pair_source(system, x, y, "fiber", omega), cfg)
-    return dataclasses.replace(
-        est, kind="fiber-weyl", truncation_note=est.truncation_note + WEYL_NOTE
-    )
+    return _as_weyl(banach_mean(pair_source(system, x, y, "fiber", omega), cfg), "fiber-weyl")
 
 
-def sup_fiber_weyl(system, x, y, cfg) -> PseudometricEstimate:
-    """Max of the fiber Weyl estimates over support fibers holding both
-    points; a conservative 0 with a note when no fiber holds both."""
-    best = None
-    for i in system.base.support:
-        fs = system.fibers[i]
-        eng_x, eng_y = x, y
-        if not (fs.contains(tuple(float(v) % 1.0 for v in eng_x))
-                and fs.contains(tuple(float(v) % 1.0 for v in eng_y))):
-            continue
-        est = fiber_weyl(system, x, y, i, cfg)
-        if best is None or est.value > best.value:
-            best = est
+def _sup_of_fiber_weyls(estimates) -> PseudometricEstimate:
+    best = max(estimates, key=lambda est: est.value, default=None)
     if best is None:
         return PseudometricEstimate(
             kind="sup-fiber-weyl",
@@ -414,20 +381,34 @@ def sup_fiber_weyl(system, x, y, cfg) -> PseudometricEstimate:
     return dataclasses.replace(best, kind="sup-fiber-weyl")
 
 
+def sup_fiber_weyl(system, x, y, cfg) -> PseudometricEstimate:
+    """First maximum of the fiber Weyl estimates over support fibers holding
+    both points; a conservative 0 with a note when no fiber holds both."""
+    return _sup_of_fiber_weyls(
+        fiber_weyl(system, x, y, i, cfg) for i in system.admissible_fibers(x, y)
+    )
+
+
 def pair_summary(system, x, y, cfg) -> dict[str, PseudometricEstimate]:
-    """All headline estimates for one pair, keyed by kind."""
+    """All headline estimates for one pair, keyed by kind.
+
+    ``weyl`` and ``sup-fiber-weyl`` reuse the ``banach`` and ``fiber-weyl``
+    scans instead of running them again."""
     out: dict[str, PseudometricEstimate] = {}
     out["besicovitch"] = besicovitch_separation(system, x, y, cfg)
     out["banach"] = banach_separation(system, x, y, cfg)
-    out["weyl"] = weyl_separation(system, x, y, cfg)
+    out["weyl"] = _as_weyl(out["banach"], "weyl")
     try:
         out["integral-besicovitch"] = integral_besicovitch(system, x, y, cfg)
     except DomainError:
         pass
-    out["sup-fiber-weyl"] = sup_fiber_weyl(system, x, y, cfg)
-    engine_adm = system.admissible_fibers(x, y)
-    for i in engine_adm:
-        label = system.base.labels[i]
-        out[f"fiber-besicovitch[{label}]"] = fiber_besicovitch(system, x, y, i, cfg)
-        out[f"fiber-weyl[{label}]"] = fiber_weyl(system, x, y, i, cfg)
+    fibers = [
+        (system.base.labels[i], fiber_besicovitch(system, x, y, i, cfg),
+         fiber_weyl(system, x, y, i, cfg))
+        for i in system.admissible_fibers(x, y)
+    ]
+    out["sup-fiber-weyl"] = _sup_of_fiber_weyls(fw for _, _, fw in fibers)
+    for label, fb, fw in fibers:
+        out[f"fiber-besicovitch[{label}]"] = fb
+        out[f"fiber-weyl[{label}]"] = fw
     return out
