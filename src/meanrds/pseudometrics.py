@@ -179,7 +179,8 @@ def synthetic_source(spec: str) -> SyntheticSource:
     """Named separation profiles on Z.
 
     ``constant:<c>``, ``evens``, ``odds``, ``squares``, ``dyadic-blocks``,
-    and ``periodic:<v0,v1,...>``.
+    and ``periodic:<v0,v1,...>``. A NaN value is rejected; ``inf`` is allowed
+    (the separation of a pair with no common fiber).
     """
     if spec == "evens":
         return SyntheticSource(lambda t: (t % 2 == 0).astype(np.float64), spec)
@@ -191,11 +192,15 @@ def synthetic_source(spec: str) -> SyntheticSource:
         return SyntheticSource(_dyadic_blocks_mask, spec)
     if spec.startswith("constant:"):
         c = float(spec.split(":", 1)[1])
+        if math.isnan(c):
+            raise ValueError(f"synthetic profile {spec!r} has a NaN value")
         return SyntheticSource(lambda t: np.full(t.shape, c, dtype=np.float64), spec)
     if spec.startswith("periodic:"):
         vals = np.asarray([float(v) for v in spec.split(":", 1)[1].split(",")], dtype=np.float64)
         if vals.size == 0:
             raise ValueError("periodic profile needs at least one value")
+        if np.isnan(vals).any():
+            raise ValueError(f"synthetic profile {spec!r} has a NaN value")
         return SyntheticSource(lambda t: vals[t % vals.size], spec)
     raise ValueError(f"unknown synthetic profile {spec!r}")
 

@@ -59,6 +59,11 @@ def test_unknown_system_exits_one(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_nan_synthetic_profile_exits_one(capsys):
+    assert main(["estimate", "--system", "synthetic:constant:nan"]) == 1
+    assert "NaN" in capsys.readouterr().err
+
+
 def test_bad_flag_value_exits_one(capsys):
     code = main(["estimate", "--system", "synthetic:evens", "--tail-fraction", "2.0"])
     assert code == 1

@@ -128,6 +128,10 @@ def test_synthetic_registry():
         synthetic_source("nope")
     with pytest.raises(ValueError):
         synthetic_source("periodic:")
+    for spec in ("constant:nan", "periodic:0,nan,1"):
+        with pytest.raises(ValueError, match="NaN"):
+            synthetic_source(spec)
+    assert synthetic_source("constant:inf").value((3,)) == math.inf
 
 
 def test_constant_profile_all_estimators_exact():
