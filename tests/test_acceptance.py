@@ -8,12 +8,14 @@ oracle code and compared against their pinned values before use.
 """
 
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import meanrds
 from meanrds import catalog
 from meanrds.classify import (
     ClassifierConfig,
@@ -253,8 +255,11 @@ def test_criterion_9_region_openness():
 
 def test_criterion_10_deterministic_cli():
     cmd = [sys.executable, "-m", "meanrds", "classify", "--system", "cat2", "--seed", "7"]
-    a = subprocess.run(cmd, capture_output=True)
-    b = subprocess.run(cmd, capture_output=True)
+    # ``python -m`` puts its working directory first on sys.path, so a child
+    # run from the directory holding the package finds it without PYTHONPATH
+    root = os.path.dirname(os.path.dirname(meanrds.__file__))
+    a = subprocess.run(cmd, capture_output=True, cwd=root)
+    b = subprocess.run(cmd, capture_output=True, cwd=root)
     ok = a.returncode == 0 and b.returncode == 0 and a.stdout == b.stdout
     _line(10, "classify --system cat2 --seed 7 is byte-identical across runs", ok)
     assert a.returncode == 0 and b.returncode == 0

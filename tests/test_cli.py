@@ -2,10 +2,16 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
+import meanrds
 from meanrds.cli import main
+
+# ``python -m`` puts its working directory first on sys.path, so a child run
+# from the directory holding the package finds it without PYTHONPATH
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(meanrds.__file__))
 
 SMALL = {
     "estimator": {"n_max": 512, "m_max": 128, "search_radius": 8},
@@ -247,7 +253,7 @@ def test_config_system_resolved_by_name(tmp_path, capsys):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "meanrds", "catalog"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, cwd=PACKAGE_ROOT,
     )
     assert proc.returncode == 0
     assert "rot2" in proc.stdout
