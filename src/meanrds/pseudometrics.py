@@ -261,9 +261,8 @@ def _scan(source: ValueSource, cfg: EstimatorConfig, kind: str, note: str, *,
     Scans the tail of the n_max schedule when ``tail`` is set, else the whole
     m_max schedule. ``inner`` (max or min) picks over the ball translates of
     each window, or None scans the untranslated windows; ``outer`` (max or
-    min) picks over the windows. Ties keep the first window and translate,
-    and the scan starts from -inf (outer max) or +inf (outer min) at the
-    first scanned window with translate None.
+    min) picks over the windows. The tie and start rules are in the module
+    docstring.
     """
     folner = FolnerFamily(source.group, cfg.element_budget)
     if tail:
