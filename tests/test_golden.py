@@ -46,9 +46,9 @@ def test_cli_stdout_is_golden(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# Z^2 with the commuting hyperbolic pair A, A^2 (A the cat matrix), and
-# Z x C2 with dyadic rotations that swap the two fibers: both run the
-# per-element window path of the estimators.
+# Z^2 with the commuting hyperbolic pair A, A^2 (A the cat matrix), Z x C2
+# with dyadic rotations that swap the two fibers, and Z x C3 with -I on the
+# Z generator and an order-3 matrix on the C3 generator: the box walk off Z.
 Z2_CAT = {
     "name": "z2-cat",
     "group": "Z^2",
@@ -70,18 +70,44 @@ ZXC2_ROT = {
     ],
 }
 
+ZXC3_ORDER3 = {
+    "name": "zxc3-order3",
+    "group": "Z x C3",
+    "dim": 2,
+    "base": {"labels": ["w0"], "weights": [1.0], "perms": [[0], [0]]},
+    "maps": [
+        [{"matrix": [[-1, 0], [0, -1]], "shift": [0.0, 0.0]}],
+        [{"matrix": [[0, -1], [1, -1]], "shift": [0.0, 0.0]}],
+    ],
+}
+
+# (system, x, y, (n_max, m_max, search_radius), digest): cyclic widths of 3
+# take the odd-width tree, translates wrap mod 3, and 5, 10, 33 are
+# non-power-of-two schedule tops
 PAIR_GOLDEN = [
-    (Z2_CAT, (0.1, 0.2), (0.1004, 0.2002),
-     "84719a5795c6da99ee9e3ee0d4f8ef78b4a43b0ef9fd69d88ffeef4fadaac227"),
-    (ZXC2_ROT, (0.1,), (0.35,),
-     "946da4dae353b763d3053bd49257b69361fe047090b2b17915fdad3730aafff0"),
+    pytest.param(Z2_CAT, (0.1, 0.2), (0.1004, 0.2002), (64, 16, 2),
+                 "84719a5795c6da99ee9e3ee0d4f8ef78b4a43b0ef9fd69d88ffeef4fadaac227",
+                 id="z2-cat"),
+    pytest.param(Z2_CAT, (0.1, 0.2), (0.1004, 0.2002), (256, 64, 4),
+                 "db8e36b0c8ec606f0c73635a225e04f9dbef9f76888c6dc15e3597ebf9648b18",
+                 id="z2-cat-256-64-4"),
+    pytest.param(ZXC2_ROT, (0.1,), (0.35,), (64, 16, 2),
+                 "946da4dae353b763d3053bd49257b69361fe047090b2b17915fdad3730aafff0",
+                 id="zxc2-rot"),
+    pytest.param(ZXC3_ORDER3, (0.1, 0.2), (0.13, 0.21), (64, 16, 2),
+                 "68b0ce6f891dd7d60fd9c78b99984cee1ecd1cd97fdd91854ceb43725b30f70a",
+                 id="zxc3-order3"),
+    pytest.param(ZXC3_ORDER3, (0.1, 0.2), (0.13, 0.21), (100, 30, 3),
+                 "7173afb21cb9653024765766b2dd6cfb3cd196deeb2516a9a9590f1cbe044010",
+                 id="zxc3-order3-100-30-3"),
 ]
 
 
-@pytest.mark.parametrize("spec,x,y,digest", PAIR_GOLDEN, ids=[s["name"] for s, *_ in PAIR_GOLDEN])
-def test_pair_summary_on_generic_groups_is_golden(spec, x, y, digest):
+@pytest.mark.parametrize("spec,x,y,caps,digest", PAIR_GOLDEN)
+def test_pair_summary_on_generic_groups_is_golden(spec, x, y, caps, digest):
     system = catalog.build_system(spec)
-    cfg = EstimatorConfig(n_max=64, m_max=16, search_radius=2)
+    n_max, m_max, radius = caps
+    cfg = EstimatorConfig(n_max=n_max, m_max=m_max, search_radius=radius)
     summary = pair_summary(system, x, y, cfg)
     # a list of pairs, so the key order is pinned too
     blob = json.dumps([(key, est.to_dict()) for key, est in summary.items()])
