@@ -272,7 +272,13 @@ class FiberSpace:
         return tuple(pt)
 
     def sample_near(self, x, delta: float, rng) -> tuple[float, ...]:
-        """A member point within torus distance < delta of x (x must belong)."""
+        """A member point within torus distance < delta of x (x must belong).
+
+        The direction is a normalised Gaussian vector over the free axes,
+        its norm a left-to-right sum of squares; the radius is delta times
+        u^(1/k) for a uniform u and k free axes, taken as u and sqrt(u) for
+        k = 1, 2 so that only correctly rounded operations occur. Three free
+        axes (no bundled system has them) still use the libm ``** (1/3)``."""
         if delta <= 0:
             raise ValueError("delta must be positive")
         if not self.contains(x):
@@ -290,11 +296,16 @@ class FiberSpace:
             x = tuple(x)
         if not free:
             return tuple(x)
-        vec = rng.standard_normal(len(free))
-        norm = math.sqrt(float(np.dot(vec, vec)))
+        vec = [float(c) for c in rng.standard_normal(len(free))]
+        s = 0.0
+        for c in vec:
+            s += c * c
+        norm = math.sqrt(s)
         if norm == 0.0:
             return tuple(x)
-        radius = delta * float(rng.random()) ** (1.0 / len(free))
+        u = float(rng.random())
+        radius = delta * (u if len(free) == 1 else math.sqrt(u) if len(free) == 2
+                          else u ** (1.0 / 3.0))
         out = list(x)
         for ax, comp in zip(free, vec):
             out[ax] = (out[ax] + radius * float(comp) / norm) % 1.0

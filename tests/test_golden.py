@@ -1,9 +1,11 @@
-"""Golden outputs: sha256 of the exact bytes of estimate and density runs.
+"""Golden outputs: sha256 of the exact bytes of estimate, density and
+classify runs.
 
-Refactors of the window scans must leave every byte of these outputs
-unchanged. ``classify`` is left out on purpose: ``FiberSpace.sample_near``
-still draws through libm ``**`` and ``np.dot``, whose last bits may vary
-between platforms.
+Refactors of the walks and window scans must leave every byte of these
+outputs unchanged. ``classify`` samples near pairs through
+``FiberSpace.sample_near``, which uses only correctly rounded operations on
+the catalog systems (at most two free axes), so its bytes do not depend on
+the libm either.
 """
 
 import hashlib
@@ -36,6 +38,16 @@ CLI_GOLDEN = [
      "a9fdca15a9323a46d8072ac026ca1342548855e87c803b515c348f0de97cedd4"),
     (["density", "--json", "--set", "squares", "--set", "evens"] + BIG,
      "5774bcc0c7f70e7f743caffd0991e295c86e2a6c5d21a76ca161406d9cbbcb16"),
+    (["classify", "--system", "rot2", "--json", "--seed", "7"],
+     "a519d3815493385dcae74759a4b0d8303fe1948686340019c28994ec26f42ccd"),
+    (["classify", "--system", "rot1-trivial", "--json", "--seed", "7"],
+     "73d1e7e7e3fa586a6cdf282e0c33644d397132624f31afbc1d80deeda0145236"),
+    (["classify", "--system", "cat-trivial", "--json", "--seed", "7"],
+     "4a1c5e27ae4fab1b4a55d10c033bbacd3c3c58008694684aded58976fc586a15"),
+    (["classify", "--system", "cat2", "--json", "--seed", "7"],
+     "810c09f5c5a33442f1d46a019dc2d53649c95dfbe84ef51673550e2da7a2d377"),
+    (["classify", "--system", "mixed", "--json", "--seed", "7"],
+     "d4e24cf786397b98a96b70fc23e7929f2ae6966c66feaf55d18123768b2fe222"),
 ]
 
 
