@@ -86,14 +86,8 @@ class SeparationSet(ValueSource):
         self.group = source.group
         self.label = f"[{source.label} >= {eps:g}]"
 
-    def value(self, g) -> float:
-        return 1.0 if self.source.value(g) >= self.eps else 0.0
-
-    def range_values(self, lo: int, hi: int):
-        vals = self.source.range_values(lo, hi)
-        if vals is None:
-            return None
-        return (vals >= self.eps).astype(np.float64)
+    def range_values(self, lo, hi):
+        return (self.source.range_values(lo, hi) >= self.eps).astype(np.float64)
 
 
 def upper_density(ind: ValueSource, cfg: EstimatorConfig) -> DensityEstimate:

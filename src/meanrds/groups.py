@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -162,13 +163,14 @@ class FolnerFamily:
         self.group = group
         self.element_budget = element_budget
 
-    def window_size(self, n: int) -> int:
+    def window_shape(self, n: int) -> tuple[int, ...]:
+        """Side lengths of the box F_n, one per coordinate."""
         if n < 1:
             raise GroupSpecError(f"window index must be positive, got {n}")
-        size = n ** self.group.free_rank
-        for k in self.group.cyclic_orders:
-            size *= min(n, k)
-        return size
+        return (n,) * self.group.free_rank + tuple(min(n, k) for k in self.group.cyclic_orders)
+
+    def window_size(self, n: int) -> int:
+        return math.prod(self.window_shape(n))
 
     def window(self, n: int) -> FolnerWindow:
         size = self.window_size(n)
@@ -176,9 +178,7 @@ class FolnerFamily:
             raise BudgetError(
                 f"window F_{n} has {size} elements, over budget {self.element_budget}"
             )
-        ranges = [range(n)] * self.group.free_rank
-        ranges += [range(min(n, k)) for k in self.group.cyclic_orders]
-        elements = tuple(itertools.product(*ranges))
+        elements = tuple(itertools.product(*map(range, self.window_shape(n))))
         return FolnerWindow(self.group, n, elements)
 
 

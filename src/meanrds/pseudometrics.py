@@ -39,9 +39,10 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _windows
-from .groups import AmenableGroup, FolnerFamily, parse_group, search_ball
+from .groups import AmenableGroup, BudgetError, FolnerFamily, parse_group, search_ball
 from .rds import DomainError, PairEngine, RandomDynamicalSystem
 
 BANACH_NOTE = "heuristic two-sided truncation (m_max={m}, radius={r})"
@@ -113,12 +114,15 @@ class ValueSource:
     group: AmenableGroup
     label: str
 
-    def value(self, g) -> float:
+    def range_values(self, lo, hi) -> np.ndarray:
+        """Values over the box lo <= g < hi (corner tuples, or ints on Z),
+        flattened in row-major order, coordinate 0 slowest."""
         raise NotImplementedError
 
-    def range_values(self, lo: int, hi: int) -> np.ndarray | None:
-        """Contiguous values on Z, or None when unsupported."""
-        return None
+    def value(self, g) -> float:
+        """The value at one element: a one-element box read."""
+        g = self.group.check_element(g)
+        return float(self.range_values(g, tuple(v + 1 for v in g))[0])
 
 
 class _EngineSource(ValueSource):
@@ -132,16 +136,7 @@ class _EngineSource(ValueSource):
         else:
             self.label = mode
 
-    def value(self, g) -> float:
-        if self.mode == "sup":
-            return self.engine.dtilde_at(g)
-        if self.mode == "fiber":
-            return self.engine.fiber_at(g, self.omega_idx)
-        return self.engine.integral_at(g)
-
-    def range_values(self, lo: int, hi: int):
-        if not self.group.is_line:
-            return None
+    def range_values(self, lo, hi):
         if self.mode == "sup":
             return self.engine.dtilde_range(lo, hi)
         if self.mode == "fiber":
@@ -157,11 +152,9 @@ class SyntheticSource(ValueSource):
         self.label = label
         self.group = parse_group("Z")
 
-    def value(self, g) -> float:
-        return float(self.fn(np.asarray([int(g[0])], dtype=np.int64))[0])
-
-    def range_values(self, lo: int, hi: int):
-        return np.asarray(self.fn(np.arange(lo, hi, dtype=np.int64)), dtype=np.float64)
+    def range_values(self, lo, hi):
+        t = np.arange(np.ravel(lo)[0], np.ravel(hi)[0], dtype=np.int64)
+        return np.asarray(self.fn(t), dtype=np.float64)
 
 
 def _squares_mask(t: np.ndarray) -> np.ndarray:
@@ -235,22 +228,36 @@ def pair_source(
 # the window scan
 
 def _window_means(source: ValueSource, schedule, ball, cfg: EstimatorConfig):
-    """For each window index n of the schedule, yield n and the means of the
-    profile over the translates g F_n, one per g of the ball, in ball order."""
-    if source.group.is_line:
-        offsets = [g[0] for g in ball]
-        lo = min(offsets)
-        vals = source.range_values(lo, max(offsets) + schedule[-1])
-        yield from _windows.line_window_means(vals, lo, offsets, schedule)
-        return
+    """For each window index n of the increasing schedule, yield n and the
+    means of the profile over the translates g F_n, one per g of the ball,
+    in ball order.
+
+    The profile is read once, over the box holding every translated window
+    (cyclic axes whole). On Z the dyadic table takes the windows; elsewhere
+    :func:`_windows.tree_mean_rows` sums them from the box in row-major
+    order, wrapping translates mod k, after a box over
+    ``cfg.element_budget`` elements has raised :class:`BudgetError`.
+    """
     grp = source.group
-    folner = FolnerFamily(grp, cfg.element_budget)
+    free = grp.free_rank
+    lo = [min(g[i] for g in ball) for i in range(free)] + [0] * len(grp.cyclic_orders)
+    hi = [max(g[i] for g in ball) + schedule[-1] for i in range(free)] + list(grp.cyclic_orders)
+    if grp.is_line:
+        vals = source.range_values(lo[0], hi[0])
+        yield from _windows.line_window_means(vals, lo[0], [g[0] for g in ball], schedule)
+        return
+    shape = [b - a for a, b in zip(lo, hi)]
+    if math.prod(shape) > cfg.element_budget:
+        raise BudgetError(f"box {shape} over the windows and translates has "
+                          f"{math.prod(shape)} elements, over budget {cfg.element_budget}")
+    box = source.range_values(tuple(lo), tuple(hi)).reshape(shape)
+    starts = tuple((np.asarray(ball) - lo).T)
+    folner = FolnerFamily(grp)
     for n in schedule:
-        win = folner.window(n)
-        rows = np.empty((len(ball), win.size), dtype=np.float64)
-        for bi, g in enumerate(ball):
-            for hj, h in enumerate(win.elements):
-                rows[bi, hj] = source.value(grp.multiply(g, h))
+        win = folner.window_shape(n)
+        wrapped = np.pad(box, [(0, w - 1 if i >= free else 0) for i, w in enumerate(win)],
+                         mode="wrap")
+        rows = sliding_window_view(wrapped, win)[starts].reshape(len(ball), -1)
         yield n, _windows.tree_mean_rows(rows)
 
 

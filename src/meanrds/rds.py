@@ -649,13 +649,46 @@ class _LineWalk:
         return np.concatenate((left, self.right[max(lo, 0):max(hi, 0)]))
 
 
-class PairEngine:
-    """Separation values of one pair (x, y) along base orbits.
+def _step_rows(w, d, nxt, rows):
+    """One canonical matrix step of every state at once: the left-to-right
+    row sums and mod-1 reduction of the walk kernels, on numpy columns."""
+    m = rows[w]
+    dim = d.shape[1]
+    out = np.empty_like(d)
+    for r in range(dim):
+        s = m[:, r * dim] * d[:, 0]
+        for c in range(1, dim):
+            s = s + m[:, r * dim + c] * d[:, c]
+        out[:, r] = s % 1.0
+    return nxt[w], out
 
-    Exposes per-fiber value arrays over integer ranges on Z (the hot path) and
-    memoized per-element values on every group. Values depend only on the
-    difference vector, which each step multiplies by the local integer matrix
-    and reduces mod 1.
+
+def _walk_axis(w, d, steps, lo: int, hi: int):
+    """States at positions lo..hi-1 along one generator from each state
+    (w, d) at 0, as (base points, vectors) with the position varying
+    fastest; ``steps`` maps 1 and -1 to the kernel tables."""
+    states = {0: (w, d)}
+    for sign, stop in ((1, hi), (-1, lo - 1)):
+        nxt, rows = steps[sign]
+        nxt = np.asarray(nxt)
+        rows = np.asarray(rows, dtype=np.float64).reshape(len(nxt), -1)
+        cur = (w, d)
+        for t in range(sign, stop, sign):
+            cur = states[t] = _step_rows(*cur, nxt, rows)
+    kept = [states[t] for t in range(lo, hi)]
+    return (np.stack([s[0] for s in kept], axis=1).reshape(-1),
+            np.stack([s[1] for s in kept], axis=1).reshape(-1, d.shape[1]))
+
+
+class PairEngine:
+    """Separation values of one pair (x, y) over boxes lo <= g < hi of group
+    elements, flattened in row-major order (coordinate 0 slowest).
+
+    On Z a box is a range of times (its corners may be ints), served by one
+    growing :class:`_LineWalk` per fiber. Elsewhere :func:`_walk_axis` walks
+    the box along the canonical path, coordinate 0 first and cyclic ones
+    forward, so values are bitwise those of the scalar kernels. The ``*_at``
+    methods read one-element boxes.
     """
 
     def __init__(self, system: RandomDynamicalSystem, x, y):
@@ -667,89 +700,52 @@ class PairEngine:
         self.delta0 = torus_delta(self.x, self.y)
         self.admissible = system.admissible_fibers(self.x, self.y)
         self._line_walks: dict[int, _LineWalk] = {}
-        self._memo: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[float, ...]]] = {}
 
-    # -- Z fast path --------------------------------------------------------
+    def _box(self, lo, hi):
+        """The corners as tuples (an int is a time on Z) and the box size."""
+        lo, hi = tuple(np.atleast_1d(lo).tolist()), tuple(np.atleast_1d(hi).tolist())
+        self.sys.group.check_element(lo)
+        self.sys.group.check_element([b - 1 for b in hi])
+        return lo, hi, math.prod(b - a for a, b in zip(lo, hi))
 
-    def _walk(self, omega_idx: int) -> _LineWalk:
-        if not self.sys.group.is_line:
-            raise SystemSpecError("range scans need the group Z")
-        lw = self._line_walks.get(omega_idx)
-        if lw is None:
-            lw = _LineWalk(self.sys, omega_idx, self.delta0)
-            self._line_walks[omega_idx] = lw
-        return lw
+    def _fiber_box(self, omega_idx: int, lo, hi) -> np.ndarray:
+        if self.sys.group.is_line:
+            lw = self._line_walks.get(omega_idx)
+            if lw is None:
+                lw = self._line_walks[omega_idx] = _LineWalk(self.sys, omega_idx, self.delta0)
+            return lw.array(lo[0], hi[0])
+        w, d = np.asarray([omega_idx]), np.asarray([self.delta0], dtype=np.float64)
+        for steps, a, b in zip(self.sys._steps, lo, hi):
+            w, d = _walk_axis(w, d, steps, a, b)
+        return _fold_norm_rows(d)
 
-    def fiber_range(self, omega, lo: int, hi: int) -> np.ndarray:
-        """Separation values in fiber omega at times lo..hi-1 (Z only)."""
-        idx = self.sys.base.index_of(omega)
-        return self._walk(idx).array(lo, hi)
+    def fiber_range(self, omega, lo, hi) -> np.ndarray:
+        """Separation values in fiber omega over the box lo <= g < hi."""
+        lo, hi, _ = self._box(lo, hi)
+        return self._fiber_box(self.sys.base.index_of(omega), lo, hi)
 
-    def dtilde_range(self, lo: int, hi: int) -> np.ndarray:
+    def dtilde_range(self, lo, hi) -> np.ndarray:
+        lo, hi, size = self._box(lo, hi)
         if not self.admissible:
-            return np.full(hi - lo, math.inf)
-        parts = [self._walk(i).array(lo, hi) for i in self.admissible]
-        return np.maximum.reduce(parts)
+            return np.full(size, math.inf)
+        return np.maximum.reduce([self._fiber_box(i, lo, hi) for i in self.admissible])
 
-    def integral_range(self, lo: int, hi: int) -> np.ndarray:
+    def integral_range(self, lo, hi) -> np.ndarray:
         self._require_full_support_membership()
-        out = np.zeros(hi - lo)
+        lo, hi, size = self._box(lo, hi)
+        out = np.zeros(size)
         for i in self.sys.base.support:
-            out += self.sys.base.weights[i] * self._walk(i).array(lo, hi)
+            out += self.sys.base.weights[i] * self._fiber_box(i, lo, hi)
         return out
 
-    # -- any group ----------------------------------------------------------
-
-    def _state_at(self, g, omega_idx: int) -> tuple[int, tuple[float, ...]]:
-        """Memoized (base point, difference vector) after applying g,
-        walking the canonical coordinate path iteratively."""
-        key = (omega_idx, g)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        # collect the predecessor chain until a memo hit or the identity
-        chain: list[tuple[tuple[int, ...], int, int]] = []  # (elem, coord, dir)
-        cur = g
-        grp = self.sys.group
-        while (omega_idx, cur) not in self._memo and any(cur):
-            i = max(k for k in range(len(cur)) if cur[k])
-            if i < grp.free_rank:
-                d = 1 if cur[i] > 0 else -1
-            else:
-                d = 1  # cyclic coordinates walk forward canonically
-            prev = list(cur)
-            prev[i] -= d
-            if i >= grp.free_rank:
-                prev[i] %= grp.cyclic_orders[i - grp.free_rank]
-            prev_t = tuple(prev)
-            chain.append((cur, i, d))
-            cur = prev_t
-        state = self._memo.get((omega_idx, cur), (omega_idx, self.delta0))
-        self._memo[(omega_idx, cur)] = state
-        walk = _WALKS[self.sys.dim]
-        for elem, i, d in reversed(chain):
-            w, delta, _ = walk(state[0], state[1], 1, *self.sys._steps[i][d])
-            state = (w, delta)
-            self._memo[(omega_idx, elem)] = state
-        return state
-
     def fiber_at(self, g, omega) -> float:
-        idx = self.sys.base.index_of(omega)
-        g = self.sys.group.check_element(g)
-        if self.sys.group.is_line:
-            return float(self._walk(idx).array(g[0], g[0] + 1)[0])
-        return fold_norm(self._state_at(g, idx)[1])
+        return float(self.fiber_range(omega, g, [v + 1 for v in g])[0])
 
     def dtilde_at(self, g) -> float:
-        if not self.admissible:
-            return math.inf
-        return max(self.fiber_at(g, i) for i in self.admissible)
+        return float(self.dtilde_range(g, [v + 1 for v in g])[0])
 
     def integral_at(self, g) -> float:
-        self._require_full_support_membership()
-        return math.fsum(
-            self.sys.base.weights[i] * self.fiber_at(g, i) for i in self.sys.base.support
-        )
+        return float(self.integral_range(g, [v + 1 for v in g])[0])
 
     def _require_full_support_membership(self):
         for i in self.sys.base.support:

@@ -23,6 +23,8 @@ from meanrds.rds import (
     FiberMap,
     FiberSpace,
     RandomDynamicalSystem,
+    _fold_norm_rows,
+    _walk_axis,
     fold_norm,
 )
 
@@ -95,12 +97,18 @@ def test_line_walk_matches_reference_walk(system):
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.name)
 def test_element_path_matches_line_walk(system):
-    """PairEngine._state_at (the any-group path) takes the same steps."""
+    """The batched axis step of the box walk (the path off Z), started from
+    every base point at once, takes the scalar line walk's steps."""
     rng = np.random.default_rng(5)
     engine = system.pair_engine(system.fibers[0].sample(rng), system.fibers[0].sample(rng))
-    walked = engine.fiber_range(0, -40, 40)
-    stepped = [fold_norm(engine._state_at((t,), 0)[1]) for t in range(-40, 40)]
-    assert walked.tobytes() == np.asarray(stepped).tobytes()
+    size = system.base.size
+    w, d = _walk_axis(np.arange(size), np.asarray([engine.delta0] * size),
+                      system._steps[0], -40, 40)
+    stepped = _fold_norm_rows(d).reshape(size, 80)
+    for i in range(size):
+        assert stepped[i].tobytes() == engine.fiber_range(i, -40, 40).tobytes()
+        assert w[80 * i + 40:80 * i + 43].tolist() == [
+            system.base.act_generator(0, i, t) for t in range(3)]
 
 
 def _profiles():
