@@ -17,6 +17,8 @@ from meanrds import catalog
 from meanrds.cli import main
 from meanrds.pseudometrics import EstimatorConfig, pair_summary
 
+from grid_fixtures import Z2_CAT, ZXC2_ROT, ZXC3_ORDER3
+
 BIG = ["--n-max", "10000", "--m-max", "10000"]
 
 CLI_GOLDEN = [
@@ -57,41 +59,6 @@ def test_cli_stdout_is_golden(argv, digest, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-
-# Z^2 with the commuting hyperbolic pair A, A^2 (A the cat matrix), Z x C2
-# with dyadic rotations that swap the two fibers, and Z x C3 with -I on the
-# Z generator and an order-3 matrix on the C3 generator: the box walk off Z.
-Z2_CAT = {
-    "name": "z2-cat",
-    "group": "Z^2",
-    "dim": 2,
-    "base": {"labels": ["w0"], "weights": [1.0], "perms": [[0], [0]]},
-    "maps": [
-        [{"matrix": [[2, 1], [1, 1]], "shift": [0.0, 0.0]}],
-        [{"matrix": [[5, 3], [3, 2]], "shift": [0.0, 0.0]}],
-    ],
-}
-ZXC2_ROT = {
-    "name": "zxc2-rot",
-    "group": "Z x C2",
-    "dim": 1,
-    "base": {"labels": ["w0", "w1"], "weights": [0.5, 0.5], "perms": [[1, 0], [1, 0]]},
-    "maps": [
-        [{"matrix": [[1]], "shift": [0.125]}, {"matrix": [[1]], "shift": [0.625]}],
-        [{"matrix": [[1]], "shift": [0.25]}, {"matrix": [[1]], "shift": [0.75]}],
-    ],
-}
-
-ZXC3_ORDER3 = {
-    "name": "zxc3-order3",
-    "group": "Z x C3",
-    "dim": 2,
-    "base": {"labels": ["w0"], "weights": [1.0], "perms": [[0], [0]]},
-    "maps": [
-        [{"matrix": [[-1, 0], [0, -1]], "shift": [0.0, 0.0]}],
-        [{"matrix": [[0, -1], [1, -1]], "shift": [0.0, 0.0]}],
-    ],
-}
 
 # (system, x, y, (n_max, m_max, search_radius), digest): cyclic widths of 3
 # take the odd-width tree, translates wrap mod 3, and 5, 10, 33 are

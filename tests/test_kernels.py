@@ -5,9 +5,12 @@ rounded IEEE operations, so the comparisons are bitwise and do not depend on
 the platform.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
+from grid_fixtures import Z2_CAT, ZXC2_ROT, ZXC3_ORDER3
 from meanrds import catalog
 from meanrds._windows import (
     line_window_means,
@@ -109,6 +112,47 @@ def test_element_path_matches_line_walk(system):
         assert stepped[i].tobytes() == engine.fiber_range(i, -40, 40).tobytes()
         assert w[80 * i + 40:80 * i + 43].tolist() == [
             system.base.act_generator(0, i, t) for t in range(3)]
+
+
+def _reference_element(system, omega, delta, g):
+    """fold_norm of the difference vector after g, one step at a time from
+    the FiberMap matrices along the canonical path: coordinate 0 first,
+    negative free coordinates through the inverse map of the predecessor."""
+    w, d = omega, delta
+    for i, steps in enumerate(g):
+        for _ in range(abs(steps)):
+            if steps > 0:
+                d = _row_step(system.maps[i][w].matrix, d)
+                w = system.base.act_generator(i, w, 1)
+            else:
+                w = system.base.act_generator(i, w, -1)
+                d = _row_step(system.maps[i][w].inverse().matrix, d)
+    return fold_norm(d)
+
+
+# (system, x, y, box corners lo, hi): free coordinates on both sides of 0,
+# whole and partial cyclic axes
+BOXES = [
+    (Z2_CAT, (0.1, 0.2), (0.1004, 0.2002), (-4, -3), (3, 5)),
+    (Z2_CAT, (0.3, 0.7), (0.9, 0.05), (-2, 1), (6, 4)),
+    (ZXC3_ORDER3, (0.1, 0.2), (0.13, 0.21), (-5, 0), (4, 3)),
+    (ZXC3_ORDER3, (0.1, 0.2), (0.13, 0.21), (-1, 1), (7, 3)),
+    (ZXC2_ROT, (0.1,), (0.35,), (-6, 0), (5, 2)),
+]
+
+
+@pytest.mark.parametrize("spec,x,y,lo,hi", BOXES,
+                         ids=[f"{b[0]['name']}-{b[3]}-{b[4]}" for b in BOXES])
+def test_box_walk_matches_reference_elements(spec, x, y, lo, hi):
+    system = catalog.build_system(spec)
+    engine = system.pair_engine(x, y)
+    box = list(itertools.product(*(range(a, b) for a, b in zip(lo, hi))))
+    for omega in range(system.base.size):
+        want = np.asarray([_reference_element(system, omega, engine.delta0, g) for g in box])
+        assert engine.fiber_range(omega, lo, hi).tobytes() == want.tobytes()
+        assert [engine.fiber_at(g, omega) for g in box[::7]] == want[::7].tolist()
+    sup = np.maximum.reduce([engine.fiber_range(i, lo, hi) for i in engine.admissible])
+    assert engine.dtilde_range(lo, hi).tobytes() == sup.tobytes()
 
 
 def _profiles():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from grid_fixtures import Z2_CAT
 from meanrds import catalog
 from meanrds._windows import (
     mean_line,
@@ -15,7 +16,7 @@ from meanrds._windows import (
     tree_sum_rows,
     window_schedule,
 )
-from meanrds.groups import FolnerFamily, parse_group
+from meanrds.groups import BudgetError, FolnerFamily, parse_group, search_ball
 from meanrds.pseudometrics import (
     EstimatorConfig,
     banach_mean,
@@ -364,8 +365,8 @@ def _z2_rotation_system():
 
 
 def test_generic_group_path_isometric_equality():
-    """Off the line the estimators walk elementwise; the constant profile of
-    an isometric system still averages to the starting distance exactly."""
+    """Off the line the estimators walk a box; the constant profile of an
+    isometric system still averages to the starting distance exactly."""
     sys_ = _z2_rotation_system()
     cfg = EstimatorConfig(n_max=16, m_max=16, search_radius=2)
     x, y = (0.1,), (0.55,)
@@ -375,3 +376,15 @@ def test_generic_group_path_isometric_equality():
     assert ban.value == d
     assert len(ban.translate) == 2
     assert translated_besicovitch_scan(pair_source(sys_, x, y), cfg).value == d
+
+
+def test_box_over_the_element_budget_raises_before_walking():
+    """Off Z the box covering every translated window is capped: the ball
+    (145 elements) and the top window (64) fit in 500, the 24 x 24 box not."""
+    system = catalog.build_system(Z2_CAT)
+    cfg = EstimatorConfig(n_max=64, m_max=64, search_radius=8, element_budget=500)
+    assert len(search_ball(system.group, 8)) == 145
+    src = pair_source(system, (0.1, 0.2), (0.1004, 0.2002))
+    src.range_values = lambda lo, hi: pytest.fail("the box was walked")
+    with pytest.raises(BudgetError, match="576 elements"):
+        banach_mean(src, cfg)
