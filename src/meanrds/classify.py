@@ -171,12 +171,10 @@ def wme_test(
     cfg: EstimatorConfig,
     ccfg: ClassifierConfig,
     rng,
-    workers: int = 1,
 ) -> WmeResult:
     """Modulus search: largest grid delta keeping all pair separations < eps.
 
-    Pairs are evaluated one at a time, in order; ``workers`` is accepted for
-    compatibility and has no effect."""
+    Pairs are evaluated one at a time, in order."""
     rows = []
     for eps in ccfg.eps_list:
         found = None
@@ -203,12 +201,11 @@ def mean_l_stable_test(
     cfg: EstimatorConfig,
     ccfg: ClassifierConfig,
     rng,
-    workers: int = 1,
 ) -> StabilityResult:
     """Like the modulus search, with the separation-set density as criterion.
 
     Also verifies the pointwise chain eps * density <= banach + tolerance on
-    every evaluated pair. ``workers`` has no effect, as in :func:`wme_test`."""
+    every evaluated pair."""
     rows = []
     chain_ok = True
     chain_detail = ""
@@ -475,15 +472,13 @@ def dichotomy_report(
     cfg: EstimatorConfig | None = None,
     ccfg: ClassifierConfig | None = None,
     seed: int = 0,
-    workers: int = 1,
 ) -> ClassificationReport:
-    """Run all three probes and assemble the verdict (``workers`` has no
-    effect)."""
+    """Run all three probes and assemble the verdict."""
     cfg = cfg or EstimatorConfig()
     ccfg = ccfg or ClassifierConfig()
     rng = np.random.default_rng(seed)
-    wme = wme_test(system, cfg, ccfg, rng, workers)
-    stability = mean_l_stable_test(system, cfg, ccfg, rng, workers)
+    wme = wme_test(system, cfg, ccfg, rng)
+    stability = mean_l_stable_test(system, cfg, ccfg, rng)
     sensitivity = sensitivity_test(system, cfg, ccfg, rng)
 
     if wme.passed and not sensitivity.passed:

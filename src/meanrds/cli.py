@@ -33,12 +33,12 @@ from .density import density_summary, subset_indicator
 from .groups import BudgetError, GroupSpecError
 from .pseudometrics import (
     EstimatorConfig,
+    _as_weyl,
     banach_mean,
     besicovitch_mean,
     pair_summary,
     synthetic_source,
     translated_besicovitch_scan,
-    weyl_mean,
 )
 from .rds import DTILDE_CONVENTION, DomainError, SystemSpecError, validate
 
@@ -61,8 +61,6 @@ def _add_common(p: argparse.ArgumentParser, suppress: bool):
     d = argparse.SUPPRESS if suppress else None
     p.add_argument("--config", default=d, help="JSON config file merged under the flags")
     p.add_argument("--seed", type=int, default=d)
-    p.add_argument("--workers", type=int, default=d,
-                   help="accepted for compatibility; has no effect")
     p.add_argument("--out", default=d, help="directory for JSON/CSV outputs")
     p.add_argument("--json", action="store_true",
                    default=argparse.SUPPRESS if suppress else False,
@@ -123,13 +121,10 @@ def _load_config_file(path: str) -> dict:
 def _effective_settings(args) -> dict:
     est = dataclasses.asdict(EstimatorConfig())
     cls = dataclasses.asdict(ClassifierConfig())
-    top = {"seed": 0, "workers": 1}
     file_cfg = _load_config_file(args.config) if args.config else {}
     est.update(file_cfg.get("estimator", {}))
     cls.update(file_cfg.get("classifier", {}))
-    for key in ("seed", "workers"):
-        if key in file_cfg:
-            top[key] = int(file_cfg[key])
+    seed = int(file_cfg.get("seed", 0))
     flag_map = {
         "n_max": "n_max",
         "m_max": "m_max",
@@ -142,17 +137,14 @@ def _effective_settings(args) -> dict:
         if val is not None:
             est[field] = val
     if args.seed is not None:
-        top["seed"] = args.seed
-    if args.workers is not None:
-        top["workers"] = args.workers
+        seed = args.seed
     for key in ("eps_list", "delta_grid", "eps_sequence"):
         if key in cls:
             cls[key] = tuple(cls[key])
     settings = {
         "estimator": EstimatorConfig(**est),
         "classifier": ClassifierConfig(**cls),
-        "seed": top["seed"],
-        "workers": max(1, top["workers"]),
+        "seed": seed,
         "system_spec": file_cfg.get("system"),
     }
     return settings
@@ -273,10 +265,12 @@ def _cmd_estimate(args, settings) -> int:
     cfg = settings["estimator"]
     if args.system.startswith("synthetic:"):
         src = synthetic_source(args.system.split(":", 1)[1])
+        banach = banach_mean(src, cfg)
+        # weyl is the banach scan relabelled, as in pair_summary
         ests = [
             besicovitch_mean(src, cfg),
-            banach_mean(src, cfg),
-            weyl_mean(src, cfg),
+            banach,
+            _as_weyl(banach, "weyl"),
             translated_besicovitch_scan(src, cfg),
         ]
         rows = [
@@ -375,7 +369,6 @@ def _cmd_classify(args, settings) -> int:
         cfg=settings["estimator"],
         ccfg=settings["classifier"],
         seed=settings["seed"],
-        workers=settings["workers"],
     )
     rows = [
         ("separation", r.eps, _fmt(r.delta), r.pairs_tested, _fmt(r.worst_value), r.passed)

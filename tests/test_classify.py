@@ -73,13 +73,6 @@ def test_stability_probe_agrees_and_chain_holds():
     assert unstable.chain_ok, unstable.chain_detail
 
 
-def test_scan_results_do_not_depend_on_worker_count():
-    sys_ = catalog.load("cat2")
-    one = wme_test(sys_, CFG, CCFG, np.random.default_rng(12), workers=1)
-    four = wme_test(sys_, CFG, CCFG, np.random.default_rng(12), workers=4)
-    assert one == four
-
-
 def test_sensitivity_witnesses_on_hyperbolic_system():
     res = sensitivity_test(catalog.load("cat-trivial"), CFG, CCFG, np.random.default_rng(3))
     assert res.passed

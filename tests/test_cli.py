@@ -189,13 +189,9 @@ def test_classify_exit_codes(tmp_path, capsys):
     assert "suggestion:" in out
 
 
-def test_classify_worker_count_does_not_change_output(tmp_path, capsys):
-    cfg = _cfg_file(tmp_path, SMALL)
-    argv = ["classify", "--system", "cat2", "--config", cfg, "--seed", "7", "--json"]
-    assert main(argv + ["--workers", "1"]) == 0
-    one = capsys.readouterr().out
-    assert main(argv + ["--workers", "3"]) == 0
-    assert capsys.readouterr().out == one
+def test_removed_workers_flag_exits_one(capsys):
+    assert main(["classify", "--system", "cat2", "--workers", "1"]) == 1
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_out_directory_files(tmp_path, capsys):
