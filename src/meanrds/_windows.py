@@ -8,10 +8,13 @@ produce window means that equal the pointwise value bitwise, which several
 equality tests rely on. Float addition is monotone, so pointwise-dominated
 value arrays keep dominated window sums, bitwise, under the same tree.
 
-On the line Z the tree is evaluated once per profile as a dyadic table,
-S_2k[i] = S_k[i] + S_k[i+k], which holds every power-of-two window sum at
-every start with the same additions, and therefore the same bits, as the
-tree on each window (:func:`line_window_means`).
+Every scan reads its profile once, over one box of group elements. On the
+line Z, where the box is a range, the tree is evaluated once per profile as
+a dyadic table, S_2k[i] = S_k[i] + S_k[i+k], which holds every power-of-two
+window sum at every start with the same additions, and therefore the same
+bits, as the tree on each window (:func:`line_window_means`). On any other
+group each translated window is taken from the box in row-major order and
+summed by :func:`tree_mean_rows`.
 
 Schedules are powers of two up to the element cap, plus the largest window
 that still fits when the cap is not itself a power of two.

@@ -24,7 +24,9 @@ scanned window and translate None. Untranslated scans report translate None.
 
 Profiles come either from a pair of points in a system (sup over admissible
 fibers, a single fiber, or the weighted fiber average) or from synthetic
-profiles on the group Z used by the worked examples and tests.
+profiles on the group Z used by the worked examples and tests. A profile is
+read in one box walk (``ValueSource.range_values``) per scan, over the box
+holding every translated window; on Z that box is a range of times.
 
 Estimates carry their schedule, the attained window and translate, and a
 truncation note; the Banach-style scans are heuristic two-sided truncations

@@ -13,6 +13,11 @@ points; isometric fibers keep that vector constant bitwise, which is what the
 exactness tests lean on. ``torus_distance`` and the walkers share one folding
 kernel so their outputs agree bitwise on identical inputs.
 
+A pair's values are read over boxes of group elements (:class:`PairEngine`):
+one box walk follows the canonical coordinate path with every state stepping
+at once, and on Z, where a box is a range, one scalar line walk per fiber
+grows on demand. Both take the same left-to-right matrix step.
+
 Integer matrix entries use Python ints (arbitrary precision), so cocycle
 composition cannot overflow; entry growth is bounded in practice by the
 word-length cap in :func:`validate`.
