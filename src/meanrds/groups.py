@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -163,14 +162,13 @@ class FolnerFamily:
         self.group = group
         self.element_budget = element_budget
 
-    def window_shape(self, n: int) -> tuple[int, ...]:
-        """Side lengths of the box F_n, one per coordinate."""
+    def window_size(self, n: int) -> int:
         if n < 1:
             raise GroupSpecError(f"window index must be positive, got {n}")
-        return (n,) * self.group.free_rank + tuple(min(n, k) for k in self.group.cyclic_orders)
-
-    def window_size(self, n: int) -> int:
-        return math.prod(self.window_shape(n))
+        size = n ** self.group.free_rank
+        for k in self.group.cyclic_orders:
+            size *= min(n, k)
+        return size
 
     def window(self, n: int) -> FolnerWindow:
         size = self.window_size(n)
@@ -178,7 +176,9 @@ class FolnerFamily:
             raise BudgetError(
                 f"window F_{n} has {size} elements, over budget {self.element_budget}"
             )
-        elements = tuple(itertools.product(*map(range, self.window_shape(n))))
+        ranges = [range(n)] * self.group.free_rank
+        ranges += [range(min(n, k)) for k in self.group.cyclic_orders]
+        elements = tuple(itertools.product(*ranges))
         return FolnerWindow(self.group, n, elements)
 
 

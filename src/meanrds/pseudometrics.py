@@ -241,22 +241,23 @@ def _window_means(source: ValueSource, schedule, ball, cfg: EstimatorConfig):
     ``cfg.element_budget`` elements has raised :class:`BudgetError`.
     """
     grp = source.group
+    if grp.is_line:
+        offsets = [g[0] for g in ball]
+        lo = min(offsets)
+        vals = source.range_values(lo, max(offsets) + schedule[-1])
+        yield from _windows.line_window_means(vals, lo, offsets, schedule)
+        return
     free = grp.free_rank
     lo = [min(g[i] for g in ball) for i in range(free)] + [0] * len(grp.cyclic_orders)
     hi = [max(g[i] for g in ball) + schedule[-1] for i in range(free)] + list(grp.cyclic_orders)
-    if grp.is_line:
-        vals = source.range_values(lo[0], hi[0])
-        yield from _windows.line_window_means(vals, lo[0], [g[0] for g in ball], schedule)
-        return
     shape = [b - a for a, b in zip(lo, hi)]
     if math.prod(shape) > cfg.element_budget:
         raise BudgetError(f"box {shape} over the windows and translates has "
                           f"{math.prod(shape)} elements, over budget {cfg.element_budget}")
     box = source.range_values(tuple(lo), tuple(hi)).reshape(shape)
     starts = tuple((np.asarray(ball) - lo).T)
-    folner = FolnerFamily(grp)
     for n in schedule:
-        win = folner.window_shape(n)
+        win = [n] * free + [min(n, k) for k in grp.cyclic_orders]
         wrapped = np.pad(box, [(0, w - 1 if i >= free else 0) for i, w in enumerate(win)],
                          mode="wrap")
         rows = sliding_window_view(wrapped, win)[starts].reshape(len(ball), -1)

@@ -301,14 +301,14 @@ class FiberSpace:
             x = tuple(x)
         if not free:
             return tuple(x)
-        vec = [float(c) for c in rng.standard_normal(len(free))]
+        vec = rng.standard_normal(len(free)).tolist()
         s = 0.0
         for c in vec:
             s += c * c
         norm = math.sqrt(s)
         if norm == 0.0:
             return tuple(x)
-        u = float(rng.random())
+        u = rng.random()
         radius = delta * (u if len(free) == 1 else math.sqrt(u) if len(free) == 2
                           else u ** (1.0 / 3.0))
         out = list(x)
@@ -707,11 +707,14 @@ class PairEngine:
         self._line_walks: dict[int, _LineWalk] = {}
 
     def _box(self, lo, hi):
-        """The corners as tuples (an int is a time on Z) and the box size."""
-        lo, hi = tuple(np.atleast_1d(lo).tolist()), tuple(np.atleast_1d(hi).tolist())
-        self.sys.group.check_element(lo)
-        self.sys.group.check_element([b - 1 for b in hi])
-        return lo, hi, math.prod(b - a for a, b in zip(lo, hi))
+        """The corners as tuples, checked against the group, and the box
+        size; int corners are times on Z."""
+        grp = self.sys.group
+        if grp.is_line and isinstance(lo, int) and isinstance(hi, int):
+            return (lo,), (hi,), hi - lo
+        lo = grp.check_element(lo)
+        grp.check_element([b - 1 for b in hi])
+        return lo, tuple(hi), math.prod(b - a for a, b in zip(lo, hi))
 
     def _fiber_box(self, omega_idx: int, lo, hi) -> np.ndarray:
         if self.sys.group.is_line:
