@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -710,7 +711,7 @@ class PairEngine:
         """The corners as tuples, checked against the group, and the box
         size; int corners are times on Z."""
         grp = self.sys.group
-        if grp.is_line and isinstance(lo, int) and isinstance(hi, int):
+        if grp.is_line and isinstance(lo, Integral) and isinstance(hi, Integral):
             return (lo,), (hi,), hi - lo
         lo = grp.check_element(lo)
         grp.check_element([b - 1 for b in hi])
