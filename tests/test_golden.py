@@ -14,6 +14,7 @@ import json
 import pytest
 
 from meanrds import catalog
+from meanrds.classify import ClassifierConfig, dichotomy_report
 from meanrds.cli import main
 from meanrds.pseudometrics import EstimatorConfig, pair_summary
 
@@ -90,4 +91,35 @@ def test_pair_summary_on_generic_groups_is_golden(spec, x, y, caps, digest):
     summary = pair_summary(system, x, y, cfg)
     # a list of pairs, so the key order is pinned too
     blob = json.dumps([(key, est.to_dict()) for key, est in summary.items()])
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+# off-Z classify at small caps: the wme and mean-L probes read one engine per
+# pair, the sensitivity probe goes through sup_fiber_weyl
+SMALL_CLASSIFIER = ClassifierConfig(
+    eps_list=(0.2, 0.1), delta_grid=(1e-1, 1e-2, 1e-3), pair_budget=8,
+    point_budget=2, candidate_budget=3, eps_sequence=(0.1, 0.01, 1e-3))
+
+REPORT_GOLDEN = [
+    pytest.param(Z2_CAT, (64, 16, 2),
+                 "88b3bfc4ae57785d85965fccd201a1b1ccb9513ce549155bf99b50db02a7dc29",
+                 id="z2-cat"),
+    pytest.param(Z2_CAT, (256, 64, 4),
+                 "289b0f761e300ef1efdf0f0c28a3c384f065236740d4c5c6ec2150ed00636b79",
+                 id="z2-cat-256-64-4"),
+    pytest.param(ZXC2_ROT, (64, 16, 2),
+                 "d342c879beb12b2c87d769e0e60ff83353c3c98c59f0a0c1b95a2d3e6ac83f16",
+                 id="zxc2-rot"),
+    pytest.param(ZXC2_ROT, (256, 64, 4),
+                 "9e6f0a7dfc22ea7082aadeeb440839dcc3c3e53aa0e49b81fcd0905f4becad89",
+                 id="zxc2-rot-256-64-4"),
+]
+
+
+@pytest.mark.parametrize("spec,caps,digest", REPORT_GOLDEN)
+def test_dichotomy_report_on_generic_groups_is_golden(spec, caps, digest):
+    n_max, m_max, radius = caps
+    cfg = EstimatorConfig(n_max=n_max, m_max=m_max, search_radius=radius)
+    report = dichotomy_report(catalog.build_system(spec), cfg, SMALL_CLASSIFIER, seed=7)
+    blob = json.dumps(report.to_dict())
     assert hashlib.sha256(blob.encode()).hexdigest() == digest

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from grid_fixtures import Z2_CAT
+from grid_fixtures import Z2_CAT, ZXC2_ROT, ZXC3_ORDER3
 from meanrds import catalog
 from meanrds._windows import (
     mean_line,
@@ -23,6 +23,7 @@ from meanrds.pseudometrics import (
     banach_separation,
     besicovitch_mean,
     besicovitch_separation,
+    fiber_besicovitch,
     fiber_weyl,
     integral_besicovitch,
     mean_curves,
@@ -286,6 +287,39 @@ def test_pair_summary_keys():
     assert {"besicovitch", "banach", "weyl", "integral-besicovitch", "sup-fiber-weyl"} <= set(out)
     assert "fiber-weyl[w0]" in out and "fiber-weyl[w1]" in out
     assert out["weyl"].value == out["banach"].value
+
+
+SUMMARY_SYSTEMS = [catalog.load(n) for n in catalog.names()] + [
+    catalog.build_system(spec) for spec in (Z2_CAT, ZXC2_ROT, ZXC3_ORDER3)]
+
+
+@pytest.mark.parametrize("system", SUMMARY_SYSTEMS, ids=lambda s: s.name)
+def test_pair_summary_equals_the_standalone_estimators(system):
+    """One pair summary gives, bitwise, what each estimator gives on its own."""
+    if system.group.is_line:
+        cfg = EstimatorConfig(n_max=1024, m_max=256, search_radius=16)
+    else:
+        cfg = EstimatorConfig(n_max=64, m_max=16, search_radius=2)
+    rng = np.random.default_rng(23)
+    fs = system.fibers[system.base.support[0]]
+    x = fs.sample(rng)
+    for y in (fs.sample_near(x, 1e-3, rng), fs.sample(rng)):
+        out = {k: json.dumps(est.to_dict()) for k, est in pair_summary(system, x, y, cfg).items()}
+        want = {
+            "besicovitch": besicovitch_separation(system, x, y, cfg),
+            "banach": banach_separation(system, x, y, cfg),
+            "weyl": weyl_separation(system, x, y, cfg),
+            "sup-fiber-weyl": sup_fiber_weyl(system, x, y, cfg),
+        }
+        try:
+            want["integral-besicovitch"] = integral_besicovitch(system, x, y, cfg)
+        except DomainError:
+            assert "integral-besicovitch" not in out
+        for i in system.admissible_fibers(x, y):
+            label = system.base.labels[i]
+            want[f"fiber-besicovitch[{label}]"] = fiber_besicovitch(system, x, y, i, cfg)
+            want[f"fiber-weyl[{label}]"] = fiber_weyl(system, x, y, i, cfg)
+        assert out == {k: json.dumps(est.to_dict()) for k, est in want.items()}
 
 
 def _sliced_system():
