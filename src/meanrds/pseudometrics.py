@@ -200,16 +200,9 @@ def synthetic_source(spec: str) -> SyntheticSource:
     raise ValueError(f"unknown synthetic profile {spec!r}")
 
 
-def pair_source(
-    system: RandomDynamicalSystem,
-    x,
-    y,
-    mode: str = "sup",
-    omega=None,
-) -> ValueSource:
-    """Separation profile of a pair: ``sup`` over admissible fibers,
-    a single ``fiber``, or the weighted ``integral`` over the support."""
-    engine = system.pair_engine(x, y)
+def _engine_source(engine: PairEngine, mode: str, omega=None) -> ValueSource:
+    """The ``mode`` profile of the engine's pair, after its domain checks."""
+    system = engine.sys
     if mode == "sup":
         return _EngineSource(engine, "sup")
     if mode == "fiber":
@@ -224,6 +217,18 @@ def pair_source(
                 raise DomainError("integral mode needs both points in every support fiber")
         return _EngineSource(engine, "integral")
     raise ValueError(f"unknown pair mode {mode!r}")
+
+
+def pair_source(
+    system: RandomDynamicalSystem,
+    x,
+    y,
+    mode: str = "sup",
+    omega=None,
+) -> ValueSource:
+    """Separation profile of a pair: ``sup`` over admissible fibers,
+    a single ``fiber``, or the weighted ``integral`` over the support."""
+    return _engine_source(system.pair_engine(x, y), mode, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -364,19 +369,31 @@ def weyl_separation(system, x, y, cfg) -> PseudometricEstimate:
     return weyl_mean(pair_source(system, x, y, "sup"), cfg)
 
 
+def _relabel(est: PseudometricEstimate, kind: str) -> PseudometricEstimate:
+    return dataclasses.replace(est, kind=kind)
+
+
+def _fiber_weyl(source: ValueSource, cfg) -> PseudometricEstimate:
+    return _as_weyl(banach_mean(source, cfg), "fiber-weyl")
+
+
 def integral_besicovitch(system, x, y, cfg) -> PseudometricEstimate:
     est = besicovitch_mean(pair_source(system, x, y, "integral"), cfg)
-    return dataclasses.replace(est, kind="integral-besicovitch")
+    return _relabel(est, "integral-besicovitch")
 
 
 def fiber_besicovitch(system, x, y, omega, cfg) -> PseudometricEstimate:
     est = besicovitch_mean(pair_source(system, x, y, "fiber", omega), cfg)
-    return dataclasses.replace(est, kind="fiber-besicovitch")
+    return _relabel(est, "fiber-besicovitch")
 
 
 def fiber_weyl(system, x, y, omega, cfg) -> PseudometricEstimate:
     """Weyl mean separation within one fiber, via the same min-max scan."""
-    return _as_weyl(banach_mean(pair_source(system, x, y, "fiber", omega), cfg), "fiber-weyl")
+    return _fiber_weyl(pair_source(system, x, y, "fiber", omega), cfg)
+
+
+def _fiber_sources(engine: PairEngine) -> list[ValueSource]:
+    return [_EngineSource(engine, "fiber", i) for i in engine.admissible]
 
 
 def _sup_of_fiber_weyls(estimates) -> PseudometricEstimate:
@@ -392,34 +409,40 @@ def _sup_of_fiber_weyls(estimates) -> PseudometricEstimate:
             truncation_note="no common fiber; empty sup reported as 0",
             source_label="sup-fiber",
         )
-    return dataclasses.replace(best, kind="sup-fiber-weyl")
+    return _relabel(best, "sup-fiber-weyl")
 
 
 def sup_fiber_weyl(system, x, y, cfg) -> PseudometricEstimate:
     """First maximum of the fiber Weyl estimates over support fibers holding
-    both points; a conservative 0 with a note when no fiber holds both."""
-    return _sup_of_fiber_weyls(
-        fiber_weyl(system, x, y, i, cfg) for i in system.admissible_fibers(x, y)
-    )
+    both points, all read from one engine; a conservative 0 with a note when
+    no fiber holds both."""
+    engine = system.pair_engine(x, y)
+    return _sup_of_fiber_weyls(_fiber_weyl(src, cfg) for src in _fiber_sources(engine))
 
 
 def pair_summary(system, x, y, cfg) -> dict[str, PseudometricEstimate]:
     """All headline estimates for one pair, keyed by kind.
 
-    ``weyl`` and ``sup-fiber-weyl`` reuse the ``banach`` and ``fiber-weyl``
-    scans instead of running them again."""
+    Every estimate reads one engine, so each fiber of the pair is walked
+    once; ``weyl`` and ``sup-fiber-weyl`` reuse the ``banach`` and
+    ``fiber-weyl`` scans instead of running them again."""
+    engine = system.pair_engine(x, y)
+    sup = _engine_source(engine, "sup")
     out: dict[str, PseudometricEstimate] = {}
-    out["besicovitch"] = besicovitch_separation(system, x, y, cfg)
-    out["banach"] = banach_separation(system, x, y, cfg)
+    out["besicovitch"] = besicovitch_mean(sup, cfg)
+    out["banach"] = banach_mean(sup, cfg)
     out["weyl"] = _as_weyl(out["banach"], "weyl")
     try:
-        out["integral-besicovitch"] = integral_besicovitch(system, x, y, cfg)
+        integral = _engine_source(engine, "integral")
     except DomainError:
         pass
+    else:
+        out["integral-besicovitch"] = _relabel(besicovitch_mean(integral, cfg),
+                                               "integral-besicovitch")
     fibers = [
-        (system.base.labels[i], fiber_besicovitch(system, x, y, i, cfg),
-         fiber_weyl(system, x, y, i, cfg))
-        for i in system.admissible_fibers(x, y)
+        (system.base.labels[src.omega_idx],
+         _relabel(besicovitch_mean(src, cfg), "fiber-besicovitch"), _fiber_weyl(src, cfg))
+        for src in _fiber_sources(engine)
     ]
     out["sup-fiber-weyl"] = _sup_of_fiber_weyls(fw for _, _, fw in fibers)
     for label, fb, fw in fibers:

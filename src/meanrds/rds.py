@@ -669,10 +669,34 @@ def _step_rows(w, d, nxt, rows):
     return nxt[w], out
 
 
+def _walk_line(w0: int, d0, steps, lo: int, hi: int):
+    """:func:`_walk_axis` from a single state, through the scalar kernel;
+    the base points come from the successor and predecessor tables."""
+    start = tuple(d0.tolist())
+    dim, origin = len(start), max(-lo, 0)
+    ahead = _WALKS[dim](w0, start, max(hi - 1, 0), *steps[1])[2]
+    behind = _WALKS[dim](w0, start, origin, *steps[-1])[2]
+    coords = np.concatenate((
+        np.asarray(behind, dtype=np.float64).reshape(-1, dim)[::-1],
+        np.asarray([start], dtype=np.float64),
+        np.asarray(ahead, dtype=np.float64).reshape(-1, dim),
+    ))
+    bases = [w0] * len(coords)
+    for sign, stop in ((1, len(coords)), (-1, -1)):
+        nxt = steps[sign][0]
+        for t in range(origin + sign, stop, sign):
+            bases[t] = nxt[bases[t - sign]]
+    keep = slice(lo + origin, hi + origin)
+    return np.asarray(bases[keep]), coords[keep]
+
+
 def _walk_axis(w, d, steps, lo: int, hi: int):
     """States at positions lo..hi-1 along one generator from each state
     (w, d) at 0, as (base points, vectors) with the position varying
-    fastest; ``steps`` maps 1 and -1 to the kernel tables."""
+    fastest; ``steps`` maps 1 and -1 to the kernel tables. A single state,
+    as on a box's first axis, steps through the scalar kernel."""
+    if len(w) == 1:
+        return _walk_line(int(w[0]), d[0], steps, lo, hi)
     states = {0: (w, d)}
     for sign, stop in ((1, hi), (-1, lo - 1)):
         nxt, rows = steps[sign]
@@ -706,6 +730,7 @@ class PairEngine:
         self.delta0 = torus_delta(self.x, self.y)
         self.admissible = system.admissible_fibers(self.x, self.y)
         self._line_walks: dict[int, _LineWalk] = {}
+        self._boxes: dict[tuple, np.ndarray] = {}
 
     def _box(self, lo, hi):
         """The corners as tuples, checked against the group, and the box
@@ -723,10 +748,14 @@ class PairEngine:
             if lw is None:
                 lw = self._line_walks[omega_idx] = _LineWalk(self.sys, omega_idx, self.delta0)
             return lw.array(lo[0], hi[0])
-        w, d = np.asarray([omega_idx]), np.asarray([self.delta0], dtype=np.float64)
-        for steps, a, b in zip(self.sys._steps, lo, hi):
-            w, d = _walk_axis(w, d, steps, a, b)
-        return _fold_norm_rows(d)
+        vals = self._boxes.get((omega_idx, lo, hi))
+        if vals is None:
+            w, d = np.asarray([omega_idx]), np.asarray([self.delta0], dtype=np.float64)
+            for steps, a, b in zip(self.sys._steps, lo, hi):
+                w, d = _walk_axis(w, d, steps, a, b)
+            vals = self._boxes[omega_idx, lo, hi] = _fold_norm_rows(d)
+            vals.flags.writeable = False
+        return vals
 
     def fiber_range(self, omega, lo, hi) -> np.ndarray:
         """Separation values in fiber omega over the box lo <= g < hi."""

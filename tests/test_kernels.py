@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from grid_fixtures import Z2_CAT, ZXC2_ROT, ZXC3_ORDER3
-from meanrds import catalog
+from meanrds import catalog, rds
 from meanrds._windows import (
     line_window_means,
     mean_line,
@@ -20,7 +20,7 @@ from meanrds._windows import (
 )
 from meanrds.classify import _sample_support_index
 from meanrds.groups import BudgetError, FolnerFamily, parse_group, search_ball
-from meanrds.pseudometrics import synthetic_source
+from meanrds.pseudometrics import EstimatorConfig, pair_summary, synthetic_source
 from meanrds.rds import (
     BaseSpace,
     FiberMap,
@@ -131,10 +131,14 @@ def _reference_element(system, omega, delta, g):
 
 
 # (system, x, y, box corners lo, hi): free coordinates on both sides of 0,
-# whole and partial cyclic axes
+# first axes wholly positive and wholly negative, a one-element box, whole
+# and partial cyclic axes
 BOXES = [
     (Z2_CAT, (0.1, 0.2), (0.1004, 0.2002), (-4, -3), (3, 5)),
     (Z2_CAT, (0.3, 0.7), (0.9, 0.05), (-2, 1), (6, 4)),
+    (Z2_CAT, (0.3, 0.7), (0.9, 0.05), (3, -2), (7, 2)),
+    (Z2_CAT, (0.3, 0.7), (0.9, 0.05), (-6, -1), (0, 3)),
+    (Z2_CAT, (0.1, 0.2), (0.1004, 0.2002), (-3, 2), (-2, 3)),
     (ZXC3_ORDER3, (0.1, 0.2), (0.13, 0.21), (-5, 0), (4, 3)),
     (ZXC3_ORDER3, (0.1, 0.2), (0.13, 0.21), (-1, 1), (7, 3)),
     (ZXC2_ROT, (0.1,), (0.35,), (-6, 0), (5, 2)),
@@ -153,6 +157,26 @@ def test_box_walk_matches_reference_elements(spec, x, y, lo, hi):
         assert [engine.fiber_at(g, omega) for g in box[::7]] == want[::7].tolist()
     sup = np.maximum.reduce([engine.fiber_range(i, lo, hi) for i in engine.admissible])
     assert engine.dtilde_range(lo, hi).tobytes() == sup.tobytes()
+
+
+def test_pair_summary_walks_each_fiber_once(monkeypatch):
+    """One engine serves a whole pair summary: on cat2 at the default caps
+    each fiber is stepped 4095 times forward (the n_max windows) and 64 times
+    backward (the search radius), however many estimators read it."""
+    system = catalog.load("cat2")
+    forward_table = system._steps[0][1][0]
+    kernel = rds._WALKS[system.dim]
+    steps = {1: 0, -1: 0}
+
+    def counting(w, d, count, nxt, rows):
+        steps[1 if nxt is forward_table else -1] += count
+        return kernel(w, d, count, nxt, rows)
+
+    monkeypatch.setitem(rds._WALKS, system.dim, counting)
+    x, y = (0.1, 0.2), (0.1004, 0.2002)
+    out = pair_summary(system, x, y, EstimatorConfig())
+    assert "integral-besicovitch" in out and system.admissible_fibers(x, y) == (0, 1)
+    assert steps == {1: 2 * 4095, -1: 2 * 64}
 
 
 def _profiles():
