@@ -41,13 +41,17 @@ def window_schedule(folner: FolnerFamily, max_elements: int) -> tuple[int, ...]:
     while folner.window_size(n) <= max_elements:
         sched.append(n)
         n *= 2
-    # largest index that still fits (the cap itself on the line Z)
-    top = sched[-1]
-    probe = top
-    while folner.window_size(probe + 1) <= max_elements:
-        probe += 1
-    if probe != top:
-        sched.append(probe)
+    # largest index that still fits (the cap itself on the line Z): window
+    # sizes do not decrease and 2 * top is over the cap, so bisect for it
+    fits, over = sched[-1], 2 * sched[-1]
+    while over - fits > 1:
+        mid = (fits + over) // 2
+        if folner.window_size(mid) <= max_elements:
+            fits = mid
+        else:
+            over = mid
+    if fits != sched[-1]:
+        sched.append(fits)
     return tuple(sched)
 
 

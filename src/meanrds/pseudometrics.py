@@ -52,6 +52,10 @@ BESICOVITCH_NOTE = "tail max over untranslated windows; truncation bias unknown"
 SCAN_NOTE = "translated tail scan; lower bound of the sup over translates"
 WEYL_NOTE = " (reported via the min-max identity over translated windows)"
 
+# off Z, translated windows are gathered and summed in blocks of about this
+# many elements; rows are summed independently, so blocks do not move a bit
+WINDOW_BLOCK_ELEMENTS = 1 << 18
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -260,13 +264,18 @@ def _window_means(source: ValueSource, schedule, ball, cfg: EstimatorConfig):
         raise BudgetError(f"box {shape} over the windows and translates has "
                           f"{math.prod(shape)} elements, over budget {cfg.element_budget}")
     box = source.range_values(tuple(lo), tuple(hi)).reshape(shape)
-    starts = tuple((np.asarray(ball) - lo).T)
+    starts = np.asarray(ball) - lo
     for n in schedule:
         win = [n] * free + [min(n, k) for k in grp.cyclic_orders]
         wrapped = np.pad(box, [(0, w - 1 if i >= free else 0) for i, w in enumerate(win)],
                          mode="wrap")
-        rows = sliding_window_view(wrapped, win)[starts].reshape(len(ball), -1)
-        yield n, _windows.tree_mean_rows(rows)
+        view = sliding_window_view(wrapped, win)
+        size = math.prod(win)
+        step = max(1, WINDOW_BLOCK_ELEMENTS // size)
+        yield n, np.concatenate([
+            _windows.tree_mean_rows(view[tuple(starts[a:a + step].T)].reshape(-1, size))
+            for a in range(0, len(ball), step)
+        ])
 
 
 def _scan(source: ValueSource, cfg: EstimatorConfig, kind: str, note: str, *,

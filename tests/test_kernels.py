@@ -212,6 +212,24 @@ def test_non_power_of_two_top_entry_matches(name):
         assert float(means[0]) == mean_line(vals, -64, -64, m)
 
 
+def _probed_schedule(folner, cap):
+    """The schedule with its top found one width at a time."""
+    sched = [1]
+    while folner.window_size(2 * sched[-1]) <= cap:
+        sched.append(2 * sched[-1])
+    probe = sched[-1]
+    while folner.window_size(probe + 1) <= cap:
+        probe += 1
+    return tuple(sched) + ((probe,) if probe != sched[-1] else ())
+
+
+@pytest.mark.parametrize("spec", ["Z", "Z^2", "Z x C2", "Z x C3", "Z^3"])
+def test_bisected_schedule_top_matches_probing(spec):
+    folner = FolnerFamily(parse_group(spec))
+    for cap in (1, 2, 3, 1000, 1024, 4096, 10000, folner.element_budget):
+        assert window_schedule(folner, cap) == _probed_schedule(folner, cap), cap
+
+
 def test_dyadic_table_rejects_bad_requests():
     vals = np.arange(16, dtype=np.float64)
     with pytest.raises(ValueError):
