@@ -24,9 +24,11 @@ scanned window and translate None. Untranslated scans report translate None.
 
 Profiles come either from a pair of points in a system (sup over admissible
 fibers, a single fiber, or the weighted fiber average) or from synthetic
-profiles on the group Z used by the worked examples and tests. A profile is
-read in one box walk (``ValueSource.range_values``) per scan, over the box
-holding every translated window; on Z that box is a range of times.
+profiles on the group Z used by the worked examples and tests. A scan
+reads its profile once (``ValueSource.range_values``), over the box holding
+every translated window; on Z that box is a range of times. The profiles of
+one pair share one engine, which walks each fiber once: ``pair_summary`` and
+``sup_fiber_weyl`` read all their estimates from one engine.
 
 Estimates carry their schedule, the attained window and translate, and a
 truncation note; the Banach-style scans are heuristic two-sided truncations
@@ -246,8 +248,9 @@ def _window_means(source: ValueSource, schedule, ball, cfg: EstimatorConfig):
     The profile is read once, over the box holding every translated window
     (cyclic axes whole). On Z the dyadic table takes the windows; elsewhere
     :func:`_windows.tree_mean_rows` sums them from the box in row-major
-    order, wrapping translates mod k, after a box over
-    ``cfg.element_budget`` elements has raised :class:`BudgetError`.
+    order, wrapping translates mod k, ``WINDOW_BLOCK_ELEMENTS`` window
+    elements at a time, after a box over ``cfg.element_budget`` elements has
+    raised :class:`BudgetError`.
     """
     grp = source.group
     if grp.is_line:

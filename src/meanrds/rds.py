@@ -13,10 +13,13 @@ points; isometric fibers keep that vector constant bitwise, which is what the
 exactness tests lean on. ``torus_distance`` and the walkers share one folding
 kernel so their outputs agree bitwise on identical inputs.
 
-A pair's values are read over boxes of group elements (:class:`PairEngine`):
-one box walk follows the canonical coordinate path with every state stepping
-at once, and on Z, where a box is a range, one scalar line walk per fiber
-grows on demand. Both take the same left-to-right matrix step.
+A pair's values are read over boxes of group elements from one
+:class:`PairEngine` per pair, which walks each fiber once for every reader of
+that pair. On Z, where a box is a range, one scalar line walk per fiber grows
+on demand. Elsewhere a box walk follows the canonical coordinate path: the
+first axis from the single starting state in the scalar kernel, each later
+axis with every state reached stepping at once in numpy; the engine keeps
+each box it has walked. All of them take the same left-to-right matrix step.
 
 Integer matrix entries use Python ints (arbitrary precision), so cocycle
 composition cannot overflow; entry growth is bounded in practice by the
@@ -673,21 +676,19 @@ def _walk_line(w0: int, d0, steps, lo: int, hi: int):
     """:func:`_walk_axis` from a single state, through the scalar kernel;
     the base points come from the successor and predecessor tables."""
     start = tuple(d0.tolist())
-    dim, origin = len(start), max(-lo, 0)
-    ahead = _WALKS[dim](w0, start, max(hi - 1, 0), *steps[1])[2]
-    behind = _WALKS[dim](w0, start, origin, *steps[-1])[2]
-    coords = np.concatenate((
-        np.asarray(behind, dtype=np.float64).reshape(-1, dim)[::-1],
-        np.asarray([start], dtype=np.float64),
-        np.asarray(ahead, dtype=np.float64).reshape(-1, dim),
-    ))
-    bases = [w0] * len(coords)
-    for sign, stop in ((1, len(coords)), (-1, -1)):
-        nxt = steps[sign][0]
-        for t in range(origin + sign, stop, sign):
-            bases[t] = nxt[bases[t - sign]]
-    keep = slice(lo + origin, hi + origin)
-    return np.asarray(bases[keep]), coords[keep]
+    sides = []
+    for sign, count in ((1, max(hi - 1, 0)), (-1, max(-lo, 0))):
+        nxt, rows = steps[sign]
+        coords = _WALKS[len(start)](w0, start, count, nxt, rows)[2]
+        bases = [w0]
+        for _ in range(count):
+            bases.append(nxt[bases[-1]])
+        sides.append((bases[1:], np.asarray(coords, dtype=np.float64).reshape(-1, len(start))))
+    (ahead_w, ahead), (behind_w, behind) = sides
+    bases = np.asarray(behind_w[::-1] + [w0] + ahead_w)
+    coords = np.concatenate((behind[::-1], [start], ahead))
+    keep = slice(lo + len(behind_w), hi + len(behind_w))
+    return bases[keep], coords[keep]
 
 
 def _walk_axis(w, d, steps, lo: int, hi: int):
@@ -714,10 +715,14 @@ class PairEngine:
     """Separation values of one pair (x, y) over boxes lo <= g < hi of group
     elements, flattened in row-major order (coordinate 0 slowest).
 
-    On Z a box is a range of times (its corners may be ints), served by one
-    growing :class:`_LineWalk` per fiber. Elsewhere :func:`_walk_axis` walks
-    the box along the canonical path, coordinate 0 first and cyclic ones
-    forward, so values are bitwise those of the scalar kernels. The ``*_at``
+    Build one engine per pair and read every profile of the pair from it:
+    each fiber is then walked once, however many scans read it. On Z a box
+    is a range of times (its corners may be ints), served by one growing
+    :class:`_LineWalk` per fiber. Elsewhere :func:`_walk_axis` walks the box
+    along the canonical path, coordinate 0 first (in the scalar kernel, from
+    the one starting state) and cyclic ones forward, so values are bitwise
+    those of the scalar kernels; each walked box is kept, read-only, keyed
+    by (fiber, lo, hi), for as long as the engine lives. The ``*_at``
     methods read one-element boxes.
     """
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from grid_fixtures import Z2_CAT, ZXC2_ROT, ZXC3_ORDER3
-from meanrds import catalog
+from meanrds import catalog, pseudometrics
 from meanrds._windows import (
     mean_line,
     tail_indices,
@@ -410,6 +410,26 @@ def test_generic_group_path_isometric_equality():
     assert ban.value == d
     assert len(ban.translate) == 2
     assert translated_besicovitch_scan(pair_source(sys_, x, y), cfg).value == d
+
+
+@pytest.mark.parametrize("spec,x,y", [(Z2_CAT, (0.1, 0.2), (0.1004, 0.2002)),
+                                      (ZXC3_ORDER3, (0.1, 0.2), (0.13, 0.21))])
+def test_window_blocks_do_not_change_a_bit(spec, x, y, monkeypatch):
+    """Off Z the translated windows are summed a block at a time; blocks of
+    one to a few rows give the bits of a single block."""
+    system = catalog.build_system(spec)
+    cfg = EstimatorConfig(n_max=256, m_max=64, search_radius=4)
+    src = pair_source(system, x, y)
+    schedule = window_schedule(FolnerFamily(system.group), cfg.m_max)
+    ball = search_ball(system.group, cfg.search_radius)
+
+    def read():
+        return ([m.tobytes() for _, m in pseudometrics._window_means(src, schedule, ball, cfg)],
+                [json.dumps(e.to_dict()) for e in pair_summary(system, x, y, cfg).values()])
+
+    whole = read()
+    monkeypatch.setattr(pseudometrics, "WINDOW_BLOCK_ELEMENTS", 7)
+    assert read() == whole
 
 
 def test_box_over_the_element_budget_raises_before_walking():
