@@ -34,3 +34,18 @@ ZXC3_ORDER3 = {
         [{"matrix": [[0, -1], [1, -1]], "shift": [0.0, 0.0]}],
     ],
 }
+
+# Z x C2 whose Z generator swaps two fibers carrying different hyperbolic
+# matrices, with -I on the C2 generator: the fibers' profiles differ
+ZXC2_CAT2 = {
+    "name": "zxc2-cat2",
+    "group": "Z x C2",
+    "dim": 2,
+    "base": {"labels": ["w0", "w1"], "weights": [0.5, 0.5], "perms": [[1, 0], [0, 1]]},
+    "maps": [
+        [{"matrix": [[2, 1], [1, 1]], "shift": [0.0, 0.0]},
+         {"matrix": [[1, 1], [1, 2]], "shift": [0.0, 0.0]}],
+        [{"matrix": [[-1, 0], [0, -1]], "shift": [0.0, 0.0]},
+         {"matrix": [[-1, 0], [0, -1]], "shift": [0.0, 0.0]}],
+    ],
+}

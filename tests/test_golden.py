@@ -18,7 +18,7 @@ from meanrds.classify import ClassifierConfig, dichotomy_report
 from meanrds.cli import main
 from meanrds.pseudometrics import EstimatorConfig, pair_summary
 
-from grid_fixtures import Z2_CAT, ZXC2_ROT, ZXC3_ORDER3
+from grid_fixtures import Z2_CAT, ZXC2_CAT2, ZXC2_ROT, ZXC3_ORDER3
 
 BIG = ["--n-max", "10000", "--m-max", "10000"]
 
@@ -62,8 +62,8 @@ def test_cli_stdout_is_golden(argv, digest, capsys):
 
 
 # (system, x, y, (n_max, m_max, search_radius), digest): cyclic widths of 3
-# take the odd-width tree, translates wrap mod 3, and 5, 10, 33 are
-# non-power-of-two schedule tops
+# take the odd-width tree, translates wrap mod 3, 5, 10, 33 are
+# non-power-of-two schedule tops, and zxc2-cat2's two fibers differ
 PAIR_GOLDEN = [
     pytest.param(Z2_CAT, (0.1, 0.2), (0.1004, 0.2002), (64, 16, 2),
                  "84719a5795c6da99ee9e3ee0d4f8ef78b4a43b0ef9fd69d88ffeef4fadaac227",
@@ -80,6 +80,12 @@ PAIR_GOLDEN = [
     pytest.param(ZXC3_ORDER3, (0.1, 0.2), (0.13, 0.21), (100, 30, 3),
                  "7173afb21cb9653024765766b2dd6cfb3cd196deeb2516a9a9590f1cbe044010",
                  id="zxc3-order3-100-30-3"),
+    pytest.param(ZXC2_CAT2, (0.1, 0.2), (0.1004, 0.2002), (64, 16, 2),
+                 "8a9d8e6c2f99eb9c03ea24d9dea6d2a9a8b01c9feb3a92ec56139311f9dc4262",
+                 id="zxc2-cat2"),
+    pytest.param(ZXC2_CAT2, (0.1, 0.2), (0.1004, 0.2002), (256, 64, 4),
+                 "8c37c1199de8204ae1a9a484313d7e27fafe07a128d5dcec32853ffba421f8e2",
+                 id="zxc2-cat2-256-64-4"),
 ]
 
 

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from grid_fixtures import Z2_CAT, ZXC2_ROT, ZXC3_ORDER3
+from grid_fixtures import Z2_CAT, ZXC2_CAT2, ZXC2_ROT, ZXC3_ORDER3
 from meanrds import catalog, rds
 from meanrds._windows import (
     line_window_means,
@@ -142,6 +142,7 @@ BOXES = [
     (ZXC3_ORDER3, (0.1, 0.2), (0.13, 0.21), (-5, 0), (4, 3)),
     (ZXC3_ORDER3, (0.1, 0.2), (0.13, 0.21), (-1, 1), (7, 3)),
     (ZXC2_ROT, (0.1,), (0.35,), (-6, 0), (5, 2)),
+    (ZXC2_CAT2, (0.1, 0.2), (0.1004, 0.2002), (-5, 0), (6, 2)),
 ]
 
 

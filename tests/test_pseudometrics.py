@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from grid_fixtures import Z2_CAT, ZXC2_ROT, ZXC3_ORDER3
+from grid_fixtures import Z2_CAT, ZXC2_CAT2, ZXC2_ROT, ZXC3_ORDER3
 from meanrds import catalog, pseudometrics
 from meanrds._windows import (
     mean_line,
@@ -290,7 +290,7 @@ def test_pair_summary_keys():
 
 
 SUMMARY_SYSTEMS = [catalog.load(n) for n in catalog.names()] + [
-    catalog.build_system(spec) for spec in (Z2_CAT, ZXC2_ROT, ZXC3_ORDER3)]
+    catalog.build_system(spec) for spec in (Z2_CAT, ZXC2_ROT, ZXC3_ORDER3, ZXC2_CAT2)]
 
 
 @pytest.mark.parametrize("system", SUMMARY_SYSTEMS, ids=lambda s: s.name)
