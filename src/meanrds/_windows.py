@@ -42,8 +42,10 @@ def window_schedule(folner: FolnerFamily, max_elements: int) -> tuple[int, ...]:
         sched.append(n)
         n *= 2
     # largest index that still fits (the cap itself on the line Z): window
-    # sizes do not decrease and 2 * top is over the cap, so bisect for it
-    fits, over = sched[-1], 2 * sched[-1]
+    # sizes do not decrease and 2 * top is over the cap, so bisect for it,
+    # after one probe that settles the common power-of-two cap
+    fits = sched[-1]
+    over = fits + 1 if folner.window_size(fits + 1) > max_elements else 2 * fits
     while over - fits > 1:
         mid = (fits + over) // 2
         if folner.window_size(mid) <= max_elements:
