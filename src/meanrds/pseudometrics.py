@@ -381,31 +381,23 @@ def weyl_separation(system, x, y, cfg) -> PseudometricEstimate:
     return weyl_mean(pair_source(system, x, y, "sup"), cfg)
 
 
-def _relabel(est: PseudometricEstimate, kind: str) -> PseudometricEstimate:
-    return dataclasses.replace(est, kind=kind)
-
-
 def _fiber_weyl(source: ValueSource, cfg) -> PseudometricEstimate:
     return _as_weyl(banach_mean(source, cfg), "fiber-weyl")
 
 
 def integral_besicovitch(system, x, y, cfg) -> PseudometricEstimate:
     est = besicovitch_mean(pair_source(system, x, y, "integral"), cfg)
-    return _relabel(est, "integral-besicovitch")
+    return dataclasses.replace(est, kind="integral-besicovitch")
 
 
 def fiber_besicovitch(system, x, y, omega, cfg) -> PseudometricEstimate:
     est = besicovitch_mean(pair_source(system, x, y, "fiber", omega), cfg)
-    return _relabel(est, "fiber-besicovitch")
+    return dataclasses.replace(est, kind="fiber-besicovitch")
 
 
 def fiber_weyl(system, x, y, omega, cfg) -> PseudometricEstimate:
     """Weyl mean separation within one fiber, via the same min-max scan."""
     return _fiber_weyl(pair_source(system, x, y, "fiber", omega), cfg)
-
-
-def _fiber_sources(engine: PairEngine) -> list[ValueSource]:
-    return [_EngineSource(engine, "fiber", i) for i in engine.admissible]
 
 
 def _sup_of_fiber_weyls(estimates) -> PseudometricEstimate:
@@ -421,7 +413,7 @@ def _sup_of_fiber_weyls(estimates) -> PseudometricEstimate:
             truncation_note="no common fiber; empty sup reported as 0",
             source_label="sup-fiber",
         )
-    return _relabel(best, "sup-fiber-weyl")
+    return dataclasses.replace(best, kind="sup-fiber-weyl")
 
 
 def sup_fiber_weyl(system, x, y, cfg) -> PseudometricEstimate:
@@ -429,7 +421,9 @@ def sup_fiber_weyl(system, x, y, cfg) -> PseudometricEstimate:
     both points, all read from one engine; a conservative 0 with a note when
     no fiber holds both."""
     engine = system.pair_engine(x, y)
-    return _sup_of_fiber_weyls(_fiber_weyl(src, cfg) for src in _fiber_sources(engine))
+    return _sup_of_fiber_weyls(
+        _fiber_weyl(_EngineSource(engine, "fiber", i), cfg) for i in engine.admissible
+    )
 
 
 def pair_summary(system, x, y, cfg) -> dict[str, PseudometricEstimate]:
@@ -449,13 +443,13 @@ def pair_summary(system, x, y, cfg) -> dict[str, PseudometricEstimate]:
     except DomainError:
         pass
     else:
-        out["integral-besicovitch"] = _relabel(besicovitch_mean(integral, cfg),
-                                               "integral-besicovitch")
-    fibers = [
-        (system.base.labels[src.omega_idx],
-         _relabel(besicovitch_mean(src, cfg), "fiber-besicovitch"), _fiber_weyl(src, cfg))
-        for src in _fiber_sources(engine)
-    ]
+        out["integral-besicovitch"] = dataclasses.replace(
+            besicovitch_mean(integral, cfg), kind="integral-besicovitch")
+    fibers = []
+    for i in engine.admissible:
+        src = _EngineSource(engine, "fiber", i)
+        fb = dataclasses.replace(besicovitch_mean(src, cfg), kind="fiber-besicovitch")
+        fibers.append((system.base.labels[i], fb, _fiber_weyl(src, cfg)))
     out["sup-fiber-weyl"] = _sup_of_fiber_weyls(fw for _, _, fw in fibers)
     for label, fb, fw in fibers:
         out[f"fiber-besicovitch[{label}]"] = fb
