@@ -8,13 +8,16 @@ produce window means that equal the pointwise value bitwise, which several
 equality tests rely on. Float addition is monotone, so pointwise-dominated
 value arrays keep dominated window sums, bitwise, under the same tree.
 
-Every scan reads its profile once, over one box of group elements. On the
-line Z, where the box is a range, the tree is evaluated once per profile as
-a dyadic table, S_2k[i] = S_k[i] + S_k[i+k], which holds every power-of-two
-window sum at every start with the same additions, and therefore the same
-bits, as the tree on each window (:func:`line_window_means`). On any other
-group each translated window is taken from the box in row-major order and
-summed by :func:`tree_mean_rows`.
+Every scan reads its profile once, over one box of group elements, and takes
+every window out of that box with :func:`window_means`, on Z and on every
+other group alike. On a row-major window whose widths are all powers of two,
+the tree first doubles along the last axis, then along each earlier axis in
+turn. One separable dyadic table makes the same additions: the last axis's
+levels S_2k[..., i] = S_k[..., i] + S_k[..., i+k] grow as the schedule
+climbs, and each window doubles the earlier axes from them. The table holds
+every such window sum at every start, with the bits of the tree on each
+window. A window with any other width is gathered out of the box and summed
+by :func:`tree_mean_rows`.
 
 Schedules are powers of two up to the element cap, plus the largest window
 that still fits when the cap is not itself a power of two.
@@ -27,13 +30,19 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .groups import FolnerFamily
+from .groups import FolnerFamily, GroupSpecError
 
 
 def window_schedule(folner: FolnerFamily, max_elements: int) -> tuple[int, ...]:
-    """Window indices whose element count stays within max_elements."""
+    """Window indices whose element count stays within max_elements.
+
+    A group with no free factor is finite: its windows stop growing, so it
+    has no schedule and raises :class:`GroupSpecError`."""
     if max_elements < 1:
         raise ValueError("max_elements must be positive")
+    if folner.group.free_rank == 0:
+        raise GroupSpecError(f"group {folner.group.spec} has no free factor, "
+                             "so its windows never grow")
     if folner.window_size(1) > max_elements:
         raise ValueError("even the first window exceeds max_elements")
     sched = []
@@ -93,55 +102,40 @@ def tree_mean_rows(arr: np.ndarray) -> np.ndarray:
     return tree_sum_rows(arr) / arr.shape[1]
 
 
-def translated_means_line(values: np.ndarray, lo: int, offsets, m: int) -> np.ndarray:
-    """Means over the windows [g, g+m) for each g in offsets.
+def window_means(box: np.ndarray, starts, windows, block_elements: int):
+    """For each window shape of ``windows``, yield the means of ``box`` over
+    the windows of that shape at the starts, in order.
 
-    ``values`` holds the profile at times lo, lo+1, ...; every requested
-    window must lie inside it.
+    ``starts`` holds one index array per axis; every window must lie inside
+    the box, so pad cyclic axes by wrap beforehand. A window whose widths are
+    all powers of two is read from the dyadic table (module docstring), whose
+    last-axis levels grow as the windows widen; its last-axis width may not
+    fall below an earlier one's. Any other window is gathered out of the box
+    about ``block_elements`` window elements at a time and summed by
+    :func:`tree_mean_rows`; rows are summed independently, so blocks do not
+    move a bit.
     """
-    if m < 1:
-        raise ValueError("window length must be positive")
-    offs = np.asarray(list(offsets), dtype=np.int64) - lo
-    if offs.size == 0:
-        raise ValueError("need at least one offset")
-    if offs.min() < 0 or offs.max() + m > values.shape[0]:
-        raise ValueError("window out of the computed range")
-    rows = sliding_window_view(values, m)[offs]
-    return tree_mean_rows(rows)
-
-
-def line_window_means(values: np.ndarray, lo: int, offsets, schedule):
-    """Yield (m, means over the windows [g, g+m) for each g in offsets) for
-    each m of an increasing schedule.
-
-    Power-of-two widths come from one dyadic table, S_2k[i] = S_k[i] +
-    S_k[i+k] over every start i, built level by level as the schedule climbs.
-    These are the additions :func:`tree_sum_rows` makes on each window, so
-    the means are bitwise equal to :func:`translated_means_line`; any other
-    width goes through that function.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    offs = np.asarray(list(offsets), dtype=np.int64) - lo
-    if offs.size == 0:
-        raise ValueError("need at least one offset")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be increasing")
-    if offs.min() < 0 or offs.max() + schedule[-1] > values.shape[0]:
-        raise ValueError("window out of the computed range")
-    level, k = values, 1
-    for m in schedule:
-        if m & (m - 1):
-            yield m, translated_means_line(values, lo, offsets, m)
+    last, k = box, 1
+    for win in windows:
+        size = math.prod(win)
+        if size & (size - 1):  # some width is not a power of two
+            view = sliding_window_view(box, win)
+            step = max(1, block_elements // size)
+            yield np.concatenate([
+                tree_mean_rows(view[tuple(s[a:a + step] for s in starts)].reshape(-1, size))
+                for a in range(0, len(starts[0]), step)
+            ])
             continue
-        while k < m:
-            level = level[:-k] + level[k:]
+        while k < win[-1]:
+            last = last[..., :-k] + last[..., k:]
             k *= 2
-        yield m, level[offs] / m
-
-
-def mean_line(values: np.ndarray, lo: int, start: int, m: int) -> float:
-    """Mean over the single window [start, start+m)."""
-    a = start - lo
-    if a < 0 or a + m > values.shape[0]:
-        raise ValueError("window out of the computed range")
-    return float(tree_mean_rows(values[a:a + m])[0])
+        if k != win[-1]:
+            raise ValueError("window widths must not shrink along the last axis")
+        table = last
+        for axis in range(box.ndim - 2, -1, -1):
+            head = (slice(None),) * axis
+            j = 1
+            while j < win[axis]:
+                table = table[head + (slice(None, -j),)] + table[head + (slice(j, None),)]
+                j *= 2
+        yield table[tuple(starts)] / size

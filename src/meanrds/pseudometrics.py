@@ -38,12 +38,12 @@ and are labeled as such.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _windows
 from .groups import AmenableGroup, BudgetError, FolnerFamily, parse_group, search_ball
@@ -54,8 +54,8 @@ BESICOVITCH_NOTE = "tail max over untranslated windows; truncation bias unknown"
 SCAN_NOTE = "translated tail scan; lower bound of the sup over translates"
 WEYL_NOTE = " (reported via the min-max identity over translated windows)"
 
-# off Z, translated windows are gathered and summed in blocks of about this
-# many elements; rows are summed independently, so blocks do not move a bit
+# a window with a width that is not a power of two is gathered and summed in
+# blocks of about this many elements; blocks do not move a bit
 WINDOW_BLOCK_ELEMENTS = 1 << 18
 
 
@@ -240,45 +240,55 @@ def pair_source(
 # ---------------------------------------------------------------------------
 # the window scan
 
+@functools.lru_cache(maxsize=64)
+def _ball_box(group: AmenableGroup, ball):
+    """The low corner of the box a ball's translates start in (0 on cyclic
+    axes), the ball's extent on each free axis, and the starts as one
+    read-only index array per axis. Cached per ball, like ``search_ball``."""
+    free = group.free_rank
+    starts = np.asarray(ball, dtype=np.int64)
+    lo = starts[:, :free].min(axis=0)
+    span = starts[:, :free].max(axis=0) - lo + 1
+    starts[:, :free] -= lo
+    index = tuple(np.ascontiguousarray(starts[:, i]) for i in range(group.rank))
+    for ix in index:
+        ix.flags.writeable = False
+    return tuple(lo.tolist()) + (0,) * len(group.cyclic_orders), tuple(span.tolist()), index
+
+
+def _check_box(group: AmenableGroup, radius: int, top: int, cfg: EstimatorConfig):
+    """Raise :class:`BudgetError` when the box holding every translate by the
+    radius ball of the top window, 2r + top on each free axis and each cyclic
+    axis whole, has more than ``cfg.element_budget`` elements."""
+    shape = [2 * radius + top] * group.free_rank + list(group.cyclic_orders)
+    if math.prod(shape) > cfg.element_budget:
+        raise BudgetError(f"box {shape} over the windows and translates has "
+                          f"{math.prod(shape)} elements, over budget {cfg.element_budget}")
+
+
 def _window_means(source: ValueSource, schedule, ball, cfg: EstimatorConfig):
     """For each window index n of the increasing schedule, yield n and the
     means of the profile over the translates g F_n, one per g of the ball,
     in ball order.
 
-    The profile is read once, over the box holding every translated window
-    (cyclic axes whole). On Z the dyadic table takes the windows; elsewhere
-    :func:`_windows.tree_mean_rows` sums them from the box in row-major
-    order, wrapping translates mod k, ``WINDOW_BLOCK_ELEMENTS`` window
-    elements at a time, after a box over ``cfg.element_budget`` elements has
-    raised :class:`BudgetError`.
+    The profile is read once, over the box holding every translated window,
+    with each cyclic axis whole and then padded by wrap, so translates wrap
+    mod k. :func:`_windows.window_means` takes every window out of it: from
+    the dyadic table, or by gathering ``WINDOW_BLOCK_ELEMENTS`` window
+    elements at a time when a width is not a power of two. The caller checks
+    the box against ``cfg.element_budget`` first (``_check_box``).
     """
     grp = source.group
-    if grp.is_line:
-        offsets = [g[0] for g in ball]
-        lo = min(offsets)
-        vals = source.range_values(lo, max(offsets) + schedule[-1])
-        yield from _windows.line_window_means(vals, lo, offsets, schedule)
-        return
-    free = grp.free_rank
-    lo = [min(g[i] for g in ball) for i in range(free)] + [0] * len(grp.cyclic_orders)
-    hi = [max(g[i] for g in ball) + schedule[-1] for i in range(free)] + list(grp.cyclic_orders)
-    shape = [b - a for a, b in zip(lo, hi)]
-    if math.prod(shape) > cfg.element_budget:
-        raise BudgetError(f"box {shape} over the windows and translates has "
-                          f"{math.prod(shape)} elements, over budget {cfg.element_budget}")
-    box = source.range_values(tuple(lo), tuple(hi)).reshape(shape)
-    starts = np.asarray(ball) - lo
-    for n in schedule:
-        win = [n] * free + [min(n, k) for k in grp.cyclic_orders]
-        wrapped = np.pad(box, [(0, w - 1 if i >= free else 0) for i, w in enumerate(win)],
-                         mode="wrap")
-        view = sliding_window_view(wrapped, win)
-        size = math.prod(win)
-        step = max(1, WINDOW_BLOCK_ELEMENTS // size)
-        yield n, np.concatenate([
-            _windows.tree_mean_rows(view[tuple(starts[a:a + step].T)].reshape(-1, size))
-            for a in range(0, len(ball), step)
-        ])
+    free, orders = grp.free_rank, grp.cyclic_orders
+    lo, span, starts = _ball_box(grp, ball)
+    top = schedule[-1]
+    shape = [s + top - 1 for s in span] + list(orders)
+    box = source.range_values(lo, tuple(a + s for a, s in zip(lo, shape))).reshape(shape)
+    windows = [(n,) * free for n in schedule]
+    if orders:
+        box = np.pad(box, [(0, 0)] * free + [(0, min(top, k) - 1) for k in orders], mode="wrap")
+        windows = [w + tuple(min(n, k) for k in orders) for n, w in zip(schedule, windows)]
+    yield from zip(schedule, _windows.window_means(box, starts, windows, WINDOW_BLOCK_ELEMENTS))
 
 
 def _scan(source: ValueSource, cfg: EstimatorConfig, kind: str, note: str, *,
@@ -297,6 +307,7 @@ def _scan(source: ValueSource, cfg: EstimatorConfig, kind: str, note: str, *,
         scanned = schedule[_windows.tail_indices(schedule, cfg.tail_fraction)[0]:]
     else:
         schedule = scanned = _windows.window_schedule(folner, cfg.m_max)
+    _check_box(source.group, 0 if inner is None else cfg.search_radius, scanned[-1], cfg)
     if inner is None:
         ball = (source.group.identity(),)
     else:
@@ -355,6 +366,7 @@ def mean_curves(source: ValueSource, cfg: EstimatorConfig):
     summation tree, so S_m >= A_m holds bitwise."""
     folner = FolnerFamily(source.group, cfg.element_budget)
     schedule = _windows.window_schedule(folner, cfg.m_max)
+    _check_box(source.group, cfg.search_radius, schedule[-1], cfg)
     ball = search_ball(source.group, cfg.search_radius, cfg.element_budget)
     untranslated = [
         float(means[0]) for _, means in

@@ -189,6 +189,24 @@ def test_classify_exit_codes(tmp_path, capsys):
     assert "suggestion:" in out
 
 
+def test_scans_on_a_finite_group_exit_one(tmp_path, capsys):
+    """C3 has no free factor, so it has no window schedule: every scan
+    raises at once instead of doubling its window forever."""
+    spec = {
+        "name": "c3-order3",
+        "group": "C3",
+        "dim": 2,
+        "base": {"labels": ["w0"], "weights": [1.0], "perms": [[0]]},
+        "maps": [[{"matrix": [[0, -1], [1, -1]], "shift": [0.0, 0.0]}]],
+    }
+    cfg = _cfg_file(tmp_path, {"system": spec, **SMALL})
+    assert main(["validate", "--system", "config", "--config", cfg]) == 0
+    capsys.readouterr()
+    for argv in (["estimate", "--pair", "0.1,0.2|0.3,0.1"], ["classify"]):
+        assert main(argv + ["--system", "config", "--config", cfg]) == 1
+        assert "no free factor" in capsys.readouterr().err
+
+
 def test_removed_workers_flag_exits_one(capsys):
     assert main(["classify", "--system", "cat2", "--workers", "1"]) == 1
     assert "--workers" in capsys.readouterr().err

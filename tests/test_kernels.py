@@ -11,16 +11,19 @@ import numpy as np
 import pytest
 
 from grid_fixtures import Z2_CAT, ZXC2_CAT2, ZXC2_ROT, ZXC3_ORDER3
-from meanrds import catalog, rds
-from meanrds._windows import (
-    line_window_means,
-    mean_line,
-    translated_means_line,
-    window_schedule,
-)
+from numpy.lib.stride_tricks import sliding_window_view
+
+from meanrds import _windows, catalog, pseudometrics, rds
+from meanrds._windows import tree_mean_rows, window_means, window_schedule
 from meanrds.classify import _sample_support_index
 from meanrds.groups import BudgetError, FolnerFamily, parse_group, search_ball
-from meanrds.pseudometrics import EstimatorConfig, pair_summary, synthetic_source
+from meanrds.pseudometrics import (
+    EstimatorConfig,
+    ValueSource,
+    pair_source,
+    pair_summary,
+    synthetic_source,
+)
 from meanrds.rds import (
     BaseSpace,
     FiberMap,
@@ -188,29 +191,128 @@ def _profiles():
     return {"random": rng.random(n) * scale, "squares": squares}
 
 
+def _gathered_line_means(vals, offsets, m):
+    """Reference: each window [g, g+m) of a profile that starts at time 0,
+    taken out on its own and summed by the tree."""
+    return tree_mean_rows(sliding_window_view(vals, m)[np.asarray(offsets)])
+
+
+@pytest.fixture
+def gathers(monkeypatch):
+    """Counts the rows the window gather hands to the tree."""
+    rows = []
+
+    def counting(arr):
+        rows.append(len(arr))
+        return tree_mean_rows(arr)
+
+    monkeypatch.setattr(_windows, "tree_mean_rows", counting)
+    return rows
+
+
 @pytest.mark.parametrize("name", ["random", "squares"])
-def test_dyadic_table_matches_translated_means(name):
+def test_dyadic_table_matches_translated_means(name, gathers):
     vals = _profiles()[name]
-    offsets = range(-64, 65)
+    offsets = np.arange(129)
     schedule = tuple(2 ** k for k in range(13))  # 1 .. 4096
-    seen = []
-    for m, means in line_window_means(vals, -64, offsets, schedule):
-        ref = translated_means_line(vals, -64, offsets, m)
-        assert means.tobytes() == ref.tobytes(), m
-        seen.append(m)
-    assert tuple(seen) == schedule
+    got = window_means(vals, (offsets,), [(m,) for m in schedule], 1 << 18)
+    for m, means in zip(schedule, got, strict=True):
+        assert means.tobytes() == _gathered_line_means(vals, offsets, m).tobytes(), m
+    assert gathers == []
 
 
 @pytest.mark.parametrize("name", ["random", "squares"])
-def test_non_power_of_two_top_entry_matches(name):
+def test_non_power_of_two_top_entry_matches(name, gathers):
     vals = _profiles()[name]
     schedule = window_schedule(FolnerFamily(parse_group("Z")), 10000)
     assert schedule[-1] == 10000 and schedule[-2] == 8192
-    offsets = range(-64, 65)
-    for m, means in line_window_means(vals, -64, offsets, schedule):
-        assert means.tobytes() == translated_means_line(vals, -64, offsets, m).tobytes()
-    for m, means in line_window_means(vals, -64, (-64,), schedule):
-        assert float(means[0]) == mean_line(vals, -64, -64, m)
+    windows = [(m,) for m in schedule]
+    offsets = np.arange(129)
+    for m, means in zip(schedule, window_means(vals, (offsets,), windows, 1 << 18)):
+        assert means.tobytes() == _gathered_line_means(vals, offsets, m).tobytes()
+    assert sum(gathers) == 129  # only the 10000 top is gathered
+    for m, means in zip(schedule, window_means(vals, (offsets[:1],), windows, 1 << 18)):
+        assert float(means[0]) == float(tree_mean_rows(vals[:m])[0])
+
+
+class _CoordinateSource(ValueSource):
+    """A profile that varies along every axis, cyclic ones included, over
+    several orders of magnitude, so a wrong addition order moves bits."""
+
+    def __init__(self, spec):
+        self.group = parse_group(spec)
+        self.label = spec
+
+    def range_values(self, lo, hi):
+        g = np.stack(np.meshgrid(*(np.arange(a, b) for a, b in zip(lo, hi)), indexing="ij"),
+                     axis=-1).reshape(-1, len(lo))
+        mix = g @ np.asarray([7919, 104729, 1299709][:len(lo)])
+        return (mix % 997 + 1) * 10.0 ** ((g @ np.arange(1, len(lo) + 1)) % 7 - 3)
+
+
+def _gathered_means(source, schedule, ball):
+    """Reference: every translated window gathered out of the box, padded by
+    wrap on cyclic axes for that window alone, and summed by the tree."""
+    grp = source.group
+    free = grp.free_rank
+    starts = np.asarray(ball)
+    lo = [int(starts[:, i].min()) for i in range(free)] + [0] * len(grp.cyclic_orders)
+    hi = [int(starts[:, i].max()) + schedule[-1] for i in range(free)] + list(grp.cyclic_orders)
+    box = source.range_values(tuple(lo), tuple(hi)).reshape([b - a for a, b in zip(lo, hi)])
+    starts = starts - lo
+    for n in schedule:
+        win = [n] * free + [min(n, k) for k in grp.cyclic_orders]
+        wrapped = np.pad(box, [(0, w - 1 if i >= free else 0) for i, w in enumerate(win)],
+                         mode="wrap")
+        rows = sliding_window_view(wrapped, win)[tuple(starts.T)]
+        yield n, tree_mean_rows(rows.reshape(len(ball), -1))
+
+
+TABLE_CASES = [  # (group, m_max, radius, the gathered windows)
+    ("Z", 4096, 64, ()),
+    ("Z^2", 1024, 6, ()),
+    ("Z x C2", 1024, 6, ()),
+    ("Z x C4", 12, 3, (3,)),        # n < 4: a partial cyclic axis
+    ("Z x C4", 1024, 5, ()),
+    ("Z^2 x C2", 512, 4, ()),
+    ("Z x C3", 256, 4, (4, 8, 16, 32, 64, 85)),  # width 3 once n >= 3
+    ("Z^2", 48, 4, (6,)),           # a bisected top
+]
+
+
+@pytest.mark.parametrize("spec,m_max,radius,gathered", TABLE_CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in TABLE_CASES])
+def test_dyadic_table_matches_the_gather(spec, m_max, radius, gathered, gathers):
+    """The table against the gather, bitwise, for translated and untranslated
+    windows; only windows with a width that is not a power of two are
+    gathered."""
+    src = _CoordinateSource(spec)
+    schedule = window_schedule(FolnerFamily(src.group), m_max)
+    cfg = EstimatorConfig(m_max=m_max, search_radius=radius)
+    for ball in (search_ball(src.group, radius), (src.group.identity(),)):
+        gathers.clear()
+        got = list(pseudometrics._window_means(src, schedule, ball, cfg))
+        want = list(_gathered_means(src, schedule, ball))
+        assert [n for n, _ in got] == list(schedule)
+        for (n, means), (_, ref) in zip(got, want):
+            assert means.tobytes() == ref.tobytes(), n
+        assert sum(gathers) == len(ball) * len(gathered)
+        assert set(gathered) <= set(schedule)
+
+
+@pytest.mark.parametrize("spec,x,y", [(ZXC2_CAT2, (0.1, 0.2), (0.1004, 0.2002)),
+                                      (ZXC3_ORDER3, (0.1, 0.2), (0.13, 0.21))],
+                         ids=["zxc2-cat2", "zxc3-order3"])
+def test_dyadic_table_matches_the_gather_on_systems(spec, x, y):
+    system = catalog.build_system(spec)
+    cfg = EstimatorConfig(m_max=256, search_radius=5)
+    schedule = window_schedule(FolnerFamily(system.group), cfg.m_max)
+    ball = search_ball(system.group, cfg.search_radius)
+    for mode in ("sup", "integral"):
+        src = pair_source(system, x, y, mode)
+        got = pseudometrics._window_means(src, schedule, ball, cfg)
+        for (n, means), (_, ref) in zip(got, _gathered_means(src, schedule, ball), strict=True):
+            assert means.tobytes() == ref.tobytes(), (mode, n)
 
 
 def _probed_schedule(folner, cap):
@@ -233,12 +335,13 @@ def test_bisected_schedule_top_matches_probing(spec):
 
 def test_dyadic_table_rejects_bad_requests():
     vals = np.arange(16, dtype=np.float64)
-    with pytest.raises(ValueError):
-        list(line_window_means(vals, 0, [0], (4, 2)))
-    with pytest.raises(ValueError):
-        list(line_window_means(vals, 0, [1], (16,)))
-    with pytest.raises(ValueError):
-        list(line_window_means(vals, 0, [-1], (2,)))
+    start = (np.asarray([0]),)
+    with pytest.raises(ValueError, match="shrink"):
+        list(window_means(vals, start, [(4,), (2,)], 1 << 18))
+    with pytest.raises(IndexError):
+        list(window_means(vals, (np.asarray([1]),), [(16,)], 1 << 18))
+    with pytest.raises(IndexError):
+        list(window_means(vals, (np.asarray([4]),), [(13,)], 1 << 18))
 
 
 @pytest.mark.parametrize("weights", [(0.5, 0.5), (1.0,), (0.2, 0.3, 0.5), (0.25, 0.0, 0.75)])

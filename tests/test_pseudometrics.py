@@ -8,15 +8,15 @@ import pytest
 
 from grid_fixtures import Z2_CAT, ZXC2_CAT2, ZXC2_ROT, ZXC3_ORDER3
 from meanrds import catalog, pseudometrics
+from meanrds import _windows
 from meanrds._windows import (
-    mean_line,
     tail_indices,
-    translated_means_line,
     tree_mean_rows,
     tree_sum_rows,
+    window_means,
     window_schedule,
 )
-from meanrds.groups import BudgetError, FolnerFamily, parse_group, search_ball
+from meanrds.groups import BudgetError, FolnerFamily, GroupSpecError, parse_group, search_ball
 from meanrds.pseudometrics import (
     EstimatorConfig,
     banach_mean,
@@ -105,13 +105,36 @@ def test_tail_indices():
 
 def test_line_window_means_bounds_checked():
     vals = np.arange(10, dtype=np.float64)
-    assert mean_line(vals, 0, 2, 4) == pytest.approx((2 + 3 + 4 + 5) / 4)
-    with pytest.raises(ValueError):
-        mean_line(vals, 0, 8, 4)
-    got = translated_means_line(vals, -3, [-3, 0], 3)
-    assert got[0] == pytest.approx((-3 + -2 + -1) / 3 + 3)  # values start at lo
-    with pytest.raises(ValueError):
-        translated_means_line(vals, 0, [9], 4)
+    (got,) = window_means(vals, (np.asarray([2]),), [(4,)], 1 << 18)
+    assert got[0] == (2 + 3 + 4 + 5) / 4
+    with pytest.raises(IndexError):
+        list(window_means(vals, (np.asarray([8]),), [(4,)], 1 << 18))
+    (got,) = window_means(vals, (np.asarray([0, 3]),), [(3,)], 1 << 18)
+    assert got.tolist() == [1.0, 4.0]  # starts index the box
+    with pytest.raises(IndexError):
+        list(window_means(vals, (np.asarray([9]),), [(3,)], 1 << 18))
+
+
+class _ConstantSource(pseudometrics.ValueSource):
+    def __init__(self, group):
+        self.group = group
+        self.label = group.spec
+
+    def range_values(self, lo, hi):
+        return np.ones(math.prod(b - a for a, b in zip(lo, hi)))
+
+
+@pytest.mark.parametrize("spec", ["C3", "C2 x C2"])
+def test_finite_groups_have_no_schedule(spec):
+    """A group with no free factor is finite: its windows stop growing, so
+    the schedule raises instead of doubling forever."""
+    group = parse_group(spec)
+    with pytest.raises(GroupSpecError, match="no free factor"):
+        window_schedule(FolnerFamily(group), 16)
+    src = _ConstantSource(group)
+    for scan in (besicovitch_mean, banach_mean, mean_curves):
+        with pytest.raises(GroupSpecError):
+            scan(src, EstimatorConfig(n_max=16, m_max=16, search_radius=1))
 
 
 # ---------------------------------------------------------------------------
@@ -415,21 +438,33 @@ def test_generic_group_path_isometric_equality():
 @pytest.mark.parametrize("spec,x,y", [(Z2_CAT, (0.1, 0.2), (0.1004, 0.2002)),
                                       (ZXC3_ORDER3, (0.1, 0.2), (0.13, 0.21))])
 def test_window_blocks_do_not_change_a_bit(spec, x, y, monkeypatch):
-    """Off Z the translated windows are summed a block at a time; blocks of
-    one to a few rows give the bits of a single block."""
+    """Windows with a width that is not a power of two (the bisected top 6
+    on Z^2, width 3 on C3) are gathered and summed a block at a time; blocks
+    of one to a few rows give the bits of a single block."""
     system = catalog.build_system(spec)
-    cfg = EstimatorConfig(n_max=256, m_max=64, search_radius=4)
+    cfg = EstimatorConfig(n_max=256, m_max=48, search_radius=4)
     src = pair_source(system, x, y)
     schedule = window_schedule(FolnerFamily(system.group), cfg.m_max)
     ball = search_ball(system.group, cfg.search_radius)
+    gathered = []
+
+    def counting(arr):
+        gathered.append(len(arr))
+        return tree_mean_rows(arr)
+
+    monkeypatch.setattr(_windows, "tree_mean_rows", counting)
 
     def read():
-        return ([m.tobytes() for _, m in pseudometrics._window_means(src, schedule, ball, cfg)],
-                [json.dumps(e.to_dict()) for e in pair_summary(system, x, y, cfg).values()])
+        gathered.clear()
+        out = ([m.tobytes() for _, m in pseudometrics._window_means(src, schedule, ball, cfg)],
+               [json.dumps(e.to_dict()) for e in pair_summary(system, x, y, cfg).values()])
+        assert gathered, "no window was gathered"
+        return out
 
     whole = read()
     monkeypatch.setattr(pseudometrics, "WINDOW_BLOCK_ELEMENTS", 7)
     assert read() == whole
+    assert set(gathered) == {1}
 
 
 def test_box_over_the_element_budget_raises_before_walking():
@@ -442,3 +477,15 @@ def test_box_over_the_element_budget_raises_before_walking():
     src.range_values = lambda lo, hi: pytest.fail("the box was walked")
     with pytest.raises(BudgetError, match="576 elements"):
         banach_mean(src, cfg)
+
+
+@pytest.mark.parametrize("scan,side", [(banach_mean, 138), (mean_curves, 138),
+                                       (translated_besicovitch_scan, 144)])
+def test_box_over_the_element_budget_raises_before_the_ball(scan, side, monkeypatch):
+    """The box bound has a closed form, 2r + top on each free axis and each
+    cyclic axis whole, so it is checked before the ball is built: Z^3 at the
+    default radius and caps would build a 357 889-element ball first."""
+    monkeypatch.setattr(pseudometrics, "search_ball",
+                        lambda *a: pytest.fail("the ball was built"))
+    with pytest.raises(BudgetError, match=rf"box \[{side}, {side}, {side}\]"):
+        scan(_ConstantSource(parse_group("Z^3")), EstimatorConfig())
