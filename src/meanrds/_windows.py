@@ -106,15 +106,18 @@ def window_means(box: np.ndarray, starts, windows, block_elements: int):
     """For each window shape of ``windows``, yield the means of ``box`` over
     the windows of that shape at the starts, in order.
 
-    ``starts`` holds one index array per axis; every window must lie inside
-    the box, so pad cyclic axes by wrap beforehand. A window whose widths are
-    all powers of two is read from the dyadic table (module docstring), whose
-    last-axis levels grow as the windows widen; its last-axis width may not
-    fall below an earlier one's. Any other window is gathered out of the box
-    about ``block_elements`` window elements at a time and summed by
-    :func:`tree_mean_rows`; rows are summed independently, so blocks do not
-    move a bit.
+    ``starts`` holds one index array per axis. Every window must lie inside
+    the box (pad cyclic axes by wrap beforehand), else ValueError. A window
+    whose widths are all powers of two is read from the dyadic table (module
+    docstring), whose last-axis levels grow as the windows widen; its
+    last-axis width may not fall below an earlier one's. Any other window is
+    gathered out of the box about ``block_elements`` window elements at a
+    time and summed by :func:`tree_mean_rows`; rows are summed
+    independently, so blocks do not move a bit.
     """
+    widest = map(max, zip(*windows))
+    if any(s.min() < 0 or s.max() + w > n for s, w, n in zip(starts, widest, box.shape)):
+        raise ValueError("window out of the box")
     last, k = box, 1
     for win in windows:
         size = math.prod(win)

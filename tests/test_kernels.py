@@ -335,13 +335,14 @@ def test_bisected_schedule_top_matches_probing(spec):
 
 def test_dyadic_table_rejects_bad_requests():
     vals = np.arange(16, dtype=np.float64)
-    start = (np.asarray([0]),)
     with pytest.raises(ValueError, match="shrink"):
-        list(window_means(vals, start, [(4,), (2,)], 1 << 18))
-    with pytest.raises(IndexError):
+        list(window_means(vals, (np.asarray([0]),), [(4,), (2,)], 1 << 18))
+    with pytest.raises(ValueError, match="out of the box"):
         list(window_means(vals, (np.asarray([1]),), [(16,)], 1 << 18))
-    with pytest.raises(IndexError):
-        list(window_means(vals, (np.asarray([4]),), [(13,)], 1 << 18))
+    with pytest.raises(ValueError, match="out of the box"):
+        list(window_means(vals, (np.asarray([-1]),), [(2,)], 1 << 18))
+    with pytest.raises(ValueError, match="out of the box"):
+        list(window_means(vals, (np.asarray([4]),), [(2,), (13,)], 1 << 18))
 
 
 @pytest.mark.parametrize("weights", [(0.5, 0.5), (1.0,), (0.2, 0.3, 0.5), (0.25, 0.0, 0.75)])

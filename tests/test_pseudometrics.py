@@ -107,11 +107,11 @@ def test_line_window_means_bounds_checked():
     vals = np.arange(10, dtype=np.float64)
     (got,) = window_means(vals, (np.asarray([2]),), [(4,)], 1 << 18)
     assert got[0] == (2 + 3 + 4 + 5) / 4
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         list(window_means(vals, (np.asarray([8]),), [(4,)], 1 << 18))
     (got,) = window_means(vals, (np.asarray([0, 3]),), [(3,)], 1 << 18)
     assert got.tolist() == [1.0, 4.0]  # starts index the box
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         list(window_means(vals, (np.asarray([9]),), [(3,)], 1 << 18))
 
 
