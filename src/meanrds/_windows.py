@@ -115,9 +115,11 @@ def window_means(box: np.ndarray, starts, windows, block_elements: int):
     time and summed by :func:`tree_mean_rows`; rows are summed
     independently, so blocks do not move a bit.
     """
-    widest = map(max, zip(*windows))
-    if any(s.min() < 0 or s.max() + w > n for s, w, n in zip(starts, widest, box.shape)):
-        raise ValueError("window out of the box")
+    starts = tuple(starts)
+    for s, w, n in zip(starts, map(max, zip(*windows)), box.shape):
+        if s.min() < 0 or s.max() + w > n:
+            raise ValueError("window out of the box")
+    earlier = range(box.ndim - 2, -1, -1)
     last, k = box, 1
     for win in windows:
         size = math.prod(win)
@@ -135,10 +137,10 @@ def window_means(box: np.ndarray, starts, windows, block_elements: int):
         if k != win[-1]:
             raise ValueError("window widths must not shrink along the last axis")
         table = last
-        for axis in range(box.ndim - 2, -1, -1):
+        for axis in earlier:
             head = (slice(None),) * axis
             j = 1
             while j < win[axis]:
                 table = table[head + (slice(None, -j),)] + table[head + (slice(j, None),)]
                 j *= 2
-        yield table[tuple(starts)] / size
+        yield table[starts] / size

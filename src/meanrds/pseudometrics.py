@@ -241,19 +241,26 @@ def pair_source(
 # the window scan
 
 @functools.lru_cache(maxsize=64)
-def _ball_box(group: AmenableGroup, ball):
-    """The low corner of the box a ball's translates start in (0 on cyclic
-    axes), the ball's extent on each free axis, and the starts as one
-    read-only index array per axis. Cached per ball, like ``search_ball``."""
-    free = group.free_rank
+def _box_plan(group: AmenableGroup, ball, schedule):
+    """Where a scan of the schedule's windows over the ball's translates
+    reads its profile: the box corners (free axes from the lowest translate
+    to the highest plus the top window, cyclic axes whole), the box shape,
+    the wrap padding of the cyclic axes (None on Z^a), each window's widths,
+    and the ball's starts in the box as one read-only index array per axis.
+    Cached like ``search_ball``, since scans repeat their ball and schedule.
+    """
+    free, orders = group.free_rank, group.cyclic_orders
+    top = schedule[-1]
     starts = np.asarray(ball, dtype=np.int64)
-    lo = starts[:, :free].min(axis=0)
-    span = starts[:, :free].max(axis=0) - lo + 1
-    starts[:, :free] -= lo
-    index = tuple(np.ascontiguousarray(starts[:, i]) for i in range(group.rank))
+    lo, hi = starts.min(axis=0), starts.max(axis=0) + top
+    lo[free:], hi[free:] = 0, orders
+    starts -= lo
+    index = tuple(np.ascontiguousarray(axis) for axis in starts.T)
     for ix in index:
         ix.flags.writeable = False
-    return tuple(lo.tolist()) + (0,) * len(group.cyclic_orders), tuple(span.tolist()), index
+    pad = ((0, 0),) * free + tuple((0, min(top, k) - 1) for k in orders) if orders else None
+    windows = tuple((n,) * free + tuple(min(n, k) for k in orders) for n in schedule)
+    return tuple(lo.tolist()), tuple(hi.tolist()), tuple((hi - lo).tolist()), pad, windows, index
 
 
 def _check_box(group: AmenableGroup, radius: int, top: int, cfg: EstimatorConfig):
@@ -278,16 +285,10 @@ def _window_means(source: ValueSource, schedule, ball, cfg: EstimatorConfig):
     elements at a time when a width is not a power of two. The caller checks
     the box against ``cfg.element_budget`` first (``_check_box``).
     """
-    grp = source.group
-    free, orders = grp.free_rank, grp.cyclic_orders
-    lo, span, starts = _ball_box(grp, ball)
-    top = schedule[-1]
-    shape = [s + top - 1 for s in span] + list(orders)
-    box = source.range_values(lo, tuple(a + s for a, s in zip(lo, shape))).reshape(shape)
-    windows = [(n,) * free for n in schedule]
-    if orders:
-        box = np.pad(box, [(0, 0)] * free + [(0, min(top, k) - 1) for k in orders], mode="wrap")
-        windows = [w + tuple(min(n, k) for k in orders) for n, w in zip(schedule, windows)]
+    lo, hi, shape, pad, windows, starts = _box_plan(source.group, ball, schedule)
+    box = source.range_values(lo, hi).reshape(shape)
+    if pad:
+        box = np.pad(box, pad, mode="wrap")
     yield from zip(schedule, _windows.window_means(box, starts, windows, WINDOW_BLOCK_ELEMENTS))
 
 
