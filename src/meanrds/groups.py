@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 
 class GroupSpecError(ValueError):
@@ -63,11 +66,6 @@ class AmenableGroup:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"C{k}" for k in self.cyclic_orders)
         return " x ".join(parts)
-
-    @property
-    def is_line(self) -> bool:
-        """True for Z itself; enables contiguous-orbit fast paths."""
-        return self.free_rank == 1 and not self.cyclic_orders
 
     def identity(self) -> tuple[int, ...]:
         return (0,) * self.rank
@@ -209,21 +207,40 @@ def search_ball(
 ) -> tuple[tuple[int, ...], ...]:
     """All elements of word length <= radius, lexicographically sorted.
 
-    Cached per (group, radius, budget); a ``BudgetError`` is not cached."""
+    The ball is counted first, from the word-length distribution of each
+    factor, and a ``BudgetError`` raised before anything is built. Then each
+    coordinate in turn extends the elements of the leading coordinates
+    whose length is still within the radius; extending sorted prefixes by
+    ascending values keeps the lexicographic order. Cached per (group,
+    radius, budget); a ``BudgetError`` is not cached."""
     if radius < 0:
         raise GroupSpecError(f"radius must be nonnegative, got {radius}")
-    out: list[tuple[int, ...]] = []
-
-    free_axes = [range(-radius, radius + 1)] * group.free_rank
-    cyc_axes = [range(k) for k in group.cyclic_orders]
-    count = 0
-    for combo in itertools.product(*free_axes, *cyc_axes):
-        if group.word_length(combo) <= radius:
-            count += 1
-            if count > element_budget:
-                raise BudgetError(
-                    f"ball of radius {radius} exceeds budget {element_budget}"
-                )
-            out.append(combo)
-    out.sort()
-    return tuple(out)
+    over = BudgetError(f"ball of radius {radius} exceeds budget {element_budget}")
+    axes = []
+    counts = np.ones(1)  # the ball of the factors so far, by word length
+    for k in group.generator_orders():
+        # the ball is no smaller than its part on this axis or than the ball
+        # of the factors so far, so each is checked before it is built
+        if min(2 * radius + 1, k or math.inf) > element_budget:
+            raise over
+        if k is None:
+            values = np.arange(-radius, radius + 1)
+        elif 2 * radius + 1 >= k:
+            values = np.arange(k)
+        else:
+            values = np.r_[0:radius + 1, k - radius:k]
+        lengths = np.abs(values) if k is None else np.minimum(values, k - values)
+        shells = np.bincount(lengths)
+        within = np.cumsum(shells)[np.minimum(radius - np.arange(len(counts)), len(shells) - 1)]
+        if counts @ within > element_budget:
+            raise over
+        counts = np.convolve(counts, shells)[:radius + 1]
+        axes.append((values, lengths))
+    coords, length = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for values, lengths in axes:
+        total = (length[:, None] + lengths).ravel()
+        keep = total <= radius
+        coords = np.column_stack((np.repeat(coords, len(values), axis=0),
+                                  np.tile(values, len(coords))))[keep]
+        length = total[keep]
+    return tuple(map(tuple, coords.tolist()))

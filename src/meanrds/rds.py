@@ -15,11 +15,11 @@ kernel so their outputs agree bitwise on identical inputs.
 
 A pair's values are read over boxes of group elements from one
 :class:`PairEngine` per pair, which walks each fiber once for every reader of
-that pair. On Z, where a box is a range, one scalar line walk per fiber grows
-on demand. Elsewhere a box walk follows the canonical coordinate path: the
-first axis from the single starting state in the scalar kernel, each later
-axis with every state reached stepping at once in numpy; the engine keeps
-each box it has walked. All of them take the same left-to-right matrix step.
+that pair, on Z (the rank-1 case) as on every other group. A box walk
+follows the canonical coordinate path: the first axis out of one line of
+states per fiber, grown on demand in the scalar kernel, each later axis
+with every state reached stepping at once in numpy; the engine keeps each
+box it has walked. Both take the same left-to-right matrix step.
 
 Integer matrix entries use Python ints (arbitrary precision), so cocycle
 composition cannot overflow; entry growth is bounded in practice by the
@@ -626,38 +626,6 @@ def _fold_norm_rows(coords: np.ndarray) -> np.ndarray:
     return np.sqrt(s)
 
 
-class _LineWalk:
-    """Folded difference-vector values along a Z-orbit, grown on demand.
-
-    ``right[t]`` is the value at time t >= 0 and ``left[j]`` the value at
-    t = -1-j; ``rstate`` / ``lstate`` hold the (base point, raw difference
-    vector) at the outermost time computed on each side."""
-
-    def __init__(self, system: RandomDynamicalSystem, omega0: int, delta0):
-        self.walk = _WALKS[system.dim]
-        self.fwd = system._steps[0][1]
-        self.back = system._steps[0][-1]
-        self.right = _fold_norm_rows(np.asarray([delta0], dtype=np.float64))
-        self.left = np.empty(0)
-        self.rstate = self.lstate = (omega0, tuple(delta0))
-
-    def _grow(self, vals, state, steps, count):
-        w, d, raw = self.walk(state[0], state[1], count, *steps)
-        new = _fold_norm_rows(np.asarray(raw, dtype=np.float64).reshape(count, -1))
-        return np.concatenate((vals, new)), (w, d)
-
-    def array(self, lo: int, hi: int) -> np.ndarray:
-        """Values at t = lo, ..., hi-1 as a new float array."""
-        if hi > len(self.right):
-            self.right, self.rstate = self._grow(
-                self.right, self.rstate, self.fwd, hi - len(self.right))
-        if -lo > len(self.left):
-            self.left, self.lstate = self._grow(
-                self.left, self.lstate, self.back, -lo - len(self.left))
-        left = self.left[max(-hi, 0):max(-lo, 0)][::-1]
-        return np.concatenate((left, self.right[max(lo, 0):max(hi, 0)]))
-
-
 def _step_rows(w, d, nxt, rows):
     """One canonical matrix step of every state at once: the left-to-right
     row sums and mod-1 reduction of the walk kernels, on numpy columns."""
@@ -672,32 +640,11 @@ def _step_rows(w, d, nxt, rows):
     return nxt[w], out
 
 
-def _walk_line(w0: int, d0, steps, lo: int, hi: int):
-    """:func:`_walk_axis` from a single state, through the scalar kernel;
-    the base points come from the successor and predecessor tables."""
-    start = tuple(d0.tolist())
-    sides = []
-    for sign, count in ((1, max(hi - 1, 0)), (-1, max(-lo, 0))):
-        nxt, rows = steps[sign]
-        coords = _WALKS[len(start)](w0, start, count, nxt, rows)[2]
-        bases = [w0]
-        for _ in range(count):
-            bases.append(nxt[bases[-1]])
-        sides.append((bases[1:], np.asarray(coords, dtype=np.float64).reshape(-1, len(start))))
-    (ahead_w, ahead), (behind_w, behind) = sides
-    bases = np.asarray(behind_w[::-1] + [w0] + ahead_w)
-    coords = np.concatenate((behind[::-1], [start], ahead))
-    keep = slice(lo + len(behind_w), hi + len(behind_w))
-    return bases[keep], coords[keep]
-
-
 def _walk_axis(w, d, steps, lo: int, hi: int):
     """States at positions lo..hi-1 along one generator from each state
     (w, d) at 0, as (base points, vectors) with the position varying
-    fastest; ``steps`` maps 1 and -1 to the kernel tables. A single state,
-    as on a box's first axis, steps through the scalar kernel."""
-    if len(w) == 1:
-        return _walk_line(int(w[0]), d[0], steps, lo, hi)
+    fastest; ``steps`` maps 1 and -1 to the kernel tables. Every state takes
+    its step at once, as numpy columns."""
     states = {0: (w, d)}
     for sign, stop in ((1, hi), (-1, lo - 1)):
         nxt, rows = steps[sign]
@@ -716,13 +663,14 @@ class PairEngine:
     elements, flattened in row-major order (coordinate 0 slowest).
 
     Build one engine per pair and read every profile of the pair from it:
-    each fiber is then walked once, however many scans read it. On Z a box
-    is a range of times (its corners may be ints), served by one growing
-    :class:`_LineWalk` per fiber. Elsewhere :func:`_walk_axis` walks the box
-    along the canonical path, coordinate 0 first (in the scalar kernel, from
-    the one starting state) and cyclic ones forward, so values are bitwise
-    those of the scalar kernels; each walked box is kept, read-only, keyed
-    by (fiber, lo, hi), for as long as the engine lives. The ``*_at``
+    each fiber is then walked once, however many scans read it. Each fiber
+    has one line of raw difference vectors along generator 0, grown on
+    demand in the scalar kernel; a box takes its first axis from that line,
+    and :func:`_walk_axis` walks each later axis along the canonical path
+    (cyclic ones forward), so values are bitwise those of the scalar
+    kernels. Z is the rank-1 case: its boxes are ranges of times, and int
+    corners are read as rank-1 ones. Each box is folded and kept, read-only,
+    keyed by (fiber, lo, hi), for as long as the engine lives. The ``*_at``
     methods read one-element boxes.
     """
 
@@ -734,30 +682,49 @@ class PairEngine:
             raise DomainError("point dimension does not match the system")
         self.delta0 = torus_delta(self.x, self.y)
         self.admissible = system.admissible_fibers(self.x, self.y)
-        self._line_walks: dict[int, _LineWalk] = {}
+        self._lines: dict[int, dict] = {}
         self._boxes: dict[tuple, np.ndarray] = {}
 
     def _box(self, lo, hi):
-        """The corners as tuples, checked against the group, and the box
-        size; int corners are times on Z."""
+        """The corners as tuples, checked against the group (an int corner
+        is a rank-1 one), and the box size."""
         grp = self.sys.group
-        if grp.is_line and isinstance(lo, Integral) and isinstance(hi, Integral):
-            return (lo,), (hi,), hi - lo
+        lo, hi = ((c,) if isinstance(c, Integral) else c for c in (lo, hi))
         lo = grp.check_element(lo)
         grp.check_element([b - 1 for b in hi])
         return lo, tuple(hi), math.prod(b - a for a, b in zip(lo, hi))
 
+    def _first_axis(self, omega_idx: int, lo: int, hi: int) -> np.ndarray:
+        """Raw difference vectors at t = lo..hi-1 along generator 0 from
+        fiber omega_idx, out of the fiber's line: for each direction the
+        vectors at t = 0, 1, ... (or -1, -2, ...) and the (base point,
+        vector) at the outer end, from which the scalar kernel grows it."""
+        line = self._lines.get(omega_idx)
+        if line is None:
+            start = (omega_idx, self.delta0)
+            line = self._lines[omega_idx] = {
+                1: (np.asarray([self.delta0], dtype=np.float64), start),
+                -1: (np.empty((0, self.sys.dim)), start)}
+        for sign, need in ((1, hi), (-1, -lo)):
+            vecs, (w, d) = line[sign]
+            count = need - len(vecs)
+            if count > 0:
+                w, d, raw = _WALKS[self.sys.dim](w, d, count, *self.sys._steps[0][sign])
+                raw = np.asarray(raw, dtype=np.float64).reshape(count, -1)
+                line[sign] = np.concatenate((vecs, raw)), (w, d)
+        right, left = line[1][0], line[-1][0]
+        return np.concatenate((left[max(-hi, 0):max(-lo, 0)][::-1], right[max(lo, 0):max(hi, 0)]))
+
     def _fiber_box(self, omega_idx: int, lo, hi) -> np.ndarray:
-        if self.sys.group.is_line:
-            lw = self._line_walks.get(omega_idx)
-            if lw is None:
-                lw = self._line_walks[omega_idx] = _LineWalk(self.sys, omega_idx, self.delta0)
-            return lw.array(lo[0], hi[0])
         vals = self._boxes.get((omega_idx, lo, hi))
         if vals is None:
-            w, d = np.asarray([omega_idx]), np.asarray([self.delta0], dtype=np.float64)
-            for steps, a, b in zip(self.sys._steps, lo, hi):
-                w, d = _walk_axis(w, d, steps, a, b)
+            d = self._first_axis(omega_idx, lo[0], hi[0])
+            if len(lo) > 1:
+                powers = self.sys.base._powers[0]
+                cycle = np.asarray(powers.cycles[powers.cycle_of[omega_idx]])
+                w = cycle[(powers.pos_in_cycle[omega_idx] + np.arange(lo[0], hi[0])) % len(cycle)]
+                for steps, a, b in zip(self.sys._steps[1:], lo[1:], hi[1:]):
+                    w, d = _walk_axis(w, d, steps, a, b)
             vals = self._boxes[omega_idx, lo, hi] = _fold_norm_rows(d)
             vals.flags.writeable = False
         return vals

@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from meanrds.groups import (
@@ -141,3 +142,31 @@ def test_search_ball_budget():
     g = parse_group("Z^3")
     with pytest.raises(BudgetError):
         search_ball(g, 40, element_budget=100)
+
+
+def _filtered_cube(group, radius):
+    """Reference ball: every element of the (2r+1)^a x prod k cube, filtered
+    by word length, sorted."""
+    cube = itertools.product(*[range(-radius, radius + 1)] * group.free_rank,
+                             *[range(k) for k in group.cyclic_orders])
+    return tuple(sorted(g for g in cube if group.word_length(g) <= radius))
+
+
+@pytest.mark.parametrize("spec", ["Z", "Z^2", "Z^3", "Z x C3"])
+def test_search_ball_matches_the_filtered_cube(spec):
+    g = parse_group(spec)
+    for r in (0, 1, 2, 3, 5, 8):
+        ball = search_ball(g, r)
+        assert ball == _filtered_cube(g, r)
+        assert {type(v) for e in ball for v in e} == {int}  # translates go into JSON
+
+
+@pytest.mark.parametrize("spec,radius,budget", [
+    ("Z^3", 40, 88_640),  # the ball has 88 641 elements
+    ("Z", 10, 20),
+    ("Z x C1000001", 999_999, 2_000_000),  # fits on each axis, not as a ball
+])
+def test_search_ball_over_budget_raises_before_building(spec, radius, budget, monkeypatch):
+    monkeypatch.setattr(np, "column_stack", lambda *a: pytest.fail("the ball was built"))
+    with pytest.raises(BudgetError, match=f"ball of radius {radius} exceeds budget {budget}"):
+        search_ball(parse_group(spec), radius, budget)

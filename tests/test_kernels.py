@@ -103,8 +103,9 @@ def test_line_walk_matches_reference_walk(system):
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.name)
 def test_element_path_matches_line_walk(system):
-    """The batched axis step of the box walk (the path off Z), started from
-    every base point at once, takes the scalar line walk's steps."""
+    """The batched axis step that walks a box's later axes, started from
+    every base point at once along generator 0, takes the steps of the
+    scalar kernel that grows each fiber's first-axis line."""
     rng = np.random.default_rng(5)
     engine = system.pair_engine(system.fibers[0].sample(rng), system.fibers[0].sample(rng))
     size = system.base.size
@@ -164,23 +165,40 @@ def test_box_walk_matches_reference_elements(spec, x, y, lo, hi):
 
 
 def test_pair_summary_walks_each_fiber_once(monkeypatch):
-    """One engine serves a whole pair summary: on cat2 at the default caps
-    each fiber is stepped 4095 times forward (the n_max windows) and 64 times
-    backward (the search radius), however many estimators read it."""
-    system = catalog.load("cat2")
-    forward_table = system._steps[0][1][0]
-    kernel = rds._WALKS[system.dim]
-    steps = {1: 0, -1: 0}
+    """One engine serves a whole pair summary: each fiber's first axis is
+    stepped once per direction, as far as the boxes read reach, however many
+    estimators and boxes read it. On cat2 at the default caps that is 4095
+    steps forward (the n_max windows) and 64 back (the search radius); off
+    Z, on a grid fixture, the boxes of different scans share one line."""
+    kernel = rds._WALKS[2]
+    calls, boxes = [], []
+    fiber_box = rds.PairEngine._fiber_box
 
     def counting(w, d, count, nxt, rows):
-        steps[1 if nxt is forward_table else -1] += count
+        calls.append((nxt, count))
         return kernel(w, d, count, nxt, rows)
 
-    monkeypatch.setitem(rds._WALKS, system.dim, counting)
+    def recording(engine, omega_idx, lo, hi):
+        boxes.append((engine.sys, omega_idx, lo[0], hi[0]))
+        return fiber_box(engine, omega_idx, lo, hi)
+
+    monkeypatch.setitem(rds._WALKS, 2, counting)
+    monkeypatch.setattr(rds.PairEngine, "_fiber_box", recording)
     x, y = (0.1, 0.2), (0.1004, 0.2002)
-    out = pair_summary(system, x, y, EstimatorConfig())
-    assert "integral-besicovitch" in out and system.admissible_fibers(x, y) == (0, 1)
-    assert steps == {1: 2 * 4095, -1: 2 * 64}
+    cases = [(catalog.load("cat2"), EstimatorConfig()),
+             (catalog.build_system(ZXC2_CAT2), EstimatorConfig(n_max=512, m_max=128))]
+    for system, cfg in cases:
+        out = pair_summary(system, x, y, cfg)
+        assert "integral-besicovitch" in out and system.admissible_fibers(x, y) == (0, 1)
+        steps = {sign: sum(n for nxt, n in calls if nxt is system._steps[0][sign][0])
+                 for sign in (1, -1)}
+        reads = [(i, lo, hi) for s, i, lo, hi in boxes if s is system]
+        assert len({(lo, hi) for _, lo, hi in reads}) > 1
+        assert steps == {
+            1: sum(max(hi for j, _, hi in reads if j == i) - 1 for i in (0, 1)),
+            -1: sum(max(-lo for j, lo, _ in reads if j == i) for i in (0, 1))}
+        if system.group.rank == 1:
+            assert steps == {1: 2 * 4095, -1: 2 * 64}
 
 
 def _profiles():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -319,7 +320,7 @@ SUMMARY_SYSTEMS = [catalog.load(n) for n in catalog.names()] + [
 @pytest.mark.parametrize("system", SUMMARY_SYSTEMS, ids=lambda s: s.name)
 def test_pair_summary_equals_the_standalone_estimators(system):
     """One pair summary gives, bitwise, what each estimator gives on its own."""
-    if system.group.is_line:
+    if system.group.rank == 1:
         cfg = EstimatorConfig(n_max=1024, m_max=256, search_radius=16)
     else:
         cfg = EstimatorConfig(n_max=64, m_max=16, search_radius=2)
@@ -489,3 +490,32 @@ def test_box_over_the_element_budget_raises_before_the_ball(scan, side, monkeypa
                         lambda *a: pytest.fail("the ball was built"))
     with pytest.raises(BudgetError, match=rf"box \[{side}, {side}, {side}\]"):
         scan(_ConstantSource(parse_group("Z^3")), EstimatorConfig())
+
+
+# The slowest case, Z^2 x C2 at the default caps, takes 0.28 s on a 2 vCPU
+# Xeon (Python 3.11, numpy 2.4); the bound gives it five times that.
+GATE_SECONDS = 1.5
+
+
+@pytest.mark.parametrize("cfg", [EstimatorConfig(n_max=64, m_max=16, search_radius=4),
+                                 EstimatorConfig()], ids=["small-caps", "default-caps"])
+@pytest.mark.parametrize("spec", ["Z", "Z^2", "Z^3", "Z x C2", "Z x C3", "Z^2 x C2", "C3"])
+def test_every_group_finishes_in_bounded_time_or_raises(spec, cfg):
+    """One pair summary on a one-point system over each group either ends
+    within GATE_SECONDS or raises BudgetError or GroupSpecError; it never
+    silently runs for minutes."""
+    group = parse_group(spec)
+    system = catalog.build_system({
+        "name": f"gate-{spec}",
+        "group": spec,
+        "dim": 1,
+        "base": {"labels": ["w0"], "weights": [1.0], "perms": [[0]] * group.rank},
+        "maps": [[{"matrix": [[1]], "shift": [0.125 if k is None else 0.0]}]
+                 for k in group.generator_orders()],
+    })
+    start = time.perf_counter()
+    try:
+        pair_summary(system, (0.1,), (0.35,), cfg)
+    except (BudgetError, GroupSpecError):
+        pass
+    assert time.perf_counter() - start < GATE_SECONDS

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from meanrds.groups import parse_group
+from grid_fixtures import Z2_CAT
+from meanrds.groups import GroupSpecError, parse_group
 from meanrds.rds import (
     BaseSpace,
     DomainError,
@@ -208,6 +209,19 @@ def test_pair_engine_ranges_match_pointwise():
     assert np.all(sup >= vals)
     mix = eng.integral_range(-5, 9)
     assert np.all(mix <= sup + 1e-12)
+
+
+def test_int_corners_are_rank_one_corners():
+    """On Z an int corner (Python or numpy) reads the box of the 1-tuple,
+    which the engine keeps read-only; on any other group it is rejected."""
+    eng = catalog.load("cat2").pair_engine((0.1, 0.2), (0.15, 0.9))
+    kept = eng.fiber_range("w1", (-5,), (9,))
+    assert not kept.flags.writeable
+    assert eng.fiber_range("w1", -5, 9) is kept
+    assert eng.fiber_range("w1", np.int64(-5), np.int64(9)) is kept
+    grid = catalog.build_system(Z2_CAT).pair_engine((0.1, 0.2), (0.15, 0.9))
+    with pytest.raises(GroupSpecError, match="wrong rank"):
+        grid.fiber_range(0, -5, 9)
 
 
 def test_integral_requires_membership_everywhere():
