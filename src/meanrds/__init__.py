@@ -29,7 +29,6 @@ from .rds import (
     fold_norm,
     reduce_point,
     torus_delta,
-    torus_diameter,
     torus_distance,
     validate,
 )

@@ -14,6 +14,8 @@ Five fixtures spanning both sides of the dichotomy:
   2-torus and one hyperbolic; the hyperbolic fiber drives the sup
   separation while the rotation fiber alone would be mean-equicontinuous.
 
+Each is a plain dict in the config-file ``system`` shape, and :func:`load`
+builds it with :func:`build_system`, as a config file's system is built.
 Angles are irrational in exact arithmetic; as floats they are rationals of
 astronomical period, far beyond every window used here.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 
 from .groups import parse_group
-from .rds import BaseSpace, FiberMap, FiberSpace, RandomDynamicalSystem
+from .rds import BaseSpace, FiberMap, FiberSpace, RandomDynamicalSystem, SystemSpecError
 
 CAT_MATRIX = ((2, 1), (1, 1))
 CAT_MATRIX_B = ((3, 2), (1, 1))
@@ -32,115 +34,101 @@ ROT2_ANGLES = (math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0)
 GOLDEN_ANGLE = (math.sqrt(5.0) - 1.0) / 2.0
 MIXED_ANGLES = (math.sqrt(2.0) - 1.0, (math.sqrt(5.0) - 1.0) / 2.0)
 
-
-def _rot2() -> RandomDynamicalSystem:
-    base = BaseSpace(("w0", "w1"), (0.5, 0.5), ((1, 0),))
-    return RandomDynamicalSystem(
-        name="rot2",
-        group=parse_group("Z"),
-        base=base,
-        dim=1,
-        fibers=(FiberSpace.full(1), FiberSpace.full(1)),
-        maps=((FiberMap.rotation((ROT2_ANGLES[0],)), FiberMap.rotation((ROT2_ANGLES[1],))),),
-        declared={
+# the bundled systems in the config-file ``system`` shape of build_system
+_SPECS = {
+    "rot2": {
+        "group": "Z",
+        "dim": 1,
+        "base": {"labels": ["w0", "w1"], "weights": [0.5, 0.5], "perms": [[1, 0]]},
+        "maps": [[
+            {"matrix": [[1]], "shift": [ROT2_ANGLES[0]]},
+            {"matrix": [[1]], "shift": [ROT2_ANGLES[1]]},
+        ]],
+        "declared": {
             "expected": "wme-evidence",
             "minimal_base": True,
             "notes": "isometric fibers; separation profiles are constant",
         },
-    )
-
-
-def _rot1_trivial() -> RandomDynamicalSystem:
-    base = BaseSpace(("w0",), (1.0,), ((0,),))
-    return RandomDynamicalSystem(
-        name="rot1-trivial",
-        group=parse_group("Z"),
-        base=base,
-        dim=1,
-        fibers=(FiberSpace.full(1),),
-        maps=((FiberMap.rotation((GOLDEN_ANGLE,)),),),
-        declared={
+    },
+    "rot1-trivial": {
+        "group": "Z",
+        "dim": 1,
+        "base": {"labels": ["w0"], "weights": [1.0], "perms": [[0]]},
+        "maps": [[{"matrix": [[1]], "shift": [GOLDEN_ANGLE]}]],
+        "declared": {
             "expected": "wme-evidence",
-            "minimal_base": False,
+            "minimal_base": True,
             "notes": "one-point base; the skew product is a circle rotation",
         },
-    )
-
-
-def _cat_trivial() -> RandomDynamicalSystem:
-    base = BaseSpace(("w0",), (1.0,), ((0,),))
-    return RandomDynamicalSystem(
-        name="cat-trivial",
-        group=parse_group("Z"),
-        base=base,
-        dim=2,
-        fibers=(FiberSpace.full(2),),
-        maps=((FiberMap(CAT_MATRIX, (0.0, 0.0)),),),
-        declared={
+    },
+    "cat-trivial": {
+        "group": "Z",
+        "dim": 2,
+        "base": {"labels": ["w0"], "weights": [1.0], "perms": [[0]]},
+        "maps": [[{"matrix": CAT_MATRIX}]],
+        "declared": {
             "expected": "sensitive-evidence",
-            "minimal_base": False,
+            "minimal_base": True,
             "notes": "hyperbolic torus automorphism; difference orbits equidistribute",
         },
-    )
-
-
-def _cat2() -> RandomDynamicalSystem:
-    base = BaseSpace(("w0", "w1"), (0.5, 0.5), ((1, 0),))
-    return RandomDynamicalSystem(
-        name="cat2",
-        group=parse_group("Z"),
-        base=base,
-        dim=2,
-        fibers=(FiberSpace.full(2), FiberSpace.full(2)),
-        maps=((FiberMap(CAT_MATRIX, (0.0, 0.0)), FiberMap(CAT_MATRIX_B, (0.0, 0.0))),),
-        declared={
+    },
+    "cat2": {
+        "group": "Z",
+        "dim": 2,
+        "base": {"labels": ["w0", "w1"], "weights": [0.5, 0.5], "perms": [[1, 0]]},
+        "maps": [[{"matrix": CAT_MATRIX}, {"matrix": CAT_MATRIX_B}]],
+        "declared": {
             "expected": "sensitive-evidence",
             "minimal_base": True,
             "notes": "alternating hyperbolic matrices",
         },
-    )
-
-
-def _mixed() -> RandomDynamicalSystem:
-    base = BaseSpace(("w0", "w1"), (0.5, 0.5), ((0, 1),))
-    return RandomDynamicalSystem(
-        name="mixed",
-        group=parse_group("Z"),
-        base=base,
-        dim=2,
-        fibers=(FiberSpace.full(2), FiberSpace.full(2)),
-        maps=(
-            (FiberMap.rotation(MIXED_ANGLES), FiberMap(CAT_MATRIX, (0.0, 0.0))),
-        ),
-        declared={
+    },
+    "mixed": {
+        "group": "Z",
+        "dim": 2,
+        "base": {"labels": ["w0", "w1"], "weights": [0.5, 0.5], "perms": [[0, 1]]},
+        "maps": [[
+            {"matrix": [[1, 0], [0, 1]], "shift": list(MIXED_ANGLES)},
+            {"matrix": CAT_MATRIX},
+        ]],
+        "declared": {
             "expected": "sensitive-evidence",
             "minimal_base": False,
             "notes": "base action fixes both fibers; the hyperbolic fiber drives the sup",
         },
-    )
-
-
-_BUILDERS = {
-    "rot2": _rot2,
-    "rot1-trivial": _rot1_trivial,
-    "cat-trivial": _cat_trivial,
-    "cat2": _cat2,
-    "mixed": _mixed,
+    },
 }
 
 
 def names() -> tuple[str, ...]:
-    return tuple(_BUILDERS)
+    return tuple(_SPECS)
 
 
 def load(name: str) -> RandomDynamicalSystem:
     try:
-        builder = _BUILDERS[name]
+        spec = _SPECS[name]
     except KeyError:
         raise KeyError(
-            f"unknown system {name!r}; available: {', '.join(_BUILDERS)}"
+            f"unknown system {name!r}; available: {', '.join(_SPECS)}"
         ) from None
-    return builder()
+    return build_system({"name": name, **spec})
+
+
+def _spec_object(value, what: str, key: str) -> dict:
+    if not isinstance(value, dict) or key not in value:
+        raise SystemSpecError(f"{what} {value!r} is not an object with a {key!r}")
+    return value
+
+
+def _fiber_map(entry, dim: int) -> FiberMap:
+    entry = _spec_object(entry, "map entry", "matrix")
+    return FiberMap(entry["matrix"], entry.get("shift", [0.0] * dim))
+
+
+def _fiber_space(entry, dim: int) -> FiberSpace:
+    if entry == "full":
+        return FiberSpace.full(dim)
+    return FiberSpace(dim, _spec_object(entry, "fibers entry", "slices")["slices"])
 
 
 def build_system(spec: dict) -> RandomDynamicalSystem:
@@ -150,44 +138,27 @@ def build_system(spec: dict) -> RandomDynamicalSystem:
     ``weights``, and ``perms`` (one permutation per generator), ``maps`` as a
     list per generator of per-base-point ``{"matrix": ..., "shift": ...}``,
     and optionally ``fibers`` (``"full"`` or ``{"slices": [[[axis, value],
-    ...], ...]}`` per base point), ``name``, ``declared``.
+    ...], ...]}`` per base point), ``name``, ``declared``. The base, fiber
+    and map classes convert and check the values themselves.
     """
     group = parse_group(spec["group"])
-    base_spec = spec["base"]
-    base = BaseSpace(
-        tuple(base_spec["labels"]),
-        tuple(float(w) for w in base_spec["weights"]),
-        tuple(tuple(int(i) for i in p) for p in base_spec["perms"]),
-    )
+    base_spec = _spec_object(spec["base"], "base", "labels")
+    base = BaseSpace(base_spec["labels"], base_spec["weights"], base_spec["perms"])
     dim = int(spec["dim"])
     fibers_spec = spec.get("fibers")
-    fibers = []
-    for k in range(base.size):
-        fs = "full" if fibers_spec is None else fibers_spec[k]
-        if fs == "full":
-            fibers.append(FiberSpace.full(dim))
-        else:
-            slices = tuple(
-                tuple((int(ax), float(val)) for ax, val in sl) for sl in fs["slices"]
-            )
-            fibers.append(FiberSpace(dim, slices))
-    maps = tuple(
-        tuple(
-            FiberMap(
-                tuple(tuple(int(v) for v in row) for row in m["matrix"]),
-                tuple(float(s) for s in m.get("shift", [0.0] * dim)),
-            )
-            for m in gen_row
+    if fibers_spec is None:
+        fibers_spec = ["full"] * base.size
+    elif len(fibers_spec) != base.size:
+        raise SystemSpecError(
+            f"need one fibers entry per base point ({base.size}), got {len(fibers_spec)}"
         )
-        for gen_row in spec["maps"]
-    )
     return RandomDynamicalSystem(
         name=str(spec.get("name", "custom")),
         group=group,
         base=base,
         dim=dim,
-        fibers=tuple(fibers),
-        maps=maps,
+        fibers=tuple(_fiber_space(fs, dim) for fs in fibers_spec),
+        maps=tuple(tuple(_fiber_map(m, dim) for m in row) for row in spec["maps"]),
         declared=dict(spec.get("declared", {})),
     )
 

@@ -14,6 +14,11 @@ Three seeded probes feed one report:
   Weyl separation exceeds delta0. A point is robust when every eps yields a
   witness; the probe passes when all sampled points are robust.
 
+The two modulus probes run through one delta descent, ``_modulus_search``:
+per delta it draws every pair before measuring any and stops at the first
+pair that reaches eps, so a delta's draws do not depend on how many of its
+pairs are measured.
+
 The verdict is "wme-evidence" or "sensitive-evidence" only when exactly one
 side holds; anything else is "inconclusive" with an escalation suggestion.
 Regions of eps-equicontinuity points and their finite-depth intersections
@@ -30,6 +35,7 @@ import numpy as np
 from .density import banach_upper_density, separation_set
 from .pseudometrics import (
     EstimatorConfig,
+    _check_field_types,
     banach_mean,
     fiber_weyl,
     pair_source,
@@ -50,6 +56,7 @@ class ClassifierConfig:
     grid_resolution: int = 16
 
     def __post_init__(self):
+        _check_field_types(self)
         for name in ("eps_list", "delta_grid", "eps_sequence"):
             vals = getattr(self, name)
             if not vals or any(v <= 0 for v in vals):
@@ -152,18 +159,32 @@ def _sample_pair(system, delta, rng):
     return idx, x, y
 
 
-def _scan_until_failure(items, evaluate, fails):
-    """Evaluate items in order, stopping at the first failing result.
+def _modulus_search(system, ccfg: ClassifierConfig, rng, measure) -> list[tuple]:
+    """The delta descent of both modulus probes.
 
-    Returns the evaluated results up to and including the failure.
-    """
-    out = []
-    for it in items:
-        r = evaluate(it)
-        out.append(r)
-        if fails(r):
-            break
-    return out
+    For each eps, walk down ``ccfg.delta_grid``. At each delta, draw all
+    ``pair_budget`` pairs within delta before measuring any, then measure
+    them in order, stopping at the first whose value ``measure(x, y, eps)``
+    reaches eps. The first delta whose measured pairs all stay below eps is
+    the modulus. Returns one (eps, delta or None, pairs measured, worst
+    value, passed) row per eps; the counts are those of the last delta
+    tried."""
+    rows = []
+    for eps in ccfg.eps_list:
+        found = None
+        for delta in ccfg.delta_grid:
+            pairs = [_sample_pair(system, delta, rng) for _ in range(ccfg.pair_budget)]
+            values = []
+            for _, x, y in pairs:
+                values.append(measure(x, y, eps))
+                if values[-1] >= eps:
+                    break
+            worst = max(values)
+            if worst < eps:
+                found = delta
+                break
+        rows.append((eps, found, len(values), worst, found is not None))
+    return rows
 
 
 def wme_test(
@@ -172,28 +193,13 @@ def wme_test(
     ccfg: ClassifierConfig,
     rng,
 ) -> WmeResult:
-    """Modulus search: largest grid delta keeping all pair separations < eps.
+    """Modulus search: largest grid delta keeping all pair separations < eps."""
 
-    Pairs are evaluated one at a time, in order."""
-    rows = []
-    for eps in ccfg.eps_list:
-        found = None
-        tested = 0
-        worst = 0.0
-        for delta in ccfg.delta_grid:
-            pairs = [_sample_pair(system, delta, rng) for _ in range(ccfg.pair_budget)]
-            vals = _scan_until_failure(
-                pairs,
-                lambda p: banach_mean(pair_source(system, p[1], p[2], "sup"), cfg).value,
-                lambda v: v >= eps,
-            )
-            tested = len(vals)
-            worst = max(vals)
-            if worst < eps:
-                found = delta
-                break
-        rows.append(ModulusRow(eps, found, tested, worst, found is not None))
-    return WmeResult(tuple(rows), all(r.passed for r in rows))
+    def measure(x, y, eps):
+        return banach_mean(pair_source(system, x, y, "sup"), cfg).value
+
+    rows = tuple(ModulusRow(*r) for r in _modulus_search(system, ccfg, rng, measure))
+    return WmeResult(rows, all(r.passed for r in rows))
 
 
 def mean_l_stable_test(
@@ -205,44 +211,22 @@ def mean_l_stable_test(
     """Like the modulus search, with the separation-set density as criterion.
 
     Also verifies the pointwise chain eps * density <= banach + tolerance on
-    every evaluated pair."""
-    rows = []
-    chain_ok = True
-    chain_detail = ""
+    every measured pair; the first violation is reported."""
+    first_violation = []
 
-    def evaluate(pair, eps):
-        _, x, y = pair
+    def measure(x, y, eps):
         src = pair_source(system, x, y, "sup")
         bd = banach_upper_density(separation_set(src, eps), cfg).value
         ban = banach_mean(src, cfg).value
-        return bd, ban
-
-    for eps in ccfg.eps_list:
-        found = None
-        tested = 0
-        worst = 0.0
-        for delta in ccfg.delta_grid:
-            pairs = [_sample_pair(system, delta, rng) for _ in range(ccfg.pair_budget)]
-            results = _scan_until_failure(
-                pairs,
-                lambda p: evaluate(p, eps),
-                lambda r: r[0] >= eps,
+        if eps * bd > ban + cfg.tolerance and not first_violation:
+            first_violation.append(
+                f"eps={eps:g}: eps*density {eps * bd:.6g} exceeds banach {ban:.6g}"
             )
-            tested = len(results)
-            worst = max(r[0] for r in results)
-            for bd, ban in results:
-                if eps * bd > ban + cfg.tolerance and chain_ok:
-                    chain_ok = False
-                    chain_detail = (
-                        f"eps={eps:g}: eps*density {eps * bd:.6g} exceeds "
-                        f"banach {ban:.6g}"
-                    )
-            if worst < eps:
-                found = delta
-                break
-        rows.append(StabilityRow(eps, found, tested, worst, found is not None))
+        return bd
+
+    rows = tuple(StabilityRow(*r) for r in _modulus_search(system, ccfg, rng, measure))
     return StabilityResult(
-        tuple(rows), all(r.passed for r in rows), chain_ok, chain_detail
+        rows, all(r.passed for r in rows), not first_violation, "".join(first_violation)
     )
 
 

@@ -122,8 +122,14 @@ def _effective_settings(args) -> dict:
     est = dataclasses.asdict(EstimatorConfig())
     cls = dataclasses.asdict(ClassifierConfig())
     file_cfg = _load_config_file(args.config) if args.config else {}
-    est.update(file_cfg.get("estimator", {}))
-    cls.update(file_cfg.get("classifier", {}))
+    for section, fields in (("estimator", est), ("classifier", cls)):
+        given = file_cfg.get(section, {})
+        if not isinstance(given, dict):
+            raise ValueError(f"config {section!r} must be a JSON object")
+        unknown = sorted(set(given) - set(fields))
+        if unknown:
+            raise ValueError(f"unknown {section} key(s) in config: {', '.join(unknown)}")
+        fields.update(given)
     seed = int(file_cfg.get("seed", 0))
     flag_map = {
         "n_max": "n_max",
@@ -139,13 +145,16 @@ def _effective_settings(args) -> dict:
     if args.seed is not None:
         seed = args.seed
     for key in ("eps_list", "delta_grid", "eps_sequence"):
-        if key in cls:
+        if isinstance(cls[key], list):
             cls[key] = tuple(cls[key])
+    system_spec = file_cfg.get("system")
+    if system_spec is not None and not isinstance(system_spec, dict):
+        raise ValueError("config 'system' must be a JSON object")
     settings = {
         "estimator": EstimatorConfig(**est),
         "classifier": ClassifierConfig(**cls),
         "seed": seed,
-        "system_spec": file_cfg.get("system"),
+        "system_spec": system_spec,
     }
     return settings
 

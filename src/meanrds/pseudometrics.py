@@ -40,6 +40,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -59,6 +60,30 @@ WEYL_NOTE = " (reported via the min-max identity over translated windows)"
 WINDOW_BLOCK_ELEMENTS = 1 << 18
 
 
+def _is_number(v, kind) -> bool:
+    # plain int and float first: an abstract-class check costs 20x more, and
+    # every CLI command builds four configs
+    if type(v) is int or (type(v) is float and kind is numbers.Real):
+        return True
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+def _check_field_types(cfg) -> None:
+    """Raise ValueError for a config value of the wrong kind: an int field
+    takes an integer, a float field a real number and a tuple field a list
+    of real numbers; a bool is none of these."""
+    for f in dataclasses.fields(cfg):
+        val = getattr(cfg, f.name)
+        if isinstance(f.default, tuple):
+            vals, kind, text = val, numbers.Real, "a list of real numbers"
+        elif isinstance(f.default, int):
+            vals, kind, text = (val,), numbers.Integral, "an integer"
+        else:
+            vals, kind, text = (val,), numbers.Real, "a real number"
+        if not isinstance(vals, (tuple, list)) or not all(_is_number(v, kind) for v in vals):
+            raise ValueError(f"{f.name} must be {text}, got {val!r}")
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Truncation parameters shared by every estimator.
@@ -76,6 +101,7 @@ class EstimatorConfig:
     element_budget: int = 2_000_000
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.n_max < 1 or self.m_max < 1:
             raise ValueError("window caps must be positive")
         if self.search_radius < 0:

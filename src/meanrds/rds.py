@@ -92,10 +92,6 @@ def torus_distance(x, y) -> float:
     return fold_norm(torus_delta(x, y))
 
 
-def torus_diameter(dim: int) -> float:
-    return math.sqrt(dim) / 2.0
-
-
 # ---------------------------------------------------------------------------
 # integer matrices (d <= 3)
 
@@ -251,10 +247,6 @@ class FiberSpace:
     @classmethod
     def full(cls, dim: int) -> "FiberSpace":
         return cls(dim, None)
-
-    @property
-    def is_full(self) -> bool:
-        return self.slices is None
 
     def membership_residual(self, x) -> float:
         """0 for members; otherwise the worst fixed-coordinate defect of the
@@ -501,15 +493,6 @@ class RandomDynamicalSystem:
         if self.identity_maps is None:
             return FiberMap.identity(self.dim)
         return self.identity_maps[omega_idx]
-
-    def generator_map(self, gen: int, omega_idx: int) -> FiberMap:
-        return self.maps[gen][omega_idx]
-
-    def inverse_generator_map(self, gen: int, omega_idx: int) -> FiberMap:
-        """Map of the inverse generator at w, i.e. the inverse of the
-        generator map at the predecessor fiber."""
-        prev = self.base.act_generator(gen, omega_idx, -1)
-        return self._inv_maps[gen][prev]
 
     def element_map(self, g, omega_idx: int) -> FiberMap:
         """Cocycle map F_{g, w} composed along the canonical coordinate path."""

@@ -1,8 +1,11 @@
 """Bundled example systems and the config-dict builder."""
 
+import json
+
 import pytest
 
 from meanrds import catalog
+from meanrds.cli import main
 from meanrds.rds import FiberSpace, validate
 
 
@@ -24,6 +27,38 @@ def test_declared_fields_present(name):
     assert sys_.declared["expected"] in ("wme-evidence", "sensitive-evidence")
     assert "minimal_base" in sys_.declared
     assert sys_.declared["notes"]
+
+
+def _acts_transitively_on_support(system) -> bool:
+    """Whether the generators' permutation orbit of one support point is the
+    whole support (a finite orbit is closed under the forward steps)."""
+    support = set(system.base.support)
+    orbit, todo = set(), [min(support)]
+    while todo:
+        w = todo.pop()
+        if w not in orbit:
+            orbit.add(w)
+            todo.extend(p[w] for p in system.base.generator_perms)
+    return orbit == support
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_declared_minimal_base_matches_the_orbits(name):
+    sys_ = catalog.load(name)
+    assert sys_.declared["minimal_base"] is _acts_transitively_on_support(sys_)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_bundled_spec_is_a_config_file(name, tmp_path, capsys):
+    """A bundled spec written as a config file's system gives the bytes of
+    the bundled system itself."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": {"name": name, **catalog._SPECS[name]}}))
+    argv = ["estimate", "--system", name, "--pairs", "3", "--seed", "7", "--json"]
+    assert main(argv) == 0
+    bundled = capsys.readouterr().out
+    assert main(argv + ["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == bundled
 
 
 def test_load_unknown_name():

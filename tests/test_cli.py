@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import meanrds
 from meanrds.cli import main
 
@@ -25,6 +27,14 @@ SMALL = {
         "eps_sequence": [0.1, 0.01, 0.001],
         "grid_resolution": 8,
     },
+}
+
+TWO_ROT = {
+    "name": "two-rot",
+    "group": "Z",
+    "dim": 1,
+    "base": {"labels": ["a", "b"], "weights": [0.5, 0.5], "perms": [[1, 0]]},
+    "maps": [[{"matrix": [[1]], "shift": [0.25]}, {"matrix": [[1]], "shift": [0.75]}]],
 }
 
 
@@ -248,18 +258,38 @@ def test_config_file_errors(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+BAD_CONFIGS = [
+    pytest.param({"classifier": {"pair_budget": 2.5}}, "pair_budget", id="float-pair-budget"),
+    pytest.param({"estimator": {"n_max": "64"}}, "n_max", id="string-n-max"),
+    pytest.param({"estimator": {"search_radius": 4.0}}, "search_radius", id="float-radius"),
+    pytest.param({"estimator": {"tolerance": True}}, "tolerance", id="bool-tolerance"),
+    pytest.param({"classifier": {"eps_list": 0.2}}, "eps_list", id="scalar-eps-list"),
+    pytest.param({"estimator": {"n_maxx": 64}}, "n_maxx", id="unknown-key"),
+    pytest.param({"estimator": [64]}, "estimator", id="section-not-object"),
+    pytest.param({"system": {**TWO_ROT, "fibers": ["full"]}}, "fibers", id="one-fiber-two-points"),
+    pytest.param({"system": {**TWO_ROT, "maps": [[[[1]], {"matrix": [[1]]}]]}}, "matrix",
+                 id="map-entry-not-object"),
+    pytest.param({"system": {**TWO_ROT, "maps": [[{"matrix": [[1.5]]}, {"matrix": [[1]]}]]}},
+                 "matrix entry", id="float-matrix-entry"),
+    pytest.param({"system": {**TWO_ROT, "fibers": ["full", 1]}}, "slices",
+                 id="fibers-entry-not-object"),
+    pytest.param({"system": {**TWO_ROT, "base": [["a", "b"]]}}, "base", id="base-not-object"),
+    pytest.param({"system": [TWO_ROT]}, "system", id="system-not-object"),
+]
+
+
+@pytest.mark.parametrize("data,names", BAD_CONFIGS)
+def test_bad_config_input_exits_one_without_traceback(tmp_path, capsys, data, names):
+    cfg = _cfg_file(tmp_path, {"system": TWO_ROT, **data})
+    assert main(["validate", "--system", "two-rot", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("meanrds: error:")
+    assert names in err
+    assert "Traceback" not in err
+
+
 def test_config_system_resolved_by_name(tmp_path, capsys):
-    spec = {
-        "name": "two-rot",
-        "group": "Z",
-        "dim": 1,
-        "base": {"labels": ["a", "b"], "weights": [0.5, 0.5], "perms": [[1, 0]]},
-        "maps": [[
-            {"matrix": [[1]], "shift": [0.25]},
-            {"matrix": [[1]], "shift": [0.75]},
-        ]],
-    }
-    cfg = _cfg_file(tmp_path, {"system": spec})
+    cfg = _cfg_file(tmp_path, {"system": TWO_ROT})
     assert main(["validate", "--system", "two-rot", "--config", cfg]) == 0
     assert "two-rot" in capsys.readouterr().out
 
