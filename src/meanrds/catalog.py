@@ -23,9 +23,17 @@ astronomical period, far beyond every window used here.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 from .groups import parse_group
-from .rds import BaseSpace, FiberMap, FiberSpace, RandomDynamicalSystem, SystemSpecError
+from .rds import (
+    BaseSpace,
+    FiberMap,
+    FiberSpace,
+    RandomDynamicalSystem,
+    SystemSpecError,
+    _is_number,
+)
 
 CAT_MATRIX = ((2, 1), (1, 1))
 CAT_MATRIX_B = ((3, 2), (1, 1))
@@ -144,7 +152,9 @@ def build_system(spec: dict) -> RandomDynamicalSystem:
     group = parse_group(spec["group"])
     base_spec = _spec_object(spec["base"], "base", "labels")
     base = BaseSpace(base_spec["labels"], base_spec["weights"], base_spec["perms"])
-    dim = int(spec["dim"])
+    dim = spec["dim"]
+    if not _is_number(dim, Integral):
+        raise SystemSpecError(f"dim {dim!r} is not an integer")
     fibers_spec = spec.get("fibers")
     if fibers_spec is None:
         fibers_spec = ["full"] * base.size

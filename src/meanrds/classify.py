@@ -17,7 +17,8 @@ Three seeded probes feed one report:
 The two modulus probes run through one delta descent, ``_modulus_search``:
 per delta it draws every pair before measuring any and stops at the first
 pair that reaches eps, so a delta's draws do not depend on how many of its
-pairs are measured.
+pairs are measured. A row's pairs are drawn in one pass, ``_sample_pairs``,
+which takes the random stream of n single pair draws.
 
 The verdict is "wme-evidence" or "sensitive-evidence" only when exactly one
 side holds; anything else is "inconclusive" with an escalation suggestion.
@@ -27,7 +28,9 @@ are provided for the openness diagnostics.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +44,13 @@ from .pseudometrics import (
     pair_source,
     sup_fiber_weyl,
 )
-from .rds import DTILDE_CONVENTION, RandomDynamicalSystem, torus_distance
+from .rds import (
+    DTILDE_CONVENTION,
+    RandomDynamicalSystem,
+    _direction_norm,
+    _near_point,
+    torus_distance,
+)
 
 
 @dataclass(frozen=True)
@@ -145,18 +154,68 @@ class RegionResult:
         return frozenset(pt for pt, _ in self.members)
 
 
-def _sample_support_index(base, rng) -> int:
-    """A support index drawn by weight: the draw, and the generator state
-    after it, of ``rng.choice(len(support), p=weights)``."""
-    return base.support[int(base.support_cdf.searchsorted(rng.random(), side="right"))]
+def _sample_pairs(system, delta, rng, n):
+    """n pairs (support index, x, y within delta of x), drawn in one pass.
 
+    Each pair takes the draws of a support draw by weight, then
+    ``FiberSpace.sample`` and ``FiberSpace.sample_near`` on that fiber, in
+    that order: the support uniform and the point's uniforms, the slice index
+    on a sliced fiber, the Gaussian direction over the free axes and, unless
+    there is no free axis or the direction's norm is 0, the radius uniform.
+    Adjacent uniforms are drawn in one call, so the stream, and the generator
+    state after the row, are those of n single draws. Every draw is made,
+    and the support indices and points are read for the whole row, before
+    this returns; the returned iterator computes each y, with
+    ``sample_near``'s step, when its pair is reached."""
+    base, d = system.base, system.dim
+    fibers = [system.fibers[i] for i in base.support]
+    # only a sliced fiber needs its pair's support index before the next draw
+    cdf = base.support_cdf.tolist() if any(fs.slices is not None for fs in fibers) else None
+    random, normal = rng.random, rng.standard_normal
+    chunks = [random(1 + d)]  # the uniforms, in stream order
+    steps = []  # per pair: its direction and norm, or None when no u is drawn
+    sliced = {}  # pair -> (x, start of its near step, free axes)
+    for i in range(n):
+        free = d
+        if cdf is not None:
+            fs = fibers[bisect.bisect_right(cdf, float(chunks[-1][-1 - d]))]
+            if fs.slices is not None:
+                x = chunks[-1][-d:].tolist()
+                for ax, val in fs.slices[int(rng.integers(len(fs.slices)))]:
+                    x[ax] = val
+                origin, axes = fs._near_base(x)
+                sliced[i] = (tuple(x), origin, axes)
+                free = len(axes)
+        step = None
+        if free:
+            direction = normal(free).tolist()
+            norm = _direction_norm(direction)
+            if norm > 0.0:
+                step = (direction, norm)
+        steps.append(step)
+        # this pair's radius uniform and the next pair's support and point
+        count = (step is not None) + (1 + d if i < n - 1 else 0)
+        if count:
+            chunks.append(random(count))
+    stream = np.concatenate(chunks)
+    # where each pair's uniforms start in the stream
+    at = list(itertools.accumulate((2 + d if step else 1 + d for step in steps[:-1]), initial=0))
+    support = np.asarray(base.support)[base.support_cdf.searchsorted(stream[at], side="right")]
+    uniforms = stream.tolist()
+    all_axes = tuple(range(d))
 
-def _sample_pair(system, delta, rng):
-    idx = _sample_support_index(system.base, rng)
-    fs = system.fibers[idx]
-    x = fs.sample(rng)
-    y = fs.sample_near(x, delta, rng)
-    return idx, x, y
+    def pairs():
+        for i, (idx, a, step) in enumerate(zip(support.tolist(), at, steps)):
+            x = origin = tuple(uniforms[a + 1:a + 1 + d])
+            free = all_axes
+            if i in sliced:
+                x, origin, free = sliced[i]
+            if step is None:
+                yield idx, x, origin
+            else:
+                yield idx, x, _near_point(origin, free, *step, uniforms[a + 1 + d], delta)
+
+    return pairs()
 
 
 def _modulus_search(system, ccfg: ClassifierConfig, rng, measure) -> list[tuple]:
@@ -173,7 +232,7 @@ def _modulus_search(system, ccfg: ClassifierConfig, rng, measure) -> list[tuple]
     for eps in ccfg.eps_list:
         found = None
         for delta in ccfg.delta_grid:
-            pairs = [_sample_pair(system, delta, rng) for _ in range(ccfg.pair_budget)]
+            pairs = _sample_pairs(system, delta, rng, ccfg.pair_budget)
             values = []
             for _, x, y in pairs:
                 values.append(measure(x, y, eps))

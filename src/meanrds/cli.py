@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from numbers import Integral
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .pseudometrics import (
     synthetic_source,
     translated_besicovitch_scan,
 )
-from .rds import DTILDE_CONVENTION, DomainError, SystemSpecError, validate
+from .rds import DTILDE_CONVENTION, DomainError, SystemSpecError, _is_number, validate
 
 SCHEMA_VERSION = "1"
 
@@ -130,7 +131,9 @@ def _effective_settings(args) -> dict:
         if unknown:
             raise ValueError(f"unknown {section} key(s) in config: {', '.join(unknown)}")
         fields.update(given)
-    seed = int(file_cfg.get("seed", 0))
+    seed = file_cfg.get("seed", 0)
+    if not _is_number(seed, Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     flag_map = {
         "n_max": "n_max",
         "m_max": "m_max",

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import _windows
 from .groups import AmenableGroup, BudgetError, FolnerFamily, parse_group, search_ball
-from .rds import DomainError, PairEngine, RandomDynamicalSystem
+from .rds import DomainError, PairEngine, RandomDynamicalSystem, _is_number
 
 BANACH_NOTE = "heuristic two-sided truncation (m_max={m}, radius={r})"
 BESICOVITCH_NOTE = "tail max over untranslated windows; truncation bias unknown"
@@ -58,14 +58,6 @@ WEYL_NOTE = " (reported via the min-max identity over translated windows)"
 # a window with a width that is not a power of two is gathered and summed in
 # blocks of about this many elements; blocks do not move a bit
 WINDOW_BLOCK_ELEMENTS = 1 << 18
-
-
-def _is_number(v, kind) -> bool:
-    # plain int and float first: an abstract-class check costs 20x more, and
-    # every CLI command builds four configs
-    if type(v) is int or (type(v) is float and kind is numbers.Real):
-        return True
-    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 def _check_field_types(cfg) -> None:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -51,6 +51,15 @@ class SystemSpecError(ValueError):
 
 class DomainError(ValueError):
     """Raised when a point violates a fiber-membership precondition."""
+
+
+def _is_number(v, kind) -> bool:
+    """Whether v is a number of ``kind`` (Integral or Real); a bool is not."""
+    # plain int and float first: an abstract-class check costs 20x more, and
+    # every CLI command builds four configs
+    if type(v) is int or (type(v) is float and kind is Real):
+        return True
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +225,34 @@ class FiberMap:
 
 
 # ---------------------------------------------------------------------------
+# near steps
+
+def _direction_norm(direction) -> float:
+    """Norm of a Gaussian direction (floats over the free axes): squares
+    added left to right, then a correctly rounded square root. A radius
+    uniform is drawn only when it is not 0."""
+    s = 0.0
+    for c in direction:
+        s += c * c
+    return math.sqrt(s)
+
+
+def _near_point(origin, free, direction, norm, u, delta) -> tuple[float, ...]:
+    """The point at ``radius * direction / norm`` from origin on the free
+    axes, mod 1, for a radius of delta times u^(1/k) with k free axes.
+
+    u^(1/k) is taken as u and sqrt(u) for k = 1, 2, so that only correctly
+    rounded operations occur. Three free axes (no bundled system has them)
+    use the libm ``** (1/3)``."""
+    k = len(free)
+    radius = delta * (u if k == 1 else math.sqrt(u) if k == 2 else u ** (1.0 / 3.0))
+    out = list(origin)
+    for ax, c in zip(free, direction):
+        out[ax] = (out[ax] + radius * c / norm) % 1.0
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # fiber domains
 
 @dataclass(frozen=True)
@@ -272,45 +309,38 @@ class FiberSpace:
                 pt[ax] = val
         return tuple(pt)
 
+    def _near_base(self, x) -> tuple[tuple[float, ...], tuple[int, ...]]:
+        """The start of a near step from member x: x with the fixed
+        coordinates of the first slice containing it set exactly, and that
+        slice's free axes (every axis on the full torus)."""
+        if self.slices is None:
+            return tuple(x), tuple(range(self.dim))
+        sl = next(s for s in self.slices
+                  if all(_fold((x[ax] - val) % 1.0) <= MEMBERSHIP_TOL for ax, val in s))
+        out = list(x)
+        for ax, val in sl:
+            out[ax] = val
+        fixed_axes = {ax for ax, _ in sl}
+        return tuple(out), tuple(ax for ax in range(self.dim) if ax not in fixed_axes)
+
     def sample_near(self, x, delta: float, rng) -> tuple[float, ...]:
         """A member point within torus distance < delta of x (x must belong).
 
-        The direction is a normalised Gaussian vector over the free axes,
-        its norm a left-to-right sum of squares; the radius is delta times
-        u^(1/k) for a uniform u and k free axes, taken as u and sqrt(u) for
-        k = 1, 2 so that only correctly rounded operations occur. Three free
-        axes (no bundled system has them) still use the libm ``** (1/3)``."""
+        Draws a Gaussian direction over the free axes of :meth:`_near_base`
+        and, unless its norm is 0, the radius uniform of :func:`_near_point`.
+        With no free axis or a zero direction the start point comes back."""
         if delta <= 0:
             raise ValueError("delta must be positive")
         if not self.contains(x):
             raise DomainError("base point is not in the fiber domain")
-        if self.slices is None:
-            free = list(range(self.dim))
-        else:
-            sl = next(s for s in self.slices
-                      if all(_fold((x[ax] - val) % 1.0) <= MEMBERSHIP_TOL for ax, val in s))
-            fixed_axes = {ax for ax, _ in sl}
-            free = [ax for ax in range(self.dim) if ax not in fixed_axes]
-            x = list(x)
-            for ax, val in sl:
-                x[ax] = val
-            x = tuple(x)
+        x, free = self._near_base(x)
         if not free:
-            return tuple(x)
-        vec = rng.standard_normal(len(free)).tolist()
-        s = 0.0
-        for c in vec:
-            s += c * c
-        norm = math.sqrt(s)
+            return x
+        direction = rng.standard_normal(len(free)).tolist()
+        norm = _direction_norm(direction)
         if norm == 0.0:
-            return tuple(x)
-        u = rng.random()
-        radius = delta * (u if len(free) == 1 else math.sqrt(u) if len(free) == 2
-                          else u ** (1.0 / 3.0))
-        out = list(x)
-        for ax, comp in zip(free, vec):
-            out[ax] = (out[ax] + radius * float(comp) / norm) % 1.0
-        return tuple(out)
+            return x
+        return _near_point(x, free, direction, norm, rng.random(), delta)
 
     def grid(self, resolution: int, budget: int = 200_000) -> tuple[tuple[float, ...], ...]:
         """Deterministic grid of member points (resolution per free axis)."""
@@ -392,15 +422,21 @@ class BaseSpace:
                 raise SystemSpecError(f"weights must be nonnegative, got {w}")
         if not any(w > 0 for w in self.weights):
             raise SystemSpecError("support must be nonempty")
+        for p in self.generator_perms:
+            for i in p:
+                if not _is_number(i, Integral):
+                    raise SystemSpecError(f"permutation entry {i!r} is not an integer")
         self.generator_perms = tuple(tuple(int(i) for i in p) for p in self.generator_perms)
         self._powers = []
         for p in self.generator_perms:
             if len(p) != len(self.labels):
                 raise SystemSpecError("permutation length must match base size")
             self._powers.append(_PermPowers(p))
-        # cumulative weights over the support, built as numpy's Generator.choice
-        # builds them, so sampling with it gives the draws of rng.choice
-        w = np.asarray([self.weights[i] for i in self.support], dtype=np.float64)
+        # the support, and its cumulative weights built as numpy's
+        # Generator.choice builds them, so sampling with it gives the draws of
+        # rng.choice; both are snapshots of the weights given here
+        self._support = tuple(i for i, w in enumerate(self.weights) if w > 0)
+        w = np.asarray([self.weights[i] for i in self._support], dtype=np.float64)
         self.support_cdf = (w / w.sum()).cumsum()
         self.support_cdf /= self.support_cdf[-1]
 
@@ -410,7 +446,7 @@ class BaseSpace:
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, w in enumerate(self.weights) if w > 0)
+        return self._support
 
     def index_of(self, omega) -> int:
         if isinstance(omega, str):

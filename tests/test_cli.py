@@ -275,6 +275,12 @@ BAD_CONFIGS = [
                  id="fibers-entry-not-object"),
     pytest.param({"system": {**TWO_ROT, "base": [["a", "b"]]}}, "base", id="base-not-object"),
     pytest.param({"system": [TWO_ROT]}, "system", id="system-not-object"),
+    pytest.param({"seed": 2.5}, "seed", id="float-seed"),
+    pytest.param({"seed": 2.0}, "seed", id="integral-float-seed"),
+    pytest.param({"seed": True}, "seed", id="bool-seed"),
+    pytest.param({"system": {**TWO_ROT, "dim": 1.5}}, "dim", id="float-dim"),
+    pytest.param({"system": {**TWO_ROT, "base": {**TWO_ROT["base"], "perms": [[1, 0.7]]}}},
+                 "permutation entry", id="float-perm-entry"),
 ]
 
 

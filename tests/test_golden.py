@@ -2,10 +2,9 @@
 classify runs.
 
 Refactors of the walks and window scans must leave every byte of these
-outputs unchanged. ``classify`` samples near pairs through
-``FiberSpace.sample_near``, which uses only correctly rounded operations on
-the catalog systems (at most two free axes), so its bytes do not depend on
-the libm either.
+outputs unchanged. ``classify`` samples near pairs with only correctly
+rounded operations when a fiber has at most two free axes, as every system
+here has, so its bytes do not depend on the libm either.
 """
 
 import hashlib
@@ -100,8 +99,26 @@ def test_pair_summary_on_generic_groups_is_golden(spec, x, y, caps, digest):
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
-# off-Z classify at small caps: the wme and mean-L probes read one engine per
-# pair, the sensitivity probe goes through sup_fiber_weyl
+# Z with a full fiber, a fiber of three slices (the second one inside the
+# first, so its points step along the first slice's free axis) and a
+# one-point fiber with no free axis: the slice draw and a slice's free axes
+Z_SLICED = {
+    "name": "z-sliced",
+    "group": "Z",
+    "dim": 2,
+    "base": {"labels": ["w0", "w1", "w2"], "weights": [0.25, 0.5, 0.25],
+             "perms": [[0, 1, 2]]},
+    "fibers": ["full",
+               {"slices": [[[0, 0.25]], [[0, 0.25], [1, 0.5]], [[1, 0.75]]]},
+               {"slices": [[[0, 0.625], [1, 0.125]]]}],
+    "maps": [[{"matrix": [[1, 0], [0, 1]], "shift": [0.375, 0.125]},
+              {"matrix": [[1, 0], [0, 1]], "shift": [0.0, 0.25]},
+              {"matrix": [[1, 0], [0, 1]], "shift": [0.0, 0.0]}]],
+}
+
+# classify at small caps, off Z and on sliced fibers: the wme and mean-L
+# probes read one engine per pair, the sensitivity probe goes through
+# sup_fiber_weyl
 SMALL_CLASSIFIER = ClassifierConfig(
     eps_list=(0.2, 0.1), delta_grid=(1e-1, 1e-2, 1e-3), pair_budget=8,
     point_budget=2, candidate_budget=3, eps_sequence=(0.1, 0.01, 1e-3))
@@ -119,6 +136,9 @@ REPORT_GOLDEN = [
     pytest.param(ZXC2_ROT, (256, 64, 4),
                  "9e6f0a7dfc22ea7082aadeeb440839dcc3c3e53aa0e49b81fcd0905f4becad89",
                  id="zxc2-rot-256-64-4"),
+    pytest.param(Z_SLICED, (64, 16, 2),
+                 "0296ba1d8caa7e68b48e6c010f9130404a141b636c08139b5da57e9b0900dc2d",
+                 id="z-sliced"),
 ]
 
 

@@ -6,6 +6,7 @@ the platform.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from meanrds import _windows, catalog, pseudometrics, rds
 from meanrds._windows import tree_mean_rows, window_means, window_schedule
-from meanrds.classify import _sample_support_index
+from meanrds.classify import _sample_pairs
 from meanrds.groups import BudgetError, FolnerFamily, parse_group, search_ball
 from meanrds.pseudometrics import (
     EstimatorConfig,
@@ -363,17 +364,121 @@ def test_dyadic_table_rejects_bad_requests():
         list(window_means(vals, (np.asarray([4]),), [(2,), (13,)], 1 << 18))
 
 
+# ---------------------------------------------------------------------------
+# the row sampler of the modulus probes against one pair at a time
+
+def _reference_sample_near(fs, x, delta, rng):
+    # the near step of one pair in Python floats, one draw after another
+    if fs.slices is None:
+        free = list(range(fs.dim))
+    else:
+        sl = next(s for s in fs.slices
+                  if all(rds._fold((x[ax] - val) % 1.0) <= rds.MEMBERSHIP_TOL for ax, val in s))
+        free = [ax for ax in range(fs.dim) if ax not in {ax for ax, _ in sl}]
+        x = list(x)
+        for ax, val in sl:
+            x[ax] = val
+    if not free:
+        return tuple(x)
+    vec = rng.standard_normal(len(free)).tolist()
+    s = 0.0
+    for c in vec:
+        s += c * c
+    norm = math.sqrt(s)
+    if norm == 0.0:
+        return tuple(x)
+    u = rng.random()
+    radius = delta * (u if len(free) == 1 else math.sqrt(u) if len(free) == 2
+                      else u ** (1.0 / 3.0))
+    out = list(x)
+    for ax, comp in zip(free, vec):
+        out[ax] = (out[ax] + radius * comp / norm) % 1.0
+    return tuple(out)
+
+
+def _reference_pair(system, delta, rng):
+    support = system.base.support
+    p = np.asarray([system.base.weights[i] for i in support])
+    idx = support[int(rng.choice(len(support), p=p / p.sum()))]
+    fs = system.fibers[idx]
+    x = [float(v) for v in rng.random(fs.dim)]
+    if fs.slices is not None:
+        for ax, val in fs.slices[int(rng.integers(len(fs.slices)))]:
+            x[ax] = val
+    return idx, tuple(x), _reference_sample_near(fs, tuple(x), delta, rng)
+
+
+class _FlatNormals(np.random.Generator):
+    """A generator some of whose Gaussian directions have zero norm: a draw
+    whose first value is below -1.5 is zeroed, and one above 1.5 is scaled
+    so far down that its squares underflow."""
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        z = super().standard_normal(size, dtype, out)
+        if z[0] < -1.5:
+            z[:] = 0.0
+        elif z[0] > 1.5:
+            z *= 1e-170
+        return z
+
+
+def _sampling_system(dim, weights, slices):
+    # one fiber per base point: "full" or a list of slices
+    n = len(weights)
+    eye = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    return catalog.build_system({
+        "group": "Z", "dim": dim,
+        "base": {"labels": [f"w{i}" for i in range(n)], "weights": list(weights),
+                 "perms": [list(range(n))]},
+        "fibers": [s if s == "full" else {"slices": s} for s in slices],
+        "maps": [[{"matrix": eye}] * n],
+    })
+
+
+# per dimension, beside a full fiber: a fiber whose slices leave 0 to dim
+# free axes, one slice inside another up to the membership tolerance (its
+# points step from the first slice, on its free axes and fixed values); and
+# a one-point fiber
+SLICED_FIBERS = {
+    1: [[[[0, 0.3]], []], [[[0, 0.75]]]],
+    2: [[[[0, 0.25]], [[0, 0.25 + 5e-10], [1, 0.5]], [[1, 0.75]], []],
+        [[[0, 0.625], [1, 0.125]]]],
+    3: [[[[0, 0.5]], [[0, 0.5 - 5e-10], [2, 0.25]], [[1, 0.125], [2, 0.875]], []],
+        [[[0, 0.3], [1, 0.4], [2, 0.5]]]],
+}
+
+
+def _pair_bits(pair):
+    idx, x, y = pair
+    return idx, [v.hex() for v in x], [v.hex() for v in y]
+
+
+@pytest.mark.parametrize("generator", [np.random.Generator, _FlatNormals])
+@pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize("sliced", [False, True], ids=["full", "sliced"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_row_sampler_matches_single_draws(dim, sliced, delta, generator):
+    if sliced:
+        system = _sampling_system(dim, (0.25, 0.5, 0.25), ["full", *SLICED_FIBERS[dim]])
+    else:
+        system = _sampling_system(dim, (0.5, 0.5), ["full", "full"])
+    for seed in range(4):
+        for n in (1, 2, 40):
+            ref = generator(np.random.PCG64(seed))
+            new = generator(np.random.PCG64(seed))
+            expected = [_reference_pair(system, delta, ref) for _ in range(n)]
+            got = _sample_pairs(system, delta, new, n)
+            assert list(map(_pair_bits, got)) == list(map(_pair_bits, expected))
+            assert new.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("weights", [(0.5, 0.5), (1.0,), (0.2, 0.3, 0.5), (0.25, 0.0, 0.75)])
 def test_support_sampling_matches_rng_choice(weights):
-    n = len(weights)
-    base = BaseSpace(tuple(f"w{i}" for i in range(n)), weights, (tuple(range(n)),))
-    support = base.support
-    p = np.asarray([weights[i] for i in support])
-    p = p / p.sum()
+    system = _sampling_system(1, weights, ["full"] * len(weights))
     for seed in range(500):
         ref, new = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(3):
-            assert _sample_support_index(base, new) == support[int(ref.choice(len(support), p=p))]
+        got = [idx for idx, _, _ in _sample_pairs(system, 0.1, new, 3)]
+        assert got == [_reference_pair(system, 0.1, ref)[0] for _ in range(3)]
         assert new.bit_generator.state == ref.bit_generator.state
 
 

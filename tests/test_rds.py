@@ -120,6 +120,14 @@ def test_base_space_checks():
     assert base.support == (0, 1, 2)
 
 
+def test_base_space_support_is_one_read_only_snapshot():
+    base = BaseSpace(("a", "b", "c"), (0.25, 0.0, 0.75), ((0, 1, 2),))
+    assert base.support is base.support == (0, 2)
+    assert len(base.support_cdf) == len(base.support)
+    with pytest.raises(AttributeError):
+        base.support = (0, 1, 2)
+
+
 def _two_fiber_example():
     """One fiber applies the identity, the other the cat matrix."""
     base = BaseSpace(("w0", "w1"), (0.5, 0.5), ((1, 0),))
