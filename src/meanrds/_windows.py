@@ -32,6 +32,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .groups import FolnerFamily, GroupSpecError
 
+# a window with a width that is not a power of two is gathered and summed in
+# blocks of about this many elements; blocks do not move a bit
+WINDOW_BLOCK_ELEMENTS = 1 << 18
+
 
 def window_schedule(folner: FolnerFamily, max_elements: int) -> tuple[int, ...]:
     """Window indices whose element count stays within max_elements.
@@ -102,7 +106,7 @@ def tree_mean_rows(arr: np.ndarray) -> np.ndarray:
     return tree_sum_rows(arr) / arr.shape[1]
 
 
-def window_means(box: np.ndarray, starts, windows, block_elements: int):
+def window_means(box: np.ndarray, starts, windows):
     """For each window shape of ``windows``, yield the means of ``box`` over
     the windows of that shape at the starts, in order.
 
@@ -111,8 +115,8 @@ def window_means(box: np.ndarray, starts, windows, block_elements: int):
     whose widths are all powers of two is read from the dyadic table (module
     docstring), whose last-axis levels grow as the windows widen; its
     last-axis width may not fall below an earlier one's. Any other window is
-    gathered out of the box about ``block_elements`` window elements at a
-    time and summed by :func:`tree_mean_rows`; rows are summed
+    gathered out of the box about ``WINDOW_BLOCK_ELEMENTS`` window elements
+    at a time and summed by :func:`tree_mean_rows`; rows are summed
     independently, so blocks do not move a bit.
     """
     starts = tuple(starts)
@@ -125,7 +129,7 @@ def window_means(box: np.ndarray, starts, windows, block_elements: int):
         size = math.prod(win)
         if size & (size - 1):  # some width is not a power of two
             view = sliding_window_view(box, win)
-            step = max(1, block_elements // size)
+            step = max(1, WINDOW_BLOCK_ELEMENTS // size)
             yield np.concatenate([
                 tree_mean_rows(view[tuple(s[a:a + step] for s in starts)].reshape(-1, size))
                 for a in range(0, len(starts[0]), step)

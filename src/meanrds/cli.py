@@ -264,6 +264,8 @@ def _parse_pair(text: str):
         raise ValueError(f"malformed pair {text!r}; expected 'x1,x2|y1,y2'") from None
     if len(x) != len(y):
         raise ValueError(f"pair {text!r} mixes dimensions")
+    if not all(map(math.isfinite, x + y)):
+        raise ValueError(f"pair {text!r} has a coordinate that is not finite")
     return x, y
 
 
@@ -304,6 +306,8 @@ def _cmd_estimate(args, settings) -> int:
     if args.pair:
         pairs = [_parse_pair(t) for t in args.pair]
     else:
+        if args.pairs < 1:
+            raise ValueError(f"--pairs must be at least 1, got {args.pairs}")
         rng = np.random.default_rng(settings["seed"])
         pairs = []
         support = system.base.support

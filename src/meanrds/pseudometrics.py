@@ -24,11 +24,14 @@ scanned window and translate None. Untranslated scans report translate None.
 
 Profiles come either from a pair of points in a system (sup over admissible
 fibers, a single fiber, or the weighted fiber average) or from synthetic
-profiles on the group Z used by the worked examples and tests. A scan
-reads its profile once (``ValueSource.range_values``), over the box holding
-every translated window; on Z that box is a range of times. The profiles of
-one pair share one engine, which walks each fiber once: ``pair_summary`` and
-``sup_fiber_weyl`` read all their estimates from one engine.
+profiles on the group Z used by the worked examples and tests. A profile is
+read only over boxes with tuple corners (``ValueSource.range_values``), and
+a scan reads it once, over the box holding every translated window; on Z
+that box is a range of times. A pair's profile is one of the box reads of
+its :class:`PairEngine`, chosen once, with its domain check, by
+``_engine_source``. The profiles of one pair share one engine, which walks
+each fiber once: ``pair_summary`` and ``sup_fiber_weyl`` read all their
+estimates from one engine.
 
 Estimates carry their schedule, the attained window and translate, and a
 truncation note; the Banach-style scans are heuristic two-sided truncations
@@ -55,24 +58,23 @@ BESICOVITCH_NOTE = "tail max over untranslated windows; truncation bias unknown"
 SCAN_NOTE = "translated tail scan; lower bound of the sup over translates"
 WEYL_NOTE = " (reported via the min-max identity over translated windows)"
 
-# a window with a width that is not a power of two is gathered and summed in
-# blocks of about this many elements; blocks do not move a bit
-WINDOW_BLOCK_ELEMENTS = 1 << 18
-
 
 def _check_field_types(cfg) -> None:
     """Raise ValueError for a config value of the wrong kind: an int field
-    takes an integer, a float field a real number and a tuple field a list
-    of real numbers; a bool is none of these."""
+    takes an integer, a float field a finite real number and a tuple field a
+    list of finite real numbers; a bool is none of these."""
     for f in dataclasses.fields(cfg):
         val = getattr(cfg, f.name)
         if isinstance(f.default, tuple):
-            vals, kind, text = val, numbers.Real, "a list of real numbers"
+            vals, kind, text = val, numbers.Real, "a list of finite real numbers"
         elif isinstance(f.default, int):
             vals, kind, text = (val,), numbers.Integral, "an integer"
         else:
-            vals, kind, text = (val,), numbers.Real, "a real number"
-        if not isinstance(vals, (tuple, list)) or not all(_is_number(v, kind) for v in vals):
+            vals, kind, text = (val,), numbers.Real, "a finite real number"
+        # only a float can be NaN or infinite (isfinite would overflow on a huge int)
+        if not isinstance(vals, (tuple, list)) or not all(
+                _is_number(v, kind) and (not isinstance(v, float) or math.isfinite(v))
+                for v in vals):
             raise ValueError(f"{f.name} must be {text}, got {val!r}")
 
 
@@ -141,33 +143,21 @@ class ValueSource:
     label: str
 
     def range_values(self, lo, hi) -> np.ndarray:
-        """Values over the box lo <= g < hi (corner tuples, or ints on Z),
-        flattened in row-major order, coordinate 0 slowest."""
+        """Values over the box lo <= g < hi (corner tuples), flattened in
+        row-major order, coordinate 0 slowest."""
         raise NotImplementedError
-
-    def value(self, g) -> float:
-        """The value at one element: a one-element box read."""
-        g = self.group.check_element(g)
-        return float(self.range_values(g, tuple(v + 1 for v in g))[0])
 
 
 class _EngineSource(ValueSource):
-    def __init__(self, engine: PairEngine, mode: str, omega_idx: int | None = None):
-        self.engine = engine
+    """One profile of an engine's pair: ``read`` is the engine's box read."""
+
+    def __init__(self, engine: PairEngine, read, label: str):
         self.group = engine.sys.group
-        self.mode = mode
-        self.omega_idx = omega_idx
-        if mode == "fiber":
-            self.label = f"fiber[{engine.sys.base.labels[omega_idx]}]"
-        else:
-            self.label = mode
+        self.read = read
+        self.label = label
 
     def range_values(self, lo, hi):
-        if self.mode == "sup":
-            return self.engine.dtilde_range(lo, hi)
-        if self.mode == "fiber":
-            return self.engine.fiber_range(self.omega_idx, lo, hi)
-        return self.engine.integral_range(lo, hi)
+        return self.read(lo, hi)
 
 
 class SyntheticSource(ValueSource):
@@ -179,7 +169,7 @@ class SyntheticSource(ValueSource):
         self.group = parse_group("Z")
 
     def range_values(self, lo, hi):
-        t = np.arange(np.ravel(lo)[0], np.ravel(hi)[0], dtype=np.int64)
+        t = np.arange(lo[0], hi[0], dtype=np.int64)
         return np.asarray(self.fn(t), dtype=np.float64)
 
 
@@ -224,22 +214,27 @@ def synthetic_source(spec: str) -> SyntheticSource:
     raise ValueError(f"unknown synthetic profile {spec!r}")
 
 
+def _fiber_source(engine: PairEngine, idx: int) -> ValueSource:
+    """The profile of the engine's pair in fiber idx, unchecked."""
+    return _EngineSource(engine, functools.partial(engine.fiber_range, idx),
+                         f"fiber[{engine.sys.base.labels[idx]}]")
+
+
 def _engine_source(engine: PairEngine, mode: str, omega=None) -> ValueSource:
-    """The ``mode`` profile of the engine's pair, after its domain checks."""
+    """The ``mode`` profile of the engine's pair, after its domain check."""
     system = engine.sys
     if mode == "sup":
-        return _EngineSource(engine, "sup")
+        return _EngineSource(engine, engine.dtilde_range, "sup")
     if mode == "fiber":
         idx = system.base.index_of(omega)
         fs = system.fibers[idx]
         if not (fs.contains(engine.x) and fs.contains(engine.y)):
             raise DomainError("both points must lie in the chosen fiber domain")
-        return _EngineSource(engine, "fiber", idx)
+        return _fiber_source(engine, idx)
     if mode == "integral":
-        for i in system.base.support:
-            if not (system.fibers[i].contains(engine.x) and system.fibers[i].contains(engine.y)):
-                raise DomainError("integral mode needs both points in every support fiber")
-        return _EngineSource(engine, "integral")
+        if engine.admissible != system.base.support:
+            raise DomainError("integral mode needs both points in every support fiber")
+        return _EngineSource(engine, engine.integral_range, "integral")
     raise ValueError(f"unknown pair mode {mode!r}")
 
 
@@ -252,7 +247,7 @@ def pair_source(
 ) -> ValueSource:
     """Separation profile of a pair: ``sup`` over admissible fibers,
     a single ``fiber``, or the weighted ``integral`` over the support."""
-    return _engine_source(system.pair_engine(x, y), mode, omega)
+    return _engine_source(PairEngine(system, x, y), mode, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +294,15 @@ def _window_means(source: ValueSource, schedule, ball, cfg: EstimatorConfig):
     The profile is read once, over the box holding every translated window,
     with each cyclic axis whole and then padded by wrap, so translates wrap
     mod k. :func:`_windows.window_means` takes every window out of it: from
-    the dyadic table, or by gathering ``WINDOW_BLOCK_ELEMENTS`` window
-    elements at a time when a width is not a power of two. The caller checks
-    the box against ``cfg.element_budget`` first (``_check_box``).
+    the dyadic table, or by gathering the windows in blocks when a width is
+    not a power of two. The caller checks the box against
+    ``cfg.element_budget`` first (``_check_box``).
     """
     lo, hi, shape, pad, windows, starts = _box_plan(source.group, ball, schedule)
     box = source.range_values(lo, hi).reshape(shape)
     if pad:
         box = np.pad(box, pad, mode="wrap")
-    yield from zip(schedule, _windows.window_means(box, starts, windows, WINDOW_BLOCK_ELEMENTS))
+    yield from zip(schedule, _windows.window_means(box, starts, windows))
 
 
 def _scan(source: ValueSource, cfg: EstimatorConfig, kind: str, note: str, *,
@@ -451,9 +446,9 @@ def sup_fiber_weyl(system, x, y, cfg) -> PseudometricEstimate:
     """First maximum of the fiber Weyl estimates over support fibers holding
     both points, all read from one engine; a conservative 0 with a note when
     no fiber holds both."""
-    engine = system.pair_engine(x, y)
+    engine = PairEngine(system, x, y)
     return _sup_of_fiber_weyls(
-        _fiber_weyl(_EngineSource(engine, "fiber", i), cfg) for i in engine.admissible
+        _fiber_weyl(_fiber_source(engine, i), cfg) for i in engine.admissible
     )
 
 
@@ -463,22 +458,18 @@ def pair_summary(system, x, y, cfg) -> dict[str, PseudometricEstimate]:
     Every estimate reads one engine, so each fiber of the pair is walked
     once; ``weyl`` and ``sup-fiber-weyl`` reuse the ``banach`` and
     ``fiber-weyl`` scans instead of running them again."""
-    engine = system.pair_engine(x, y)
+    engine = PairEngine(system, x, y)
     sup = _engine_source(engine, "sup")
     out: dict[str, PseudometricEstimate] = {}
     out["besicovitch"] = besicovitch_mean(sup, cfg)
     out["banach"] = banach_mean(sup, cfg)
     out["weyl"] = _as_weyl(out["banach"], "weyl")
-    try:
-        integral = _engine_source(engine, "integral")
-    except DomainError:
-        pass
-    else:
-        out["integral-besicovitch"] = dataclasses.replace(
-            besicovitch_mean(integral, cfg), kind="integral-besicovitch")
+    if engine.admissible == system.base.support:
+        integral = besicovitch_mean(_engine_source(engine, "integral"), cfg)
+        out["integral-besicovitch"] = dataclasses.replace(integral, kind="integral-besicovitch")
     fibers = []
     for i in engine.admissible:
-        src = _EngineSource(engine, "fiber", i)
+        src = _fiber_source(engine, i)
         fb = dataclasses.replace(besicovitch_mean(src, cfg), kind="fiber-besicovitch")
         fibers.append((system.base.labels[i], fb, _fiber_weyl(src, cfg)))
     out["sup-fiber-weyl"] = _sup_of_fiber_weyls(fw for _, _, fw in fibers)

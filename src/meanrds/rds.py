@@ -13,13 +13,15 @@ points; isometric fibers keep that vector constant bitwise, which is what the
 exactness tests lean on. ``torus_distance`` and the walkers share one folding
 kernel so their outputs agree bitwise on identical inputs.
 
-A pair's values are read over boxes of group elements from one
-:class:`PairEngine` per pair, which walks each fiber once for every reader of
-that pair, on Z (the rank-1 case) as on every other group. A box walk
-follows the canonical coordinate path: the first axis out of one line of
-states per fiber, grown on demand in the scalar kernel, each later axis
-with every state reached stepping at once in numpy; the engine keeps each
-box it has walked. Both take the same left-to-right matrix step.
+A pair's values are read only over boxes of group elements, given by tuple
+corners, from one :class:`PairEngine` per pair, which walks each fiber once
+for every reader of that pair, on Z (the rank-1 case) as on every other
+group. A box walk follows the canonical coordinate path: the first axis out
+of one line of states per fiber, grown on demand in the scalar kernel, each
+later axis with every state reached stepping at once in numpy; the engine
+keeps each box it has walked. Both take the same left-to-right matrix step.
+The composed maps of :meth:`RandomDynamicalSystem.element_map` serve only
+:func:`validate` and the tests' references.
 
 Integer matrix entries use Python ints (arbitrary precision), so cocycle
 composition cannot overflow; entry growth is bounded in practice by the
@@ -44,6 +46,14 @@ DTILDE_CONVENTION = (
 
 MEMBERSHIP_TOL = 1e-9
 
+# most points a fiber grid may hold
+GRID_BUDGET = 200_000
+
+# random points per check of validate, and the most nodes of its
+# relation-word sweep
+VALIDATE_SAMPLES = 16
+NODE_BUDGET = 5_000_000
+
 
 class SystemSpecError(ValueError):
     """Raised when a system description is structurally malformed."""
@@ -60,6 +70,14 @@ def _is_number(v, kind) -> bool:
     if type(v) is int or (type(v) is float and kind is Real):
         return True
     return isinstance(v, kind) and not isinstance(v, bool)
+
+
+def _finite(v, what: str) -> float:
+    """v as a float; SystemSpecError if it is NaN or infinite."""
+    f = float(v)
+    if not math.isfinite(f):
+        raise SystemSpecError(f"{what} {v!r} is not finite")
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -158,20 +176,21 @@ class FiberMap:
 
     def __post_init__(self):
         n = len(self.matrix)
-        mat = tuple(tuple(int(v) for v in row) for row in self.matrix)
         for row in self.matrix:
             for v in row:
-                if int(v) != v:
+                # a float is an integer when integral, never when NaN or infinite
+                if not (_is_number(v, Integral) or isinstance(v, float) and v.is_integer()):
                     raise SystemSpecError(f"matrix entry {v!r} is not an integer")
             if len(row) != n:
                 raise SystemSpecError("matrix must be square")
+        mat = tuple(tuple(int(v) for v in row) for row in self.matrix)
         if len(self.shift) != n:
             raise SystemSpecError("shift length must match matrix size")
         det = _mat_det(mat)
         if det not in (1, -1):
             raise SystemSpecError(f"matrix determinant must be +-1, got {det}")
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "shift", tuple(float(s) % 1.0 for s in self.shift))
+        object.__setattr__(self, "shift", tuple(_finite(s, "shift") % 1.0 for s in self.shift))
 
     @classmethod
     def identity(cls, dim: int) -> "FiberMap":
@@ -270,7 +289,8 @@ class FiberSpace:
         if self.slices is not None:
             norm = []
             for sl in self.slices:
-                fixed = tuple(sorted((int(ax), float(val) % 1.0) for ax, val in sl))
+                fixed = tuple(sorted((int(ax), _finite(val, "slice value") % 1.0)
+                                     for ax, val in sl))
                 for ax, _ in fixed:
                     if not 0 <= ax < self.dim:
                         raise SystemSpecError(f"slice axis {ax} out of range")
@@ -298,8 +318,8 @@ class FiberSpace:
             best = min(best, worst)
         return best
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        return self.membership_residual(x) <= tol
+    def contains(self, x) -> bool:
+        return self.membership_residual(x) <= MEMBERSHIP_TOL
 
     def sample(self, rng) -> tuple[float, ...]:
         pt = [float(v) for v in rng.random(self.dim)]
@@ -342,21 +362,22 @@ class FiberSpace:
             return x
         return _near_point(x, free, direction, norm, rng.random(), delta)
 
-    def grid(self, resolution: int, budget: int = 200_000) -> tuple[tuple[float, ...], ...]:
-        """Deterministic grid of member points (resolution per free axis)."""
+    def grid(self, resolution: int) -> tuple[tuple[float, ...], ...]:
+        """Deterministic grid of member points (resolution per free axis), at
+        most ``GRID_BUDGET`` of them, else BudgetError."""
         if resolution < 1:
             raise ValueError("resolution must be positive")
         axis = [i / resolution for i in range(resolution)]
         points: list[tuple[float, ...]] = []
         if self.slices is None:
-            if resolution ** self.dim > budget:
+            if resolution ** self.dim > GRID_BUDGET:
                 raise BudgetError("grid over budget")
             points.extend(itertools.product(*([axis] * self.dim)))
         else:
             for sl in self.slices:
                 fixed = dict(sl)
                 free = [ax for ax in range(self.dim) if ax not in fixed]
-                if resolution ** len(free) * len(self.slices) > budget:
+                if resolution ** len(free) * len(self.slices) > GRID_BUDGET:
                     raise BudgetError("grid over budget")
                 for combo in itertools.product(*([axis] * len(free))):
                     pt = [0.0] * self.dim
@@ -410,7 +431,7 @@ class BaseSpace:
 
     def __post_init__(self):
         self.labels = tuple(str(l) for l in self.labels)
-        self.weights = tuple(float(w) for w in self.weights)
+        self.weights = tuple(_finite(w, "weight") for w in self.weights)
         if not self.labels:
             raise SystemSpecError("base space needs at least one point")
         if len(set(self.labels)) != len(self.labels):
@@ -551,29 +572,16 @@ class RandomDynamicalSystem:
         idx = self.base.index_of(omega)
         return self.element_map(g, idx).apply(reduce_point(x))
 
-    def skew_apply(self, g, state) -> tuple[int, tuple[float, ...]]:
-        """One step of the skew product: (w, x) -> (g w, F_{g, w} x)."""
-        omega, x = state
-        idx = self.base.index_of(omega)
-        return self.base.act(self.group.check_element(g), idx), self.apply(g, idx, x)
-
     # -- separation --------------------------------------------------------
 
     def admissible_fibers(self, x, y) -> tuple[int, ...]:
+        """The support fibers holding both points, in support order."""
         x = reduce_point(x)
         y = reduce_point(y)
         return tuple(
             i for i in self.base.support
             if self.fibers[i].contains(x) and self.fibers[i].contains(y)
         )
-
-    def pair_engine(self, x, y) -> "PairEngine":
-        return PairEngine(self, x, y)
-
-    def dtilde(self, g, x, y) -> float:
-        """Sup over support fibers containing both points of the separation
-        after applying g; +inf when the points share no fiber."""
-        return self.pair_engine(x, y).dtilde_at(g)
 
 
 # ---------------------------------------------------------------------------
@@ -687,10 +695,13 @@ class PairEngine:
     demand in the scalar kernel; a box takes its first axis from that line,
     and :func:`_walk_axis` walks each later axis along the canonical path
     (cyclic ones forward), so values are bitwise those of the scalar
-    kernels. Z is the rank-1 case: its boxes are ranges of times, and int
-    corners are read as rank-1 ones. Each box is folded and kept, read-only,
-    keyed by (fiber, lo, hi), for as long as the engine lives. The ``*_at``
-    methods read one-element boxes.
+    kernels. Corners are tuples on every group; Z is the rank-1 case, whose
+    boxes are ranges of times. Each box is folded and kept, read-only,
+    keyed by (fiber, lo, hi), for as long as the engine lives.
+
+    ``admissible`` holds the support fibers containing both points. The
+    weighted ``integral_range`` needs every support fiber, that is
+    ``admissible == sys.base.support``, and raises DomainError otherwise.
     """
 
     def __init__(self, system: RandomDynamicalSystem, x, y):
@@ -705,10 +716,8 @@ class PairEngine:
         self._boxes: dict[tuple, np.ndarray] = {}
 
     def _box(self, lo, hi):
-        """The corners as tuples, checked against the group (an int corner
-        is a rank-1 one), and the box size."""
+        """The corner tuples, checked against the group, and the box size."""
         grp = self.sys.group
-        lo, hi = ((c,) if isinstance(c, Integral) else c for c in (lo, hi))
         lo = grp.check_element(lo)
         grp.check_element([b - 1 for b in hi])
         return lo, tuple(hi), math.prod(b - a for a, b in zip(lo, hi))
@@ -760,29 +769,13 @@ class PairEngine:
         return np.maximum.reduce([self._fiber_box(i, lo, hi) for i in self.admissible])
 
     def integral_range(self, lo, hi) -> np.ndarray:
-        self._require_full_support_membership()
+        if self.admissible != self.sys.base.support:
+            raise DomainError("integral separation needs both points in every support fiber")
         lo, hi, size = self._box(lo, hi)
         out = np.zeros(size)
         for i in self.sys.base.support:
             out += self.sys.base.weights[i] * self._fiber_box(i, lo, hi)
         return out
-
-    def fiber_at(self, g, omega) -> float:
-        return float(self.fiber_range(omega, g, [v + 1 for v in g])[0])
-
-    def dtilde_at(self, g) -> float:
-        return float(self.dtilde_range(g, [v + 1 for v in g])[0])
-
-    def integral_at(self, g) -> float:
-        return float(self.integral_range(g, [v + 1 for v in g])[0])
-
-    def _require_full_support_membership(self):
-        for i in self.sys.base.support:
-            fs = self.sys.fibers[i]
-            if not (fs.contains(self.x) and fs.contains(self.y)):
-                raise DomainError(
-                    "integral separation needs both points in every support fiber"
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -843,7 +836,7 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _relation_word_sweep(system: RandomDynamicalSystem, max_len: int, node_budget: int):
+def _relation_word_sweep(system: RandomDynamicalSystem, max_len: int):
     """DFS over all generator words up to max_len; whenever a word evaluates
     to the group identity, the composed cocycle matrices must be exactly the
     identity and the composed shifts must sit on the integer lattice.
@@ -873,7 +866,7 @@ def _relation_word_sweep(system: RandomDynamicalSystem, max_len: int, node_budge
     def recurse(elem, states, word):
         nonlocal worst, failure, checked, nodes
         nodes += 1
-        if nodes > node_budget:
+        if nodes > NODE_BUDGET:
             raise BudgetError("relation-word sweep exceeded its node budget")
         depth = len(word)
         if depth >= 1 and elem == identity:
@@ -921,13 +914,8 @@ def _relation_word_sweep(system: RandomDynamicalSystem, max_len: int, node_budge
     return worst, failure, checked
 
 
-def validate(
-    system: RandomDynamicalSystem,
-    max_word_length: int = 8,
-    samples: int = 16,
-    seed: int = 0,
-    node_budget: int = 5_000_000,
-) -> ValidationReport:
+def validate(system: RandomDynamicalSystem, max_word_length: int = 8,
+             seed: int = 0) -> ValidationReport:
     """Check the cocycle axioms and structural invariants.
 
     Covers: identity maps are identities, base weights form a probability
@@ -935,7 +923,13 @@ def validate(
     every relation word up to ``max_word_length`` composes to the identity
     map, fiber domains are carried onto fiber domains, and a seeded cocycle
     spot check F_{g2, g1 w} o F_{g1, w} = F_{g2 g1, w} on random points.
+    Matrices are compared exactly, shifts and points within 1e-12, fiber
+    membership within ``MEMBERSHIP_TOL``. A relation word has at least two
+    letters, so ``max_word_length`` below 2 would check none and raises
+    ValueError.
     """
+    if max_word_length < 2:
+        raise ValueError(f"max_word_length must be at least 2, got {max_word_length}")
     grp = system.group
     base = system.base
     checks: list[CheckResult] = []
@@ -947,7 +941,7 @@ def validate(
 
     ident_worst = 0.0
     for w in range(base.size):
-        for _ in range(max(1, samples // base.size)):
+        for _ in range(max(1, VALIDATE_SAMPLES // base.size)):
             x = system.fibers[w].sample(rng)
             ident_worst = max(
                 ident_worst, torus_distance(system.apply(grp.identity(), w, x), x)
@@ -982,7 +976,7 @@ def validate(
     checks.append(CheckResult("base-action-relations", perm_ok, 0.0 if perm_ok else 1.0, detail))
 
     # relation-word sweep over the cocycle
-    worst, failure, checked = _relation_word_sweep(system, max_word_length, node_budget)
+    worst, failure, checked = _relation_word_sweep(system, max_word_length)
     checks.append(
         CheckResult(
             "relation-words",
@@ -998,7 +992,7 @@ def validate(
     for i in range(grp.rank):
         for w in range(size):
             target = system.fibers[base.act_generator(i, w, 1)]
-            for _ in range(max(1, samples // size)):
+            for _ in range(max(1, VALIDATE_SAMPLES // size)):
                 x = system.fibers[w].sample(rng)
                 r = target.membership_residual(system.maps[i][w].apply(x))
                 if r > cover_worst:
@@ -1015,7 +1009,7 @@ def validate(
 
     # cocycle spot check on random short words
     coc_worst = 0.0
-    for _ in range(samples):
+    for _ in range(VALIDATE_SAMPLES):
         g1 = tuple(
             int(rng.integers(-3, 4)) if k is None else int(rng.integers(0, k))
             for k in orders

@@ -78,6 +78,8 @@ def test_unknown_system_exits_one(capsys):
 def test_nan_synthetic_profile_exits_one(capsys):
     assert main(["estimate", "--system", "synthetic:constant:nan"]) == 1
     assert "NaN" in capsys.readouterr().err
+    # an infinite profile is the separation of a pair with no common fiber
+    assert main(["estimate", "--system", "synthetic:constant:inf"]) == 0
 
 
 def test_bad_flag_value_exits_one(capsys):
@@ -292,6 +294,77 @@ def test_bad_config_input_exits_one_without_traceback(tmp_path, capsys, data, na
     assert err.startswith("meanrds: error:")
     assert names in err
     assert "Traceback" not in err
+
+
+NAN, INF = float("nan"), float("inf")
+VALIDATE_TWO_ROT = ["validate", "--system", "two-rot"]
+
+NON_FINITE_INPUTS = [
+    pytest.param(["estimate", "--system", "rot2", "--pair", "nan|0.1"], {}, "not finite",
+                 id="pair-nan"),
+    pytest.param(["estimate", "--system", "rot2", "--pair", "0.2|inf"], {}, "not finite",
+                 id="pair-inf"),
+    pytest.param(["estimate", "--system", "synthetic:evens", "--tolerance", "nan"], {},
+                 "tolerance", id="flag-tolerance-nan"),
+    pytest.param(VALIDATE_TWO_ROT, {"estimator": {"tolerance": INF}}, "tolerance",
+                 id="config-tolerance-inf"),
+    pytest.param(VALIDATE_TWO_ROT, {"classifier": {"eps_list": [0.2, NAN]}}, "eps_list",
+                 id="config-eps-list-nan"),
+    pytest.param(VALIDATE_TWO_ROT, {"classifier": {"delta0": NAN}}, "delta0",
+                 id="config-delta0-nan"),
+    pytest.param(VALIDATE_TWO_ROT,
+                 {"system": {**TWO_ROT, "maps": [[{"matrix": [[1]], "shift": [NAN]},
+                                                  {"matrix": [[1]]}]]}},
+                 "shift", id="system-shift-nan"),
+    pytest.param(VALIDATE_TWO_ROT,
+                 {"system": {**TWO_ROT, "maps": [[{"matrix": [[1]], "shift": [INF]},
+                                                  {"matrix": [[1]]}]]}},
+                 "shift", id="system-shift-inf"),
+    pytest.param(VALIDATE_TWO_ROT,
+                 {"system": {**TWO_ROT, "maps": [[{"matrix": [[INF]]}, {"matrix": [[1]]}]]}},
+                 "matrix entry", id="system-matrix-inf"),
+    pytest.param(VALIDATE_TWO_ROT,
+                 {"system": {**TWO_ROT, "maps": [[{"matrix": [[NAN]]}, {"matrix": [[1]]}]]}},
+                 "matrix entry", id="system-matrix-nan"),
+    pytest.param(VALIDATE_TWO_ROT,
+                 {"system": {**TWO_ROT, "fibers": [{"slices": [[[0, NAN]]]}, "full"]}},
+                 "slice value", id="system-slice-nan"),
+    pytest.param(VALIDATE_TWO_ROT,
+                 {"system": {**TWO_ROT, "base": {**TWO_ROT["base"], "weights": [NAN, 0.5]}}},
+                 "weight", id="system-weight-nan"),
+]
+
+
+@pytest.mark.parametrize("argv,data,text", NON_FINITE_INPUTS)
+def test_non_finite_input_exits_one(tmp_path, capsys, argv, data, text):
+    """A NaN or infinite number is rejected where it enters: a pair
+    coordinate, a flag, a config value, or a shift, slice value or weight
+    of a system."""
+    cfg = _cfg_file(tmp_path, {"system": TWO_ROT, **data})
+    assert main(argv + ["--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("meanrds: error:")
+    assert text in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--system", "rot2", "--max-word-length", "-3"],
+    ["validate", "--system", "rot2", "--max-word-length", "1"],
+    ["estimate", "--system", "rot2", "--pairs", "-2"],
+    ["estimate", "--system", "rot2", "--pairs", "0"],
+], ids=["word-length-negative", "word-length-one", "pairs-negative", "pairs-zero"])
+def test_counts_that_check_nothing_exit_one(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("meanrds: error:") and captured.out == ""
+
+
+def test_shortest_counts_still_run(capsys):
+    assert main(["validate", "--system", "rot2", "--max-word-length", "2"]) == 0
+    assert "identity words checked" in capsys.readouterr().out
+    assert main(["estimate", "--system", "rot2", "--pairs", "1"]) == 0
+    assert "pair 0:" in capsys.readouterr().out
 
 
 def test_config_system_resolved_by_name(tmp_path, capsys):

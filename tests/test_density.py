@@ -24,13 +24,18 @@ from meanrds.rds import torus_distance
 CFG = EstimatorConfig(n_max=4096, m_max=1024, search_radius=64)
 
 
+def _at(source, t):
+    """The profile's value at time t: a one-element box read."""
+    return float(source.range_values((t,), (t + 1,))[0])
+
+
 def test_subset_registry():
-    assert subset_indicator("all").value((17,)) == 1.0
-    assert subset_indicator("empty").value((17,)) == 0.0
+    assert _at(subset_indicator("all"), 17) == 1.0
+    assert _at(subset_indicator("empty"), 17) == 0.0
     m = subset_indicator("mod:3:0")
-    assert [m.value((t,)) for t in range(6)] == [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+    assert [_at(m, t) for t in range(6)] == [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
     m2 = subset_indicator("mod:5:1,3")
-    assert [m2.value((t,)) for t in range(5)] == [0.0, 1.0, 0.0, 1.0, 0.0]
+    assert [_at(m2, t) for t in range(5)] == [0.0, 1.0, 0.0, 1.0, 0.0]
     with pytest.raises(ValueError):
         subset_indicator("mod:3")
     with pytest.raises(ValueError):
@@ -119,8 +124,8 @@ def test_dyadic_blocks_pinned_values():
 def test_separation_set_thresholding():
     src = synthetic_source("periodic:0.8,0.2,0.5")
     ss = separation_set(src, 0.5)
-    assert [ss.value((t,)) for t in range(6)] == [1.0, 0.0, 1.0, 1.0, 0.0, 1.0]
-    got = ss.range_values(0, 6)
+    assert [_at(ss, t) for t in range(6)] == [1.0, 0.0, 1.0, 1.0, 0.0, 1.0]
+    got = ss.range_values((0,), (6,))
     assert np.array_equal(got, [1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
     assert "periodic" in ss.label and ">= 0.5" in ss.label
     with pytest.raises(ValueError):
@@ -132,7 +137,7 @@ def test_separation_set_counts_infinite_values():
         lambda t: np.where(t % 2 == 0, np.inf, 0.0), "inf-on-evens"
     )
     ss = separation_set(src, 1e-3)
-    assert ss.value((0,)) == 1.0 and ss.value((1,)) == 0.0
+    assert _at(ss, 0) == 1.0 and _at(ss, 1) == 0.0
     assert upper_density(ss, CFG).value == 0.5
 
 

@@ -1,5 +1,5 @@
-"""Golden outputs: sha256 of the exact bytes of estimate, density and
-classify runs.
+"""Golden outputs: sha256 of the exact bytes of estimate, density, classify
+and validate runs.
 
 Refactors of the walks and window scans must leave every byte of these
 outputs unchanged. ``classify`` samples near pairs with only correctly
@@ -56,6 +56,36 @@ CLI_GOLDEN = [
 @pytest.mark.parametrize("argv,digest", CLI_GOLDEN, ids=[" ".join(a) for a, _ in CLI_GOLDEN])
 def test_cli_stdout_is_golden(argv, digest, capsys):
     assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# (system name, config-file system or None for a catalog system, exit code,
+# digest of ``validate --json``): z2-cat fails its float cocycle spot check
+VALIDATE_GOLDEN = [
+    ("rot2", None, 0, "540ac9752b3f6d5e01c1de6d34dd74d1e8bb78548619db469ed7ef97ca1e0fe7"),
+    ("rot1-trivial", None, 0, "065de7128ca22fc109a1ae282bbb5fe7d3a40f738df4816e9965fac7ddb3f64f"),
+    ("cat-trivial", None, 0, "bb2f90ea857ba992a23e73ce4f39281ecbeec5484a5a099a6d0d4d3f6271b1e2"),
+    ("cat2", None, 0, "266558ade2256d63ddc088e3470da430576ca39cea3678a67dfe7803afbf561d"),
+    ("mixed", None, 0, "4e8168bd2e7c46ce38eab73b319b3d68e91cdb679be856d5d5a81644a8eb3283"),
+    ("z2-cat", Z2_CAT, 2, "fabc0e856ee334663d057951fcb49bf068e799945082293514ecc7b0af7e9dca"),
+    ("zxc2-rot", ZXC2_ROT, 0, "fc1d3dc95c872e2ba4194c7ee93e4a09368c41a9e043081d71aa0d52dc3493db"),
+    ("zxc3-order3", ZXC3_ORDER3, 0,
+     "857fa1d8405ee51896ca7c038025c087bdd4041bb7f6002d808bbcd9fbd0a107"),
+    ("zxc2-cat2", ZXC2_CAT2, 0,
+     "bc5a14e629fde5f119a8566973b3eeda182cbceeafe207d263abe3e3b32c8f10"),
+]
+
+
+@pytest.mark.parametrize("name,spec,code,digest", VALIDATE_GOLDEN,
+                         ids=[v[0] for v in VALIDATE_GOLDEN])
+def test_validate_stdout_is_golden(name, spec, code, digest, tmp_path, capsys):
+    argv = ["validate", "--system", name, "--json"]
+    if spec is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"system": spec}))
+        argv += ["--config", str(path)]
+    assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

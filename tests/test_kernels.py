@@ -89,17 +89,17 @@ def test_line_walk_matches_reference_walk(system):
     for _ in range(3):
         x = system.fibers[0].sample(rng)
         y = system.fibers[0].sample(rng)
-        engine = system.pair_engine(x, y)
+        engine = rds.PairEngine(system, x, y)
         refs = {i: _reference_walk(system, i, engine.delta0, LO, HI)
                 for i in range(system.base.size)}
         # a short request first, so the long one extends a grown walk
-        assert engine.fiber_range(0, -3, 5).tobytes() == refs[0][-3 - LO:5 - LO].tobytes()
+        assert engine.fiber_range(0, (-3,), (5,)).tobytes() == refs[0][-3 - LO:5 - LO].tobytes()
         for i, ref in refs.items():
-            assert engine.fiber_range(i, LO, HI).tobytes() == ref.tobytes()
+            assert engine.fiber_range(i, (LO,), (HI,)).tobytes() == ref.tobytes()
         want = np.maximum.reduce([refs[i] for i in engine.admissible])
-        assert engine.dtilde_range(LO, HI).tobytes() == want.tobytes()
+        assert engine.dtilde_range((LO,), (HI,)).tobytes() == want.tobytes()
         for t in (LO, -1, 0, 1, HI - 1):
-            assert engine.fiber_at((t,), 0) == refs[0][t - LO]
+            assert engine.fiber_range(0, (t,), (t + 1,))[0] == refs[0][t - LO]
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.name)
@@ -108,13 +108,14 @@ def test_element_path_matches_line_walk(system):
     every base point at once along generator 0, takes the steps of the
     scalar kernel that grows each fiber's first-axis line."""
     rng = np.random.default_rng(5)
-    engine = system.pair_engine(system.fibers[0].sample(rng), system.fibers[0].sample(rng))
+    engine = rds.PairEngine(system, system.fibers[0].sample(rng),
+                            system.fibers[0].sample(rng))
     size = system.base.size
     w, d = _walk_axis(np.arange(size), np.asarray([engine.delta0] * size),
                       system._steps[0], -40, 40)
     stepped = _fold_norm_rows(d).reshape(size, 80)
     for i in range(size):
-        assert stepped[i].tobytes() == engine.fiber_range(i, -40, 40).tobytes()
+        assert stepped[i].tobytes() == engine.fiber_range(i, (-40,), (40,)).tobytes()
         assert w[80 * i + 40:80 * i + 43].tolist() == [
             system.base.act_generator(0, i, t) for t in range(3)]
 
@@ -155,12 +156,13 @@ BOXES = [
                          ids=[f"{b[0]['name']}-{b[3]}-{b[4]}" for b in BOXES])
 def test_box_walk_matches_reference_elements(spec, x, y, lo, hi):
     system = catalog.build_system(spec)
-    engine = system.pair_engine(x, y)
+    engine = rds.PairEngine(system, x, y)
     box = list(itertools.product(*(range(a, b) for a, b in zip(lo, hi))))
     for omega in range(system.base.size):
         want = np.asarray([_reference_element(system, omega, engine.delta0, g) for g in box])
         assert engine.fiber_range(omega, lo, hi).tobytes() == want.tobytes()
-        assert [engine.fiber_at(g, omega) for g in box[::7]] == want[::7].tolist()
+        assert [engine.fiber_range(omega, g, [v + 1 for v in g])[0]
+                for g in box[::7]] == want[::7].tolist()
     sup = np.maximum.reduce([engine.fiber_range(i, lo, hi) for i in engine.admissible])
     assert engine.dtilde_range(lo, hi).tobytes() == sup.tobytes()
 
@@ -206,7 +208,7 @@ def _profiles():
     rng = np.random.default_rng(3)
     n = 64 + 10000 + 64
     scale = 10.0 ** rng.uniform(-3, 3, size=n)
-    squares = synthetic_source("squares").range_values(-64, 10000 + 64)
+    squares = synthetic_source("squares").range_values((-64,), (10000 + 64,))
     return {"random": rng.random(n) * scale, "squares": squares}
 
 
@@ -234,7 +236,7 @@ def test_dyadic_table_matches_translated_means(name, gathers):
     vals = _profiles()[name]
     offsets = np.arange(129)
     schedule = tuple(2 ** k for k in range(13))  # 1 .. 4096
-    got = window_means(vals, (offsets,), [(m,) for m in schedule], 1 << 18)
+    got = window_means(vals, (offsets,), [(m,) for m in schedule])
     for m, means in zip(schedule, got, strict=True):
         assert means.tobytes() == _gathered_line_means(vals, offsets, m).tobytes(), m
     assert gathers == []
@@ -247,10 +249,10 @@ def test_non_power_of_two_top_entry_matches(name, gathers):
     assert schedule[-1] == 10000 and schedule[-2] == 8192
     windows = [(m,) for m in schedule]
     offsets = np.arange(129)
-    for m, means in zip(schedule, window_means(vals, (offsets,), windows, 1 << 18)):
+    for m, means in zip(schedule, window_means(vals, (offsets,), windows)):
         assert means.tobytes() == _gathered_line_means(vals, offsets, m).tobytes()
     assert sum(gathers) == 129  # only the 10000 top is gathered
-    for m, means in zip(schedule, window_means(vals, (offsets[:1],), windows, 1 << 18)):
+    for m, means in zip(schedule, window_means(vals, (offsets[:1],), windows)):
         assert float(means[0]) == float(tree_mean_rows(vals[:m])[0])
 
 
@@ -355,13 +357,13 @@ def test_bisected_schedule_top_matches_probing(spec):
 def test_dyadic_table_rejects_bad_requests():
     vals = np.arange(16, dtype=np.float64)
     with pytest.raises(ValueError, match="shrink"):
-        list(window_means(vals, (np.asarray([0]),), [(4,), (2,)], 1 << 18))
+        list(window_means(vals, (np.asarray([0]),), [(4,), (2,)]))
     with pytest.raises(ValueError, match="out of the box"):
-        list(window_means(vals, (np.asarray([1]),), [(16,)], 1 << 18))
+        list(window_means(vals, (np.asarray([1]),), [(16,)]))
     with pytest.raises(ValueError, match="out of the box"):
-        list(window_means(vals, (np.asarray([-1]),), [(2,)], 1 << 18))
+        list(window_means(vals, (np.asarray([-1]),), [(2,)]))
     with pytest.raises(ValueError, match="out of the box"):
-        list(window_means(vals, (np.asarray([4]),), [(2,), (13,)], 1 << 18))
+        list(window_means(vals, (np.asarray([4]),), [(2,), (13,)]))
 
 
 # ---------------------------------------------------------------------------

@@ -106,14 +106,14 @@ def test_tail_indices():
 
 def test_line_window_means_bounds_checked():
     vals = np.arange(10, dtype=np.float64)
-    (got,) = window_means(vals, (np.asarray([2]),), [(4,)], 1 << 18)
+    (got,) = window_means(vals, (np.asarray([2]),), [(4,)])
     assert got[0] == (2 + 3 + 4 + 5) / 4
     with pytest.raises(ValueError):
-        list(window_means(vals, (np.asarray([8]),), [(4,)], 1 << 18))
-    (got,) = window_means(vals, (np.asarray([0, 3]),), [(3,)], 1 << 18)
+        list(window_means(vals, (np.asarray([8]),), [(4,)]))
+    (got,) = window_means(vals, (np.asarray([0, 3]),), [(3,)])
     assert got.tolist() == [1.0, 4.0]  # starts index the box
     with pytest.raises(ValueError):
-        list(window_means(vals, (np.asarray([9]),), [(3,)], 1 << 18))
+        list(window_means(vals, (np.asarray([9]),), [(3,)]))
 
 
 class _ConstantSource(pseudometrics.ValueSource):
@@ -141,14 +141,19 @@ def test_finite_groups_have_no_schedule(spec):
 # ---------------------------------------------------------------------------
 # synthetic profiles
 
+def _at(source, t):
+    """The profile's value at time t: a one-element box read."""
+    return float(source.range_values((t,), (t + 1,))[0])
+
+
 def test_synthetic_registry():
     ev = synthetic_source("evens")
-    assert ev.value((4,)) == 1.0 and ev.value((7,)) == 0.0
+    assert _at(ev, 4) == 1.0 and _at(ev, 7) == 0.0
     sq = synthetic_source("squares")
-    hits = [t for t in range(30) if sq.value((t,)) == 1.0]
+    hits = [t for t in range(30) if _at(sq, t) == 1.0]
     assert hits == [0, 1, 4, 9, 16, 25]
     dy = synthetic_source("dyadic-blocks")
-    hits = [t for t in range(40) if dy.value((t,)) == 1.0]
+    hits = [t for t in range(40) if _at(dy, t) == 1.0]
     assert hits == [1, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31]
     with pytest.raises(ValueError):
         synthetic_source("nope")
@@ -157,7 +162,7 @@ def test_synthetic_registry():
     for spec in ("constant:nan", "periodic:0,nan,1"):
         with pytest.raises(ValueError, match="NaN"):
             synthetic_source(spec)
-    assert synthetic_source("constant:inf").value((3,)) == math.inf
+    assert _at(synthetic_source("constant:inf"), 3) == math.inf
 
 
 def test_constant_profile_all_estimators_exact():
@@ -463,7 +468,7 @@ def test_window_blocks_do_not_change_a_bit(spec, x, y, monkeypatch):
         return out
 
     whole = read()
-    monkeypatch.setattr(pseudometrics, "WINDOW_BLOCK_ELEMENTS", 7)
+    monkeypatch.setattr(_windows, "WINDOW_BLOCK_ELEMENTS", 7)
     assert read() == whole
     assert set(gathered) == {1}
 

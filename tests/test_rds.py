@@ -12,6 +12,7 @@ from meanrds.rds import (
     DomainError,
     FiberMap,
     FiberSpace,
+    PairEngine,
     RandomDynamicalSystem,
     SystemSpecError,
     fold_norm,
@@ -148,8 +149,9 @@ def test_dtilde_two_fiber_example():
     # at t=1: the identity fiber keeps distance 0.25, the cat fiber sends
     # (0.25, 0) to (0.5, 0.25)
     expected = math.hypot(0.5, 0.25)
-    assert sys_.dtilde((1,), x, y) == pytest.approx(expected, abs=1e-15)
-    assert sys_.dtilde((0,), x, y) == pytest.approx(0.25, abs=1e-15)
+    vals = PairEngine(sys_, x, y).dtilde_range((0,), (2,))
+    assert vals[1] == pytest.approx(expected, abs=1e-15)
+    assert vals[0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_dtilde_no_common_fiber_is_infinite():
@@ -168,9 +170,10 @@ def test_dtilde_no_common_fiber_is_infinite():
     x = (0.0, 0.3)
     y = (0.5, 0.3)
     assert sys_.admissible_fibers(x, y) == ()
-    assert sys_.dtilde((3,), x, y) == math.inf
+    assert PairEngine(sys_, x, y).dtilde_range((3,), (4,))[0] == math.inf
     # points sharing the first slice are fine
-    assert sys_.dtilde((3,), (0.0, 0.1), (0.0, 0.4)) == pytest.approx(0.3)
+    shared = PairEngine(sys_, (0.0, 0.1), (0.0, 0.4))
+    assert shared.dtilde_range((3,), (4,))[0] == pytest.approx(0.3)
 
 
 def test_apply_composes_rotations():
@@ -182,13 +185,6 @@ def test_apply_composes_rotations():
     assert torus_distance(back, (0.0,)) <= 1e-15
 
 
-def test_skew_apply_moves_base_and_fiber():
-    sys_ = _two_fiber_example()
-    omega, x = sys_.skew_apply((1,), ("w1", (0.5, 0.5)))
-    assert omega == 0
-    assert x == (0.5, 0.0)
-
-
 def test_pair_engine_matches_apply():
     """The difference walk must agree with applying the cocycle to both
     points and measuring the distance."""
@@ -197,10 +193,10 @@ def test_pair_engine_matches_apply():
         rng = np.random.default_rng(11)
         x = tuple(rng.random(sys_.dim))
         y = tuple(rng.random(sys_.dim))
-        eng = sys_.pair_engine(x, y)
+        eng = PairEngine(sys_, x, y)
         for w in range(sys_.base.size):
             for t in (-7, -1, 0, 1, 2, 13):
-                via_walk = eng.fiber_at((t,), w)
+                via_walk = eng.fiber_range(w, (t,), (t + 1,))[0]
                 fx = sys_.apply((t,), w, x)
                 fy = sys_.apply((t,), w, y)
                 assert via_walk == pytest.approx(torus_distance(fx, fy), abs=1e-9)
@@ -208,28 +204,34 @@ def test_pair_engine_matches_apply():
 
 def test_pair_engine_ranges_match_pointwise():
     sys_ = catalog.load("cat2")
-    eng = sys_.pair_engine((0.1, 0.2), (0.15, 0.9))
-    vals = eng.fiber_range("w1", -5, 9)
+    eng = PairEngine(sys_, (0.1, 0.2), (0.15, 0.9))
+    vals = eng.fiber_range("w1", (-5,), (9,))
     assert vals.shape == (14,)
+    fresh = PairEngine(sys_, (0.1, 0.2), (0.15, 0.9))
     for k, t in enumerate(range(-5, 9)):
-        assert vals[k] == eng.fiber_at((t,), "w1")
-    sup = eng.dtilde_range(-5, 9)
+        assert vals[k] == fresh.fiber_range("w1", (t,), (t + 1,))[0]
+    sup = eng.dtilde_range((-5,), (9,))
     assert np.all(sup >= vals)
-    mix = eng.integral_range(-5, 9)
+    mix = eng.integral_range((-5,), (9,))
     assert np.all(mix <= sup + 1e-12)
 
 
-def test_int_corners_are_rank_one_corners():
-    """On Z an int corner (Python or numpy) reads the box of the 1-tuple,
-    which the engine keeps read-only; on any other group it is rejected."""
-    eng = catalog.load("cat2").pair_engine((0.1, 0.2), (0.15, 0.9))
+def test_box_reads_take_tuple_corners_only():
+    """A box read keeps its box read-only and returns it again for equal
+    corners; an int corner (Python or numpy) is rejected on Z too, and a
+    corner of the wrong rank on any group."""
+    eng = PairEngine(catalog.load("cat2"), (0.1, 0.2), (0.15, 0.9))
     kept = eng.fiber_range("w1", (-5,), (9,))
     assert not kept.flags.writeable
-    assert eng.fiber_range("w1", -5, 9) is kept
-    assert eng.fiber_range("w1", np.int64(-5), np.int64(9)) is kept
-    grid = catalog.build_system(Z2_CAT).pair_engine((0.1, 0.2), (0.15, 0.9))
+    assert eng.fiber_range("w1", [-5], (9,)) is kept
+    for read in (eng.dtilde_range, eng.integral_range,
+                 lambda lo, hi: eng.fiber_range("w1", lo, hi)):
+        for lo, hi in ((-5, 9), (np.int64(-5), np.int64(9)), ((-5,), 9)):
+            with pytest.raises(TypeError):
+                read(lo, hi)
+    grid = PairEngine(catalog.build_system(Z2_CAT), (0.1, 0.2), (0.15, 0.9))
     with pytest.raises(GroupSpecError, match="wrong rank"):
-        grid.fiber_range(0, -5, 9)
+        grid.fiber_range(0, (-5,), (9,))
 
 
 def test_integral_requires_membership_everywhere():
@@ -242,9 +244,33 @@ def test_integral_requires_membership_everywhere():
         fibers=(FiberSpace.full(1), FiberSpace(1, (((0, 0.5),),))),
         maps=((FiberMap.rotation((0.0,)), FiberMap.identity(1)),),
     )
-    eng = sys_.pair_engine((0.1,), (0.2,))
+    eng = PairEngine(sys_, (0.1,), (0.2,))
+    assert eng.admissible == (0,) != sys_.base.support
     with pytest.raises(DomainError):
-        eng.integral_range(0, 4)
+        eng.integral_range((0,), (4,))
+
+
+def test_validate_needs_words_of_two_letters():
+    """A generator is never the identity, so a word-length cap below 2
+    would check no relation word."""
+    sys_ = catalog.load("rot2")
+    for cap in (-3, 0, 1):
+        with pytest.raises(ValueError, match="max_word_length"):
+            validate(sys_, max_word_length=cap)
+    (words,) = [c for c in validate(sys_, max_word_length=2).checks if c.name == "relation-words"]
+    assert words.passed and words.detail.endswith("identity words checked")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FiberMap.rotation((math.nan,)),
+    lambda: FiberMap(CAT, (0.0, math.inf)),
+    lambda: FiberSpace(2, (((0, math.nan),),)),
+    lambda: BaseSpace(("a", "b"), (math.nan, 1.0), ((0, 1),)),
+    lambda: BaseSpace(("a", "b"), (math.inf, 1.0), ((0, 1),)),
+], ids=["shift-nan", "shift-inf", "slice-nan", "weight-nan", "weight-inf"])
+def test_non_finite_system_numbers_are_rejected(make):
+    with pytest.raises(SystemSpecError, match="not finite"):
+        make()
 
 
 def test_validate_passes_on_z2_commuting_rotations():
