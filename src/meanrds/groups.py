@@ -9,7 +9,6 @@ direction (exactly; see :func:`folner_defect`).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import re
@@ -201,7 +200,6 @@ def folner_defect(window: FolnerWindow, g) -> Fraction:
     return Fraction(len(base ^ moved), len(base))
 
 
-@functools.lru_cache(maxsize=64)
 def search_ball(
     group: AmenableGroup, radius: int, element_budget: int = DEFAULT_ELEMENT_BUDGET
 ) -> tuple[tuple[int, ...], ...]:
@@ -211,8 +209,7 @@ def search_ball(
     factor, and a ``BudgetError`` raised before anything is built. Then each
     coordinate in turn extends the elements of the leading coordinates
     whose length is still within the radius; extending sorted prefixes by
-    ascending values keeps the lexicographic order. Cached per (group,
-    radius, budget); a ``BudgetError`` is not cached."""
+    ascending values keeps the lexicographic order."""
     if radius < 0:
         raise GroupSpecError(f"radius must be nonnegative, got {radius}")
     over = BudgetError(f"ball of radius {radius} exceeds budget {element_budget}")

@@ -27,7 +27,9 @@ fibers, a single fiber, or the weighted fiber average) or from synthetic
 profiles on the group Z used by the worked examples and tests. A profile is
 read only over boxes with tuple corners (``ValueSource.range_values``), and
 a scan reads it once, over the box holding every translated window; on Z
-that box is a range of times. A pair's profile is one of the box reads of
+that box is a range of times. Each scan's schedule, ball and box come from
+one cached ``_scan_plan``, which checks the box against the element budget
+before it builds the ball. A pair's profile is one of the box reads of
 its :class:`PairEngine`, chosen once, with its domain check, by
 ``_engine_source``. The profiles of one pair share one engine, which walks
 each fiber once: ``pair_summary`` and ``sup_fiber_weyl`` read all their
@@ -40,6 +42,7 @@ and are labeled as such.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import math
@@ -253,56 +256,64 @@ def pair_source(
 # ---------------------------------------------------------------------------
 # the window scan
 
+_ScanPlan = collections.namedtuple(
+    "_ScanPlan", "schedule scanned ball lo hi shape pad windows starts")
+
+
 @functools.lru_cache(maxsize=64)
-def _box_plan(group: AmenableGroup, ball, schedule):
-    """Where a scan of the schedule's windows over the ball's translates
-    reads its profile: the box corners (free axes from the lowest translate
-    to the highest plus the top window, cyclic axes whole), the box shape,
-    the wrap padding of the cyclic axes (None on Z^a), each window's widths,
-    and the ball's starts in the box as one read-only index array per axis.
-    Cached like ``search_ball``, since scans repeat their ball and schedule.
-    """
+def _scan_plan(group: AmenableGroup, cap: int, tail_fraction: float | None,
+               radius: int, budget: int) -> _ScanPlan:
+    """Everything a scan decides before it reads its profile: the
+    ``schedule`` of windows of at most ``cap`` elements, the ``scanned`` part
+    (its tail, or all of it when ``tail_fraction`` is None), the ``ball`` of
+    translates of word length <= ``radius``, and the box holding every
+    translated window: corners ``lo`` and ``hi``, ``shape``, the wrap
+    ``pad`` of the cyclic axes (None on Z^a), each scanned window's widths
+    (``windows``) and the ball's ``starts`` in the box, one read-only index
+    array per axis.
+
+    The box is [-r, r + top) on each free axis, since the ball reaches
+    exactly +-r there, and each cyclic axis whole; it is checked against
+    ``budget`` before the ball is built. A finite group raises
+    :class:`GroupSpecError` from its schedule first. Plans are cached, since
+    scans repeat their parameters; an error is not cached."""
+    schedule = _windows.window_schedule(FolnerFamily(group), cap)
+    scanned = schedule
+    if tail_fraction is not None:
+        scanned = schedule[_windows.tail_indices(schedule, tail_fraction)[0]:]
     free, orders = group.free_rank, group.cyclic_orders
-    top = schedule[-1]
-    starts = np.asarray(ball, dtype=np.int64)
-    lo, hi = starts.min(axis=0), starts.max(axis=0) + top
-    lo[free:], hi[free:] = 0, orders
-    starts -= lo
-    index = tuple(np.ascontiguousarray(axis) for axis in starts.T)
-    for ix in index:
-        ix.flags.writeable = False
+    top = scanned[-1]
+    lo = (-radius,) * free + (0,) * len(orders)
+    hi = (radius + top,) * free + orders
+    shape = tuple(b - a for a, b in zip(lo, hi))
+    if math.prod(shape) > budget:
+        raise BudgetError(f"box {list(shape)} over the windows and translates has "
+                          f"{math.prod(shape)} elements, over budget {budget}")
+    ball = search_ball(group, radius, budget)
+    starts = np.asarray(ball, dtype=np.int64) - lo
+    starts = tuple(np.ascontiguousarray(axis) for axis in starts.T)
+    for axis in starts:
+        axis.flags.writeable = False
     pad = ((0, 0),) * free + tuple((0, min(top, k) - 1) for k in orders) if orders else None
-    windows = tuple((n,) * free + tuple(min(n, k) for k in orders) for n in schedule)
-    return tuple(lo.tolist()), tuple(hi.tolist()), tuple((hi - lo).tolist()), pad, windows, index
+    windows = tuple((n,) * free + tuple(min(n, k) for k in orders) for n in scanned)
+    return _ScanPlan(schedule, scanned, ball, lo, hi, shape, pad, windows, starts)
 
 
-def _check_box(group: AmenableGroup, radius: int, top: int, cfg: EstimatorConfig):
-    """Raise :class:`BudgetError` when the box holding every translate by the
-    radius ball of the top window, 2r + top on each free axis and each cyclic
-    axis whole, has more than ``cfg.element_budget`` elements."""
-    shape = [2 * radius + top] * group.free_rank + list(group.cyclic_orders)
-    if math.prod(shape) > cfg.element_budget:
-        raise BudgetError(f"box {shape} over the windows and translates has "
-                          f"{math.prod(shape)} elements, over budget {cfg.element_budget}")
+def _window_means(source: ValueSource, plan: _ScanPlan):
+    """For each scanned window index n of the plan, yield n and the means of
+    the profile over the translates g F_n, one per g of the plan's ball, in
+    ball order.
 
-
-def _window_means(source: ValueSource, schedule, ball, cfg: EstimatorConfig):
-    """For each window index n of the increasing schedule, yield n and the
-    means of the profile over the translates g F_n, one per g of the ball,
-    in ball order.
-
-    The profile is read once, over the box holding every translated window,
-    with each cyclic axis whole and then padded by wrap, so translates wrap
-    mod k. :func:`_windows.window_means` takes every window out of it: from
-    the dyadic table, or by gathering the windows in blocks when a width is
-    not a power of two. The caller checks the box against
-    ``cfg.element_budget`` first (``_check_box``).
+    The profile is read once, over the plan's box, with each cyclic axis
+    whole and then padded by wrap, so translates wrap mod k.
+    :func:`_windows.window_means` takes every window out of it: from the
+    dyadic table, or by gathering the windows in blocks when a width is not
+    a power of two.
     """
-    lo, hi, shape, pad, windows, starts = _box_plan(source.group, ball, schedule)
-    box = source.range_values(lo, hi).reshape(shape)
-    if pad:
-        box = np.pad(box, pad, mode="wrap")
-    yield from zip(schedule, _windows.window_means(box, starts, windows))
+    box = source.range_values(plan.lo, plan.hi).reshape(plan.shape)
+    if plan.pad:
+        box = np.pad(box, plan.pad, mode="wrap")
+    yield from zip(plan.scanned, _windows.window_means(box, plan.starts, plan.windows))
 
 
 def _scan(source: ValueSource, cfg: EstimatorConfig, kind: str, note: str, *,
@@ -311,36 +322,29 @@ def _scan(source: ValueSource, cfg: EstimatorConfig, kind: str, note: str, *,
 
     Scans the tail of the n_max schedule when ``tail`` is set, else the whole
     m_max schedule. ``inner`` (max or min) picks over the ball translates of
-    each window, or None scans the untranslated windows; ``outer`` (max or
-    min) picks over the windows. The tie and start rules are in the module
-    docstring.
+    each window, or None scans the untranslated windows (the ball of radius
+    0); ``outer`` (max or min) picks over the windows. The schedule, ball and
+    box come from one cached :func:`_scan_plan`. The tie and start rules are
+    in the module docstring.
     """
-    folner = FolnerFamily(source.group, cfg.element_budget)
-    if tail:
-        schedule = _windows.window_schedule(folner, cfg.n_max)
-        scanned = schedule[_windows.tail_indices(schedule, cfg.tail_fraction)[0]:]
-    else:
-        schedule = scanned = _windows.window_schedule(folner, cfg.m_max)
-    _check_box(source.group, 0 if inner is None else cfg.search_radius, scanned[-1], cfg)
-    if inner is None:
-        ball = (source.group.identity(),)
-    else:
-        ball = search_ball(source.group, cfg.search_radius, cfg.element_budget)
+    plan = _scan_plan(source.group, cfg.n_max if tail else cfg.m_max,
+                      cfg.tail_fraction if tail else None,
+                      0 if inner is None else cfg.search_radius, cfg.element_budget)
     pick = np.argmax if inner is max else np.argmin
     better = operator.gt if outer is max else operator.lt
-    value, window, translate = (-math.inf if outer is max else math.inf), scanned[0], None
-    for n, means in _window_means(source, scanned, ball, cfg):
+    value, window, translate = (-math.inf if outer is max else math.inf), plan.scanned[0], None
+    for n, means in _window_means(source, plan):
         k = int(pick(means))
         if better(float(means[k]), value):
             value, window = float(means[k]), n
-            translate = None if inner is None else ball[k]
+            translate = None if inner is None else plan.ball[k]
     return PseudometricEstimate(
         kind=kind,
         value=value,
         window_index=window,
         translate=translate,
-        schedule=schedule,
-        tail_start=scanned[0] if tail else None,
+        schedule=plan.schedule,
+        tail_start=plan.scanned[0] if tail else None,
         truncation_note=note,
         source_label=source.label,
     )
@@ -376,20 +380,15 @@ def mean_curves(source: ValueSource, cfg: EstimatorConfig):
     """Diagnostic curves on the banach schedule: for each window size m the
     untranslated mean A_m and the max over ball translates S_m.
 
-    The identity translate is part of the ball, computed through the same
-    summation tree, so S_m >= A_m holds bitwise."""
-    folner = FolnerFamily(source.group, cfg.element_budget)
-    schedule = _windows.window_schedule(folner, cfg.m_max)
-    _check_box(source.group, cfg.search_radius, schedule[-1], cfg)
-    ball = search_ball(source.group, cfg.search_radius, cfg.element_budget)
-    untranslated = [
-        float(means[0]) for _, means in
-        _window_means(source, schedule, (source.group.identity(),), cfg)
-    ]
-    translated_max = [
-        float(np.max(means)) for _, means in _window_means(source, schedule, ball, cfg)
-    ]
-    return schedule, untranslated, translated_max
+    A_m is the mean at the identity translate, which is part of the ball, so
+    S_m >= A_m holds bitwise."""
+    plan = _scan_plan(source.group, cfg.m_max, None, cfg.search_radius, cfg.element_budget)
+    at = plan.ball.index(source.group.identity())
+    untranslated, translated_max = [], []
+    for _, means in _window_means(source, plan):
+        untranslated.append(float(means[at]))
+        translated_max.append(float(np.max(means)))
+    return plan.schedule, untranslated, translated_max
 
 
 # ---------------------------------------------------------------------------

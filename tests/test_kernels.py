@@ -18,9 +18,11 @@ from meanrds import _windows, catalog, pseudometrics, rds
 from meanrds._windows import tree_mean_rows, window_means, window_schedule
 from meanrds.classify import _sample_pairs
 from meanrds.groups import BudgetError, FolnerFamily, parse_group, search_ball
+from meanrds.density import banach_upper_density, separation_set
 from meanrds.pseudometrics import (
     EstimatorConfig,
     ValueSource,
+    _scan_plan,
     pair_source,
     pair_summary,
     synthetic_source,
@@ -309,16 +311,23 @@ def test_dyadic_table_matches_the_gather(spec, m_max, radius, gathered, gathers)
     gathered."""
     src = _CoordinateSource(spec)
     schedule = window_schedule(FolnerFamily(src.group), m_max)
-    cfg = EstimatorConfig(m_max=m_max, search_radius=radius)
-    for ball in (search_ball(src.group, radius), (src.group.identity(),)):
+    wants = []
+    for r in (radius, 0):
+        plan = _scan_plan(src.group, m_max, None, r, EstimatorConfig().element_budget)
         gathers.clear()
-        got = list(pseudometrics._window_means(src, schedule, ball, cfg))
-        want = list(_gathered_means(src, schedule, ball))
+        got = list(pseudometrics._window_means(src, plan))
+        want = list(_gathered_means(src, schedule, plan.ball))
         assert [n for n, _ in got] == list(schedule)
         for (n, means), (_, ref) in zip(got, want):
             assert means.tobytes() == ref.tobytes(), n
-        assert sum(gathers) == len(ball) * len(gathered)
+        assert sum(gathers) == len(plan.ball) * len(gathered)
         assert set(gathered) <= set(schedule)
+        wants.append(want)
+    # mean_curves reads the untranslated means at the identity of the ball
+    _, untranslated, translated_max = pseudometrics.mean_curves(
+        src, EstimatorConfig(m_max=m_max, search_radius=radius))
+    assert untranslated == [float(ref[0]) for _, ref in wants[1]]
+    assert translated_max == [float(ref.max()) for _, ref in wants[0]]
 
 
 @pytest.mark.parametrize("spec,x,y", [(ZXC2_CAT2, (0.1, 0.2), (0.1004, 0.2002)),
@@ -326,13 +335,12 @@ def test_dyadic_table_matches_the_gather(spec, m_max, radius, gathered, gathers)
                          ids=["zxc2-cat2", "zxc3-order3"])
 def test_dyadic_table_matches_the_gather_on_systems(spec, x, y):
     system = catalog.build_system(spec)
-    cfg = EstimatorConfig(m_max=256, search_radius=5)
-    schedule = window_schedule(FolnerFamily(system.group), cfg.m_max)
-    ball = search_ball(system.group, cfg.search_radius)
+    plan = _scan_plan(system.group, 256, None, 5, EstimatorConfig().element_budget)
     for mode in ("sup", "integral"):
         src = pair_source(system, x, y, mode)
-        got = pseudometrics._window_means(src, schedule, ball, cfg)
-        for (n, means), (_, ref) in zip(got, _gathered_means(src, schedule, ball), strict=True):
+        got = pseudometrics._window_means(src, plan)
+        for (n, means), (_, ref) in zip(got, _gathered_means(src, plan.schedule, plan.ball),
+                                        strict=True):
             assert means.tobytes() == ref.tobytes(), (mode, n)
 
 
@@ -484,9 +492,27 @@ def test_support_sampling_matches_rng_choice(weights):
         assert new.bit_generator.state == ref.bit_generator.state
 
 
-def test_search_ball_is_cached_but_budget_errors_are_not():
-    g = parse_group("Z^2")
-    assert search_ball(g, 5) is search_ball(g, 5)
+def test_scan_plan_is_cached_but_budget_errors_are_not(monkeypatch):
+    """Every scan takes its schedule, ball and box from one cached plan: the
+    Banach scans of three pairs and of one separation set build the ball
+    once. An over-budget plan raises on every call."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return search_ball(*args)
+
+    monkeypatch.setattr(pseudometrics, "search_ball", counting)
+    _scan_plan.cache_clear()
+    system = catalog.build_system(Z2_CAT)
+    cfg = EstimatorConfig(m_max=64, search_radius=6)
+    for x, y in [((0.1, 0.2), (0.1004, 0.2002)), ((0.3, 0.4), (0.31, 0.4)),
+                 ((0.5, 0.5), (0.5, 0.52))]:
+        pseudometrics.banach_mean(pair_source(system, x, y), cfg)
+    src = pair_source(system, (0.1, 0.2), (0.2, 0.3))
+    banach_upper_density(separation_set(src, 0.05), cfg)
+    assert built == [(system.group, 6, cfg.element_budget)]
     for _ in range(2):
-        with pytest.raises(BudgetError):
-            search_ball(g, 30, element_budget=100)
+        with pytest.raises(BudgetError, match="box"):
+            _scan_plan(system.group, 64, None, 30, 100)
+    assert len(built) == 1

@@ -450,8 +450,8 @@ def test_window_blocks_do_not_change_a_bit(spec, x, y, monkeypatch):
     system = catalog.build_system(spec)
     cfg = EstimatorConfig(n_max=256, m_max=48, search_radius=4)
     src = pair_source(system, x, y)
-    schedule = window_schedule(FolnerFamily(system.group), cfg.m_max)
-    ball = search_ball(system.group, cfg.search_radius)
+    plan = pseudometrics._scan_plan(system.group, cfg.m_max, None, cfg.search_radius,
+                                    cfg.element_budget)
     gathered = []
 
     def counting(arr):
@@ -462,7 +462,7 @@ def test_window_blocks_do_not_change_a_bit(spec, x, y, monkeypatch):
 
     def read():
         gathered.clear()
-        out = ([m.tobytes() for _, m in pseudometrics._window_means(src, schedule, ball, cfg)],
+        out = ([m.tobytes() for _, m in pseudometrics._window_means(src, plan)],
                [json.dumps(e.to_dict()) for e in pair_summary(system, x, y, cfg).values()])
         assert gathered, "no window was gathered"
         return out
