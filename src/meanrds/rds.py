@@ -841,6 +841,11 @@ def _relation_word_sweep(system: RandomDynamicalSystem, max_len: int):
     to the group identity, the composed cocycle matrices must be exactly the
     identity and the composed shifts must sit on the integer lattice.
 
+    A word is extended only while the identity is still within reach of the
+    letters left. The nodes of the DFS are counted first, by word length
+    and end element under that rule, so a sweep over ``NODE_BUDGET`` raises
+    :class:`BudgetError` before it walks.
+
     Returns (worst shift residual, failure detail or None, words checked)."""
     grp = system.group
     base = system.base
@@ -851,10 +856,30 @@ def _relation_word_sweep(system: RandomDynamicalSystem, max_len: int):
     identity = grp.identity()
     id_mat = _identity_matrix(system.dim)
 
+    def children(elem, depth):
+        for i, d in letters:
+            nxt = list(elem)
+            nxt[i] += d
+            if i >= grp.free_rank:
+                nxt[i] %= grp.cyclic_orders[i - grp.free_rank]
+            nxt = tuple(nxt)
+            if grp.word_length(nxt) <= max_len - depth - 1:
+                yield i, d, nxt
+
+    nodes, layer = 1, {identity: 1}
+    for depth in range(max_len):
+        below: dict = {}
+        for elem, count in layer.items():
+            for _, _, nxt in children(elem, depth):
+                below[nxt] = below.get(nxt, 0) + count
+        nodes += sum(below.values())
+        if nodes > NODE_BUDGET:
+            raise BudgetError("relation-word sweep exceeded its node budget")
+        layer = below
+
     worst = 0.0
     failure: str | None = None
     checked = 0
-    nodes = 0
 
     start_states = [
         (w, system.identity_map_at(w)) for w in range(base.size)
@@ -864,10 +889,7 @@ def _relation_word_sweep(system: RandomDynamicalSystem, max_len: int):
         return "*".join(f"s{i}" + ("" if d == 1 else "^-1") for i, d in word)
 
     def recurse(elem, states, word):
-        nonlocal worst, failure, checked, nodes
-        nodes += 1
-        if nodes > NODE_BUDGET:
-            raise BudgetError("relation-word sweep exceeded its node budget")
+        nonlocal worst, failure, checked
         depth = len(word)
         if depth >= 1 and elem == identity:
             checked += 1
@@ -890,15 +912,7 @@ def _relation_word_sweep(system: RandomDynamicalSystem, max_len: int):
                         worst = res
         if depth == max_len:
             return
-        for (i, d) in letters:
-            nxt = list(elem)
-            nxt[i] += d
-            if i >= grp.free_rank:
-                nxt[i] %= grp.cyclic_orders[i - grp.free_rank]
-            nxt_t = tuple(nxt)
-            # only descend if the identity is still reachable in the budget
-            if grp.word_length(nxt_t) > max_len - depth - 1:
-                continue
+        for i, d, nxt in children(elem, depth):
             new_states = []
             for (w, fm) in states:
                 if d == 1:
@@ -908,7 +922,7 @@ def _relation_word_sweep(system: RandomDynamicalSystem, max_len: int):
                     nw = base.act_generator(i, w, -1)
                     step = system._inv_maps[i][nw]
                 new_states.append((nw, step.compose(fm)))
-            recurse(nxt_t, new_states, word + [(i, d)])
+            recurse(nxt, new_states, word + [(i, d)])
 
     recurse(identity, start_states, [])
     return worst, failure, checked

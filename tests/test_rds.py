@@ -1,12 +1,15 @@
 """Fiber maps, fiber domains, the skew action, separation walks, validate."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from grid_fixtures import Z2_CAT
-from meanrds.groups import GroupSpecError, parse_group
+from test_pseudometrics import GATE_SECONDS
+from meanrds import rds
+from meanrds.groups import BudgetError, GroupSpecError, parse_group
 from meanrds.rds import (
     BaseSpace,
     DomainError,
@@ -259,6 +262,36 @@ def test_validate_needs_words_of_two_letters():
             validate(sys_, max_word_length=cap)
     (words,) = [c for c in validate(sys_, max_word_length=2).checks if c.name == "relation-words"]
     assert words.passed and words.detail.endswith("identity words checked")
+
+
+@pytest.mark.parametrize("spec,nodes", [("rot2", 251), (Z2_CAT, 13_541)],
+                         ids=["rot2", "z2-cat"])
+def test_relation_word_sweep_counts_its_nodes_before_walking(spec, nodes, monkeypatch):
+    """The sweep counts its DFS nodes at word length 8 up front: a budget of
+    exactly that many walks them all (one compose per base point at each
+    node past the root), one fewer raises before any map is composed."""
+    sys_ = catalog.load(spec) if isinstance(spec, str) else catalog.build_system(spec)
+    composed = []
+    compose = FiberMap.compose
+    monkeypatch.setattr(FiberMap, "compose",
+                        lambda self, other: composed.append(1) or compose(self, other))
+    monkeypatch.setattr(rds, "NODE_BUDGET", nodes)
+    rds._relation_word_sweep(sys_, 8)
+    assert len(composed) == (nodes - 1) * sys_.base.size
+    composed.clear()
+    monkeypatch.setattr(rds, "NODE_BUDGET", nodes - 1)
+    with pytest.raises(BudgetError, match="node budget"):
+        rds._relation_word_sweep(sys_, 8)
+    assert composed == []
+
+
+def test_over_budget_relation_word_sweep_fails_at_once():
+    """rot2 has 10 400 599 sweep nodes at word length 24, over NODE_BUDGET;
+    validate raises within the gate instead of walking for minutes."""
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="relation-word sweep exceeded its node budget"):
+        validate(catalog.load("rot2"), max_word_length=24)
+    assert time.perf_counter() - start < GATE_SECONDS
 
 
 @pytest.mark.parametrize("make", [
