@@ -33,6 +33,7 @@ from .rds import (
     RandomDynamicalSystem,
     SystemSpecError,
     _is_number,
+    _sequence,
 )
 
 CAT_MATRIX = ((2, 1), (1, 1))
@@ -158,18 +159,22 @@ def build_system(spec: dict) -> RandomDynamicalSystem:
     fibers_spec = spec.get("fibers")
     if fibers_spec is None:
         fibers_spec = ["full"] * base.size
-    elif len(fibers_spec) != base.size:
+    elif len(_sequence(fibers_spec, "fibers")) != base.size:
         raise SystemSpecError(
             f"need one fibers entry per base point ({base.size}), got {len(fibers_spec)}"
         )
+    declared = spec.get("declared", {})
+    if not isinstance(declared, dict):
+        raise SystemSpecError(f"declared {declared!r} is not an object")
     return RandomDynamicalSystem(
         name=str(spec.get("name", "custom")),
         group=group,
         base=base,
         dim=dim,
         fibers=tuple(_fiber_space(fs, dim) for fs in fibers_spec),
-        maps=tuple(tuple(_fiber_map(m, dim) for m in row) for row in spec["maps"]),
-        declared=dict(spec.get("declared", {})),
+        maps=tuple(tuple(_fiber_map(m, dim) for m in _sequence(row, "maps row"))
+                   for row in _sequence(spec["maps"], "maps")),
+        declared=dict(declared),
     )
 
 

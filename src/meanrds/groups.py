@@ -118,6 +118,8 @@ class AmenableGroup:
 
 def parse_group(text: str) -> AmenableGroup:
     """Parse descriptions like ``"Z"``, ``"Z^2"``, ``"Z x C2"``, ``"Z^3 x C2 x C3"``."""
+    if not isinstance(text, str):
+        raise GroupSpecError(f"group description {text!r} is not a string")
     cleaned = text.replace("×", "x").replace("*", "x")
     tokens = [t.strip() for t in cleaned.split("x") if t.strip()]
     if not tokens:

@@ -73,11 +73,21 @@ def _is_number(v, kind) -> bool:
 
 
 def _finite(v, what: str) -> float:
-    """v as a float; SystemSpecError if it is NaN or infinite."""
+    """v as a float; SystemSpecError if it is not a real number (a string or
+    a bool is not) or is NaN or infinite."""
+    if not _is_number(v, Real):
+        raise SystemSpecError(f"{what} {v!r} is not a real number")
     f = float(v)
     if not math.isfinite(f):
         raise SystemSpecError(f"{what} {v!r} is not finite")
     return f
+
+
+def _sequence(v, what: str):
+    """v if it is a list or tuple; SystemSpecError otherwise."""
+    if not isinstance(v, (list, tuple)):
+        raise SystemSpecError(f"{what} {v!r} is not a list")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +185,16 @@ class FiberMap:
     shift: tuple[float, ...]
 
     def __post_init__(self):
-        n = len(self.matrix)
+        n = len(_sequence(self.matrix, "matrix"))
         for row in self.matrix:
-            for v in row:
+            for v in _sequence(row, "matrix row"):
                 # a float is an integer when integral, never when NaN or infinite
                 if not (_is_number(v, Integral) or isinstance(v, float) and v.is_integer()):
                     raise SystemSpecError(f"matrix entry {v!r} is not an integer")
             if len(row) != n:
                 raise SystemSpecError("matrix must be square")
         mat = tuple(tuple(int(v) for v in row) for row in self.matrix)
-        if len(self.shift) != n:
+        if len(_sequence(self.shift, "shift")) != n:
             raise SystemSpecError("shift length must match matrix size")
         det = _mat_det(mat)
         if det not in (1, -1):
@@ -288,9 +298,16 @@ class FiberSpace:
     def __post_init__(self):
         if self.slices is not None:
             norm = []
-            for sl in self.slices:
-                fixed = tuple(sorted((int(ax), _finite(val, "slice value") % 1.0)
-                                     for ax, val in sl))
+            for sl in _sequence(self.slices, "slices"):
+                fixed = []
+                for pair in _sequence(sl, "slice"):
+                    if len(_sequence(pair, "slice entry")) != 2:
+                        raise SystemSpecError(f"slice entry {pair!r} is not an [axis, value] pair")
+                    ax, val = pair
+                    if not _is_number(ax, Integral):
+                        raise SystemSpecError(f"slice axis {ax!r} is not an integer")
+                    fixed.append((int(ax), _finite(val, "slice value") % 1.0))
+                fixed = tuple(sorted(fixed))
                 for ax, _ in fixed:
                     if not 0 <= ax < self.dim:
                         raise SystemSpecError(f"slice axis {ax} out of range")
@@ -430,8 +447,8 @@ class BaseSpace:
     generator_perms: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        self.labels = tuple(str(l) for l in self.labels)
-        self.weights = tuple(_finite(w, "weight") for w in self.weights)
+        self.labels = tuple(str(l) for l in _sequence(self.labels, "labels"))
+        self.weights = tuple(_finite(w, "weight") for w in _sequence(self.weights, "weights"))
         if not self.labels:
             raise SystemSpecError("base space needs at least one point")
         if len(set(self.labels)) != len(self.labels):
@@ -443,8 +460,8 @@ class BaseSpace:
                 raise SystemSpecError(f"weights must be nonnegative, got {w}")
         if not any(w > 0 for w in self.weights):
             raise SystemSpecError("support must be nonempty")
-        for p in self.generator_perms:
-            for i in p:
+        for p in _sequence(self.generator_perms, "perms"):
+            for i in _sequence(p, "permutation"):
                 if not _is_number(i, Integral):
                     raise SystemSpecError(f"permutation entry {i!r} is not an integer")
         self.generator_perms = tuple(tuple(int(i) for i in p) for p in self.generator_perms)

@@ -283,6 +283,41 @@ BAD_CONFIGS = [
     pytest.param({"system": {**TWO_ROT, "dim": 1.5}}, "dim", id="float-dim"),
     pytest.param({"system": {**TWO_ROT, "base": {**TWO_ROT["base"], "perms": [[1, 0.7]]}}},
                  "permutation entry", id="float-perm-entry"),
+    pytest.param({"system": {**TWO_ROT, "group": 1}}, "group", id="int-group"),
+    pytest.param({"system": {**TWO_ROT, "base": {**TWO_ROT["base"], "labels": 5}}}, "labels",
+                 id="int-labels"),
+    pytest.param({"system": {**TWO_ROT, "base": {**TWO_ROT["base"], "labels": "ab"}}},
+                 "labels", id="string-labels"),
+    pytest.param({"system": {**TWO_ROT, "base": {**TWO_ROT["base"], "weights": 5}}},
+                 "weights", id="int-weights"),
+    pytest.param({"system": {**TWO_ROT, "base": {**TWO_ROT["base"], "perms": 3}}}, "perms",
+                 id="int-perms"),
+    pytest.param({"system": {**TWO_ROT, "base": {**TWO_ROT["base"], "perms": [3]}}},
+                 "permutation", id="int-permutation"),
+    pytest.param({"system": {**TWO_ROT, "maps": 5}}, "maps", id="int-maps"),
+    pytest.param({"system": {**TWO_ROT, "maps": [[{"matrix": [[1]], "shift": 0.1},
+                                                  {"matrix": [[1]]}]]}},
+                 "shift", id="scalar-shift"),
+    pytest.param({"system": {**TWO_ROT, "maps": [[{"matrix": 1}, {"matrix": [[1]]}]]}},
+                 "matrix", id="int-matrix"),
+    pytest.param({"system": {**TWO_ROT, "fibers": [{"slices": 3}, "full"]}}, "slices",
+                 id="int-slices"),
+    pytest.param({"system": {**TWO_ROT, "fibers": [{"slices": [[[0]]]}, "full"]}},
+                 "slice entry", id="slice-entry-without-value"),
+    pytest.param({"system": {**TWO_ROT, "fibers": 5}}, "fibers", id="int-fibers"),
+    pytest.param({"system": {**TWO_ROT, "declared": [1]}}, "declared", id="list-declared"),
+    pytest.param({"system": {**TWO_ROT, "base": {**TWO_ROT["base"], "weights": ["0.5", 0.5]}}},
+                 "weight", id="string-weight"),
+    pytest.param({"system": {**TWO_ROT, "maps": [[{"matrix": [[1]], "shift": ["0.5"]},
+                                                  {"matrix": [[1]]}]]}},
+                 "shift", id="string-shift"),
+    pytest.param({"system": {**TWO_ROT, "maps": [[{"matrix": [[1]], "shift": [True]},
+                                                  {"matrix": [[1]]}]]}},
+                 "shift", id="bool-shift"),
+    pytest.param({"system": {**TWO_ROT, "fibers": [{"slices": [[[0.7, 0.5]]]}, "full"]}},
+                 "slice axis", id="float-slice-axis"),
+    pytest.param({"system": {**TWO_ROT, "fibers": [{"slices": [[[0, "0.5"]]]}, "full"]}},
+                 "slice value", id="string-slice-value"),
 ]
 
 
