@@ -209,8 +209,6 @@ def synthetic_source(spec: str) -> SyntheticSource:
         return SyntheticSource(lambda t: np.full(t.shape, c, dtype=np.float64), spec)
     if spec.startswith("periodic:"):
         vals = np.asarray([float(v) for v in spec.split(":", 1)[1].split(",")], dtype=np.float64)
-        if vals.size == 0:
-            raise ValueError("periodic profile needs at least one value")
         if np.isnan(vals).any():
             raise ValueError(f"synthetic profile {spec!r} has a NaN value")
         return SyntheticSource(lambda t: vals[t % vals.size], spec)
