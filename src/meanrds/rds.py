@@ -447,7 +447,10 @@ class BaseSpace:
     generator_perms: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        self.labels = tuple(str(l) for l in _sequence(self.labels, "labels"))
+        self.labels = tuple(_sequence(self.labels, "labels"))
+        for label in self.labels:
+            if not isinstance(label, str):
+                raise SystemSpecError(f"label {label!r} is not a string")
         self.weights = tuple(_finite(w, "weight") for w in _sequence(self.weights, "weights"))
         if not self.labels:
             raise SystemSpecError("base space needs at least one point")

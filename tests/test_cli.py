@@ -288,6 +288,8 @@ BAD_CONFIGS = [
                  id="int-labels"),
     pytest.param({"system": {**TWO_ROT, "base": {**TWO_ROT["base"], "labels": "ab"}}},
                  "labels", id="string-labels"),
+    pytest.param({"system": {**TWO_ROT, "base": {**TWO_ROT["base"], "labels": [1, None]}}},
+                 "label", id="int-label"),
     pytest.param({"system": {**TWO_ROT, "base": {**TWO_ROT["base"], "weights": 5}}},
                  "weights", id="int-weights"),
     pytest.param({"system": {**TWO_ROT, "base": {**TWO_ROT["base"], "perms": 3}}}, "perms",
