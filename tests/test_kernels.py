@@ -17,8 +17,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from meanrds import _windows, catalog, pseudometrics, rds
 from meanrds._windows import tree_mean_rows, window_means, window_schedule
 from meanrds.classify import _sample_pairs
-from meanrds.groups import BudgetError, FolnerFamily, parse_group, search_ball
 from meanrds.density import banach_upper_density, separation_set
+from meanrds.groups import BudgetError, FolnerFamily, parse_group, search_ball
 from meanrds.pseudometrics import (
     EstimatorConfig,
     ValueSource,
