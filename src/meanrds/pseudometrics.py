@@ -328,11 +328,10 @@ def _scan(source: ValueSource, cfg: EstimatorConfig, kind: str, note: str, *,
     plan = _scan_plan(source.group, cfg.n_max if tail else cfg.m_max,
                       cfg.tail_fraction if tail else None,
                       0 if inner is None else cfg.search_radius, cfg.element_budget)
-    pick = np.argmax if inner is max else np.argmin
     better = operator.gt if outer is max else operator.lt
     value, window, translate = (-math.inf if outer is max else math.inf), plan.scanned[0], None
     for n, means in _window_means(source, plan):
-        k = int(pick(means))
+        k = int(means.argmax() if inner is max else means.argmin())
         if better(float(means[k]), value):
             value, window = float(means[k]), n
             translate = None if inner is None else plan.ball[k]

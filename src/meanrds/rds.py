@@ -17,9 +17,11 @@ A pair's values are read only over boxes of group elements, given by tuple
 corners, from one :class:`PairEngine` per pair, which walks each fiber once
 for every reader of that pair, on Z (the rank-1 case) as on every other
 group. A box walk follows the canonical coordinate path: the first axis out
-of one line of states per fiber, grown on demand in the scalar kernel, each
-later axis with every state reached stepping at once in numpy; the engine
-keeps each box it has walked. Both take the same left-to-right matrix step.
+of one line of states per fiber, grown on demand in the scalar kernel (or,
+on a fiber whose generator-0 cycle carries only identity matrices, the
+starting difference repeated, without a walk), each later axis with every
+state reached stepping at once in numpy; the engine keeps each box it has
+walked. Both take the same left-to-right matrix step.
 The composed maps of :meth:`RandomDynamicalSystem.element_map` serve only
 :func:`validate` and the tests' references.
 
@@ -93,14 +95,21 @@ def _sequence(v, what: str):
 # ---------------------------------------------------------------------------
 # torus geometry
 
+def _mod1(v: float) -> float:
+    """v mod 1 in [0, 1). Python's ``%`` rounds 1 - tiny up to 1.0 for a tiny
+    negative v; that 1.0 is the torus point 0.0."""
+    r = v % 1.0
+    return 0.0 if r == 1.0 else r
+
+
 def reduce_point(x) -> tuple[float, ...]:
     """Fold coordinates into [0, 1)."""
-    return tuple(float(v) % 1.0 for v in x)
+    return tuple(_mod1(float(v)) for v in x)
 
 
 def torus_delta(x, y) -> tuple[float, ...]:
     """Coordinatewise difference x - y mod 1, in [0, 1)."""
-    return tuple((float(a) - float(b)) % 1.0 for a, b in zip(x, y))
+    return tuple(_mod1(float(a) - float(b)) for a, b in zip(x, y))
 
 
 def _fold(c: float) -> float:
@@ -200,7 +209,17 @@ class FiberMap:
         if det not in (1, -1):
             raise SystemSpecError(f"matrix determinant must be +-1, got {det}")
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "shift", tuple(_finite(s, "shift") % 1.0 for s in self.shift))
+        object.__setattr__(self, "shift", tuple(_mod1(_finite(s, "shift")) for s in self.shift))
+
+    @classmethod
+    def _unchecked(cls, matrix, shift) -> "FiberMap":
+        """A map from an int matrix tuple of det +-1 and shifts in [0, 1),
+        built without the checks of ``__post_init__``: the product and
+        inverse of checked maps are valid by construction."""
+        fm = object.__new__(cls)
+        object.__setattr__(fm, "matrix", matrix)
+        object.__setattr__(fm, "shift", shift)
+        return fm
 
     @classmethod
     def identity(cls, dim: int) -> "FiberMap":
@@ -227,10 +246,10 @@ class FiberMap:
         n = self.dim
         mat = _mat_mul(self.matrix, other.matrix)
         shift = tuple(
-            (math.fsum(self.matrix[i][j] * other.shift[j] for j in range(n)) + self.shift[i]) % 1.0
+            _mod1(math.fsum(self.matrix[i][j] * other.shift[j] for j in range(n)) + self.shift[i])
             for i in range(n)
         )
-        return FiberMap(mat, shift)
+        return FiberMap._unchecked(mat, shift)
 
     def inverse(self) -> "FiberMap":
         det = _mat_det(self.matrix)
@@ -238,10 +257,10 @@ class FiberMap:
         inv = tuple(tuple(det * v for v in row) for row in adj)  # 1/det == det here
         n = self.dim
         shift = tuple(
-            (-math.fsum(inv[i][j] * self.shift[j] for j in range(n))) % 1.0
+            _mod1(-math.fsum(inv[i][j] * self.shift[j] for j in range(n)))
             for i in range(n)
         )
-        return FiberMap(inv, shift)
+        return FiberMap._unchecked(inv, shift)
 
     def identity_residual(self) -> float:
         """Distance from the identity: inf if the matrix differs, else max
@@ -277,7 +296,7 @@ def _near_point(origin, free, direction, norm, u, delta) -> tuple[float, ...]:
     radius = delta * (u if k == 1 else math.sqrt(u) if k == 2 else u ** (1.0 / 3.0))
     out = list(origin)
     for ax, c in zip(free, direction):
-        out[ax] = (out[ax] + radius * c / norm) % 1.0
+        out[ax] = _mod1(out[ax] + radius * c / norm)
     return tuple(out)
 
 
@@ -306,7 +325,7 @@ class FiberSpace:
                     ax, val = pair
                     if not _is_number(ax, Integral):
                         raise SystemSpecError(f"slice axis {ax!r} is not an integer")
-                    fixed.append((int(ax), _finite(val, "slice value") % 1.0))
+                    fixed.append((int(ax), _mod1(_finite(val, "slice value"))))
                 fixed = tuple(sorted(fixed))
                 for ax, _ in fixed:
                     if not 0 <= ax < self.dim:
@@ -563,6 +582,13 @@ class RandomDynamicalSystem:
                 1: (succ, [_float_rows(fm.matrix) for fm in self.maps[i]]),
                 -1: (pred, [_float_rows(self._inv_maps[i][p].matrix) for p in pred]),
             })
+        # per fiber: whether every generator-0 matrix on its base cycle is the
+        # identity (then so are the inverses), in which case its first-axis
+        # line is delta0 repeated bit for bit (see the difference-vector walks)
+        powers, ident = self.base._powers[0], _identity_matrix(self.dim)
+        self._identity_cycle = tuple(
+            all(self.maps[0][v].matrix == ident for v in powers.cycles[powers.cycle_of[w]])
+            for w in range(self.base.size))
 
     # -- basic action ------------------------------------------------------
 
@@ -613,6 +639,11 @@ class RandomDynamicalSystem:
 # 1, the row-major entries otherwise). Each row's products are added left to
 # right and reduced mod 1: the canonical matrix step. The kernel returns the
 # final base point and vector and the flat coordinates after every step.
+#
+# A fiber whose base cycle under generator 0 carries only identity matrices
+# (an identity cycle; the inverses are identities too) is not walked: there
+# each step returns its input bit for bit, since (1.0 * x) % 1.0 == x and
+# 1.0 * x + 0.0 * y == x for x, y in [0, 1), so its line is delta0 repeated.
 
 def _walk_1d(w, d, count, nxt, rows):
     (x,) = d
@@ -712,12 +743,13 @@ class PairEngine:
     Build one engine per pair and read every profile of the pair from it:
     each fiber is then walked once, however many scans read it. Each fiber
     has one line of raw difference vectors along generator 0, grown on
-    demand in the scalar kernel; a box takes its first axis from that line,
-    and :func:`_walk_axis` walks each later axis along the canonical path
-    (cyclic ones forward), so values are bitwise those of the scalar
-    kernels. Corners are tuples on every group; Z is the rank-1 case, whose
-    boxes are ranges of times. Each box is folded and kept, read-only,
-    keyed by (fiber, lo, hi), for as long as the engine lives.
+    demand in the scalar kernel, or on an identity cycle (see the walks'
+    comment) ``delta0`` broadcast, with no walk. A box takes its first axis
+    from that line, and :func:`_walk_axis` walks each later axis along the
+    canonical path (cyclic ones forward), so values are bitwise those of the
+    scalar kernels. Corners are tuples on every group; Z is the rank-1
+    case, whose boxes are ranges of times. Each box is folded and kept,
+    read-only, keyed by (fiber, lo, hi), for as long as the engine lives.
 
     ``admissible`` holds the support fibers containing both points. The
     weighted ``integral_range`` needs every support fiber, that is
@@ -746,7 +778,10 @@ class PairEngine:
         """Raw difference vectors at t = lo..hi-1 along generator 0 from
         fiber omega_idx, out of the fiber's line: for each direction the
         vectors at t = 0, 1, ... (or -1, -2, ...) and the (base point,
-        vector) at the outer end, from which the scalar kernel grows it."""
+        vector) at the outer end, from which the scalar kernel grows it. On
+        an identity cycle, a read-only broadcast of delta0."""
+        if self.sys._identity_cycle[omega_idx]:
+            return np.broadcast_to(self.delta0, (hi - lo, self.sys.dim))
         line = self._lines.get(omega_idx)
         if line is None:
             start = (omega_idx, self.delta0)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from meanrds import catalog
+from meanrds import catalog, rds
 from meanrds.classify import (
     ClassifierConfig,
     dichotomy_report,
@@ -141,6 +141,23 @@ def test_dichotomy_verdicts_and_crosschecks():
     rep2 = dichotomy_report(catalog.load("rot2"), CFG, CCFG, seed=9)
     assert rep2.verdict == "wme-evidence"
     assert all(rep2.crosschecks.values())
+
+
+def test_classify_walks_only_non_identity_fibers(monkeypatch):
+    """The rotation systems never call the walk kernel; mixed calls it only
+    from its hyperbolic fiber w1, which its base action fixes."""
+    starts = set()
+    for dim, kernel in list(rds._WALKS.items()):
+        def counting(w, d, count, nxt, rows, kernel=kernel):
+            starts.add(w)
+            return kernel(w, d, count, nxt, rows)
+        monkeypatch.setitem(rds._WALKS, dim, counting)
+    walked = {}
+    for name in ("rot2", "rot1-trivial", "mixed"):
+        starts.clear()
+        dichotomy_report(catalog.load(name), CFG, CCFG, seed=9)
+        walked[name] = set(starts)
+    assert walked == {"rot2": set(), "rot1-trivial": set(), "mixed": {1}}
 
 
 def test_dichotomy_inconclusive_when_both_probes_fail():

@@ -55,7 +55,44 @@ def _dim3_system():
     )
 
 
-SYSTEMS = [catalog.load(n) for n in catalog.names()] + [_dim3_system()]
+# two swapped fibers carrying rotations of the 3-torus: every generator-0
+# matrix on the base cycle is the identity, so neither fiber walks
+ROT3 = {
+    "name": "rot3",
+    "group": "Z",
+    "dim": 3,
+    "base": {"labels": ["w0", "w1"], "weights": [0.5, 0.5], "perms": [[1, 0]]},
+    "maps": [[
+        {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "shift": [math.sqrt(2) - 1, 0.25, 0.0]},
+        {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "shift": [0.5, math.sqrt(3) - 1, 0.125]},
+    ]],
+}
+# a rotation fiber swapped with a cat fiber: the rotation fiber's cycle holds
+# the cat matrix, so both fibers walk
+ROT_CAT_SWAP = {
+    "name": "rot-cat-swap",
+    "group": "Z",
+    "dim": 2,
+    "base": {"labels": ["w0", "w1"], "weights": [0.5, 0.5], "perms": [[1, 0]]},
+    "maps": [[{"matrix": [[1, 0], [0, 1]], "shift": [0.25, 0.5]},
+              {"matrix": [[2, 1], [1, 1]]}]],
+}
+# Z^2 with the identity on generator 0 and the cat matrix on generator 1:
+# a box's first axis is the identity-cycle line, its later axis walks
+Z2_ID_CAT = {
+    "name": "z2-id-cat",
+    "group": "Z^2",
+    "dim": 2,
+    "base": {"labels": ["w0"], "weights": [1.0], "perms": [[0], [0]]},
+    "maps": [[{"matrix": [[1, 0], [0, 1]]}], [{"matrix": [[2, 1], [1, 1]]}]],
+}
+
+SYSTEMS = ([catalog.load(n) for n in catalog.names()] + [_dim3_system()]
+           + [catalog.build_system(spec) for spec in (ROT3, ROT_CAT_SWAP)])
+# per system, the fibers whose generator-0 cycle carries only identities
+IDENTITY_CYCLES = {"rot2": (True, True), "rot1-trivial": (True,), "cat-trivial": (False,),
+                   "cat2": (False, False), "mixed": (True, False), "dim3": (False, False),
+                   "rot3": (True, True), "rot-cat-swap": (False, False)}
 
 
 def _row_step(mat, d):
@@ -151,6 +188,8 @@ BOXES = [
     (ZXC3_ORDER3, (0.1, 0.2), (0.13, 0.21), (-1, 1), (7, 3)),
     (ZXC2_ROT, (0.1,), (0.35,), (-6, 0), (5, 2)),
     (ZXC2_CAT2, (0.1, 0.2), (0.1004, 0.2002), (-5, 0), (6, 2)),
+    (Z2_ID_CAT, (0.1, 0.2), (0.1004, 0.2002), (-4, -3), (3, 5)),
+    (Z2_ID_CAT, (0.3, 0.7), (0.9, 0.05), (3, -2), (7, 2)),
 ]
 
 
@@ -204,6 +243,57 @@ def test_pair_summary_walks_each_fiber_once(monkeypatch):
             -1: sum(max(-lo for j, lo, _ in reads if j == i) for i in (0, 1))}
         if system.group.rank == 1:
             assert steps == {1: 2 * 4095, -1: 2 * 64}
+
+
+# (x, y) coordinate pairs whose differences are 0.0, a subnormal, 1 - 2**-53,
+# 1 - 2**-52, 0.5 and 0.2, and two whose difference Python's % rounds to 1.0
+EDGE_PAIRS = [(0.0, 0.0), (5e-324, 0.0), (0.0, 5e-324), (1 - 2**-53, 0.0),
+              (0.0, 2**-52), (0.3, 0.3 + 2**-54), (0.75, 0.25), (0.1, 0.9)]
+
+
+@pytest.mark.parametrize("system,omega", [
+    (s, i) for s in SYSTEMS for i, ident in enumerate(IDENTITY_CYCLES[s.name]) if ident],
+    ids=lambda v: getattr(v, "name", str(v)))
+def test_identity_cycle_line_is_the_walked_line(system, omega, monkeypatch):
+    """On a fiber whose generator-0 cycle carries only identity matrices the
+    first-axis line is delta0 repeated, read-only and without a kernel call:
+    raw and folded, bitwise what the walk kernel gives, in dimensions 1-3."""
+    walk = rds._WALKS[system.dim]
+    monkeypatch.setattr(rds, "_WALKS", {})  # a kernel call raises KeyError
+    lo, hi = -20, 30
+    for pair in itertools.product(EDGE_PAIRS, repeat=system.dim):
+        x, y = zip(*pair)
+        engine = rds.PairEngine(system, x, y)
+        right = walk(omega, engine.delta0, hi - 1, *system._steps[0][1])[2]
+        left = walk(omega, engine.delta0, -lo, *system._steps[0][-1])[2]
+        walked = np.concatenate((np.reshape(left, (-lo, -1))[::-1], [engine.delta0],
+                                 np.reshape(right, (hi - 1, -1))))
+        line = engine._first_axis(omega, lo, hi)
+        assert not line.flags.writeable
+        assert line.tobytes() == walked.tobytes()
+        assert (engine.fiber_range(omega, (lo,), (hi,)).tobytes()
+                == _fold_norm_rows(walked).tobytes())
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.name)
+def test_walk_kernel_skips_only_identity_cycles(system, monkeypatch):
+    """Each fiber's first axis calls the kernel once per direction, from
+    the fiber itself, unless its generator-0 cycle carries only identity
+    matrices; on rot-cat-swap the rotation fiber shares its cycle with a
+    cat fiber, so it walks."""
+    kernel = rds._WALKS[system.dim]
+    starts = []
+
+    def counting(w, d, count, nxt, rows):
+        starts.append(w)
+        return kernel(w, d, count, nxt, rows)
+
+    monkeypatch.setitem(rds._WALKS, system.dim, counting)
+    engine = rds.PairEngine(system, (0.1,) * system.dim, (0.35,) * system.dim)
+    for omega, ident in enumerate(IDENTITY_CYCLES[system.name]):
+        starts.clear()
+        engine.fiber_range(omega, (-5,), (9,))
+        assert starts == ([] if ident else [omega, omega])
 
 
 def _profiles():

@@ -44,6 +44,44 @@ def test_torus_delta_and_reduce():
     assert fold_norm(d) == min(d[0], 1 - d[0])
 
 
+def test_mod_one_never_returns_one():
+    """Python's % rounds 1 - tiny up to 1.0; every reduction maps that to
+    the torus point 0.0, so coordinates and differences lie in [0, 1)."""
+    assert (-1e-20) % 1.0 == 1.0
+    assert reduce_point([-1e-20]) == (0.0,)
+    assert reduce_point([-5e-324, 1.0, -1.0]) == (0.0, 0.0, 0.0)
+    assert torus_delta([0.3], [0.3 + 2**-54]) == (0.0,)
+    assert torus_delta([0.0], [5e-324]) == (0.0,)
+    assert torus_delta([1 - 2**-53], [0.0]) == (1 - 2**-53,)
+    assert FiberMap(((1,),), (-1e-20,)).shift == (0.0,)
+    assert FiberSpace(1, (((0, -1e-20),),)).slices == (((0, 0.0),),)
+    assert rds._near_point((0.0,), (0,), [-1.0], 1.0, 1.0, 1e-20) == (0.0,)
+    # on rot1-trivial the walked line from that pair is 0.0 throughout, as
+    # the identity-cycle shortcut gives it
+    eng = PairEngine(catalog.load("rot1-trivial"), (0.3,), (0.3 + 2**-54,))
+    assert eng.delta0 == (0.0,)
+    assert eng.fiber_range(0, (-3,), (4,)).tolist() == [0.0] * 7
+
+
+def test_composed_maps_are_not_rechecked(monkeypatch):
+    """compose and inverse build their result without FiberMap's checks,
+    with the fields the checked constructor would give."""
+    a = FiberMap(CAT, (0.25, 0.5))
+    b = FiberMap(((0, 1), (1, 0)), (0.75, 1 - 2**-53))
+    m3 = FiberMap(((0, 1, 0), (1, 0, 0), (0, 0, 1)), (0.1, 0.2, 0.3))
+    checks = []
+    post_init = FiberMap.__post_init__
+    monkeypatch.setattr(FiberMap, "__post_init__", lambda fm: checks.append(fm))
+    made = [a.compose(b), b.compose(a), a.inverse(), b.inverse(),
+            a.inverse().compose(a), m3.inverse(), m3.compose(m3)]
+    assert checks == []
+    monkeypatch.setattr(FiberMap, "__post_init__", post_init)
+    for fm in made:
+        assert FiberMap(fm.matrix, fm.shift) == fm
+        assert all(type(v) is int for row in fm.matrix for v in row)
+        assert all(0.0 <= c < 1.0 for c in fm.shift)
+
+
 def test_fiber_map_requires_unimodular():
     FiberMap(CAT, (0.0, 0.0))
     with pytest.raises(SystemSpecError):
