@@ -106,6 +106,17 @@ def tree_mean_rows(arr: np.ndarray) -> np.ndarray:
     return tree_sum_rows(arr) / arr.shape[1]
 
 
+def constant_mean(c: float, size: int) -> float:
+    """The mean of ``size`` copies of c, with the bits :func:`window_means`
+    gives on a constant box. Every doubling of the table adds two equal
+    values, which is exact up to overflow, so a power-of-two window sums to
+    c * size (or +-inf), and dividing by size is exact; any other size is
+    summed by the tree, as the gather does, on one row."""
+    if size & (size - 1):
+        return float(tree_mean_rows(np.full((1, size), c))[0])
+    return (c * size) / size
+
+
 def window_means(box: np.ndarray, starts, windows):
     """For each window shape of ``windows``, yield the means of ``box`` over
     the windows of that shape at the starts, in order.

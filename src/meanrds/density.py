@@ -60,9 +60,9 @@ def subset_indicator(spec: str) -> SyntheticSource:
     if spec in ("evens", "odds", "squares", "dyadic-blocks"):
         return synthetic_source(spec)
     if spec == "all":
-        return SyntheticSource(lambda t: np.ones(t.shape, dtype=np.float64), spec)
+        return SyntheticSource.of_constant(1.0, spec)
     if spec == "empty":
-        return SyntheticSource(lambda t: np.zeros(t.shape, dtype=np.float64), spec)
+        return SyntheticSource.of_constant(0.0, spec)
     if spec.startswith("mod:"):
         parts = spec.split(":")
         if len(parts) != 3:
@@ -85,6 +85,8 @@ class SeparationSet(ValueSource):
         self.eps = eps
         self.group = source.group
         self.label = f"[{source.label} >= {eps:g}]"
+        if source.constant is not None:
+            self.constant = float(source.constant >= eps)
 
     def range_values(self, lo, hi):
         return (self.source.range_values(lo, hi) >= self.eps).astype(np.float64)

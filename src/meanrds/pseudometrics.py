@@ -35,6 +35,15 @@ its :class:`PairEngine`, chosen once, with its domain check, by
 each fiber once: ``pair_summary`` and ``sup_fiber_weyl`` read all their
 estimates from one engine.
 
+A source that knows its profile to be one value c (``constant``) is never
+read; the engine reports it for a fiber whose every generator matrix on
+its base orbit is the identity, for the sup and weighted average over such
+fibers, and for the sup of a pair with no common fiber (+inf). The scan
+still takes its plan, so budget and group errors are those of a read, then
+takes each window mean from :func:`_windows.constant_mean`, the bits the
+table gives on a constant box; every translate ties, so the first of the
+ball is picked. The tie and start rules above pick the same window.
+
 Estimates carry their schedule, the attained window and translate, and a
 truncation note; the Banach-style scans are heuristic two-sided truncations
 and are labeled as such.
@@ -140,10 +149,15 @@ class PseudometricEstimate:
 # value sources
 
 class ValueSource:
-    """A separation profile indexed by group elements."""
+    """A separation profile indexed by group elements.
+
+    ``constant`` is the profile's value at every element when the source
+    knows it to be constant, else None; a scan then never reads the profile
+    (module docstring)."""
 
     group: AmenableGroup
     label: str
+    constant: float | None = None
 
     def range_values(self, lo, hi) -> np.ndarray:
         """Values over the box lo <= g < hi (corner tuples), flattened in
@@ -154,10 +168,11 @@ class ValueSource:
 class _EngineSource(ValueSource):
     """One profile of an engine's pair: ``read`` is the engine's box read."""
 
-    def __init__(self, engine: PairEngine, read, label: str):
+    def __init__(self, engine: PairEngine, read, label: str, constant: float | None):
         self.group = engine.sys.group
         self.read = read
         self.label = label
+        self.constant = constant
 
     def range_values(self, lo, hi):
         return self.read(lo, hi)
@@ -170,6 +185,13 @@ class SyntheticSource(ValueSource):
         self.fn = fn
         self.label = label
         self.group = parse_group("Z")
+
+    @classmethod
+    def of_constant(cls, c: float, label: str) -> "SyntheticSource":
+        """The profile c at every time, known to be constant."""
+        src = cls(lambda t: np.full(t.shape, c, dtype=np.float64), label)
+        src.constant = c
+        return src
 
     def range_values(self, lo, hi):
         t = np.arange(lo[0], hi[0], dtype=np.int64)
@@ -206,7 +228,7 @@ def synthetic_source(spec: str) -> SyntheticSource:
         c = float(spec.split(":", 1)[1])
         if math.isnan(c):
             raise ValueError(f"synthetic profile {spec!r} has a NaN value")
-        return SyntheticSource(lambda t: np.full(t.shape, c, dtype=np.float64), spec)
+        return SyntheticSource.of_constant(c, spec)
     if spec.startswith("periodic:"):
         vals = np.asarray([float(v) for v in spec.split(":", 1)[1].split(",")], dtype=np.float64)
         if np.isnan(vals).any():
@@ -218,14 +240,14 @@ def synthetic_source(spec: str) -> SyntheticSource:
 def _fiber_source(engine: PairEngine, idx: int) -> ValueSource:
     """The profile of the engine's pair in fiber idx, unchecked."""
     return _EngineSource(engine, functools.partial(engine.fiber_range, idx),
-                         f"fiber[{engine.sys.base.labels[idx]}]")
+                         f"fiber[{engine.sys.base.labels[idx]}]", engine.fiber_constant(idx))
 
 
 def _engine_source(engine: PairEngine, mode: str, omega=None) -> ValueSource:
     """The ``mode`` profile of the engine's pair, after its domain check."""
     system = engine.sys
     if mode == "sup":
-        return _EngineSource(engine, engine.dtilde_range, "sup")
+        return _EngineSource(engine, engine.dtilde_range, "sup", engine.dtilde_constant())
     if mode == "fiber":
         idx = system.base.index_of(omega)
         fs = system.fibers[idx]
@@ -235,7 +257,8 @@ def _engine_source(engine: PairEngine, mode: str, omega=None) -> ValueSource:
     if mode == "integral":
         if engine.admissible != system.base.support:
             raise DomainError("integral mode needs both points in every support fiber")
-        return _EngineSource(engine, engine.integral_range, "integral")
+        return _EngineSource(engine, engine.integral_range, "integral",
+                             engine.integral_constant())
     raise ValueError(f"unknown pair mode {mode!r}")
 
 
@@ -314,6 +337,26 @@ def _window_means(source: ValueSource, plan: _ScanPlan):
     yield from zip(plan.scanned, _windows.window_means(box, plan.starts, plan.windows))
 
 
+def _constant_means(c: float, plan: _ScanPlan) -> list[float]:
+    """The mean of the constant profile c over each scanned window of the
+    plan, in closed form; every translate of a window has it."""
+    return [_windows.constant_mean(c, math.prod(win)) for win in plan.windows]
+
+
+def _picked_means(source: ValueSource, plan: _ScanPlan, inner):
+    """For each scanned window index n of the plan, yield n, the ``inner``
+    pick (max or min) of its means over the ball, and the index of the
+    picked translate in the ball. A constant profile is not read: its means
+    all tie, so the first translate is picked."""
+    if source.constant is not None:
+        for n, mean in zip(plan.scanned, _constant_means(source.constant, plan)):
+            yield n, mean, 0
+        return
+    for n, means in _window_means(source, plan):
+        k = int(means.argmax() if inner is max else means.argmin())
+        yield n, float(means[k]), k
+
+
 def _scan(source: ValueSource, cfg: EstimatorConfig, kind: str, note: str, *,
           outer, inner=None, tail: bool = False) -> PseudometricEstimate:
     """The one min-max window scan behind every estimator and density.
@@ -322,18 +365,17 @@ def _scan(source: ValueSource, cfg: EstimatorConfig, kind: str, note: str, *,
     m_max schedule. ``inner`` (max or min) picks over the ball translates of
     each window, or None scans the untranslated windows (the ball of radius
     0); ``outer`` (max or min) picks over the windows. The schedule, ball and
-    box come from one cached :func:`_scan_plan`. The tie and start rules are
-    in the module docstring.
+    box come from one cached :func:`_scan_plan`. The tie and start rules, and
+    the closed form of a constant source, are in the module docstring.
     """
     plan = _scan_plan(source.group, cfg.n_max if tail else cfg.m_max,
                       cfg.tail_fraction if tail else None,
                       0 if inner is None else cfg.search_radius, cfg.element_budget)
     better = operator.gt if outer is max else operator.lt
     value, window, translate = (-math.inf if outer is max else math.inf), plan.scanned[0], None
-    for n, means in _window_means(source, plan):
-        k = int(means.argmax() if inner is max else means.argmin())
-        if better(float(means[k]), value):
-            value, window = float(means[k]), n
+    for n, mean, k in _picked_means(source, plan, inner):
+        if better(mean, value):
+            value, window = mean, n
             translate = None if inner is None else plan.ball[k]
     return PseudometricEstimate(
         kind=kind,
@@ -380,6 +422,9 @@ def mean_curves(source: ValueSource, cfg: EstimatorConfig):
     A_m is the mean at the identity translate, which is part of the ball, so
     S_m >= A_m holds bitwise."""
     plan = _scan_plan(source.group, cfg.m_max, None, cfg.search_radius, cfg.element_budget)
+    if source.constant is not None:
+        curve = _constant_means(source.constant, plan)
+        return plan.schedule, curve, list(curve)
     at = plan.ball.index(source.group.identity())
     untranslated, translated_max = [], []
     for _, means in _window_means(source, plan):

@@ -21,7 +21,10 @@ of one line of states per fiber, grown on demand in the scalar kernel (or,
 on a fiber whose generator-0 cycle carries only identity matrices, the
 starting difference repeated, without a walk), each later axis with every
 state reached stepping at once in numpy; the engine keeps each box it has
-walked. Both take the same left-to-right matrix step.
+walked. Both take the same left-to-right matrix step. A fiber whose every
+generator matrix on its base orbit is the identity has a constant profile,
+fold_norm(delta0); the engine reports that value, and the scans then read
+nothing (see :mod:`meanrds.pseudometrics`).
 The composed maps of :meth:`RandomDynamicalSystem.element_map` serve only
 :func:`validate` and the tests' references.
 
@@ -584,11 +587,33 @@ class RandomDynamicalSystem:
             })
         # per fiber: whether every generator-0 matrix on its base cycle is the
         # identity (then so are the inverses), in which case its first-axis
-        # line is delta0 repeated bit for bit (see the difference-vector walks)
-        powers, ident = self.base._powers[0], _identity_matrix(self.dim)
-        self._identity_cycle = tuple(
-            all(self.maps[0][v].matrix == ident for v in powers.cycles[powers.cycle_of[w]])
-            for w in range(self.base.size))
+        # line is delta0 repeated bit for bit (see the difference-vector
+        # walks); and whether every generator's matrix on its orbit under all
+        # generators is, in which case its whole profile is the one value
+        # fold_norm(delta0). On Z the two agree.
+        self._identity_cycle = self._identity_orbits((0,))
+        self._constant = self._identity_orbits(range(gens))
+
+    def _identity_orbits(self, gens) -> tuple[bool, ...]:
+        """Per base point, whether the matrix of every generator in ``gens``
+        is the identity at every point of its orbit under those generators."""
+        ident = _identity_matrix(self.dim)
+        flags = [None] * self.base.size
+        for start in range(self.base.size):
+            if flags[start] is not None:
+                continue
+            orbit, todo = {start}, [start]
+            while todo:
+                w = todo.pop()
+                for i in gens:
+                    v = self.base.generator_perms[i][w]
+                    if v not in orbit:
+                        orbit.add(v)
+                        todo.append(v)
+            ok = all(self.maps[i][v].matrix == ident for i in gens for v in orbit)
+            for v in orbit:
+                flags[v] = ok
+        return tuple(flags)
 
     # -- basic action ------------------------------------------------------
 
@@ -754,6 +779,10 @@ class PairEngine:
     ``admissible`` holds the support fibers containing both points. The
     weighted ``integral_range`` needs every support fiber, that is
     ``admissible == sys.base.support``, and raises DomainError otherwise.
+
+    ``fiber_constant``, ``dtilde_constant`` and ``integral_constant`` give
+    the value of the matching box read at every element when that read is
+    constant, computed as the read computes it, else None.
     """
 
     def __init__(self, system: RandomDynamicalSystem, x, y):
@@ -763,6 +792,9 @@ class PairEngine:
         if len(self.x) != system.dim or len(self.y) != system.dim:
             raise DomainError("point dimension does not match the system")
         self.delta0 = torus_delta(self.x, self.y)
+        # every value of a constant fiber's profile; the same bits as
+        # _fold_norm_rows of delta0
+        self.norm0 = fold_norm(self.delta0)
         self.admissible = system.admissible_fibers(self.x, self.y)
         self._lines: dict[int, dict] = {}
         self._boxes: dict[tuple, np.ndarray] = {}
@@ -830,6 +862,24 @@ class PairEngine:
         out = np.zeros(size)
         for i in self.sys.base.support:
             out += self.sys.base.weights[i] * self._fiber_box(i, lo, hi)
+        return out
+
+    def fiber_constant(self, omega_idx: int) -> float | None:
+        return self.norm0 if self.sys._constant[omega_idx] else None
+
+    def dtilde_constant(self) -> float | None:
+        if not self.admissible:
+            return math.inf
+        return self.norm0 if all(self.sys._constant[i] for i in self.admissible) else None
+
+    def integral_constant(self) -> float | None:
+        """On every support fiber; the caller checks the domain."""
+        support = self.sys.base.support
+        if not all(self.sys._constant[i] for i in support):
+            return None
+        out = 0.0
+        for i in support:
+            out += self.sys.base.weights[i] * self.norm0
         return out
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from meanrds import catalog, rds
+from meanrds import catalog, pseudometrics, rds
 from meanrds.classify import (
     ClassifierConfig,
     dichotomy_report,
@@ -158,6 +158,34 @@ def test_classify_walks_only_non_identity_fibers(monkeypatch):
         dichotomy_report(catalog.load(name), CFG, CCFG, seed=9)
         walked[name] = set(starts)
     assert walked == {"rot2": set(), "rot1-trivial": set(), "mixed": {1}}
+
+
+def test_classify_reads_no_constant_profile(monkeypatch):
+    """Every separation profile of a rotation system is constant, so a
+    default-config report reads no profile and folds no box; mixed still
+    reads its sup profile (rotation max cat) and its cat fiber w1, never
+    its rotation fiber w0 alone."""
+    reads, folds = set(), []
+    read, fold = pseudometrics._EngineSource.range_values, rds._fold_norm_rows
+
+    def reading(source, lo, hi):
+        reads.add(source.label)
+        return read(source, lo, hi)
+
+    def folding(coords):
+        folds.append(len(coords))
+        return fold(coords)
+
+    monkeypatch.setattr(pseudometrics._EngineSource, "range_values", reading)
+    monkeypatch.setattr(rds, "_fold_norm_rows", folding)
+    seen = {}
+    for name in ("rot2", "rot1-trivial", "mixed"):
+        reads.clear()
+        folds.clear()
+        dichotomy_report(catalog.load(name), seed=7)
+        seen[name] = (set(reads), bool(folds))
+    assert seen == {"rot2": (set(), False), "rot1-trivial": (set(), False),
+                    "mixed": ({"sup", "fiber[w1]"}, True)}
 
 
 def test_dichotomy_inconclusive_when_both_probes_fail():

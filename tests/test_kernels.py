@@ -87,6 +87,19 @@ Z2_ID_CAT = {
     "maps": [[{"matrix": [[1, 0], [0, 1]]}], [{"matrix": [[2, 1], [1, 1]]}]],
 }
 
+# Z x C2 with a rotation on generator 0 and on generator 1 the order-2
+# shear [[1, 0], [1, -1]], which fixes the rotation's shift, so the cocycle
+# is valid: the generator-0 cycle is the identity, yet the C2 axis moves the
+# difference vector, so the fiber is not flagged constant. Not in SYSTEMS.
+ZXC2_SHEAR = {
+    "name": "zxc2-shear",
+    "group": "Z x C2",
+    "dim": 2,
+    "base": {"labels": ["w0"], "weights": [1.0], "perms": [[0], [0]]},
+    "maps": [[{"matrix": [[1, 0], [0, 1]], "shift": [2 * (math.sqrt(2) - 1), math.sqrt(2) - 1]}],
+             [{"matrix": [[1, 0], [1, -1]]}]],
+}
+
 SYSTEMS = ([catalog.load(n) for n in catalog.names()] + [_dim3_system()]
            + [catalog.build_system(spec) for spec in (ROT3, ROT_CAT_SWAP)])
 # per system, the fibers whose generator-0 cycle carries only identities
@@ -294,6 +307,27 @@ def test_walk_kernel_skips_only_identity_cycles(system, monkeypatch):
         starts.clear()
         engine.fiber_range(omega, (-5,), (9,))
         assert starts == ([] if ident else [omega, omega])
+
+
+def test_constant_fibers_need_identities_on_every_generator():
+    """A fiber's profile is constant only when every generator's matrix on
+    its orbit is the identity. On Z that is the identity cycle; on
+    zxc2-shear the identity cycle holds but the C2 shear moves the vector,
+    so every estimate is the C2 average, not fold_norm(delta0) = 0.0316."""
+    for system in SYSTEMS:
+        assert system._constant == IDENTITY_CYCLES[system.name], system.name
+    assert catalog.build_system(Z2_ID_CAT)._constant == (False,)
+    assert catalog.build_system(ZXC2_ROT)._constant == (True, True)
+    system = catalog.build_system(ZXC2_SHEAR)
+    assert rds.validate(system).ok
+    assert (system._identity_cycle, system._constant) == ((True,), (False,))
+    x, y = (0.1, 0.2), (0.13, 0.21)
+    engine = rds.PairEngine(system, x, y)
+    assert engine.fiber_constant(0) is engine.dtilde_constant() is None
+    assert engine.norm0 == 0.03162277660168382
+    out = pair_summary(system, x, y, EstimatorConfig(search_radius=8))
+    assert len(out) == 7
+    assert {est.value for est in out.values()} == {0.033839144678161875}
 
 
 def _profiles():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from grid_fixtures import Z2_CAT, ZXC2_CAT2, ZXC2_ROT, ZXC3_ORDER3
-from meanrds import catalog, pseudometrics
+from meanrds import catalog, pseudometrics, rds
 from meanrds import _windows
 from meanrds._windows import (
     tail_indices,
@@ -17,6 +17,7 @@ from meanrds._windows import (
     window_means,
     window_schedule,
 )
+from meanrds.density import density_summary, separation_set, subset_indicator
 from meanrds.groups import BudgetError, FolnerFamily, GroupSpecError, parse_group, search_ball
 from meanrds.pseudometrics import (
     EstimatorConfig,
@@ -497,26 +498,27 @@ def test_box_over_the_element_budget_raises_before_the_ball(scan, side, monkeypa
         scan(_ConstantSource(parse_group("Z^3")), EstimatorConfig())
 
 
-# The slowest case, Z^2 x C2 at the default caps, takes 0.28 s on a 2 vCPU
-# Xeon (Python 3.11, numpy 2.4); the bound gives it five times that.
+# The slowest case, Z^2 x C2 at the default caps with its profile read,
+# takes 0.17 s on a 2 vCPU Xeon (Python 3.11, numpy 2.4); the bound gives
+# it about nine times that.
 GATE_SECONDS = 1.5
+GATE_CFGS = [EstimatorConfig(n_max=64, m_max=16, search_radius=4), EstimatorConfig()]
+GATE_GROUPS = ["Z", "Z^2", "Z^3", "Z x C2", "Z x C3", "Z^2 x C2", "C3"]
 
 
-@pytest.mark.parametrize("cfg", [EstimatorConfig(n_max=64, m_max=16, search_radius=4),
-                                 EstimatorConfig()], ids=["small-caps", "default-caps"])
-@pytest.mark.parametrize("spec", ["Z", "Z^2", "Z^3", "Z x C2", "Z x C3", "Z^2 x C2", "C3"])
-def test_every_group_finishes_in_bounded_time_or_raises(spec, cfg):
-    """One pair summary on a one-point system over each group either ends
-    within GATE_SECONDS or raises BudgetError or GroupSpecError; it never
-    silently runs for minutes."""
+def _gate(spec, cfg, free_matrix):
+    """One pair summary on a one-point system over the group, with
+    ``free_matrix`` on each free generator, either ends within GATE_SECONDS
+    or raises BudgetError or GroupSpecError; it never silently runs for
+    minutes."""
     group = parse_group(spec)
     system = catalog.build_system({
         "name": f"gate-{spec}",
         "group": spec,
         "dim": 1,
         "base": {"labels": ["w0"], "weights": [1.0], "perms": [[0]] * group.rank},
-        "maps": [[{"matrix": [[1]], "shift": [0.125 if k is None else 0.0]}]
-                 for k in group.generator_orders()],
+        "maps": [[{"matrix": free_matrix, "shift": [0.125]} if k is None
+                  else {"matrix": [[1]], "shift": [0.0]}] for k in group.generator_orders()],
     })
     start = time.perf_counter()
     try:
@@ -524,3 +526,135 @@ def test_every_group_finishes_in_bounded_time_or_raises(spec, cfg):
     except (BudgetError, GroupSpecError):
         pass
     assert time.perf_counter() - start < GATE_SECONDS
+
+
+@pytest.mark.parametrize("cfg", GATE_CFGS, ids=["small-caps", "default-caps"])
+@pytest.mark.parametrize("spec", GATE_GROUPS)
+def test_every_group_finishes_in_bounded_time_or_raises(spec, cfg):
+    """The gate on rotations, whose constant profiles are scanned unread."""
+    _gate(spec, cfg, [[1]])
+
+
+@pytest.mark.parametrize("cfg", GATE_CFGS, ids=["small-caps", "default-caps"])
+@pytest.mark.parametrize("spec", GATE_GROUPS)
+def test_every_group_reads_in_bounded_time_or_raises(spec, cfg):
+    """The gate with -1 on the free generators: the profiles are not known
+    to be constant, so every scan reads its box and builds its table."""
+    _gate(spec, cfg, [[-1]])
+
+
+# ---------------------------------------------------------------------------
+# constant profiles in closed form
+
+class _Hidden(pseudometrics.ValueSource):
+    """A source with its constant hidden, so every scan reads the profile
+    and takes its window means from the table."""
+
+    def __init__(self, source):
+        self.source = source
+        self.group = source.group
+        self.label = source.label
+
+    def range_values(self, lo, hi):
+        return self.source.range_values(lo, hi)
+
+
+_SCANS = (besicovitch_mean, banach_mean, translated_besicovitch_scan, density_summary)
+
+
+def _assert_closed_form_is_the_table_read(src, cfg):
+    """Every scan of a constant source, and its mean curves, bitwise the
+    scans of the same source read through the table."""
+    assert src.constant is not None, src.label
+    hidden = _Hidden(src)
+    for scan in _SCANS:
+        assert repr(scan(src, cfg)) == repr(scan(hidden, cfg)), (src.label, scan)
+    sched, untranslated, translated = mean_curves(src, cfg)
+    assert repr(mean_curves(hidden, cfg)) == repr((sched, untranslated, translated))
+    plan = pseudometrics._scan_plan(src.group, cfg.m_max, None, cfg.search_radius,
+                                    cfg.element_budget)
+    want = [_windows.constant_mean(src.constant, math.prod(w)) for w in plan.windows]
+    assert repr(untranslated) == repr(translated) == repr(want)
+
+
+# Z x C3 with identity matrices and weights that are not dyadic: every
+# fiber is isometric, and the integral's weighted sum rounds
+ZXC3_ROT = {
+    "name": "zxc3-rot",
+    "group": "Z x C3",
+    "dim": 2,
+    "base": {"labels": ["w0", "w1"], "weights": [0.3, 0.7], "perms": [[1, 0], [0, 1]]},
+    "maps": [[{"matrix": [[1, 0], [0, 1]], "shift": [math.sqrt(2) - 1, 0.125]},
+              {"matrix": [[1, 0], [0, 1]], "shift": [0.5, math.sqrt(3) - 1]}],
+             [{"matrix": [[1, 0], [0, 1]]}, {"matrix": [[1, 0], [0, 1]]}]],
+}
+
+# (system, x, y, the constant profiles of the pair)
+CONSTANT_PAIRS = [
+    (catalog.load("rot2"), (0.1,), (0.7321,), ("sup", "integral", "w0", "w1")),
+    (catalog.load("rot1-trivial"), (0.05,), (0.95,), ("sup", "integral", "w0")),
+    (catalog.load("mixed"), (0.1, 0.2), (0.1004, 0.2002), ("w0",)),
+    (catalog.build_system(ZXC2_ROT), (0.1,), (0.35,), ("sup", "integral", "w0", "w1")),
+    (catalog.build_system(ZXC3_ROT), (0.3, 0.4), (0.7, 0.1), ("sup", "integral", "w0", "w1")),
+    (_disjoint_system(), (0.0, 0.3), (0.5, 0.3), ("sup",)),  # no common fiber: inf
+]
+CLOSED_FORM_CFGS = [EstimatorConfig(), EstimatorConfig(n_max=3000, m_max=1000),
+                    EstimatorConfig(n_max=256, m_max=96, search_radius=8)]
+
+
+@pytest.mark.parametrize("cfg", CLOSED_FORM_CFGS, ids=["default", "1000-3000", "96-256"])
+@pytest.mark.parametrize("system,x,y,profiles", CONSTANT_PAIRS,
+                         ids=[p[0].name for p in CONSTANT_PAIRS])
+def test_constant_profiles_scan_in_closed_form(system, x, y, profiles, cfg):
+    """A pair's constant profiles (the sup, the weighted integral, each
+    isometric fiber) and their separation sets at an eps below and above
+    the constant give, in closed form, the estimates of the table read,
+    whole and bitwise; a profile that is not constant says so."""
+    engine = rds.PairEngine(system, x, y)
+    sources = {"sup": pseudometrics._engine_source(engine, "sup")}
+    if engine.admissible == system.base.support:
+        sources["integral"] = pseudometrics._engine_source(engine, "integral")
+    for i in engine.admissible:
+        sources[system.base.labels[i]] = pseudometrics._fiber_source(engine, i)
+    assert {k for k, s in sources.items() if s.constant is not None} == set(profiles)
+    for key in profiles:
+        src = sources[key]
+        _assert_closed_form_is_the_table_read(src, cfg)
+        c = src.constant
+        below_and_above = (c / 2, c, math.nextafter(c, math.inf)) if c < math.inf else (0.25,)
+        for eps in below_and_above:
+            ind = separation_set(src, eps)
+            assert ind.constant == float(c >= eps)
+            _assert_closed_form_is_the_table_read(ind, cfg)
+    if system.name == "zxc3-rot":
+        # 0.3 c + 0.7 c rounds below c here, so the weights' order shows
+        assert sources["integral"].constant < engine.norm0
+
+
+# (besicovitch, banach) at the default caps, as the table read gives them
+SYNTHETIC_CONSTANTS = {
+    "constant:1e308": (math.inf, 1e308),  # the tail windows overflow
+    "constant:-inf": (-math.inf, -math.inf),
+    "constant:inf": (math.inf, math.inf),
+    "constant:5e-324": (5e-324, 5e-324),
+    "constant:0.3125": (0.3125, 0.3125),
+}
+
+
+@pytest.mark.parametrize("spec", SYNTHETIC_CONSTANTS)
+def test_synthetic_constants_scan_in_closed_form(spec):
+    src = synthetic_source(spec)
+    cfg = EstimatorConfig()
+    assert (besicovitch_mean(src, cfg).value, banach_mean(src, cfg).value) == \
+        SYNTHETIC_CONSTANTS[spec]
+    with np.errstate(over="ignore"):
+        for c in CLOSED_FORM_CFGS:
+            _assert_closed_form_is_the_table_read(src, c)
+
+
+@pytest.mark.parametrize("spec,c", [("all", 1.0), ("empty", 0.0)])
+def test_constant_subsets_scan_in_closed_form(spec, c):
+    ind = subset_indicator(spec)
+    assert ind.constant == c
+    for cfg in CLOSED_FORM_CFGS:
+        _assert_closed_form_is_the_table_read(ind, cfg)
