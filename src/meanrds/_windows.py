@@ -6,7 +6,9 @@ values sums to exactly 2^k times the value, and dividing by a power of two is
 exact again. Constant separation profiles (isometric fibers) therefore
 produce window means that equal the pointwise value bitwise, which several
 equality tests rely on. Float addition is monotone, so pointwise-dominated
-value arrays keep dominated window sums, bitwise, under the same tree.
+value arrays keep dominated window sums, bitwise, under the same tree. A sum
+that overflows is +-inf, the value the estimates then report; numpy is told
+not to warn about it.
 
 Every scan reads its profile once, over one box of group elements, and takes
 every window out of that box with :func:`window_means`, on Z and on every
@@ -88,14 +90,15 @@ def tree_sum_rows(arr: np.ndarray) -> np.ndarray:
     if arr.ndim == 1:
         arr = arr[None, :]
     carries = []
-    while arr.shape[1] > 1:
-        if arr.shape[1] % 2:
-            carries.append(arr[:, -1].copy())
-            arr = arr[:, :-1]
-        arr = arr[:, 0::2] + arr[:, 1::2]
-    total = arr[:, 0].copy()
-    for c in carries:
-        total += c
+    with np.errstate(over="ignore"):  # an overflow is +-inf (module docstring)
+        while arr.shape[1] > 1:
+            if arr.shape[1] % 2:
+                carries.append(arr[:, -1].copy())
+                arr = arr[:, :-1]
+            arr = arr[:, 0::2] + arr[:, 1::2]
+        total = arr[:, 0].copy()
+        for c in carries:
+            total += c
     return total
 
 
@@ -117,9 +120,9 @@ def constant_mean(c: float, size: int) -> float:
     return (c * size) / size
 
 
-def window_means(box: np.ndarray, starts, windows):
-    """For each window shape of ``windows``, yield the means of ``box`` over
-    the windows of that shape at the starts, in order.
+def window_means(box: np.ndarray, starts, windows) -> list[np.ndarray]:
+    """For each window shape of ``windows``, the means of ``box`` over the
+    windows of that shape at the starts, in order.
 
     ``starts`` holds one index array per axis. Every window must lie inside
     the box (pad cyclic axes by wrap beforehand), else ValueError. A window
@@ -128,7 +131,8 @@ def window_means(box: np.ndarray, starts, windows):
     last-axis width may not fall below an earlier one's. Any other window is
     gathered out of the box about ``WINDOW_BLOCK_ELEMENTS`` window elements
     at a time and summed by :func:`tree_mean_rows`; rows are summed
-    independently, so blocks do not move a bit.
+    independently, so blocks do not move a bit. The means come as one list,
+    so that numpy's error state is set once per call.
     """
     starts = tuple(starts)
     for s, w, n in zip(starts, map(max, zip(*windows)), box.shape):
@@ -136,26 +140,29 @@ def window_means(box: np.ndarray, starts, windows):
             raise ValueError("window out of the box")
     earlier = range(box.ndim - 2, -1, -1)
     last, k = box, 1
-    for win in windows:
-        size = math.prod(win)
-        if size & (size - 1):  # some width is not a power of two
-            view = sliding_window_view(box, win)
-            step = max(1, WINDOW_BLOCK_ELEMENTS // size)
-            yield np.concatenate([
-                tree_mean_rows(view[tuple(s[a:a + step] for s in starts)].reshape(-1, size))
-                for a in range(0, len(starts[0]), step)
-            ])
-            continue
-        while k < win[-1]:
-            last = last[..., :-k] + last[..., k:]
-            k *= 2
-        if k != win[-1]:
-            raise ValueError("window widths must not shrink along the last axis")
-        table = last
-        for axis in earlier:
-            head = (slice(None),) * axis
-            j = 1
-            while j < win[axis]:
-                table = table[head + (slice(None, -j),)] + table[head + (slice(j, None),)]
-                j *= 2
-        yield table[starts] / size
+    out = []
+    with np.errstate(over="ignore"):  # an overflow is +-inf (module docstring)
+        for win in windows:
+            size = math.prod(win)
+            if size & (size - 1):  # some width is not a power of two
+                view = sliding_window_view(box, win)
+                step = max(1, WINDOW_BLOCK_ELEMENTS // size)
+                out.append(np.concatenate([
+                    tree_mean_rows(view[tuple(s[a:a + step] for s in starts)].reshape(-1, size))
+                    for a in range(0, len(starts[0]), step)
+                ]))
+                continue
+            while k < win[-1]:
+                last = last[..., :-k] + last[..., k:]
+                k *= 2
+            if k != win[-1]:
+                raise ValueError("window widths must not shrink along the last axis")
+            table = last
+            for axis in earlier:
+                head = (slice(None),) * axis
+                j = 1
+                while j < win[axis]:
+                    table = table[head + (slice(None, -j),)] + table[head + (slice(j, None),)]
+                    j *= 2
+            out.append(table[starts] / size)
+    return out

@@ -40,9 +40,13 @@ read; the engine reports it for a fiber whose every generator matrix on
 its base orbit is the identity, for the sup and weighted average over such
 fibers, and for the sup of a pair with no common fiber (+inf). The scan
 still takes its plan, so budget and group errors are those of a read, then
-takes each window mean from :func:`_windows.constant_mean`, the bits the
-table gives on a constant box; every translate ties, so the first of the
-ball is picked. The tie and start rules above pick the same window.
+answers from the plan's window sizes, before the window loop: when every
+size is a power of two and c times the largest does not overflow, every
+window mean is c, the bits the table gives on a constant box; otherwise
+(an overflow, a cap that is not a power of two, a cyclic factor such as C3)
+each mean comes from :func:`_windows.constant_mean`. Every translate ties,
+so the first of the ball is picked, and the first extreme mean, taken
+strictly against the start, picks the window the tie and start rules pick.
 
 Estimates carry their schedule, the attained window and translate, and a
 truncation note; the Banach-style scans are heuristic two-sided truncations
@@ -278,7 +282,7 @@ def pair_source(
 # the window scan
 
 _ScanPlan = collections.namedtuple(
-    "_ScanPlan", "schedule scanned ball lo hi shape pad windows starts")
+    "_ScanPlan", "schedule scanned ball lo hi shape pad windows sizes dyadic starts")
 
 
 @functools.lru_cache(maxsize=64)
@@ -290,8 +294,9 @@ def _scan_plan(group: AmenableGroup, cap: int, tail_fraction: float | None,
     translates of word length <= ``radius``, and the box holding every
     translated window: corners ``lo`` and ``hi``, ``shape``, the wrap
     ``pad`` of the cyclic axes (None on Z^a), each scanned window's widths
-    (``windows``) and the ball's ``starts`` in the box, one read-only index
-    array per axis.
+    (``windows``) and element count (``sizes``), whether every size is a
+    power of two (``dyadic``), and the ball's ``starts`` in the box, one
+    read-only index array per axis.
 
     The box is [-r, r + top) on each free axis, since the ball reaches
     exactly +-r there, and each cyclic axis whole; it is checked against
@@ -317,7 +322,9 @@ def _scan_plan(group: AmenableGroup, cap: int, tail_fraction: float | None,
         axis.flags.writeable = False
     pad = ((0, 0),) * free + tuple((0, min(top, k) - 1) for k in orders) if orders else None
     windows = tuple((n,) * free + tuple(min(n, k) for k in orders) for n in scanned)
-    return _ScanPlan(schedule, scanned, ball, lo, hi, shape, pad, windows, starts)
+    sizes = tuple(map(math.prod, windows))
+    dyadic = not any(size & (size - 1) for size in sizes)
+    return _ScanPlan(schedule, scanned, ball, lo, hi, shape, pad, windows, sizes, dyadic, starts)
 
 
 def _window_means(source: ValueSource, plan: _ScanPlan):
@@ -339,19 +346,22 @@ def _window_means(source: ValueSource, plan: _ScanPlan):
 
 def _constant_means(c: float, plan: _ScanPlan) -> list[float]:
     """The mean of the constant profile c over each scanned window of the
-    plan, in closed form; every translate of a window has it."""
-    return [_windows.constant_mean(c, math.prod(win)) for win in plan.windows]
+    plan, in closed form; every translate of a window has it.
+
+    On a plan whose sizes are all powers of two, each mean is (c * size) /
+    size, which is c itself unless c * size overflows: scaling by 2^k and
+    back is exact. The largest size overflows first, so one check covers
+    the plan. Any other plan, or an overflow, takes each mean from
+    :func:`_windows.constant_mean`."""
+    if plan.dyadic and math.isfinite(c * plan.sizes[-1]):
+        return [c] * len(plan.sizes)
+    return [_windows.constant_mean(c, size) for size in plan.sizes]
 
 
 def _picked_means(source: ValueSource, plan: _ScanPlan, inner):
     """For each scanned window index n of the plan, yield n, the ``inner``
     pick (max or min) of its means over the ball, and the index of the
-    picked translate in the ball. A constant profile is not read: its means
-    all tie, so the first translate is picked."""
-    if source.constant is not None:
-        for n, mean in zip(plan.scanned, _constant_means(source.constant, plan)):
-            yield n, mean, 0
-        return
+    picked translate in the ball."""
     for n, means in _window_means(source, plan):
         k = int(means.argmax() if inner is max else means.argmin())
         yield n, float(means[k]), k
@@ -365,18 +375,27 @@ def _scan(source: ValueSource, cfg: EstimatorConfig, kind: str, note: str, *,
     m_max schedule. ``inner`` (max or min) picks over the ball translates of
     each window, or None scans the untranslated windows (the ball of radius
     0); ``outer`` (max or min) picks over the windows. The schedule, ball and
-    box come from one cached :func:`_scan_plan`. The tie and start rules, and
-    the closed form of a constant source, are in the module docstring.
+    box come from one cached :func:`_scan_plan`. The tie and start rules are
+    in the module docstring. A constant source is answered before the window
+    loop, from the plan's sizes; only the fallback of :func:`_constant_means`
+    calls :func:`_windows.constant_mean`.
     """
     plan = _scan_plan(source.group, cfg.n_max if tail else cfg.m_max,
                       cfg.tail_fraction if tail else None,
                       0 if inner is None else cfg.search_radius, cfg.element_budget)
     better = operator.gt if outer is max else operator.lt
     value, window, translate = (-math.inf if outer is max else math.inf), plan.scanned[0], None
-    for n, mean, k in _picked_means(source, plan, inner):
-        if better(mean, value):
-            value, window = mean, n
-            translate = None if inner is None else plan.ball[k]
+    if source.constant is not None:
+        means = _constant_means(source.constant, plan)
+        k = means.index(outer(means))
+        if better(means[k], value):
+            value, window = means[k], plan.scanned[k]
+            translate = None if inner is None else plan.ball[0]
+    else:
+        for n, mean, k in _picked_means(source, plan, inner):
+            if better(mean, value):
+                value, window = mean, n
+                translate = None if inner is None else plan.ball[k]
     return PseudometricEstimate(
         kind=kind,
         value=value,

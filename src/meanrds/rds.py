@@ -647,8 +647,10 @@ class RandomDynamicalSystem:
 
     def admissible_fibers(self, x, y) -> tuple[int, ...]:
         """The support fibers holding both points, in support order."""
-        x = reduce_point(x)
-        y = reduce_point(y)
+        return self._admissible(reduce_point(x), reduce_point(y))
+
+    def _admissible(self, x, y) -> tuple[int, ...]:
+        """``admissible_fibers`` of points already folded into [0, 1)."""
         return tuple(
             i for i in self.base.support
             if self.fibers[i].contains(x) and self.fibers[i].contains(y)
@@ -795,7 +797,7 @@ class PairEngine:
         # every value of a constant fiber's profile; the same bits as
         # _fold_norm_rows of delta0
         self.norm0 = fold_norm(self.delta0)
-        self.admissible = system.admissible_fibers(self.x, self.y)
+        self.admissible = system._admissible(self.x, self.y)
         self._lines: dict[int, dict] = {}
         self._boxes: dict[tuple, np.ndarray] = {}
 

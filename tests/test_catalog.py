@@ -102,15 +102,18 @@ def test_build_system_from_dict():
     assert sys_.declared["expected"] == "wme-evidence"
 
 
+# one fiber, the circle y = 1/2 of T^2
+SLICED = {
+    "group": "Z",
+    "dim": 2,
+    "base": {"labels": ["a"], "weights": [1.0], "perms": [[0]]},
+    "fibers": [{"slices": [[[1, 0.5]]]}],
+    "maps": [[{"matrix": [[1, 0], [0, 1]], "shift": [0.1, 0.0]}]],
+}
+
+
 def test_build_system_with_sliced_fibers():
-    spec = {
-        "group": "Z",
-        "dim": 2,
-        "base": {"labels": ["a"], "weights": [1.0], "perms": [[0]]},
-        "fibers": [{"slices": [[[1, 0.5]]]}],
-        "maps": [[{"matrix": [[1, 0], [0, 1]], "shift": [0.1, 0.0]}]],
-    }
-    sys_ = catalog.build_system(spec)
+    sys_ = catalog.build_system(SLICED)
     assert sys_.name == "custom"
     assert sys_.fibers[0].contains((0.3, 0.5))
     assert not sys_.fibers[0].contains((0.3, 0.4))

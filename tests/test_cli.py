@@ -417,3 +417,27 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "rot2" in proc.stdout
+
+
+OVERFLOW_ESTIMATES = """estimates for {spec}:
+  besicovitch = inf (window 64)
+  banach = 1e+308 (window 1)
+  weyl = 1e+308 (window 1)
+  translated-besicovitch-scan = inf (window 64)
+"""
+
+
+@pytest.mark.parametrize("spec,caps", [
+    ("constant:1e308", ["--m-max", "1000", "--n-max", "3000"]),
+    ("periodic:1e308,1e308", []),
+    ("periodic:1e308,1e308", ["--m-max", "1000"]),
+])
+def test_overflowing_window_sums_are_silent(spec, caps):
+    """A window sum that overflows is inf on stdout, with nothing on stderr:
+    through the table, through a gathered window and in closed form."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "meanrds", "estimate", "--system", f"synthetic:{spec}", *caps],
+        capture_output=True, text=True, cwd=PACKAGE_ROOT,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == OVERFLOW_ESTIMATES.format(spec=f"synthetic:{spec}")

@@ -647,9 +647,47 @@ def test_synthetic_constants_scan_in_closed_form(spec):
     cfg = EstimatorConfig()
     assert (besicovitch_mean(src, cfg).value, banach_mean(src, cfg).value) == \
         SYNTHETIC_CONSTANTS[spec]
-    with np.errstate(over="ignore"):
-        for c in CLOSED_FORM_CFGS:
-            _assert_closed_form_is_the_table_read(src, c)
+    for c in CLOSED_FORM_CFGS:
+        _assert_closed_form_is_the_table_read(src, c)
+
+
+class _Constant(pseudometrics.ValueSource):
+    """The profile c at every element of a group, known to be constant."""
+
+    def __init__(self, spec, c):
+        self.group = parse_group(spec)
+        self.label = f"{spec}: {c!r}"
+        self.constant = c
+
+    def range_values(self, lo, hi):
+        return np.full(math.prod(b - a for a, b in zip(lo, hi)), self.constant)
+
+
+EDGE_CONSTANTS = (-0.0, 5e-324, 0.3125, 1e308, -1e308, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("spec,cfg", [
+    ("Z", EstimatorConfig()),
+    ("Z", EstimatorConfig(n_max=3000, m_max=1000)),
+    ("Z x C3", EstimatorConfig()),  # windows of n * min(n, 3) elements
+], ids=["default", "1000-3000", "zxc3"])
+@pytest.mark.parametrize("c", EDGE_CONSTANTS, ids=map(repr, EDGE_CONSTANTS))
+def test_edge_constants_scan_in_closed_form(spec, cfg, c, monkeypatch):
+    """Signed zero, a subnormal, overflow and infinities, on power-of-two and
+    other windows: the closed form is the table read, bitwise. Only a plan
+    whose sizes are all powers of two, with c * top finite, skips
+    ``constant_mean``."""
+    src = _Constant(spec, c)
+    _assert_closed_form_is_the_table_read(src, cfg)
+    sizes = []
+    real = _windows.constant_mean
+    monkeypatch.setattr(_windows, "constant_mean",
+                        lambda c, size: sizes.append(size) or real(c, size))
+    for scan in _SCANS:
+        scan(src, cfg)
+    mean_curves(src, cfg)
+    closed = spec == "Z" and cfg.n_max == 4096 and math.isfinite(c * 4096)
+    assert (sizes == []) == closed, sizes
 
 
 @pytest.mark.parametrize("spec,c", [("all", 1.0), ("empty", 0.0)])

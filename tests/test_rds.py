@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from grid_fixtures import Z2_CAT
+from test_catalog import SLICED
 from test_pseudometrics import GATE_SECONDS
 from meanrds import rds
 from meanrds.groups import BudgetError, GroupSpecError, parse_group
@@ -241,6 +242,25 @@ def test_pair_engine_matches_apply():
                 fx = sys_.apply((t,), w, x)
                 fy = sys_.apply((t,), w, y)
                 assert via_walk == pytest.approx(torus_distance(fx, fy), abs=1e-9)
+
+
+@pytest.mark.parametrize("system,pairs", [
+    (catalog.load("mixed"), [((1.25, -0.5), (-1e-18, 0.75)), ((0.1, 0.2), (3.0, -2.5))]),
+    (catalog.build_system(SLICED), [((1.25, 1.5), (-0.5, -0.5)), ((-1e-18, 0.5), (0.3, 2.5)),
+                                   ((1.25, 1.5), (0.3, 0.4))]),
+], ids=["mixed", "sliced"])
+def test_pair_engine_reduces_each_point_once(system, pairs, monkeypatch):
+    """An engine folds each point into [0, 1) once, and its admissible
+    fibers are those of the unreduced points."""
+    calls = []
+    monkeypatch.setattr(rds, "reduce_point", lambda x: calls.append(x) or reduce_point(x))
+    for x, y in pairs:
+        calls.clear()
+        engine = PairEngine(system, x, y)
+        assert calls == [x, y]
+        assert engine.admissible == system.admissible_fibers(x, y)
+    if system.name == "custom":  # (0.3, 0.4) is off the slice y = 1/2
+        assert [system.admissible_fibers(x, y) for x, y in pairs] == [(0,), (0,), ()]
 
 
 def test_pair_engine_ranges_match_pointwise():
