@@ -10,12 +10,9 @@ from .groups import (
     AmenableGroup,
     BudgetError,
     FolnerFamily,
-    FolnerWindow,
     GroupSpecError,
-    folner_defect,
     parse_group,
     search_ball,
-    translate,
 )
 from .rds import (
     BaseSpace,

@@ -49,8 +49,6 @@ def window_schedule(folner: FolnerFamily, max_elements: int) -> tuple[int, ...]:
     if folner.group.free_rank == 0:
         raise GroupSpecError(f"group {folner.group.spec} has no free factor, "
                              "so its windows never grow")
-    if folner.window_size(1) > max_elements:
-        raise ValueError("even the first window exceeds max_elements")
     sched = []
     n = 1
     while folner.window_size(n) <= max_elements:

@@ -4,16 +4,14 @@ Elements are integer tuples of length ``free_rank + len(cyclic_orders)``;
 free coordinates are unconstrained, cyclic coordinates live in ``[0, k_i)``.
 Folner windows are the boxes ``[0, n)^a x prod_i [0, min(n, k_i))``, which
 exhaust the group and have boundary-to-volume ratio 2/n in each free
-direction (exactly; see :func:`folner_defect`).
+direction.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -23,7 +21,7 @@ class GroupSpecError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """Raised when a window or ball would exceed the element budget."""
+    """Raised when a scan's box or a ball would exceed the element budget."""
 
 
 _FREE_RE = re.compile(r"^Z(?:\^(\d+))?$")
@@ -86,22 +84,6 @@ class AmenableGroup:
             out.append((a[f + i] + b[f + i]) % k)
         return tuple(out)
 
-    def inverse(self, a) -> tuple[int, ...]:
-        f = self.free_rank
-        out = [-a[i] for i in range(f)]
-        for i, k in enumerate(self.cyclic_orders):
-            out.append((-a[f + i]) % k)
-        return tuple(out)
-
-    def generators(self) -> tuple[tuple[int, ...], ...]:
-        """Standard generators: one unit vector per factor."""
-        gens = []
-        for i in range(self.rank):
-            e = [0] * self.rank
-            e[i] = 1
-            gens.append(tuple(e))
-        return tuple(gens)
-
     def generator_orders(self) -> tuple[int | None, ...]:
         """None for free generators, the order for cyclic ones."""
         return (None,) * self.free_rank + self.cyclic_orders
@@ -141,65 +123,20 @@ def parse_group(text: str) -> AmenableGroup:
     return AmenableGroup(free, tuple(cyclic))
 
 
-@dataclass(frozen=True)
-class FolnerWindow:
-    """A finite window together with the index it was drawn at."""
-
-    group: AmenableGroup
-    index: int
-    elements: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-
 class FolnerFamily:
     """The box windows F_n = [0, n)^a x prod_i [0, min(n, k_i))."""
 
-    def __init__(self, group: AmenableGroup, element_budget: int = DEFAULT_ELEMENT_BUDGET):
+    def __init__(self, group: AmenableGroup):
         self.group = group
-        self.element_budget = element_budget
 
-    def window_size(self, n: int) -> int:
+    def widths(self, n: int) -> tuple[int, ...]:
+        """The side lengths of F_n, one per coordinate."""
         if n < 1:
             raise GroupSpecError(f"window index must be positive, got {n}")
-        size = n ** self.group.free_rank
-        for k in self.group.cyclic_orders:
-            size *= min(n, k)
-        return size
+        return (n,) * self.group.free_rank + tuple(min(n, k) for k in self.group.cyclic_orders)
 
-    def window(self, n: int) -> FolnerWindow:
-        size = self.window_size(n)
-        if size > self.element_budget:
-            raise BudgetError(
-                f"window F_{n} has {size} elements, over budget {self.element_budget}"
-            )
-        ranges = [range(n)] * self.group.free_rank
-        ranges += [range(min(n, k)) for k in self.group.cyclic_orders]
-        elements = tuple(itertools.product(*ranges))
-        return FolnerWindow(self.group, n, elements)
-
-
-def translate(window: FolnerWindow, g) -> FolnerWindow:
-    """Left translate gF, keeping the window index for reporting."""
-    grp = window.group
-    g = grp.check_element(g)
-    moved = sorted(grp.multiply(g, h) for h in window.elements)
-    return FolnerWindow(grp, window.index, tuple(moved))
-
-
-def folner_defect(window: FolnerWindow, g) -> Fraction:
-    """Exact |gF symm-diff F| / |F| as a Fraction.
-
-    For a standard generator along a free coordinate this equals 2/n; along a
-    saturated cyclic coordinate (n >= order) it is 0.
-    """
-    grp = window.group
-    g = grp.check_element(g)
-    base = set(window.elements)
-    moved = {grp.multiply(g, h) for h in window.elements}
-    return Fraction(len(base ^ moved), len(base))
+    def window_size(self, n: int) -> int:
+        return math.prod(self.widths(n))
 
 
 def search_ball(

@@ -66,7 +66,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _windows
-from .groups import AmenableGroup, BudgetError, FolnerFamily, parse_group, search_ball
+from .groups import (DEFAULT_ELEMENT_BUDGET, AmenableGroup, BudgetError, FolnerFamily,
+                     parse_group, search_ball)
 from .rds import DomainError, PairEngine, RandomDynamicalSystem, _is_number
 
 BANACH_NOTE = "heuristic two-sided truncation (m_max={m}, radius={r})"
@@ -108,7 +109,7 @@ class EstimatorConfig:
     search_radius: int = 64
     tail_fraction: float = 0.5
     tolerance: float = 1e-9
-    element_budget: int = 2_000_000
+    element_budget: int = DEFAULT_ELEMENT_BUDGET
 
     def __post_init__(self):
         _check_field_types(self)
@@ -303,7 +304,8 @@ def _scan_plan(group: AmenableGroup, cap: int, tail_fraction: float | None,
     ``budget`` before the ball is built. A finite group raises
     :class:`GroupSpecError` from its schedule first. Plans are cached, since
     scans repeat their parameters; an error is not cached."""
-    schedule = _windows.window_schedule(FolnerFamily(group), cap)
+    folner = FolnerFamily(group)
+    schedule = _windows.window_schedule(folner, cap)
     scanned = schedule
     if tail_fraction is not None:
         scanned = schedule[_windows.tail_indices(schedule, tail_fraction)[0]:]
@@ -320,8 +322,8 @@ def _scan_plan(group: AmenableGroup, cap: int, tail_fraction: float | None,
     starts = tuple(np.ascontiguousarray(axis) for axis in starts.T)
     for axis in starts:
         axis.flags.writeable = False
-    pad = ((0, 0),) * free + tuple((0, min(top, k) - 1) for k in orders) if orders else None
-    windows = tuple((n,) * free + tuple(min(n, k) for k in orders) for n in scanned)
+    windows = tuple(map(folner.widths, scanned))
+    pad = ((0, 0),) * free + tuple((0, w - 1) for w in windows[-1][free:]) if orders else None
     sizes = tuple(map(math.prod, windows))
     dyadic = not any(size & (size - 1) for size in sizes)
     return _ScanPlan(schedule, scanned, ball, lo, hi, shape, pad, windows, sizes, dyadic, starts)

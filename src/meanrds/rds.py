@@ -17,14 +17,13 @@ A pair's values are read only over boxes of group elements, given by tuple
 corners, from one :class:`PairEngine` per pair, which walks each fiber once
 for every reader of that pair, on Z (the rank-1 case) as on every other
 group. A box walk follows the canonical coordinate path: the first axis out
-of one line of states per fiber, grown on demand in the scalar kernel (or,
-on a fiber whose generator-0 cycle carries only identity matrices, the
-starting difference repeated, without a walk), each later axis with every
-state reached stepping at once in numpy; the engine keeps each box it has
-walked. Both take the same left-to-right matrix step. A fiber whose every
-generator matrix on its base orbit is the identity has a constant profile,
-fold_norm(delta0); the engine reports that value, and the scans then read
-nothing (see :mod:`meanrds.pseudometrics`).
+of one line of states per fiber, grown on demand in the scalar kernel, each
+later axis with every state reached stepping at once in numpy; the engine
+keeps each box it has walked. Both take the same left-to-right matrix step.
+A fiber whose every generator matrix on its base orbit is the identity has
+a constant profile, fold_norm(delta0); the engine reports that value, and
+the scans then read nothing (see :mod:`meanrds.pseudometrics`); a box read
+of it is that value repeated, without a walk.
 The composed maps of :meth:`RandomDynamicalSystem.element_map` serve only
 :func:`validate` and the tests' references.
 
@@ -585,18 +584,15 @@ class RandomDynamicalSystem:
                 1: (succ, [_float_rows(fm.matrix) for fm in self.maps[i]]),
                 -1: (pred, [_float_rows(self._inv_maps[i][p].matrix) for p in pred]),
             })
-        # per fiber: whether every generator-0 matrix on its base cycle is the
-        # identity (then so are the inverses), in which case its first-axis
-        # line is delta0 repeated bit for bit (see the difference-vector
-        # walks); and whether every generator's matrix on its orbit under all
-        # generators is, in which case its whole profile is the one value
-        # fold_norm(delta0). On Z the two agree.
-        self._identity_cycle = self._identity_orbits((0,))
-        self._constant = self._identity_orbits(range(gens))
+        # per fiber: whether every generator's matrix on its orbit under all
+        # generators is the identity (then so are the inverses), in which
+        # case its whole profile is the one value fold_norm(delta0)
+        self._constant = self._identity_orbits()
 
-    def _identity_orbits(self, gens) -> tuple[bool, ...]:
-        """Per base point, whether the matrix of every generator in ``gens``
-        is the identity at every point of its orbit under those generators."""
+    def _identity_orbits(self) -> tuple[bool, ...]:
+        """Per base point, whether the matrix of every generator is the
+        identity at every point of its orbit."""
+        gens = range(self.group.rank)
         ident = _identity_matrix(self.dim)
         flags = [None] * self.base.size
         for start in range(self.base.size):
@@ -666,11 +662,6 @@ class RandomDynamicalSystem:
 # 1, the row-major entries otherwise). Each row's products are added left to
 # right and reduced mod 1: the canonical matrix step. The kernel returns the
 # final base point and vector and the flat coordinates after every step.
-#
-# A fiber whose base cycle under generator 0 carries only identity matrices
-# (an identity cycle; the inverses are identities too) is not walked: there
-# each step returns its input bit for bit, since (1.0 * x) % 1.0 == x and
-# 1.0 * x + 0.0 * y == x for x, y in [0, 1), so its line is delta0 repeated.
 
 def _walk_1d(w, d, count, nxt, rows):
     (x,) = d
@@ -770,13 +761,13 @@ class PairEngine:
     Build one engine per pair and read every profile of the pair from it:
     each fiber is then walked once, however many scans read it. Each fiber
     has one line of raw difference vectors along generator 0, grown on
-    demand in the scalar kernel, or on an identity cycle (see the walks'
-    comment) ``delta0`` broadcast, with no walk. A box takes its first axis
-    from that line, and :func:`_walk_axis` walks each later axis along the
-    canonical path (cyclic ones forward), so values are bitwise those of the
-    scalar kernels. Corners are tuples on every group; Z is the rank-1
-    case, whose boxes are ranges of times. Each box is folded and kept,
-    read-only, keyed by (fiber, lo, hi), for as long as the engine lives.
+    demand in the scalar kernel. A box takes its first axis from that line,
+    and :func:`_walk_axis` walks each later axis along the canonical path
+    (cyclic ones forward), so values are bitwise those of the scalar
+    kernels. A constant fiber's box is ``norm0`` repeated, with no walk.
+    Corners are tuples on every group; Z is the rank-1 case, whose boxes are
+    ranges of times. Each box is folded and kept, read-only, keyed by
+    (fiber, lo, hi), for as long as the engine lives.
 
     ``admissible`` holds the support fibers containing both points. The
     weighted ``integral_range`` needs every support fiber, that is
@@ -812,10 +803,7 @@ class PairEngine:
         """Raw difference vectors at t = lo..hi-1 along generator 0 from
         fiber omega_idx, out of the fiber's line: for each direction the
         vectors at t = 0, 1, ... (or -1, -2, ...) and the (base point,
-        vector) at the outer end, from which the scalar kernel grows it. On
-        an identity cycle, a read-only broadcast of delta0."""
-        if self.sys._identity_cycle[omega_idx]:
-            return np.broadcast_to(self.delta0, (hi - lo, self.sys.dim))
+        vector) at the outer end, from which the scalar kernel grows it."""
         line = self._lines.get(omega_idx)
         if line is None:
             start = (omega_idx, self.delta0)
@@ -835,15 +823,20 @@ class PairEngine:
     def _fiber_box(self, omega_idx: int, lo, hi) -> np.ndarray:
         vals = self._boxes.get((omega_idx, lo, hi))
         if vals is None:
-            d = self._first_axis(omega_idx, lo[0], hi[0])
-            if len(lo) > 1:
-                powers = self.sys.base._powers[0]
-                cycle = np.asarray(powers.cycles[powers.cycle_of[omega_idx]])
-                w = cycle[(powers.pos_in_cycle[omega_idx] + np.arange(lo[0], hi[0])) % len(cycle)]
-                for steps, a, b in zip(self.sys._steps[1:], lo[1:], hi[1:]):
-                    w, d = _walk_axis(w, d, steps, a, b)
-            vals = self._boxes[omega_idx, lo, hi] = _fold_norm_rows(d)
+            if self.sys._constant[omega_idx]:
+                vals = np.full(math.prod(b - a for a, b in zip(lo, hi)), self.norm0)
+            else:
+                d = self._first_axis(omega_idx, lo[0], hi[0])
+                if len(lo) > 1:
+                    powers = self.sys.base._powers[0]
+                    cycle = np.asarray(powers.cycles[powers.cycle_of[omega_idx]])
+                    w = cycle[(powers.pos_in_cycle[omega_idx]
+                               + np.arange(lo[0], hi[0])) % len(cycle)]
+                    for steps, a, b in zip(self.sys._steps[1:], lo[1:], hi[1:]):
+                        w, d = _walk_axis(w, d, steps, a, b)
+                vals = _fold_norm_rows(d)
             vals.flags.writeable = False
+            self._boxes[omega_idx, lo, hi] = vals
         return vals
 
     def fiber_range(self, omega, lo, hi) -> np.ndarray:

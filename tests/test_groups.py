@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from meanrds.groups import (
-    AmenableGroup,
+    DEFAULT_ELEMENT_BUDGET,
     BudgetError,
     FolnerFamily,
     GroupSpecError,
-    folner_defect,
     parse_group,
     search_ball,
-    translate,
 )
+from meanrds.pseudometrics import _scan_plan
 
 
 def test_parse_group_forms():
@@ -38,7 +37,7 @@ def test_multiply_inverse_identity():
     a = (2, -1, 2)
     b = (-5, 4, 2)
     assert g.multiply(a, b) == (-3, 3, 1)
-    assert g.multiply(a, g.inverse(a)) == g.identity()
+    assert g.multiply(a, (-2, 1, 1)) == g.identity()
     assert g.check_element((0, 0, 1)) == (0, 0, 1)
     with pytest.raises(GroupSpecError):
         g.check_element((0, 0, 3))
@@ -54,68 +53,79 @@ def test_word_length_cyclic_wraps():
     assert g.word_length(g.identity()) == 0
 
 
+def _box(widths):
+    """Every element of the box window with these side lengths."""
+    return set(itertools.product(*map(range, widths)))
+
+
+def _defect(group, widths, g):
+    """|gF symm-diff F| / |F| of the box F with these widths, by brute force."""
+    box = _box(widths)
+    moved = {group.multiply(g, h) for h in box}
+    return Fraction(len(box ^ moved), len(box))
+
+
+def _generator_defects(group, widths):
+    """The defect of F under each standard generator (one unit vector per
+    factor)."""
+    return [_defect(group, widths, tuple(int(j == i) for j in range(group.rank)))
+            for i in range(group.rank)]
+
+
+def _scanned_windows(group, cap):
+    """(n, widths of F_n) for each window a scan of cap elements takes."""
+    plan = _scan_plan(group, cap, None, 2, DEFAULT_ELEMENT_BUDGET)
+    assert plan.windows == tuple(map(FolnerFamily(group).widths, plan.scanned))
+    return tuple(zip(plan.scanned, plan.windows))
+
+
 def test_window_sizes_and_elements():
     g = parse_group("Z x C2")
     fam = FolnerFamily(g)
-    w1 = fam.window(1)
-    assert w1.elements == ((0, 0),)
-    w3 = fam.window(3)
+    assert fam.widths(1) == (1, 1)
     # 3 free values times min(3, 2) cyclic values
-    assert w3.size == 6
-    assert set(w3.elements) == set(itertools.product(range(3), range(2)))
-
-
-def test_window_budget():
-    g = parse_group("Z^3")
-    fam = FolnerFamily(g, element_budget=1000)
-    fam.window(10)
-    with pytest.raises(BudgetError):
-        fam.window(11)
+    assert fam.widths(3) == (3, 2)
+    assert fam.window_size(3) == 6 == len(_box(fam.widths(3)))
+    assert FolnerFamily(parse_group("Z^2 x C3 x C5")).widths(4) == (4, 4, 3, 4)
+    with pytest.raises(GroupSpecError):
+        fam.widths(0)
+    windows = _scanned_windows(g, 1000)
+    assert [n for n, _ in windows] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 500]
+    assert windows[-1] == (500, (500, 2))
 
 
 def test_folner_defect_exact_on_line():
     g = parse_group("Z")
     fam = FolnerFamily(g)
     for n in (1, 2, 16, 100):
-        w = fam.window(n)
-        assert folner_defect(w, (1,)) == Fraction(2, n)
+        assert _defect(g, fam.widths(n), (1,)) == Fraction(2, n)
     # moving by 3 displaces 3 points on each side
-    assert folner_defect(fam.window(100), (3,)) == Fraction(6, 100)
+    assert _defect(g, fam.widths(100), (3,)) == Fraction(6, 100)
 
 
 def test_folner_defect_matches_brute_force():
+    """Along the windows a scan takes, each free generator moves F_n by 2/n
+    and a cyclic generator by 0 once its axis is saturated (n >= order)."""
+    for spec, cap in (("Z", 100), ("Z^2", 256), ("Z^2 x C2", 64)):
+        g = parse_group(spec)
+        for n, widths in _scanned_windows(g, cap):
+            want = [Fraction(2, n)] * g.free_rank + [
+                Fraction(2, n) if n < k else 0 for k in g.cyclic_orders]
+            assert _generator_defects(g, widths) == want, (spec, n)
     g = parse_group("Z^2 x C2")
-    fam = FolnerFamily(g)
-    w = fam.window(4)
-    for mover in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 1)):
-        base = set(w.elements)
-        moved = {g.multiply(mover, h) for h in w.elements}
-        expected = Fraction(len(base ^ moved), len(base))
-        assert folner_defect(w, mover) == expected
-    # the cyclic factor is saturated at n >= 2, so its generator costs nothing
-    assert folner_defect(w, (0, 0, 1)) == 0
+    # a mixed mover displaces no more than its steps along each generator
+    assert _defect(g, FolnerFamily(g).widths(4), (2, -1, 1)) <= Fraction(6, 4)
 
 
 def test_defect_shrinks_along_window_sequence():
     g = parse_group("Z^2")
-    fam = FolnerFamily(g)
-    gens = g.generators()
     prev = None
-    for n in (2, 4, 8, 16):
-        worst = max(folner_defect(fam.window(n), s) for s in gens)
+    for n, widths in _scanned_windows(g, 256):
+        worst = max(_generator_defects(g, widths))
         assert worst == Fraction(2, n)
         if prev is not None:
             assert worst < prev
         prev = worst
-
-
-def test_translate_keeps_index_and_moves_elements():
-    g = parse_group("Z")
-    fam = FolnerFamily(g)
-    w = fam.window(4)
-    t = translate(w, (10,))
-    assert t.index == 4
-    assert t.elements == tuple((10 + k,) for k in range(4))
 
 
 def test_search_ball_line():

@@ -18,7 +18,13 @@ from meanrds import _windows, catalog, pseudometrics, rds
 from meanrds._windows import tree_mean_rows, window_means, window_schedule
 from meanrds.classify import _sample_pairs
 from meanrds.density import banach_upper_density, separation_set
-from meanrds.groups import BudgetError, FolnerFamily, parse_group, search_ball
+from meanrds.groups import (
+    DEFAULT_ELEMENT_BUDGET,
+    BudgetError,
+    FolnerFamily,
+    parse_group,
+    search_ball,
+)
 from meanrds.pseudometrics import (
     EstimatorConfig,
     ValueSource,
@@ -78,7 +84,8 @@ ROT_CAT_SWAP = {
               {"matrix": [[2, 1], [1, 1]]}]],
 }
 # Z^2 with the identity on generator 0 and the cat matrix on generator 1:
-# a box's first axis is the identity-cycle line, its later axis walks
+# the fiber is not constant, so a box walks its first axis through the
+# identity and its later axis through the cat matrix
 Z2_ID_CAT = {
     "name": "z2-id-cat",
     "group": "Z^2",
@@ -102,7 +109,8 @@ ZXC2_SHEAR = {
 
 SYSTEMS = ([catalog.load(n) for n in catalog.names()] + [_dim3_system()]
            + [catalog.build_system(spec) for spec in (ROT3, ROT_CAT_SWAP)])
-# per system, the fibers whose generator-0 cycle carries only identities
+# per system, the fibers whose generator-0 cycle carries only identities;
+# on Z these are the constant fibers
 IDENTITY_CYCLES = {"rot2": (True, True), "rot1-trivial": (True,), "cat-trivial": (False,),
                    "cat2": (False, False), "mixed": (True, False), "dim3": (False, False),
                    "rot3": (True, True), "rot-cat-swap": (False, False)}
@@ -203,6 +211,7 @@ BOXES = [
     (ZXC2_CAT2, (0.1, 0.2), (0.1004, 0.2002), (-5, 0), (6, 2)),
     (Z2_ID_CAT, (0.1, 0.2), (0.1004, 0.2002), (-4, -3), (3, 5)),
     (Z2_ID_CAT, (0.3, 0.7), (0.9, 0.05), (3, -2), (7, 2)),
+    (ZXC2_SHEAR, (0.1, 0.2), (0.13, 0.21), (-5, 0), (6, 2)),
 ]
 
 
@@ -265,12 +274,11 @@ EDGE_PAIRS = [(0.0, 0.0), (5e-324, 0.0), (0.0, 5e-324), (1 - 2**-53, 0.0),
 
 
 @pytest.mark.parametrize("system,omega", [
-    (s, i) for s in SYSTEMS for i, ident in enumerate(IDENTITY_CYCLES[s.name]) if ident],
+    (s, i) for s in SYSTEMS for i, const in enumerate(s._constant) if const],
     ids=lambda v: getattr(v, "name", str(v)))
 def test_identity_cycle_line_is_the_walked_line(system, omega, monkeypatch):
-    """On a fiber whose generator-0 cycle carries only identity matrices the
-    first-axis line is delta0 repeated, read-only and without a kernel call:
-    raw and folded, bitwise what the walk kernel gives, in dimensions 1-3."""
+    """A constant fiber's box is read without a kernel call, read-only and
+    bitwise the folded line the walk kernel gives, in dimensions 1-3."""
     walk = rds._WALKS[system.dim]
     monkeypatch.setattr(rds, "_WALKS", {})  # a kernel call raises KeyError
     lo, hi = -20, 30
@@ -281,19 +289,16 @@ def test_identity_cycle_line_is_the_walked_line(system, omega, monkeypatch):
         left = walk(omega, engine.delta0, -lo, *system._steps[0][-1])[2]
         walked = np.concatenate((np.reshape(left, (-lo, -1))[::-1], [engine.delta0],
                                  np.reshape(right, (hi - 1, -1))))
-        line = engine._first_axis(omega, lo, hi)
-        assert not line.flags.writeable
-        assert line.tobytes() == walked.tobytes()
-        assert (engine.fiber_range(omega, (lo,), (hi,)).tobytes()
-                == _fold_norm_rows(walked).tobytes())
+        vals = engine.fiber_range(omega, (lo,), (hi,))
+        assert not vals.flags.writeable
+        assert vals.tobytes() == _fold_norm_rows(walked).tobytes()
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.name)
 def test_walk_kernel_skips_only_identity_cycles(system, monkeypatch):
     """Each fiber's first axis calls the kernel once per direction, from
-    the fiber itself, unless its generator-0 cycle carries only identity
-    matrices; on rot-cat-swap the rotation fiber shares its cycle with a
-    cat fiber, so it walks."""
+    the fiber itself, unless the fiber is constant; on rot-cat-swap the
+    rotation fiber shares its cycle with a cat fiber, so it walks."""
     kernel = rds._WALKS[system.dim]
     starts = []
 
@@ -320,7 +325,7 @@ def test_constant_fibers_need_identities_on_every_generator():
     assert catalog.build_system(ZXC2_ROT)._constant == (True, True)
     system = catalog.build_system(ZXC2_SHEAR)
     assert rds.validate(system).ok
-    assert (system._identity_cycle, system._constant) == ((True,), (False,))
+    assert system._constant == (False,)
     x, y = (0.1, 0.2), (0.13, 0.21)
     engine = rds.PairEngine(system, x, y)
     assert engine.fiber_constant(0) is engine.dtilde_constant() is None
@@ -482,7 +487,7 @@ def _probed_schedule(folner, cap):
 @pytest.mark.parametrize("spec", ["Z", "Z^2", "Z x C2", "Z x C3", "Z^3"])
 def test_bisected_schedule_top_matches_probing(spec):
     folner = FolnerFamily(parse_group(spec))
-    for cap in (1, 2, 3, 1000, 1024, 4096, 10000, folner.element_budget):
+    for cap in (1, 2, 3, 1000, 1024, 4096, 10000, DEFAULT_ELEMENT_BUDGET):
         assert window_schedule(folner, cap) == _probed_schedule(folner, cap), cap
 
 
