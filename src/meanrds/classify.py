@@ -20,6 +20,12 @@ pair that reaches eps, so a delta's draws do not depend on how many of its
 pairs are measured. A row's pairs are drawn in one pass, ``_sample_pairs``,
 which takes the random stream of n single pair draws.
 
+Every probe, and the region search, reads only the value of each scan
+(``pseudometrics._banach_value`` and ``_sup_fiber_value``, bitwise the
+``.value`` of ``banach_mean``, ``banach_upper_density``, ``fiber_weyl`` and
+``sup_fiber_weyl``); estimate records are built only for reports. Each
+modulus-probe pair gets its profile from ``pair_source``.
+
 The verdict is "wme-evidence" or "sensitive-evidence" only when exactly one
 side holds; anything else is "inconclusive" with an escalation suggestion.
 Regions of eps-equicontinuity points and their finite-depth intersections
@@ -35,14 +41,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import banach_upper_density, separation_set
+from .density import separation_set
 from .pseudometrics import (
     EstimatorConfig,
+    _banach_value,
     _check_field_types,
-    banach_mean,
-    fiber_weyl,
+    _sup_fiber_value,
     pair_source,
-    sup_fiber_weyl,
 )
 from .rds import (
     DTILDE_CONVENTION,
@@ -255,7 +260,7 @@ def wme_test(
     """Modulus search: largest grid delta keeping all pair separations < eps."""
 
     def measure(x, y, eps):
-        return banach_mean(pair_source(system, x, y, "sup"), cfg).value
+        return _banach_value(pair_source(system, x, y, "sup"), cfg)
 
     rows = tuple(ModulusRow(*r) for r in _modulus_search(system, ccfg, rng, measure))
     return WmeResult(rows, all(r.passed for r in rows))
@@ -275,8 +280,8 @@ def mean_l_stable_test(
 
     def measure(x, y, eps):
         src = pair_source(system, x, y, "sup")
-        bd = banach_upper_density(separation_set(src, eps), cfg).value
-        ban = banach_mean(src, cfg).value
+        bd = _banach_value(separation_set(src, eps), cfg)
+        ban = _banach_value(src, cfg)
         if eps * bd > ban + cfg.tolerance and not first_violation:
             first_violation.append(
                 f"eps={eps:g}: eps*density {eps * bd:.6g} exceeds banach {ban:.6g}"
@@ -313,7 +318,7 @@ def sensitivity_test(
             for _ in range(ccfg.candidate_budget):
                 tried += 1
                 y = fs.sample_near(x, eps, rng)
-                v = sup_fiber_weyl(system, x, y, cfg).value
+                v = _sup_fiber_value(system, x, y, cfg)
                 if v > ccfg.delta0:
                     found_y, found_v = y, v
                     break
@@ -355,7 +360,7 @@ def equicontinuity_region(
             ok = True
             for _ in range(ccfg.candidate_budget):
                 y = fs.sample_near(x, delta, rng)
-                if fiber_weyl(system, x, y, idx, cfg).value >= eps:
+                if _banach_value(pair_source(system, x, y, "fiber", idx), cfg) >= eps:
                     ok = False
                     break
             if ok:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -46,6 +47,10 @@ from .rds import DTILDE_CONVENTION, DomainError, SystemSpecError, _is_number, va
 SCHEMA_VERSION = "1"
 
 _DEFAULT_DENSITY_SETS = ("evens", "odds", "squares", "dyadic-blocks", "mod:3:0")
+
+# the field dicts of the default configs, which every command starts from
+_ESTIMATOR_DEFAULTS = dataclasses.asdict(EstimatorConfig())
+_CLASSIFIER_DEFAULTS = dataclasses.asdict(ClassifierConfig())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,6 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on first use. Parsing leaves no
+    state in a parser (each parse fills a fresh namespace, and an appended
+    list starts from a copy), so one parser serves every call."""
+    return build_parser()
+
+
 # ---------------------------------------------------------------------------
 # configuration assembly
 
@@ -120,8 +133,11 @@ def _load_config_file(path: str) -> dict:
 
 
 def _effective_settings(args) -> dict:
-    est = dataclasses.asdict(EstimatorConfig())
-    cls = dataclasses.asdict(ClassifierConfig())
+    """The configs, seed and system spec of a command. ``estimator_fields``
+    and ``classifier_fields`` are the configs' field dicts, equal to their
+    ``dataclasses.asdict``, built once for the hash and the outputs."""
+    est = dict(_ESTIMATOR_DEFAULTS)
+    cls = dict(_CLASSIFIER_DEFAULTS)
     file_cfg = _load_config_file(args.config) if args.config else {}
     for section, fields in (("estimator", est), ("classifier", cls)):
         given = file_cfg.get(section, {})
@@ -153,20 +169,21 @@ def _effective_settings(args) -> dict:
     system_spec = file_cfg.get("system")
     if system_spec is not None and not isinstance(system_spec, dict):
         raise ValueError("config 'system' must be a JSON object")
-    settings = {
+    return {
         "estimator": EstimatorConfig(**est),
         "classifier": ClassifierConfig(**cls),
+        "estimator_fields": est,
+        "classifier_fields": cls,
         "seed": seed,
         "system_spec": system_spec,
     }
-    return settings
 
 
 def _config_hash(command: str, settings: dict, extra: dict) -> str:
     payload = {
         "command": command,
-        "estimator": dataclasses.asdict(settings["estimator"]),
-        "classifier": dataclasses.asdict(settings["classifier"]),
+        "estimator": settings["estimator_fields"],
+        "classifier": settings["classifier_fields"],
         "seed": settings["seed"],
         **extra,
     }
@@ -187,7 +204,7 @@ def _envelope(command: str, settings: dict, extra_hash: dict, payload: dict) -> 
         "command": command,
         "config_hash": _config_hash(command, settings, extra_hash),
         "seed": settings["seed"],
-        "estimator": dataclasses.asdict(settings["estimator"]),
+        "estimator": settings["estimator_fields"],
         "conventions": [DTILDE_CONVENTION],
     }
     out.update(payload)
@@ -395,7 +412,7 @@ def _cmd_classify(args, settings) -> int:
     ]
     env = _envelope(
         "classify", settings, {"system": args.system},
-        {"classifier": dataclasses.asdict(settings["classifier"]),
+        {"classifier": settings["classifier_fields"],
          "report": report.to_dict()},
     )
     _emit(args, env, report.to_text(), rows, "classify.csv", _CLASSIFY_HEADER)
@@ -403,9 +420,8 @@ def _cmd_classify(args, settings) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code else 0

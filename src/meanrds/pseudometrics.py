@@ -50,7 +50,10 @@ strictly against the start, picks the window the tie and start rules pick.
 
 Estimates carry their schedule, the attained window and translate, and a
 truncation note; the Banach-style scans are heuristic two-sided truncations
-and are labeled as such.
+and are labeled as such. The scan itself, ``_pick``, returns the value, window
+and translate; ``_scan`` wraps them in a record. The classify probes read only
+values, through ``_banach_value`` and ``_sup_fiber_value``, so records, with
+their notes and relabels, are built only for reports.
 """
 
 from __future__ import annotations
@@ -369,9 +372,10 @@ def _picked_means(source: ValueSource, plan: _ScanPlan, inner):
         yield n, float(means[k]), k
 
 
-def _scan(source: ValueSource, cfg: EstimatorConfig, kind: str, note: str, *,
-          outer, inner=None, tail: bool = False) -> PseudometricEstimate:
-    """The one min-max window scan behind every estimator and density.
+def _pick(source: ValueSource, cfg: EstimatorConfig, *, outer, inner=None,
+          tail: bool = False):
+    """The one min-max window scan behind every estimator and density,
+    returning (plan, value, window, translate) with no record.
 
     Scans the tail of the n_max schedule when ``tail`` is set, else the whole
     m_max schedule. ``inner`` (max or min) picks over the ball translates of
@@ -398,6 +402,14 @@ def _scan(source: ValueSource, cfg: EstimatorConfig, kind: str, note: str, *,
             if better(mean, value):
                 value, window = mean, n
                 translate = None if inner is None else plan.ball[k]
+    return plan, value, window, translate
+
+
+def _scan(source: ValueSource, cfg: EstimatorConfig, kind: str, note: str, *,
+          outer, inner=None, tail: bool = False) -> PseudometricEstimate:
+    """The estimate of :func:`_pick`'s scan, with its schedule, tail start,
+    truncation note and source label."""
+    plan, value, window, translate = _pick(source, cfg, outer=outer, inner=inner, tail=tail)
     return PseudometricEstimate(
         kind=kind,
         value=value,
@@ -408,6 +420,12 @@ def _scan(source: ValueSource, cfg: EstimatorConfig, kind: str, note: str, *,
         truncation_note=note,
         source_label=source.label,
     )
+
+
+def _banach_value(source: ValueSource, cfg: EstimatorConfig) -> float:
+    """The value of ``banach_mean(source, cfg)``, with no record; on an
+    indicator it is that of ``density.banach_upper_density``, the same scan."""
+    return _pick(source, cfg, outer=min, inner=max)[1]
 
 
 def _as_weyl(est: PseudometricEstimate, kind: str) -> PseudometricEstimate:
@@ -502,6 +520,15 @@ def _sup_of_fiber_weyls(estimates) -> PseudometricEstimate:
             source_label="sup-fiber",
         )
     return dataclasses.replace(best, kind="sup-fiber-weyl")
+
+
+def _sup_fiber_value(system, x, y, cfg) -> float:
+    """The value of ``sup_fiber_weyl(system, x, y, cfg)``, with no record:
+    the maximum of the fiber Banach values, read from one engine, or 0.0
+    when no fiber holds both points."""
+    engine = PairEngine(system, x, y)
+    return max((_banach_value(_fiber_source(engine, i), cfg) for i in engine.admissible),
+               default=0.0)
 
 
 def sup_fiber_weyl(system, x, y, cfg) -> PseudometricEstimate:

@@ -105,13 +105,23 @@ def _mod1(v: float) -> float:
 
 
 def reduce_point(x) -> tuple[float, ...]:
-    """Fold coordinates into [0, 1)."""
-    return tuple(_mod1(float(v)) for v in x)
+    """Fold coordinates into [0, 1): :func:`_mod1`, inlined, since every
+    pair engine folds its points."""
+    out = []
+    for v in x:
+        r = float(v) % 1.0
+        out.append(0.0 if r == 1.0 else r)
+    return tuple(out)
 
 
 def torus_delta(x, y) -> tuple[float, ...]:
-    """Coordinatewise difference x - y mod 1, in [0, 1)."""
-    return tuple(_mod1(float(a) - float(b)) for a, b in zip(x, y))
+    """Coordinatewise difference x - y mod 1, in [0, 1): :func:`_mod1`,
+    inlined, since every pair engine takes one."""
+    out = []
+    for a, b in zip(x, y):
+        r = (float(a) - float(b)) % 1.0
+        out.append(0.0 if r == 1.0 else r)
+    return tuple(out)
 
 
 def _fold(c: float) -> float:
@@ -588,6 +598,8 @@ class RandomDynamicalSystem:
         # generators is the identity (then so are the inverses), in which
         # case its whole profile is the one value fold_norm(delta0)
         self._constant = self._identity_orbits()
+        # with no sliced support fiber, every pair is admissible in all of them
+        self._all_full = all(self.fibers[i].slices is None for i in self.base.support)
 
     def _identity_orbits(self) -> tuple[bool, ...]:
         """Per base point, whether the matrix of every generator is the
@@ -647,6 +659,8 @@ class RandomDynamicalSystem:
 
     def _admissible(self, x, y) -> tuple[int, ...]:
         """``admissible_fibers`` of points already folded into [0, 1)."""
+        if self._all_full:
+            return self.base.support
         return tuple(
             i for i in self.base.support
             if self.fibers[i].contains(x) and self.fibers[i].contains(y)

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, JSON envelopes, file outputs."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import meanrds
+from meanrds import cli
 from meanrds.cli import main
 
 # ``python -m`` puts its working directory first on sys.path, so a child run
@@ -162,6 +164,55 @@ def test_global_flags_work_on_either_side(capsys):
     assert main(after) == 0
     assert capsys.readouterr().out == out_a
     assert json.loads(out_a)["seed"] == 5
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    """main() parses every call with one parser; a sequence of commands in
+    one process gives the bytes of a fresh parser per command."""
+    cfg = _cfg_file(tmp_path, {"estimator": {"m_max": 64, "search_radius": 4}, "seed": 3})
+    estimate = ["estimate", "--system", "rot1-trivial", "--pairs", "1"]
+    commands = [
+        ["estimate", "--system", "rot2", "--pair", "0.1|0.3", "--pair", "0.5|0.51"],
+        ["estimate", "--system", "rot2", "--pairs", "1"],   # no --pair: the list must not leak
+        ["--json", *estimate],
+        [*estimate, "--json"],
+        estimate,
+        ["--config", cfg, *estimate],
+        estimate,
+        ["estimate", "--no-such-flag"],
+        ["--help"],
+    ]
+
+    def run_all():
+        results = []
+        for argv in commands:
+            code = main(list(argv))
+            out, err = capsys.readouterr()
+            results.append((code, out, err))
+        return results
+
+    assert cli._shared_parser() is cli._shared_parser()
+    shared = run_all()
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    assert run_all() == shared
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 0, 0, 1, 0]
+    # each command that a leak would change differs from the one before it
+    outs = [out for _, out, _ in shared]
+    assert outs[0] != outs[1] and outs[3] != outs[4] and outs[5] != outs[6]
+    assert outs[2] == outs[3] and outs[4] == outs[6]
+    assert outs[8].startswith("usage: meanrds")
+
+
+def test_config_field_dicts_equal_asdict(tmp_path):
+    """The field dicts that the hash and the outputs use are the configs'
+    ``dataclasses.asdict``, key order included, with a config file and flags."""
+    cfg = _cfg_file(tmp_path, {**SMALL, "estimator": {"tolerance": 1, "m_max": 64}})
+    for argv in (["catalog"], ["--config", cfg, "catalog", "--radius", "3", "--seed", "4"]):
+        settings = cli._effective_settings(cli.build_parser().parse_args(argv))
+        for name in ("estimator", "classifier"):
+            fields = settings[f"{name}_fields"]
+            assert json.dumps(fields) == json.dumps(dataclasses.asdict(settings[name]))
+            assert fields == dataclasses.asdict(settings[name])
 
 
 def test_density_default_sets(capsys):

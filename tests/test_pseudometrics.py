@@ -17,7 +17,7 @@ from meanrds._windows import (
     window_means,
     window_schedule,
 )
-from meanrds.density import density_summary, separation_set, subset_indicator
+from meanrds.density import banach_upper_density, density_summary, separation_set, subset_indicator
 from meanrds.groups import BudgetError, FolnerFamily, GroupSpecError, parse_group, search_ball
 from meanrds.pseudometrics import (
     EstimatorConfig,
@@ -382,6 +382,50 @@ def test_sliced_system_domain_errors_and_empty_sup():
     est2 = sup_fiber_weyl(sys_, (0.25,), (0.25,), cfg)
     assert est2.kind == "sup-fiber-weyl"
     assert est2.value == 0.0  # identical points
+
+
+VALUE_SYSTEMS = [catalog.load(n) for n in catalog.names()] + [
+    catalog.build_system(spec) for spec in (ZXC2_CAT2, Z2_CAT)]
+
+
+@pytest.mark.parametrize("system", VALUE_SYSTEMS, ids=lambda s: s.name)
+def test_value_picks_equal_their_records(system):
+    """The values the classify probes read equal, by repr, the values of the
+    records that reports build, each from its own engine."""
+    if system.group.rank == 1:
+        cfg = EstimatorConfig(n_max=1024, m_max=256, search_radius=16)
+    else:
+        cfg = EstimatorConfig(n_max=64, m_max=16, search_radius=2)
+    rng = np.random.default_rng(31)
+    fs = system.fibers[system.base.support[0]]
+    x = fs.sample(rng)
+    for y in (fs.sample_near(x, 1e-3, rng), fs.sample(rng)):
+        ban = banach_mean(pair_source(system, x, y), cfg).value
+        assert repr(pseudometrics._banach_value(pair_source(system, x, y), cfg)) == repr(ban)
+        assert 0.0 < ban < math.inf
+        for eps in (ban / 2, ban, 2 * ban):
+            record = banach_upper_density(separation_set(pair_source(system, x, y), eps), cfg)
+            value = pseudometrics._banach_value(separation_set(pair_source(system, x, y), eps), cfg)
+            assert repr(value) == repr(record.value)
+        assert repr(pseudometrics._sup_fiber_value(system, x, y, cfg)) == \
+            repr(sup_fiber_weyl(system, x, y, cfg).value)
+
+
+def test_value_pick_cases_include_read_profiles():
+    """The value-pick cases cover the window loop as well as the closed
+    form: the hyperbolic systems' profiles are read."""
+    constant = {s.name: pair_source(s, (0.1,) * s.dim, (0.2,) * s.dim).constant is not None
+                for s in VALUE_SYSTEMS}
+    assert constant == {"rot2": True, "rot1-trivial": True, "cat-trivial": False,
+                        "cat2": False, "mixed": False, "zxc2-cat2": False, "z2-cat": False}
+
+
+def test_sup_fiber_value_with_no_common_fiber_is_zero():
+    sys_ = _sliced_system()
+    cfg = EstimatorConfig(n_max=64, m_max=16, search_radius=4)
+    assert sys_.admissible_fibers((0.25,), (0.5,)) == ()
+    value = pseudometrics._sup_fiber_value(sys_, (0.25,), (0.5,), cfg)
+    assert repr(value) == repr(sup_fiber_weyl(sys_, (0.25,), (0.5,), cfg).value) == "0.0"
 
 
 def _disjoint_system():

@@ -21,6 +21,8 @@ def test_tracer_installs_and_uninstalls():
     tracer.install()
     try:
         assert cli.main is not main and rds.PairEngine.fiber_range is not fiber_range
+        # classify.pair_evals counts the probes' calls of this name
+        assert "meanrds.classify.pair_source" not in tracer.missing
     finally:
         tracer.uninstall()
     assert cli.main is main and rds.PairEngine.fiber_range is fiber_range
