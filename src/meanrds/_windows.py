@@ -107,14 +107,29 @@ def tree_mean_rows(arr: np.ndarray) -> np.ndarray:
     return tree_sum_rows(arr) / arr.shape[1]
 
 
+def constant_mean_rows(c: np.ndarray, size: int) -> np.ndarray:
+    """For each entry c, the :func:`tree_mean_rows` of a row of ``size``
+    copies of c, in O(log size) steps: every level of the tree holds one
+    value, so each level is one doubling, and each peeled leftover is that
+    level's value. These are the bits :func:`window_means` gives on a
+    constant box; on a power-of-two size the sum is c * size (or +-inf)."""
+    level, width, carries = np.asarray(c, dtype=np.float64), size, []
+    with np.errstate(over="ignore"):  # an overflow is +-inf (module docstring)
+        while width > 1:
+            if width % 2:
+                carries.append(level)
+                width -= 1
+            level, width = level + level, width // 2
+        for carry in carries:
+            level = level + carry
+    return level / size
+
+
 def constant_mean(c: float, size: int) -> float:
-    """The mean of ``size`` copies of c, with the bits :func:`window_means`
-    gives on a constant box. Every doubling of the table adds two equal
-    values, which is exact up to overflow, so a power-of-two window sums to
-    c * size (or +-inf), and dividing by size is exact; any other size is
-    summed by the tree, as the gather does, on one row."""
+    """The mean of ``size`` copies of c: :func:`constant_mean_rows` of c,
+    which on a power-of-two size is (c * size) / size, with no array."""
     if size & (size - 1):
-        return float(tree_mean_rows(np.full((1, size), c))[0])
+        return float(constant_mean_rows(np.asarray([c], dtype=np.float64), size)[0])
     return (c * size) / size
 
 

@@ -17,14 +17,19 @@ Three seeded probes feed one report:
 The two modulus probes run through one delta descent, ``_modulus_search``:
 per delta it draws every pair before measuring any and stops at the first
 pair that reaches eps, so a delta's draws do not depend on how many of its
-pairs are measured. A row's pairs are drawn in one pass, ``_sample_pairs``,
+pairs are measured. A row's draws are made in one pass, ``_draw_row``,
 which takes the random stream of n single pair draws.
 
 Every probe, and the region search, reads only the value of each scan
 (``pseudometrics._banach_value`` and ``_sup_fiber_value``, bitwise the
 ``.value`` of ``banach_mean``, ``banach_upper_density``, ``fiber_weyl`` and
-``sup_fiber_weyl``); estimate records are built only for reports. Each
-modulus-probe pair gets its profile from ``pair_source``.
+``sup_fiber_weyl``); estimate records are built only for reports. A
+modulus-probe pair gets its profile from ``pair_source``, except on a
+system whose support fibers are all constant (isometric): there every sup
+profile is the pair's constant ``fold_norm(torus_delta(x, y))``, and a
+whole row of pairs is measured in one numpy pass from the same draws
+(``_row_norms``, ``pseudometrics._constant_banach_values``), with the bits,
+stop, counts and chain check of the pair loop.
 
 The verdict is "wme-evidence" or "sensitive-evidence" only when exactly one
 side holds; anything else is "inconclusive" with an escalation suggestion.
@@ -46,6 +51,7 @@ from .pseudometrics import (
     EstimatorConfig,
     _banach_value,
     _check_field_types,
+    _constant_banach_values,
     _sup_fiber_value,
     pair_source,
 )
@@ -53,6 +59,7 @@ from .rds import (
     DTILDE_CONVENTION,
     RandomDynamicalSystem,
     _direction_norm,
+    _fold_norm_rows,
     _near_point,
     torus_distance,
 )
@@ -159,8 +166,9 @@ class RegionResult:
         return frozenset(pt for pt, _ in self.members)
 
 
-def _sample_pairs(system, delta, rng, n):
-    """n pairs (support index, x, y within delta of x), drawn in one pass.
+def _draw_row(system, rng, n):
+    """Every draw of n pairs (support index, x, y within delta of x), made
+    in one pass, as (stream, at, steps, sliced).
 
     Each pair takes the draws of a support draw by weight, then
     ``FiberSpace.sample`` and ``FiberSpace.sample_near`` on that fiber, in
@@ -168,10 +176,11 @@ def _sample_pairs(system, delta, rng, n):
     on a sliced fiber, the Gaussian direction over the free axes and, unless
     there is no free axis or the direction's norm is 0, the radius uniform.
     Adjacent uniforms are drawn in one call, so the stream, and the generator
-    state after the row, are those of n single draws. Every draw is made,
-    and the support indices and points are read for the whole row, before
-    this returns; the returned iterator computes each y, with
-    ``sample_near``'s step, when its pair is reached."""
+    state after the row, are those of n single draws. ``stream`` holds the
+    uniforms in order and ``at`` where each pair's uniforms start; ``steps`` holds
+    each pair's direction and norm, or None when it draws no radius; and
+    ``sliced`` maps each pair on a sliced fiber to its x, the start of its
+    near step and its free axes. The draws do not depend on delta."""
     base, d = system.base, system.dim
     fibers = [system.fibers[i] for i in base.support]
     # only a sliced fiber needs its pair's support index before the next draw
@@ -205,6 +214,16 @@ def _sample_pairs(system, delta, rng, n):
     stream = np.concatenate(chunks)
     # where each pair's uniforms start in the stream
     at = list(itertools.accumulate((2 + d if step else 1 + d for step in steps[:-1]), initial=0))
+    return stream, at, steps, sliced
+
+
+def _sample_pairs(system, delta, rng, n):
+    """n pairs (support index, x, y within delta of x), from the draws of
+    :func:`_draw_row`. The support indices and points are read for the whole
+    row before this returns; the returned iterator computes each y, with
+    ``sample_near``'s step, when its pair is reached."""
+    stream, at, steps, sliced = _draw_row(system, rng, n)
+    base, d = system.base, system.dim
     support = np.asarray(base.support)[base.support_cdf.searchsorted(stream[at], side="right")]
     uniforms = stream.tolist()
     all_axes = tuple(range(d))
@@ -223,7 +242,58 @@ def _sample_pairs(system, delta, rng, n):
     return pairs()
 
 
-def _modulus_search(system, ccfg: ClassifierConfig, rng, measure) -> list[tuple]:
+def _row_norms(system, delta, rng, n) -> np.ndarray:
+    """``fold_norm(torus_delta(x, y))`` of each of the n pairs that
+    :func:`_sample_pairs` gives for the same draws, with the same bits.
+
+    On a system whose support fibers are all constant, this is each pair's
+    sup profile, ``PairEngine.dtilde_constant``: a pair lies in the fiber it
+    was drawn from (x on a slice, y stepped from the slice holding x, on its
+    free axes), so some fiber holds both points.
+
+    The row's y come in one numpy pass with ``_near_point``'s correctly
+    rounded operations in its order: x + (radius * c) / norm on the free
+    axes, then mod 1 with 1.0 taken to 0.0. A fixed axis of a sliced pair
+    adds (radius * 0.0) / norm = 0.0, which leaves it as it is. The radius's
+    u^(1/3) for three free axes is Python's ``**``, pair by pair."""
+    stream, at, steps, sliced = _draw_row(system, rng, n)
+    d = system.dim
+    origin = stream[np.add.outer(at, np.arange(1, 1 + d))]
+    x = origin.copy()
+    for i, (xi, oi, _) in sliced.items():
+        x[i], origin[i] = xi, oi
+    y = origin.copy()
+    stepped = [i for i, step in enumerate(steps) if step is not None]
+    if stepped:
+        norm = np.asarray([steps[i][1] for i in stepped])
+        if sliced:
+            free = [sliced[i][2] if i in sliced else range(d) for i in stepped]
+            direction = np.zeros((len(stepped), d))
+            for row, axes, i in zip(direction, free, stepped):
+                row[list(axes)] = steps[i][0]
+            k = np.asarray([len(axes) for axes in free])
+        else:
+            direction = np.asarray([steps[i][0] for i in stepped])
+            k = np.full(len(stepped), d)
+        u = stream[np.asarray(at)[stepped] + 1 + d]
+        root = np.where(k == 1, u, np.sqrt(u))
+        if (k == 3).any():
+            root[k == 3] = [v ** (1.0 / 3.0) for v in u[k == 3].tolist()]
+        moved = (origin[stepped] + (delta * root)[:, None] * direction / norm[:, None]) % 1.0
+        moved[moved == 1.0] = 0.0
+        y[stepped] = moved
+    diff = (x - y) % 1.0
+    diff[diff == 1.0] = 0.0
+    return _fold_norm_rows(diff)
+
+
+def _measured(values: np.ndarray, eps: float) -> np.ndarray:
+    """The values a per-pair row measures: up to the first that reaches eps."""
+    hit = np.flatnonzero(values >= eps)
+    return values[:hit[0] + 1] if hit.size else values
+
+
+def _modulus_search(system, ccfg: ClassifierConfig, rng, measure, measure_row) -> list[tuple]:
     """The delta descent of both modulus probes.
 
     For each eps, walk down ``ccfg.delta_grid``. At each delta, draw all
@@ -232,17 +302,26 @@ def _modulus_search(system, ccfg: ClassifierConfig, rng, measure) -> list[tuple]
     reaches eps. The first delta whose measured pairs all stay below eps is
     the modulus. Returns one (eps, delta or None, pairs measured, worst
     value, passed) row per eps; the counts are those of the last delta
-    tried."""
+    tried.
+
+    On a system whose support fibers are all constant, each pair's value
+    depends only on its sup profile, the constant :func:`_row_norms`, and
+    the cached scan plan, so a row is measured in one numpy pass from the
+    same draws: ``measure_row(c, eps)`` takes the row's constants and
+    returns the list of values the pair loop would measure, with the same
+    bits. No pair source or engine is built."""
     rows = []
     for eps in ccfg.eps_list:
         found = None
         for delta in ccfg.delta_grid:
-            pairs = _sample_pairs(system, delta, rng, ccfg.pair_budget)
-            values = []
-            for _, x, y in pairs:
-                values.append(measure(x, y, eps))
-                if values[-1] >= eps:
-                    break
+            if system._all_constant:
+                values = measure_row(_row_norms(system, delta, rng, ccfg.pair_budget), eps)
+            else:
+                values = []
+                for _, x, y in _sample_pairs(system, delta, rng, ccfg.pair_budget):
+                    values.append(measure(x, y, eps))
+                    if values[-1] >= eps:
+                        break
             worst = max(values)
             if worst < eps:
                 found = delta
@@ -262,7 +341,10 @@ def wme_test(
     def measure(x, y, eps):
         return _banach_value(pair_source(system, x, y, "sup"), cfg)
 
-    rows = tuple(ModulusRow(*r) for r in _modulus_search(system, ccfg, rng, measure))
+    def measure_row(c, eps):
+        return _measured(_constant_banach_values(system.group, c, cfg), eps).tolist()
+
+    rows = tuple(ModulusRow(*r) for r in _modulus_search(system, ccfg, rng, measure, measure_row))
     return WmeResult(rows, all(r.passed for r in rows))
 
 
@@ -278,17 +360,29 @@ def mean_l_stable_test(
     every measured pair; the first violation is reported."""
     first_violation = []
 
-    def measure(x, y, eps):
-        src = pair_source(system, x, y, "sup")
-        bd = _banach_value(separation_set(src, eps), cfg)
-        ban = _banach_value(src, cfg)
+    def check(eps, bd, ban):
         if eps * bd > ban + cfg.tolerance and not first_violation:
             first_violation.append(
                 f"eps={eps:g}: eps*density {eps * bd:.6g} exceeds banach {ban:.6g}"
             )
+
+    def measure(x, y, eps):
+        src = pair_source(system, x, y, "sup")
+        bd = _banach_value(separation_set(src, eps), cfg)
+        check(eps, bd, _banach_value(src, cfg))
         return bd
 
-    rows = tuple(StabilityRow(*r) for r in _modulus_search(system, ccfg, rng, measure))
+    def measure_row(c, eps):
+        # the separation set of a constant c is the constant float(c >= eps)
+        bd = _measured(_constant_banach_values(system.group, (c >= eps).astype(float), cfg), eps)
+        ban = _constant_banach_values(system.group, c[:len(bd)], cfg)
+        if not first_violation:
+            for b, a in zip(bd.tolist(), ban.tolist()):
+                check(eps, b, a)
+        return bd.tolist()
+
+    rows = tuple(StabilityRow(*r)
+                 for r in _modulus_search(system, ccfg, rng, measure, measure_row))
     return StabilityResult(
         rows, all(r.passed for r in rows), not first_violation, "".join(first_violation)
     )
@@ -444,9 +538,17 @@ class ClassificationReport:
             "conventions": list(self.conventions),
             "suggestion": self.suggestion,
             "crosschecks": dict(self.crosschecks),
-            "modulus_table": [dataclasses.asdict(r) for r in self.wme.rows],
+            "modulus_table": [
+                {"eps": r.eps, "delta": r.delta, "pairs_tested": r.pairs_tested,
+                 "worst_value": r.worst_value, "passed": r.passed}
+                for r in self.wme.rows
+            ],
             "wme_passed": self.wme.passed,
-            "stability_table": [dataclasses.asdict(r) for r in self.stability.rows],
+            "stability_table": [
+                {"eps": r.eps, "delta": r.delta, "pairs_tested": r.pairs_tested,
+                 "worst_density": r.worst_density, "passed": r.passed}
+                for r in self.stability.rows
+            ],
             "stability_passed": self.stability.passed,
             "chain_ok": self.stability.chain_ok,
             "chain_detail": self.stability.chain_detail,

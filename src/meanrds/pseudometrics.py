@@ -53,7 +53,8 @@ truncation note; the Banach-style scans are heuristic two-sided truncations
 and are labeled as such. The scan itself, ``_pick``, returns the value, window
 and translate; ``_scan`` wraps them in a record. The classify probes read only
 values, through ``_banach_value`` and ``_sup_fiber_value``, so records, with
-their notes and relabels, are built only for reports.
+their notes and relabels, are built only for reports; a row of constant
+profiles takes its values from ``_constant_banach_values`` in one pass.
 """
 
 from __future__ import annotations
@@ -289,7 +290,6 @@ _ScanPlan = collections.namedtuple(
     "_ScanPlan", "schedule scanned ball lo hi shape pad windows sizes dyadic starts")
 
 
-@functools.lru_cache(maxsize=64)
 def _scan_plan(group: AmenableGroup, cap: int, tail_fraction: float | None,
                radius: int, budget: int) -> _ScanPlan:
     """Everything a scan decides before it reads its profile: the
@@ -306,13 +306,22 @@ def _scan_plan(group: AmenableGroup, cap: int, tail_fraction: float | None,
     exactly +-r there, and each cyclic axis whole; it is checked against
     ``budget`` before the ball is built. A finite group raises
     :class:`GroupSpecError` from its schedule first. Plans are cached, since
-    scans repeat their parameters; an error is not cached."""
+    scans repeat their parameters; an error is not cached. The cache is keyed
+    on the group's factors, not the group object: every command builds its
+    own equal group, and a key of ints compares without Python calls."""
+    return _cached_plan(group.free_rank, group.cyclic_orders, cap, tail_fraction,
+                        radius, budget)
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_plan(free: int, orders: tuple[int, ...], cap: int, tail_fraction: float | None,
+                 radius: int, budget: int) -> _ScanPlan:
+    group = AmenableGroup(free, orders)
     folner = FolnerFamily(group)
     schedule = _windows.window_schedule(folner, cap)
     scanned = schedule
     if tail_fraction is not None:
         scanned = schedule[_windows.tail_indices(schedule, tail_fraction)[0]:]
-    free, orders = group.free_rank, group.cyclic_orders
     top = scanned[-1]
     lo = (-radius,) * free + (0,) * len(orders)
     hi = (radius + top,) * free + orders
@@ -428,6 +437,19 @@ def _banach_value(source: ValueSource, cfg: EstimatorConfig) -> float:
     return _pick(source, cfg, outer=min, inner=max)[1]
 
 
+def _constant_banach_values(group: AmenableGroup, c: np.ndarray,
+                            cfg: EstimatorConfig) -> np.ndarray:
+    """For each entry c of the array, the ``_banach_value`` of a source on
+    ``group`` known to be the constant c, with the same bits: the least of
+    its :func:`_constant_means`, which is c itself on a dyadic plan unless a
+    finite c times the largest size overflows."""
+    plan = _scan_plan(group, cfg.m_max, None, cfg.search_radius, cfg.element_budget)
+    with np.errstate(over="ignore"):
+        if plan.dyadic and np.isfinite(c * plan.sizes[-1])[np.isfinite(c)].all():
+            return c
+    return np.minimum.reduce([_windows.constant_mean_rows(c, size) for size in plan.sizes])
+
+
 def _as_weyl(est: PseudometricEstimate, kind: str) -> PseudometricEstimate:
     return dataclasses.replace(est, kind=kind, truncation_note=est.truncation_note + WEYL_NOTE)
 
@@ -525,10 +547,14 @@ def _sup_of_fiber_weyls(estimates) -> PseudometricEstimate:
 def _sup_fiber_value(system, x, y, cfg) -> float:
     """The value of ``sup_fiber_weyl(system, x, y, cfg)``, with no record:
     the maximum of the fiber Banach values, read from one engine, or 0.0
-    when no fiber holds both points."""
+    when no fiber holds both points. When every fiber holding both is
+    constant, each has the profile ``norm0`` and the same plan, hence the
+    same value, so the first one's scan answers for all."""
     engine = PairEngine(system, x, y)
-    return max((_banach_value(_fiber_source(engine, i), cfg) for i in engine.admissible),
-               default=0.0)
+    fibers = engine.admissible
+    if engine.dtilde_constant() is not None:
+        fibers = fibers[:1]
+    return max((_banach_value(_fiber_source(engine, i), cfg) for i in fibers), default=0.0)
 
 
 def sup_fiber_weyl(system, x, y, cfg) -> PseudometricEstimate:

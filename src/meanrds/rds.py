@@ -598,6 +598,8 @@ class RandomDynamicalSystem:
         # generators is the identity (then so are the inverses), in which
         # case its whole profile is the one value fold_norm(delta0)
         self._constant = self._identity_orbits()
+        # with every support fiber constant, every sup profile is constant
+        self._all_constant = all(self._constant[i] for i in self.base.support)
         # with no sliced support fiber, every pair is admissible in all of them
         self._all_full = all(self.fibers[i].slices is None for i in self.base.support)
 

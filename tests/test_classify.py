@@ -1,13 +1,17 @@
 """Dichotomy probes: modulus search, density stability, sensitivity."""
 
+import copy
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from grid_fixtures import ROT3, Z_SLICED, ZXC2_ROT, _FlatNormals
 from meanrds import catalog, pseudometrics, rds
 from meanrds.classify import (
     ClassifierConfig,
+    _row_norms,
     dichotomy_report,
     equicontinuity_region,
     equicontinuous_point_set,
@@ -16,7 +20,7 @@ from meanrds.classify import (
     sensitivity_test,
     wme_test,
 )
-from meanrds.pseudometrics import EstimatorConfig
+from meanrds.pseudometrics import EstimatorConfig, sup_fiber_weyl
 
 CFG = EstimatorConfig(n_max=1024, m_max=256, search_radius=16)
 CCFG = ClassifierConfig(
@@ -166,18 +170,18 @@ def test_classify_reads_no_constant_profile(monkeypatch):
     reads its sup profile (rotation max cat) and its cat fiber w1, never
     its rotation fiber w0 alone."""
     reads, folds = set(), []
-    read, fold = pseudometrics._EngineSource.range_values, rds._fold_norm_rows
+    read, fold = pseudometrics._EngineSource.range_values, rds.PairEngine._fiber_box
 
     def reading(source, lo, hi):
         reads.add(source.label)
         return read(source, lo, hi)
 
-    def folding(coords):
-        folds.append(len(coords))
-        return fold(coords)
+    def folding(engine, omega_idx, lo, hi):
+        folds.append(omega_idx)
+        return fold(engine, omega_idx, lo, hi)
 
     monkeypatch.setattr(pseudometrics._EngineSource, "range_values", reading)
-    monkeypatch.setattr(rds, "_fold_norm_rows", folding)
+    monkeypatch.setattr(rds.PairEngine, "_fiber_box", folding)
     seen = {}
     for name in ("rot2", "rot1-trivial", "mixed"):
         reads.clear()
@@ -186,6 +190,114 @@ def test_classify_reads_no_constant_profile(monkeypatch):
         seen[name] = (set(reads), bool(folds))
     assert seen == {"rot2": (set(), False), "rot1-trivial": (set(), False),
                     "mixed": ({"sup", "fiber[w1]"}, True)}
+
+
+CONSTANT_SYSTEMS = [catalog.load("rot2"), catalog.load("rot1-trivial")] + [
+    catalog.build_system(spec) for spec in (ZXC2_ROT, Z_SLICED, ROT3)]
+
+
+def _per_pair(system):
+    """A copy of a constant system that measures its rows pair by pair,
+    through pair_source: the reference of the one-pass rows."""
+    ref = copy.copy(system)
+    ref._all_constant = False
+    return ref
+
+
+def _modulus_probes(system, cfg, ccfg, rng):
+    wme = wme_test(system, cfg, ccfg, rng)
+    after_wme = rng.bit_generator.state
+    stability = mean_l_stable_test(system, cfg, ccfg, rng)
+    return repr(wme), after_wme, repr(stability), rng.bit_generator.state
+
+
+@pytest.mark.parametrize("generator", [np.random.Generator, _FlatNormals])
+@pytest.mark.parametrize("m_max", [256, 30, 1000])
+@pytest.mark.parametrize("pair_budget", [8, 200])
+@pytest.mark.parametrize("system", CONSTANT_SYSTEMS, ids=lambda s: s.name)
+def test_constant_rows_equal_the_pair_loop(system, pair_budget, m_max, generator):
+    """On every system whose support fibers are all constant (on Z and Z x
+    C2, sliced fibers, three free axes, zero-norm directions), both modulus
+    probes give the rows, chain check and generator state of the per-pair
+    path, bit for bit, on dyadic and other plans."""
+    assert system._all_constant
+    cfg = EstimatorConfig(m_max=m_max, search_radius=8)
+    ccfg = ClassifierConfig(pair_budget=pair_budget)
+    for seed in range(2):
+        got = _modulus_probes(system, cfg, ccfg, generator(np.random.PCG64(seed)))
+        want = _modulus_probes(_per_pair(system), cfg, ccfg, generator(np.random.PCG64(seed)))
+        assert got == want
+
+
+@pytest.mark.parametrize("m_max", [256, 1000])
+def test_constant_rows_at_an_eps_a_pair_reaches(m_max):
+    """With eps the first pair's norm c, a dyadic plan gives that pair the
+    value eps itself, which stops the row. On a plan that is not dyadic the
+    mean of c over a window can round below c, and then, with a tolerance
+    of one subnormal, the pair breaks the chain eps * density <= banach.
+    Both probes give the rows and report of the per-pair path."""
+    system = catalog.load("rot1-trivial")
+    cfg = EstimatorConfig(m_max=m_max, search_radius=8, tolerance=5e-324)
+    reached = violations = 0
+    for seed in range(40):
+        c = _row_norms(system, 0.1, np.random.default_rng(seed), 1)
+        ccfg = ClassifierConfig(eps_list=(float(c[0]),), delta_grid=(0.1,), pair_budget=8)
+        got = _modulus_probes(system, cfg, ccfg, np.random.default_rng(seed))
+        want = _modulus_probes(_per_pair(system), cfg, ccfg, np.random.default_rng(seed))
+        assert got == want
+        wme = wme_test(system, cfg, ccfg, np.random.default_rng(seed))
+        stability = mean_l_stable_test(system, cfg, ccfg, np.random.default_rng(seed))
+        reached += wme.rows[0].pairs_tested == 1 and wme.rows[0].worst_value == c[0]
+        violations += not stability.chain_ok
+    assert reached if m_max == 256 else violations
+
+
+def test_constant_modulus_rows_build_no_engine(monkeypatch):
+    """The modulus probes of the rotation systems build no PairEngine; those
+    of mixed, whose cat fiber is not constant, still do."""
+    built = []
+    init = rds.PairEngine.__init__
+
+    def counting(engine, system, x, y):
+        built.append(system.name)
+        init(engine, system, x, y)
+
+    monkeypatch.setattr(rds.PairEngine, "__init__", counting)
+    for name in ("rot2", "rot1-trivial", "mixed"):
+        system = catalog.load(name)
+        wme_test(system, CFG, CCFG, np.random.default_rng(5))
+        mean_l_stable_test(system, CFG, CCFG, np.random.default_rng(5))
+    assert set(built) == {"mixed"}
+
+
+@pytest.mark.parametrize("name,scans", [("rot2", 1), ("mixed", 2)])
+def test_sup_fiber_value_scans_constant_fibers_once(name, scans, monkeypatch):
+    """Constant fibers share norm0 and the plan, so rot2's two fibers take
+    one scan; mixed scans both of its fibers. The value is that of
+    sup_fiber_weyl, bitwise."""
+    system = catalog.load(name)
+    picks = []
+    pick = pseudometrics._pick
+    monkeypatch.setattr(pseudometrics, "_pick", lambda *a, **k: picks.append(1) or pick(*a, **k))
+    for x, y in (((0.1,) * system.dim, (0.13,) * system.dim),
+                 ((0.9,) * system.dim, (0.2,) * system.dim)):
+        picks.clear()
+        value = pseudometrics._sup_fiber_value(system, x, y, CFG)
+        assert len(picks) == scans
+        assert value.hex() == sup_fiber_weyl(system, x, y, CFG).value.hex()
+
+
+def test_report_tables_equal_asdict():
+    """The report builds its table rows directly, with the keys, key order,
+    number types and values of dataclasses.asdict."""
+    for name in ("rot2", "cat-trivial"):
+        rep = dichotomy_report(catalog.load(name), CFG, CCFG, seed=9)
+        blob = rep.to_dict()
+        for key, rows in (("modulus_table", rep.wme.rows),
+                          ("stability_table", rep.stability.rows)):
+            got = [[(k, type(v), v) for k, v in row.items()] for row in blob[key]]
+            want = [[(k, type(v), v) for k, v in dataclasses.asdict(r).items()] for r in rows]
+            assert got == want
 
 
 def test_dichotomy_inconclusive_when_both_probes_fail():

@@ -17,7 +17,7 @@ from meanrds.classify import ClassifierConfig, dichotomy_report
 from meanrds.cli import main
 from meanrds.pseudometrics import EstimatorConfig, pair_summary
 
-from grid_fixtures import Z2_CAT, ZXC2_CAT2, ZXC2_ROT, ZXC3_ORDER3
+from grid_fixtures import Z2_CAT, Z_SLICED, ZXC2_CAT2, ZXC2_ROT, ZXC3_ORDER3
 
 BIG = ["--n-max", "10000", "--m-max", "10000"]
 
@@ -128,23 +128,6 @@ def test_pair_summary_on_generic_groups_is_golden(spec, x, y, caps, digest):
     blob = json.dumps([(key, est.to_dict()) for key, est in summary.items()])
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
-
-# Z with a full fiber, a fiber of three slices (the second one inside the
-# first, so its points step along the first slice's free axis) and a
-# one-point fiber with no free axis: the slice draw and a slice's free axes
-Z_SLICED = {
-    "name": "z-sliced",
-    "group": "Z",
-    "dim": 2,
-    "base": {"labels": ["w0", "w1", "w2"], "weights": [0.25, 0.5, 0.25],
-             "perms": [[0, 1, 2]]},
-    "fibers": ["full",
-               {"slices": [[[0, 0.25]], [[0, 0.25], [1, 0.5]], [[1, 0.75]]]},
-               {"slices": [[[0, 0.625], [1, 0.125]]]}],
-    "maps": [[{"matrix": [[1, 0], [0, 1]], "shift": [0.375, 0.125]},
-              {"matrix": [[1, 0], [0, 1]], "shift": [0.0, 0.25]},
-              {"matrix": [[1, 0], [0, 1]], "shift": [0.0, 0.0]}]],
-}
 
 # classify at small caps, off Z and on sliced fibers: the wme and mean-L
 # probes read one engine per pair, the sensitivity probe goes through

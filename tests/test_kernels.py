@@ -11,12 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from grid_fixtures import Z2_CAT, ZXC2_CAT2, ZXC2_ROT, ZXC3_ORDER3
+from grid_fixtures import ROT3, Z2_CAT, ZXC2_CAT2, ZXC2_ROT, ZXC3_ORDER3, _FlatNormals
 from numpy.lib.stride_tricks import sliding_window_view
 
 from meanrds import _windows, catalog, pseudometrics, rds
 from meanrds._windows import tree_mean_rows, window_means, window_schedule
-from meanrds.classify import _sample_pairs
+from meanrds.classify import _row_norms, _sample_pairs
 from meanrds.density import banach_upper_density, separation_set
 from meanrds.groups import (
     DEFAULT_ELEMENT_BUDGET,
@@ -41,6 +41,7 @@ from meanrds.rds import (
     _fold_norm_rows,
     _walk_axis,
     fold_norm,
+    torus_delta,
 )
 
 LO, HI = -70, 1100
@@ -61,18 +62,6 @@ def _dim3_system():
     )
 
 
-# two swapped fibers carrying rotations of the 3-torus: every generator-0
-# matrix on the base cycle is the identity, so neither fiber walks
-ROT3 = {
-    "name": "rot3",
-    "group": "Z",
-    "dim": 3,
-    "base": {"labels": ["w0", "w1"], "weights": [0.5, 0.5], "perms": [[1, 0]]},
-    "maps": [[
-        {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "shift": [math.sqrt(2) - 1, 0.25, 0.0]},
-        {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "shift": [0.5, math.sqrt(3) - 1, 0.125]},
-    ]],
-}
 # a rotation fiber swapped with a cat fiber: the rotation fiber's cycle holds
 # the cat matrix, so both fibers walk
 ROT_CAT_SWAP = {
@@ -547,20 +536,6 @@ def _reference_pair(system, delta, rng):
     return idx, tuple(x), _reference_sample_near(fs, tuple(x), delta, rng)
 
 
-class _FlatNormals(np.random.Generator):
-    """A generator some of whose Gaussian directions have zero norm: a draw
-    whose first value is below -1.5 is zeroed, and one above 1.5 is scaled
-    so far down that its squares underflow."""
-
-    def standard_normal(self, size=None, dtype=np.float64, out=None):
-        z = super().standard_normal(size, dtype, out)
-        if z[0] < -1.5:
-            z[:] = 0.0
-        elif z[0] > 1.5:
-            z *= 1e-170
-        return z
-
-
 def _sampling_system(dim, weights, slices):
     # one fiber per base point: "full" or a list of slices
     n = len(weights)
@@ -611,6 +586,56 @@ def test_row_sampler_matches_single_draws(dim, sliced, delta, generator):
             assert new.bit_generator.state == ref.bit_generator.state
 
 
+class _TinyUniforms(np.random.Generator):
+    """A generator a quarter of whose uniforms are below 2.5e-29: a point
+    coordinate so near 0 that a step of delta 1e-20 down from it is a tiny
+    negative number, which mod 1 rounds to 1.0."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        z = super().random(size, dtype, out)
+        z[z < 0.25] *= 1e-28
+        return z
+
+
+@pytest.mark.parametrize("generator", [np.random.Generator, _FlatNormals, _TinyUniforms])
+@pytest.mark.parametrize("sliced", [False, True], ids=["full", "sliced"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_row_norms_match_the_sampled_pairs(dim, sliced, generator):
+    """The one-pass norms of a row are fold_norm(torus_delta(x, y)) of the
+    row sampler's pairs, bitwise, from the same draws: on 0 to dim free
+    axes, zero-norm directions, overlapping slices and steps that wrap to
+    1.0."""
+    if sliced:
+        system = _sampling_system(dim, (0.25, 0.5, 0.25), ["full", *SLICED_FIBERS[dim]])
+    else:
+        system = _sampling_system(dim, (0.5, 0.5), ["full", "full"])
+    for delta in (1e-1, 1e-4, 1e-6, 1e-20):
+        for seed in range(3):
+            ref = generator(np.random.PCG64(seed))
+            new = generator(np.random.PCG64(seed))
+            want = [fold_norm(torus_delta(x, y)) for _, x, y in _sample_pairs(system, delta, ref, 40)]
+            got = _row_norms(system, delta, new, 40).tolist()
+            assert list(map(float.hex, got)) == list(map(float.hex, want))
+            assert new.bit_generator.state == ref.bit_generator.state
+
+
+CONSTANTS = (0.0, -0.0, 5e-324, 0.1, 1 / 3, 0.3125, math.sqrt(0.75), 1e308, -1e308,
+             math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("size", [*range(1, 40), 127, 128, 129, 1000, 1023, 4097])
+def test_constant_mean_rows_is_the_tree_on_constant_rows(size):
+    """The O(log size) mean of a constant row has the bits of the tree over
+    the whole row, through signed zero, a subnormal, overflow and
+    infinities; constant_mean agrees on each value."""
+    c = np.asarray(CONSTANTS)
+    want = tree_mean_rows(np.repeat(c[:, None], size, axis=1)).tolist()
+    got = _windows.constant_mean_rows(c, size).tolist()
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
+    singles = [_windows.constant_mean(v, size) for v in CONSTANTS]
+    assert list(map(float.hex, singles)) == list(map(float.hex, want))
+
+
 @pytest.mark.parametrize("weights", [(0.5, 0.5), (1.0,), (0.2, 0.3, 0.5), (0.25, 0.0, 0.75)])
 def test_support_sampling_matches_rng_choice(weights):
     system = _sampling_system(1, weights, ["full"] * len(weights))
@@ -632,7 +657,7 @@ def test_scan_plan_is_cached_but_budget_errors_are_not(monkeypatch):
         return search_ball(*args)
 
     monkeypatch.setattr(pseudometrics, "search_ball", counting)
-    _scan_plan.cache_clear()
+    pseudometrics._cached_plan.cache_clear()
     system = catalog.build_system(Z2_CAT)
     cfg = EstimatorConfig(m_max=64, search_radius=6)
     for x, y in [((0.1, 0.2), (0.1004, 0.2002)), ((0.3, 0.4), (0.31, 0.4)),

@@ -734,6 +734,21 @@ def test_edge_constants_scan_in_closed_form(spec, cfg, c, monkeypatch):
     assert (sizes == []) == closed, sizes
 
 
+@pytest.mark.parametrize("spec,cfg", [
+    ("Z", EstimatorConfig()),
+    ("Z", EstimatorConfig(n_max=3000, m_max=1000)),
+    ("Z x C3", EstimatorConfig()),
+], ids=["default", "1000-3000", "zxc3"])
+def test_constant_banach_values_are_the_scans(spec, cfg):
+    """The Banach values of an array of constants, in one pass, are those of
+    one scan per constant, bitwise, with or without an overflowing entry in
+    the array."""
+    for consts in ((0.0, 0.1, 0.3125, math.sqrt(0.75)), EDGE_CONSTANTS):
+        got = pseudometrics._constant_banach_values(parse_group(spec), np.asarray(consts), cfg)
+        want = [pseudometrics._banach_value(_Constant(spec, c), cfg) for c in consts]
+        assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
+
+
 @pytest.mark.parametrize("spec,c", [("all", 1.0), ("empty", 0.0)])
 def test_constant_subsets_scan_in_closed_form(spec, c):
     ind = subset_indicator(spec)
