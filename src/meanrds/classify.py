@@ -167,8 +167,8 @@ class RegionResult:
 
 
 def _draw_row(system, rng, n):
-    """Every draw of n pairs (support index, x, y within delta of x), made
-    in one pass, as (stream, at, steps, sliced).
+    """Every draw of n pairs (x, y within delta of x), each on a support
+    fiber drawn by weight, made in one pass, as (stream, at, steps, sliced).
 
     Each pair takes the draws of a support draw by weight, then
     ``FiberSpace.sample`` and ``FiberSpace.sample_near`` on that fiber, in
@@ -218,26 +218,25 @@ def _draw_row(system, rng, n):
 
 
 def _sample_pairs(system, delta, rng, n):
-    """n pairs (support index, x, y within delta of x), from the draws of
-    :func:`_draw_row`. The support indices and points are read for the whole
-    row before this returns; the returned iterator computes each y, with
-    ``sample_near``'s step, when its pair is reached."""
+    """n pairs (x, y within delta of x), from the draws of :func:`_draw_row`.
+    The points are read for the whole row before this returns; the returned
+    iterator computes each y, with ``sample_near``'s step, when its pair is
+    reached."""
     stream, at, steps, sliced = _draw_row(system, rng, n)
-    base, d = system.base, system.dim
-    support = np.asarray(base.support)[base.support_cdf.searchsorted(stream[at], side="right")]
+    d = system.dim
     uniforms = stream.tolist()
     all_axes = tuple(range(d))
 
     def pairs():
-        for i, (idx, a, step) in enumerate(zip(support.tolist(), at, steps)):
+        for i, (a, step) in enumerate(zip(at, steps)):
             x = origin = tuple(uniforms[a + 1:a + 1 + d])
             free = all_axes
             if i in sliced:
                 x, origin, free = sliced[i]
             if step is None:
-                yield idx, x, origin
+                yield x, origin
             else:
-                yield idx, x, _near_point(origin, free, *step, uniforms[a + 1 + d], delta)
+                yield x, _near_point(origin, free, *step, uniforms[a + 1 + d], delta)
 
     return pairs()
 
@@ -318,7 +317,7 @@ def _modulus_search(system, ccfg: ClassifierConfig, rng, measure, measure_row) -
                 values = measure_row(_row_norms(system, delta, rng, ccfg.pair_budget), eps)
             else:
                 values = []
-                for _, x, y in _sample_pairs(system, delta, rng, ccfg.pair_budget):
+                for x, y in _sample_pairs(system, delta, rng, ccfg.pair_budget):
                     values.append(measure(x, y, eps))
                     if values[-1] >= eps:
                         break

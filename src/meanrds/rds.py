@@ -24,12 +24,12 @@ A fiber whose every generator matrix on its base orbit is the identity has
 a constant profile, fold_norm(delta0); the engine reports that value, and
 the scans then read nothing (see :mod:`meanrds.pseudometrics`); a box read
 of it is that value repeated, without a walk.
-The composed maps of :meth:`RandomDynamicalSystem.element_map` serve only
-:func:`validate` and the tests' references.
-
-Integer matrix entries use Python ints (arbitrary precision), so cocycle
-composition cannot overflow; entry growth is bounded in practice by the
-word-length cap in :func:`validate`.
+Outside the walks, maps and points compose in exact arithmetic: every float
+is an integer multiple of 2^-1074, so a coordinate mod 1 is held as an int
+numerator over 2^1074, and matrix entries are Python ints. ``FiberMap``'s
+``apply``, ``compose`` and ``inverse`` and the system's ``element_map`` and
+``apply`` round their result once, correctly; :func:`validate` compares
+numerators, so its cocycle checks are exact.
 """
 
 from __future__ import annotations
@@ -53,10 +53,8 @@ MEMBERSHIP_TOL = 1e-9
 # most points a fiber grid may hold
 GRID_BUDGET = 200_000
 
-# random points per check of validate, and the most nodes of its
-# relation-word sweep
+# random points per check of validate
 VALIDATE_SAMPLES = 16
-NODE_BUDGET = 5_000_000
 
 
 class SystemSpecError(ValueError):
@@ -194,8 +192,43 @@ def _mat_mul(a, b):
     )
 
 
+def _mat_inverse(m):
+    det = _mat_det(m)
+    return tuple(tuple(det * v for v in row) for row in _mat_adjugate(m))  # 1/det == det here
+
+
 def _identity_matrix(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+# ---------------------------------------------------------------------------
+# exact torus arithmetic: a coordinate mod 1 as an int numerator over 2^1074
+
+_ONE = 1 << 1074
+
+
+def _numerators(v) -> tuple[int, ...]:
+    """Each coordinate of v mod 1, exactly: every float is p/q with q a
+    power of two no larger than 2^1074."""
+    return tuple(p * (_ONE // q) % _ONE for p, q in (float(c).as_integer_ratio() for c in v))
+
+
+def _rounded(v) -> tuple[float, ...]:
+    """The float nearest each numerator's value, correctly rounded by int
+    division; 1.0, the rounding of a value just below 1, is the point 0.0."""
+    return tuple(0.0 if r == 1.0 else r for r in (n / _ONE for n in v))
+
+
+def _affine(mat, x, c) -> tuple[int, ...]:
+    """M x + c mod 1 on numerators, exactly."""
+    return tuple((sum(a * b for a, b in zip(row, x)) + ci) % _ONE for row, ci in zip(mat, c))
+
+
+def _distance(x, y) -> float:
+    """The largest coordinate distance between numerators x and y on the
+    torus, rounded once: 0.0 exactly when x == y."""
+    gaps = ((a - b) % _ONE for a, b in zip(x, y))
+    return max((min(g, _ONE - g) for g in gaps), default=0) / _ONE
 
 
 @dataclass(frozen=True)
@@ -247,32 +280,19 @@ class FiberMap:
         return len(self.matrix)
 
     def apply(self, x) -> tuple[float, ...]:
-        n = self.dim
-        return tuple(
-            (math.fsum(self.matrix[i][j] * x[j] for j in range(n)) + self.shift[i]) % 1.0
-            for i in range(n)
-        )
+        """Mx + c mod 1, rounded once."""
+        return _rounded(_affine(self.matrix, _numerators(x), _numerators(self.shift)))
 
     def compose(self, other: "FiberMap") -> "FiberMap":
-        """self after other."""
-        n = self.dim
-        mat = _mat_mul(self.matrix, other.matrix)
-        shift = tuple(
-            _mod1(math.fsum(self.matrix[i][j] * other.shift[j] for j in range(n)) + self.shift[i])
-            for i in range(n)
-        )
-        return FiberMap._unchecked(mat, shift)
+        """self after other: shift Mc' + c mod 1, rounded once."""
+        shift = _affine(self.matrix, _numerators(other.shift), _numerators(self.shift))
+        return FiberMap._unchecked(_mat_mul(self.matrix, other.matrix), _rounded(shift))
 
     def inverse(self) -> "FiberMap":
-        det = _mat_det(self.matrix)
-        adj = _mat_adjugate(self.matrix)
-        inv = tuple(tuple(det * v for v in row) for row in adj)  # 1/det == det here
-        n = self.dim
-        shift = tuple(
-            _mod1(-math.fsum(inv[i][j] * self.shift[j] for j in range(n)))
-            for i in range(n)
-        )
-        return FiberMap._unchecked(inv, shift)
+        """x -> M^-1 (x - c): shift -M^-1 c mod 1, rounded once."""
+        inv = _mat_inverse(self.matrix)
+        shift = _affine(inv, [-n for n in _numerators(self.shift)], (0,) * self.dim)
+        return FiberMap._unchecked(inv, _rounded(shift))
 
     def identity_residual(self) -> float:
         """Distance from the identity: inf if the matrix differs, else max
@@ -581,8 +601,8 @@ class RandomDynamicalSystem:
         if self.identity_maps is not None:
             if len(self.identity_maps) != self.base.size:
                 raise SystemSpecError("need one identity map per base point")
-        self._inv_maps = tuple(
-            tuple(fm.inverse() for fm in row) for row in self.maps
+        self._inv_matrices = tuple(
+            tuple(_mat_inverse(fm.matrix) for fm in row) for row in self.maps
         )
         # walk-kernel tables per generator and direction: the next base point
         # and the float matrix applied when stepping from each base point
@@ -592,7 +612,7 @@ class RandomDynamicalSystem:
             pred = [self.base.act_generator(i, w, -1) for w in range(self.base.size)]
             self._steps.append({
                 1: (succ, [_float_rows(fm.matrix) for fm in self.maps[i]]),
-                -1: (pred, [_float_rows(self._inv_maps[i][p].matrix) for p in pred]),
+                -1: (pred, [_float_rows(self._inv_matrices[i][p]) for p in pred]),
             })
         # per fiber: whether every generator's matrix on its orbit under all
         # generators is the identity (then so are the inverses), in which
@@ -632,26 +652,44 @@ class RandomDynamicalSystem:
             return FiberMap.identity(self.dim)
         return self.identity_maps[omega_idx]
 
-    def element_map(self, g, omega_idx: int) -> FiberMap:
-        """Cocycle map F_{g, w} composed along the canonical coordinate path."""
+    def _walk_word(self, w, word, mat, x):
+        """(w, mat, x) carried along word, exactly: a letter (i, 1) at base
+        point w applies F = maps[i][w], taking mat to M mat and the
+        numerators x to Mx + c; a letter (i, -1) moves to the point p before
+        w and applies the inverse of F = maps[i][p], x -> M^-1 (x - c)."""
+        zero = (0,) * self.dim
+        for i, sign in word:
+            if sign == 1:
+                fm = self.maps[i][w]
+                mat, x = _mat_mul(fm.matrix, mat), _affine(fm.matrix, x, _numerators(fm.shift))
+                w = self.base.act_generator(i, w, 1)
+            else:
+                w = self.base.act_generator(i, w, -1)
+                inv = self._inv_matrices[i][w]
+                c = _numerators(self.maps[i][w].shift)
+                mat, x = _mat_mul(inv, mat), _affine(inv, [a - b for a, b in zip(x, c)], zero)
+        return w, mat, x
+
+    def _element_walk(self, g, omega_idx: int, x):
+        """(g w, matrix of F_{g, w}, numerators of F_{g, w} x) for numerators
+        x: the identity map at w, then g's letters along the canonical
+        coordinate path."""
         g = self.group.check_element(g)
-        cur = self.identity_map_at(omega_idx)
-        w = omega_idx
-        for i, steps in enumerate(g):
-            direction = 1 if steps >= 0 else -1
-            for _ in range(abs(steps)):
-                if direction == 1:
-                    cur = self.maps[i][w].compose(cur)
-                    w = self.base.act_generator(i, w, 1)
-                else:
-                    w = self.base.act_generator(i, w, -1)
-                    cur = self._inv_maps[i][w].compose(cur)
-        return cur
+        ident = self.identity_map_at(omega_idx)
+        x = _affine(ident.matrix, x, _numerators(ident.shift))
+        word = [(i, 1 if s > 0 else -1) for i, s in enumerate(g) for _ in range(abs(s))]
+        return self._walk_word(omega_idx, word, ident.matrix, x)
+
+    def element_map(self, g, omega_idx: int) -> FiberMap:
+        """Cocycle map F_{g, w} along the canonical coordinate path, its
+        shift rounded once."""
+        _, mat, shift = self._element_walk(g, omega_idx, (0,) * self.dim)
+        return FiberMap._unchecked(mat, _rounded(shift))
 
     def apply(self, g, omega, x) -> tuple[float, ...]:
-        """Fiber image F_{g, w} x."""
+        """Fiber image F_{g, w} x, rounded once."""
         idx = self.base.index_of(omega)
-        return self.element_map(g, idx).apply(reduce_point(x))
+        return _rounded(self._element_walk(g, idx, _numerators(x))[2])
 
     # -- separation --------------------------------------------------------
 
@@ -941,7 +979,8 @@ class ValidationReport:
         }
 
     def to_text(self) -> str:
-        lines = [f"validation of {self.system} (relation words up to length {self.max_word_length})"]
+        lines = [f"validation of {self.system} (relators checked exactly; "
+                 f"max word length {self.max_word_length} unused)"]
         for c in self.checks:
             tag = "PASS" if c.passed else "FAIL"
             line = f"  [{tag}] {c.name}: residual={c.residual:.3e}"
@@ -952,96 +991,16 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _relation_word_sweep(system: RandomDynamicalSystem, max_len: int):
-    """DFS over all generator words up to max_len; whenever a word evaluates
-    to the group identity, the composed cocycle matrices must be exactly the
-    identity and the composed shifts must sit on the integer lattice.
-
-    A word is extended only while the identity is still within reach of the
-    letters left. The nodes of the DFS are counted first, by word length
-    and end element under that rule, so a sweep over ``NODE_BUDGET`` raises
-    :class:`BudgetError` before it walks.
-
-    Returns (worst shift residual, failure detail or None, words checked)."""
-    grp = system.group
-    base = system.base
-    letters = []
-    for i in range(grp.rank):
-        letters.append((i, 1))
-        letters.append((i, -1))
-    identity = grp.identity()
-    id_mat = _identity_matrix(system.dim)
-
-    def children(elem, depth):
-        for i, d in letters:
-            nxt = list(elem)
-            nxt[i] += d
-            if i >= grp.free_rank:
-                nxt[i] %= grp.cyclic_orders[i - grp.free_rank]
-            nxt = tuple(nxt)
-            if grp.word_length(nxt) <= max_len - depth - 1:
-                yield i, d, nxt
-
-    nodes, layer = 1, {identity: 1}
-    for depth in range(max_len):
-        below: dict = {}
-        for elem, count in layer.items():
-            for _, _, nxt in children(elem, depth):
-                below[nxt] = below.get(nxt, 0) + count
-        nodes += sum(below.values())
-        if nodes > NODE_BUDGET:
-            raise BudgetError("relation-word sweep exceeded its node budget")
-        layer = below
-
-    worst = 0.0
-    failure: str | None = None
-    checked = 0
-
-    start_states = [
-        (w, system.identity_map_at(w)) for w in range(base.size)
-    ]
-
-    def describe(word):
-        return "*".join(f"s{i}" + ("" if d == 1 else "^-1") for i, d in word)
-
-    def recurse(elem, states, word):
-        nonlocal worst, failure, checked
-        depth = len(word)
-        if depth >= 1 and elem == identity:
-            checked += 1
-            for w0, (w, fm) in enumerate(states):
-                if w != w0 and failure is None:
-                    failure = (
-                        f"word {describe(word)} returns to the identity but moves "
-                        f"base point {base.labels[w0]} to {base.labels[w]}"
-                    )
-                if fm.matrix != id_mat:
-                    worst = math.inf
-                    if failure is None:
-                        failure = (
-                            f"word {describe(word)} starting at {base.labels[w0]} "
-                            f"composes to matrix {fm.matrix}"
-                        )
-                else:
-                    res = fm.identity_residual()
-                    if res > worst:
-                        worst = res
-        if depth == max_len:
-            return
-        for i, d, nxt in children(elem, depth):
-            new_states = []
-            for (w, fm) in states:
-                if d == 1:
-                    step = system.maps[i][w]
-                    nw = base.act_generator(i, w, 1)
-                else:
-                    nw = base.act_generator(i, w, -1)
-                    step = system._inv_maps[i][nw]
-                new_states.append((nw, step.compose(fm)))
-            recurse(nxt, new_states, word + [(i, d)])
-
-    recurse(identity, start_states, [])
-    return worst, failure, checked
+def _relators(grp: AmenableGroup) -> list[tuple[str, tuple]]:
+    """The defining relators of G = Z^a x C_k1 x ..., as (name, word):
+    [s_i, s_j] = s_i s_j s_i^-1 s_j^-1 for i < j, and s_i^k for each cyclic
+    generator of order k."""
+    out = [(f"[s{i}, s{j}]", ((i, 1), (j, 1), (i, -1), (j, -1)))
+           for i in range(grp.rank) for j in range(i + 1, grp.rank)]
+    for i, k in enumerate(grp.generator_orders()):
+        if k is not None:
+            out.append((f"s{i}^{k}", ((i, 1),) * k))
+    return out
 
 
 def validate(system: RandomDynamicalSystem, max_word_length: int = 8,
@@ -1050,33 +1009,39 @@ def validate(system: RandomDynamicalSystem, max_word_length: int = 8,
 
     Covers: identity maps are identities, base weights form a probability
     vector, base permutations commute and cyclic generators have exact order,
-    every relation word up to ``max_word_length`` composes to the identity
-    map, fiber domains are carried onto fiber domains, and a seeded cocycle
-    spot check F_{g2, g1 w} o F_{g1, w} = F_{g2 g1, w} on random points.
-    Matrices are compared exactly, shifts and points within 1e-12, fiber
-    membership within ``MEMBERSHIP_TOL``. A relation word has at least two
-    letters, so ``max_word_length`` below 2 would check none and raises
-    ValueError.
+    every relator of the group's presentation acts as the identity from
+    every base point, fiber domains are carried onto fiber domains, and a
+    seeded cocycle spot check F_{g2, g1 w} o F_{g1, w} = F_{g2 g1, w} on
+    random points. The free group's action on base and fibers factors
+    through the group exactly when each relator acts as the identity, so
+    the relator check proves the cocycle identity for every element.
+
+    Matrices, shifts and points are compared exactly (see the module notes),
+    and a residual is the largest coordinate distance, 0.0 exactly when the
+    check holds; fiber membership is checked within ``MEMBERSHIP_TOL``.
+    ``max_word_length`` bounds no check; it must be at least 2, else
+    ValueError, and the report echoes it.
     """
     if max_word_length < 2:
         raise ValueError(f"max_word_length must be at least 2, got {max_word_length}")
     grp = system.group
     base = system.base
+    size = base.size
+    ident = _identity_matrix(system.dim)
+    zero = (0,) * system.dim
     checks: list[CheckResult] = []
     rng = np.random.default_rng(seed)
 
     # identity axiom
-    res = max(system.identity_map_at(w).identity_residual() for w in range(base.size))
-    checks.append(CheckResult("identity-fiber-maps", res <= 1e-12, res))
+    res = max(system.identity_map_at(w).identity_residual() for w in range(size))
+    checks.append(CheckResult("identity-fiber-maps", res == 0.0, res))
 
     ident_worst = 0.0
-    for w in range(base.size):
-        for _ in range(max(1, VALIDATE_SAMPLES // base.size)):
-            x = system.fibers[w].sample(rng)
-            ident_worst = max(
-                ident_worst, torus_distance(system.apply(grp.identity(), w, x), x)
-            )
-    checks.append(CheckResult("identity-spot-check", ident_worst <= 1e-12, ident_worst))
+    for w in range(size):
+        for _ in range(max(1, VALIDATE_SAMPLES // size)):
+            x = _numerators(system.fibers[w].sample(rng))
+            ident_worst = max(ident_worst, _distance(system._element_walk(grp.identity(), w, x)[2], x))
+    checks.append(CheckResult("identity-spot-check", ident_worst == 0.0, ident_worst))
 
     # base weights
     wsum = math.fsum(base.weights)
@@ -1086,7 +1051,6 @@ def validate(system: RandomDynamicalSystem, max_word_length: int = 8,
     # base action relations: commutation and cyclic orders, exact
     perm_ok = True
     detail = ""
-    size = base.size
     for i in range(grp.rank):
         for j in range(i + 1, grp.rank):
             for w in range(size):
@@ -1105,16 +1069,23 @@ def validate(system: RandomDynamicalSystem, max_word_length: int = 8,
                 detail = f"generator s{i} does not have order {k} on the base"
     checks.append(CheckResult("base-action-relations", perm_ok, 0.0 if perm_ok else 1.0, detail))
 
-    # relation-word sweep over the cocycle
-    worst, failure, checked = _relation_word_sweep(system, max_word_length)
-    checks.append(
-        CheckResult(
-            "relation-words",
-            failure is None and worst <= 1e-12,
-            worst,
-            failure or f"{checked} identity words checked",
-        )
-    )
+    # each relator, walked from each base point, is the identity map
+    relators = _relators(grp)
+    worst = 0.0
+    detail = f"{len(relators)} relators checked exactly"
+    for name, word in relators:
+        for w in range(size):
+            end, mat, shift = system._walk_word(w, word, ident, zero)
+            at = f"relator {name} at base point {base.labels[w]}"
+            if end != w:
+                res, why = math.inf, f"{at} ends at {base.labels[end]}"
+            elif mat != ident:
+                res, why = math.inf, f"{at} composes to matrix {mat}"
+            else:
+                res, why = _distance(shift, zero), f"{at} leaves a shift"
+            if res > worst:
+                worst, detail = res, why
+    checks.append(CheckResult("relation-words", worst == 0.0, worst, detail))
 
     # fiber domains are carried onto fiber domains
     cover_worst = 0.0
@@ -1149,10 +1120,11 @@ def validate(system: RandomDynamicalSystem, max_word_length: int = 8,
             for k in orders
         )
         w = int(rng.integers(0, size))
-        x = system.fibers[w].sample(rng)
-        one = system.apply(grp.multiply(g2, g1), w, x)
-        two = system.apply(g2, base.act(g1, w), system.apply(g1, w, x))
-        coc_worst = max(coc_worst, torus_distance(one, two))
-    checks.append(CheckResult("cocycle-spot-check", coc_worst <= 1e-12, coc_worst))
+        x = _numerators(system.fibers[w].sample(rng))
+        one = system._element_walk(grp.multiply(g2, g1), w, x)[2]
+        w1, _, mid = system._element_walk(g1, w, x)
+        two = system._element_walk(g2, w1, mid)[2]
+        coc_worst = max(coc_worst, _distance(one, two))
+    checks.append(CheckResult("cocycle-spot-check", coc_worst == 0.0, coc_worst))
 
     return ValidationReport(system.name, max_word_length, checks)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from grid_fixtures import ROT3, Z2_CAT, ZXC2_CAT2, ZXC2_ROT, ZXC3_ORDER3
 from meanrds import catalog
 from meanrds.cli import main
 from meanrds.rds import FiberSpace, validate
@@ -13,12 +14,17 @@ def test_names_are_stable():
     assert catalog.names() == ("rot2", "rot1-trivial", "cat-trivial", "cat2", "mixed")
 
 
-@pytest.mark.parametrize("name", catalog.names())
+# the grid fixtures validate too, except Z_SLICED, whose domain coverage
+# fails by design
+GRID_SPECS = {spec["name"]: spec for spec in (Z2_CAT, ZXC2_ROT, ZXC3_ORDER3, ZXC2_CAT2, ROT3)}
+
+
+@pytest.mark.parametrize("name", [*catalog.names(), *GRID_SPECS])
 def test_every_system_validates(name):
-    sys_ = catalog.load(name)
+    sys_ = catalog.build_system(GRID_SPECS[name]) if name in GRID_SPECS else catalog.load(name)
     rep = validate(sys_, max_word_length=8)
     assert rep.ok, rep.to_text()
-    assert rep.worst_residual < 1e-12
+    assert rep.worst_residual == 0.0
 
 
 @pytest.mark.parametrize("name", catalog.names())

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from grid_fixtures import Z2_CAT, ZXC2_ROT
 import meanrds
 from meanrds import cli
 from meanrds.cli import main
@@ -113,6 +114,25 @@ def test_validate_broken_system_exits_two(tmp_path, capsys):
     assert main(["validate", "--system", "config", "--config", cfg]) == 2
     out = capsys.readouterr().out
     assert "relation-words" in out
+
+
+@pytest.mark.parametrize("spec,gen,point,shift,residual", [
+    (ZXC2_ROT, 1, 1, [0.75 + 2**-50], 2**-50),
+    (Z2_CAT, 1, 0, [2**-50, 0.0], 5 * 2**-50),
+], ids=["zxc2-rot", "z2-cat"])
+def test_validate_exits_two_on_a_shift_off_by_2_to_the_minus_50(spec, gen, point, shift,
+                                                               residual, tmp_path, capsys):
+    """On zxc2-rot the defect breaks s1^2 = 1 and [s0, s1] by 2^-50; on
+    z2-cat it breaks [s0, s1] by A^-2 (A^-1 - I) (2^-50, 0) = (3, -5) 2^-50.
+    Both residuals come out exactly."""
+    spec = json.loads(json.dumps(spec))
+    spec["maps"][gen][point]["shift"] = shift
+    cfg = _cfg_file(tmp_path, {"system": spec})
+    assert main(["validate", "--system", "config", "--config", cfg, "--json"]) == 2
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["report"]["checks"]}
+    assert not checks["relation-words"]["passed"]
+    assert checks["relation-words"]["residual"] == residual
+    assert checks["relation-words"]["detail"] == "relator [s0, s1] at base point w0 leaves a shift"
 
 
 def test_estimate_synthetic_profile(capsys):
@@ -450,7 +470,7 @@ def test_counts_that_check_nothing_exit_one(argv, capsys):
 
 def test_shortest_counts_still_run(capsys):
     assert main(["validate", "--system", "rot2", "--max-word-length", "2"]) == 0
-    assert "identity words checked" in capsys.readouterr().out
+    assert "0 relators checked exactly" in capsys.readouterr().out
     assert main(["estimate", "--system", "rot2", "--pairs", "1"]) == 0
     assert "pair 0:" in capsys.readouterr().out
 

@@ -61,19 +61,19 @@ def test_cli_stdout_is_golden(argv, digest, capsys):
 
 
 # (system name, config-file system or None for a catalog system, exit code,
-# digest of ``validate --json``): z2-cat fails its float cocycle spot check
+# digest of ``validate --json``): every check exact, so z2-cat passes too
 VALIDATE_GOLDEN = [
-    ("rot2", None, 0, "540ac9752b3f6d5e01c1de6d34dd74d1e8bb78548619db469ed7ef97ca1e0fe7"),
-    ("rot1-trivial", None, 0, "065de7128ca22fc109a1ae282bbb5fe7d3a40f738df4816e9965fac7ddb3f64f"),
-    ("cat-trivial", None, 0, "bb2f90ea857ba992a23e73ce4f39281ecbeec5484a5a099a6d0d4d3f6271b1e2"),
-    ("cat2", None, 0, "266558ade2256d63ddc088e3470da430576ca39cea3678a67dfe7803afbf561d"),
-    ("mixed", None, 0, "4e8168bd2e7c46ce38eab73b319b3d68e91cdb679be856d5d5a81644a8eb3283"),
-    ("z2-cat", Z2_CAT, 2, "fabc0e856ee334663d057951fcb49bf068e799945082293514ecc7b0af7e9dca"),
-    ("zxc2-rot", ZXC2_ROT, 0, "fc1d3dc95c872e2ba4194c7ee93e4a09368c41a9e043081d71aa0d52dc3493db"),
+    ("rot2", None, 0, "c35e488722566da1ff368cd7ab41ae27dc78bac59641fb301f20a943783697d7"),
+    ("rot1-trivial", None, 0, "eacca732beeb9b334afe2e32d468358a5f8466ce559ae82a32f44f0098a1aa72"),
+    ("cat-trivial", None, 0, "111ade3552356a798480beb065c5f492b278f895b291ed03b0c9cb25fdfe2e1e"),
+    ("cat2", None, 0, "72df88927b318e2352e203a29b180563d512597b953dd92649114c47308bf60f"),
+    ("mixed", None, 0, "2d9156a231c5912771bacf550f06cbd3717c61a13b062202a62f7537fef7b78c"),
+    ("z2-cat", Z2_CAT, 0, "1a40535e5e8148a5cdc85e357952c7f4f54d99b1e0968ee99f7da1cc54867882"),
+    ("zxc2-rot", ZXC2_ROT, 0, "73b481c63f5f3513b2351f1ca9ce18257428a70559ad1837d088b3bc9d9322d4"),
     ("zxc3-order3", ZXC3_ORDER3, 0,
-     "857fa1d8405ee51896ca7c038025c087bdd4041bb7f6002d808bbcd9fbd0a107"),
+     "06c81ee03efa0396fc3fbc7850617b8caf20f894ca16449ec635680822c04714"),
     ("zxc2-cat2", ZXC2_CAT2, 0,
-     "bc5a14e629fde5f119a8566973b3eeda182cbceeafe207d263abe3e3b32c8f10"),
+     "c255bcad55b8a44b84327e71956eca63c077e04d68572a92929e4bc8cb1a82e8"),
 ]
 
 

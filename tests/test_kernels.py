@@ -533,7 +533,7 @@ def _reference_pair(system, delta, rng):
     if fs.slices is not None:
         for ax, val in fs.slices[int(rng.integers(len(fs.slices)))]:
             x[ax] = val
-    return idx, tuple(x), _reference_sample_near(fs, tuple(x), delta, rng)
+    return tuple(x), _reference_sample_near(fs, tuple(x), delta, rng)
 
 
 def _sampling_system(dim, weights, slices):
@@ -563,8 +563,13 @@ SLICED_FIBERS = {
 
 
 def _pair_bits(pair):
-    idx, x, y = pair
-    return idx, [v.hex() for v in x], [v.hex() for v in y]
+    x, y = pair
+    return [v.hex() for v in x], [v.hex() for v in y]
+
+
+# weights for systems whose fibers are slices at distinct values, so a
+# pair's x shows the fiber drawn: a weight of 0 is never drawn
+SUPPORT_WEIGHTS = [(0.5, 0.5), (1.0,), (0.2, 0.3, 0.5), (0.25, 0.0, 0.75)]
 
 
 @pytest.mark.parametrize("generator", [np.random.Generator, _FlatNormals])
@@ -572,18 +577,23 @@ def _pair_bits(pair):
 @pytest.mark.parametrize("sliced", [False, True], ids=["full", "sliced"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_row_sampler_matches_single_draws(dim, sliced, delta, generator):
+    """The row sampler's pairs are those of single draws, bitwise, with the
+    fiber of each drawn as rng.choice draws it by weight."""
     if sliced:
-        system = _sampling_system(dim, (0.25, 0.5, 0.25), ["full", *SLICED_FIBERS[dim]])
+        systems = [_sampling_system(dim, (0.25, 0.5, 0.25), ["full", *SLICED_FIBERS[dim]])]
+        systems += [_sampling_system(dim, w, [[[[0, (i + 1) / 8]]] for i in range(len(w))])
+                    for w in SUPPORT_WEIGHTS]
     else:
-        system = _sampling_system(dim, (0.5, 0.5), ["full", "full"])
-    for seed in range(4):
-        for n in (1, 2, 40):
-            ref = generator(np.random.PCG64(seed))
-            new = generator(np.random.PCG64(seed))
-            expected = [_reference_pair(system, delta, ref) for _ in range(n)]
-            got = _sample_pairs(system, delta, new, n)
-            assert list(map(_pair_bits, got)) == list(map(_pair_bits, expected))
-            assert new.bit_generator.state == ref.bit_generator.state
+        systems = [_sampling_system(dim, (0.5, 0.5), ["full", "full"])]
+    for system in systems:
+        for seed in range(4):
+            for n in (1, 2, 40):
+                ref = generator(np.random.PCG64(seed))
+                new = generator(np.random.PCG64(seed))
+                expected = [_reference_pair(system, delta, ref) for _ in range(n)]
+                got = _sample_pairs(system, delta, new, n)
+                assert list(map(_pair_bits, got)) == list(map(_pair_bits, expected))
+                assert new.bit_generator.state == ref.bit_generator.state
 
 
 class _TinyUniforms(np.random.Generator):
@@ -613,7 +623,7 @@ def test_row_norms_match_the_sampled_pairs(dim, sliced, generator):
         for seed in range(3):
             ref = generator(np.random.PCG64(seed))
             new = generator(np.random.PCG64(seed))
-            want = [fold_norm(torus_delta(x, y)) for _, x, y in _sample_pairs(system, delta, ref, 40)]
+            want = [fold_norm(torus_delta(x, y)) for x, y in _sample_pairs(system, delta, ref, 40)]
             got = _row_norms(system, delta, new, 40).tolist()
             assert list(map(float.hex, got)) == list(map(float.hex, want))
             assert new.bit_generator.state == ref.bit_generator.state
@@ -634,16 +644,6 @@ def test_constant_mean_rows_is_the_tree_on_constant_rows(size):
     assert list(map(float.hex, got)) == list(map(float.hex, want))
     singles = [_windows.constant_mean(v, size) for v in CONSTANTS]
     assert list(map(float.hex, singles)) == list(map(float.hex, want))
-
-
-@pytest.mark.parametrize("weights", [(0.5, 0.5), (1.0,), (0.2, 0.3, 0.5), (0.25, 0.0, 0.75)])
-def test_support_sampling_matches_rng_choice(weights):
-    system = _sampling_system(1, weights, ["full"] * len(weights))
-    for seed in range(500):
-        ref, new = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = [idx for idx, _, _ in _sample_pairs(system, 0.1, new, 3)]
-        assert got == [_reference_pair(system, 0.1, ref)[0] for _ in range(3)]
-        assert new.bit_generator.state == ref.bit_generator.state
 
 
 def test_scan_plan_is_cached_but_budget_errors_are_not(monkeypatch):

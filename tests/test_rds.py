@@ -1,16 +1,18 @@
 """Fiber maps, fiber domains, the skew action, separation walks, validate."""
 
+import copy
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from grid_fixtures import Z2_CAT
+from grid_fixtures import Z2_CAT, Z_SLICED, ZXC2_ROT
 from test_catalog import SLICED
 from test_pseudometrics import GATE_SECONDS
 from meanrds import rds
-from meanrds.groups import BudgetError, GroupSpecError, parse_group
+from meanrds.groups import GroupSpecError, parse_group
 from meanrds.rds import (
     BaseSpace,
     DomainError,
@@ -108,6 +110,44 @@ def test_fiber_map_compose_and_inverse():
     m3 = FiberMap(((0, 1, 0), (1, 0, 0), (0, 0, 1)), (0.1, 0.2, 0.3))
     y = (0.5, 0.25, 0.125)
     assert torus_distance(m3.inverse().apply(m3.apply(y)), y) <= 1e-15
+
+
+def _exact_image(mat, x, c):
+    """Mx + c mod 1 in Fractions, correctly rounded to floats by float(),
+    with 1.0 taken to the torus point 0.0."""
+    out = []
+    for row, ci in zip(mat, c):
+        r = float((sum(a * Fraction(v) for a, v in zip(row, x)) + Fraction(ci)) % 1)
+        out.append(0.0 if r == 1.0 else r)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("matrix", [
+    CAT,
+    ((1, 1), (0, 1)),
+    ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+    ((1, 1, 0), (1, 2, 1), (0, 1, 2)),
+], ids=["cat", "shear", "swap3", "hyperbolic3"])
+def test_fiber_map_arithmetic_is_exact_then_rounded_once(matrix):
+    """apply, compose and inverse give the exact result rounded once, as a
+    Fraction oracle computes it, on random points and shifts and on ones
+    whose image rounds to 1.0."""
+    n = len(matrix)
+    rng = np.random.default_rng(3)
+    draws = [tuple(rng.random(n).tolist()) for _ in range(40)]
+    draws += [tuple(rng.uniform(-1e6, 1e6, n).tolist()) for _ in range(10)]
+    draws += [(1 - 2**-53,) * n, (2**-54 + 2**-60,) * n, (5e-324,) * n, (0.0,) * n]
+    for c, x in zip(draws, draws[1:] + draws[:1]):
+        fm = FiberMap(matrix, c)
+        assert fm.apply(x) == _exact_image(matrix, x, fm.shift)
+        other = FiberMap(matrix, x)
+        assert fm.compose(other).shift == _exact_image(matrix, other.shift, fm.shift)
+        inv = fm.inverse()
+        assert rds._mat_mul(inv.matrix, matrix) == rds._identity_matrix(n)
+        assert inv.shift == _exact_image(inv.matrix, [-v for v in fm.shift], (0.0,) * n)
+    # 1 - 2^-54 + 2^-60 lies above the midpoint of 1 - 2^-53 and 1.0, so it
+    # rounds to 1.0, the point 0.0
+    assert FiberMap.rotation((1 - 2**-53,)).apply((2**-54 + 2**-60,)) == (0.0,)
 
 
 def test_identity_residual_flags_shift():
@@ -312,44 +352,41 @@ def test_integral_requires_membership_everywhere():
 
 
 def test_validate_needs_words_of_two_letters():
-    """A generator is never the identity, so a word-length cap below 2
-    would check no relation word."""
+    """The word-length cap bounds no check, but the report carries it, so a
+    cap below 2 is still rejected. Z has no relator."""
     sys_ = catalog.load("rot2")
     for cap in (-3, 0, 1):
         with pytest.raises(ValueError, match="max_word_length"):
             validate(sys_, max_word_length=cap)
     (words,) = [c for c in validate(sys_, max_word_length=2).checks if c.name == "relation-words"]
-    assert words.passed and words.detail.endswith("identity words checked")
+    assert words.passed and words.detail == "0 relators checked exactly"
 
 
-@pytest.mark.parametrize("spec,nodes", [("rot2", 251), (Z2_CAT, 13_541)],
-                         ids=["rot2", "z2-cat"])
-def test_relation_word_sweep_counts_its_nodes_before_walking(spec, nodes, monkeypatch):
-    """The sweep counts its DFS nodes at word length 8 up front: a budget of
-    exactly that many walks them all (one compose per base point at each
-    node past the root), one fewer raises before any map is composed."""
-    sys_ = catalog.load(spec) if isinstance(spec, str) else catalog.build_system(spec)
-    composed = []
-    compose = FiberMap.compose
-    monkeypatch.setattr(FiberMap, "compose",
-                        lambda self, other: composed.append(1) or compose(self, other))
-    monkeypatch.setattr(rds, "NODE_BUDGET", nodes)
-    rds._relation_word_sweep(sys_, 8)
-    assert len(composed) == (nodes - 1) * sys_.base.size
-    composed.clear()
-    monkeypatch.setattr(rds, "NODE_BUDGET", nodes - 1)
-    with pytest.raises(BudgetError, match="node budget"):
-        rds._relation_word_sweep(sys_, 8)
-    assert composed == []
-
-
-def test_over_budget_relation_word_sweep_fails_at_once():
-    """rot2 has 10 400 599 sweep nodes at word length 24, over NODE_BUDGET;
-    validate raises within the gate instead of walking for minutes."""
+def test_validate_takes_bounded_time_at_any_word_length():
+    """validate checks the relators, not words up to the cap: rot2 at
+    length 24 and z2-cat pass within the gate."""
     start = time.perf_counter()
-    with pytest.raises(BudgetError, match="relation-word sweep exceeded its node budget"):
-        validate(catalog.load("rot2"), max_word_length=24)
+    rep = validate(catalog.load("rot2"), max_word_length=24)
+    assert rep.ok and rep.max_word_length == 24
+    assert validate(catalog.build_system(Z2_CAT)).ok
     assert time.perf_counter() - start < GATE_SECONDS
+
+
+def test_sliced_fixture_fails_only_its_domain_coverage():
+    rep = validate(catalog.build_system(Z_SLICED))
+    assert [c.name for c in rep.checks if not c.passed] == ["fiber-domain-coverage"]
+
+
+@pytest.mark.parametrize("defect", [0.5, 0.25, 2**-40])
+def test_validate_catches_commutator_defects_exactly(defect):
+    """On zxc2-rot, moving the Z generator's shift at w1 by defect breaks
+    [s0, s1] by exactly defect, and only that relator."""
+    spec = copy.deepcopy(ZXC2_ROT)
+    spec["maps"][0][1]["shift"] = [0.625 + defect]
+    rep = validate(catalog.build_system(spec))
+    row = {c.name: c for c in rep.checks}["relation-words"]
+    assert not row.passed and row.residual == defect
+    assert row.detail == "relator [s0, s1] at base point w0 leaves a shift"
 
 
 @pytest.mark.parametrize("make", [
@@ -385,7 +422,7 @@ def test_validate_passes_on_z2_commuting_rotations():
 
 def test_validate_catches_noncommuting_matrices():
     """Two hyperbolic generators over a one-point base only commute if the
-    matrices do; the relation sweep must spot the failure."""
+    matrices do; the commutator relator must spot the failure."""
     grp = parse_group("Z^2")
     base = BaseSpace(("w0",), (1.0,), ((0,), (0,)))
     sys_ = RandomDynamicalSystem(
@@ -401,7 +438,8 @@ def test_validate_catches_noncommuting_matrices():
     )
     rep = validate(sys_, max_word_length=4)
     row = {c.name: c for c in rep.checks}["relation-words"]
-    assert not row.passed
+    assert not row.passed and row.residual == math.inf
+    assert row.detail.startswith("relator [s0, s1] at base point w0 composes to matrix")
     assert not rep.ok
 
 
@@ -484,7 +522,7 @@ def test_validate_zxc2_swap_system():
     )
     bad = validate(broken, max_word_length=4)
     names = {c.name: c for c in bad.checks}
-    assert not names["relation-words"].passed or not names["cocycle-spot-check"].passed
+    assert not names["relation-words"].passed
 
 
 def test_validation_report_serializes():
