@@ -18,8 +18,14 @@ turn. One separable dyadic table makes the same additions: the last axis's
 levels S_2k[..., i] = S_k[..., i] + S_k[..., i+k] grow as the schedule
 climbs, and each window doubles the earlier axes from them. The table holds
 every such window sum at every start, with the bits of the tree on each
-window. A window with any other width is gathered out of the box and summed
-by :func:`tree_mean_rows`.
+window. A first width W that is not a power of two (a bisected schedule top
+on Z, or on the Z axis of Z x C2 and Z x C4) is read from the same table:
+the tree on W rows peels the last block of each level with an odd number of
+blocks, so its sum is the entry for the top bit of W plus, for each lower
+set bit, ascending, the entry of that level at the peeled block. Only a
+window with a later width that is not a power of two (a C3 axis, or the
+bisected top of Z^a for a >= 2) is gathered out of the box and summed by
+:func:`tree_mean_rows`.
 
 Schedules are powers of two up to the element cap, plus the largest window
 that still fits when the cap is not itself a power of two.
@@ -34,8 +40,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .groups import FolnerFamily, GroupSpecError
 
-# a window with a width that is not a power of two is gathered and summed in
-# blocks of about this many elements; blocks do not move a bit
+# a window with a width after the first that is not a power of two is gathered
+# and summed in blocks of about this many elements; blocks do not move a bit
 WINDOW_BLOCK_ELEMENTS = 1 << 18
 
 
@@ -139,25 +145,47 @@ def window_means(box: np.ndarray, starts, windows) -> list[np.ndarray]:
 
     ``starts`` holds one index array per axis. Every window must lie inside
     the box (pad cyclic axes by wrap beforehand), else ValueError. A window
-    whose widths are all powers of two is read from the dyadic table (module
-    docstring), whose last-axis levels grow as the windows widen; its
-    last-axis width may not fall below an earlier one's. Any other window is
-    gathered out of the box about ``WINDOW_BLOCK_ELEMENTS`` window elements
-    at a time and summed by :func:`tree_mean_rows`; rows are summed
-    independently, so blocks do not move a bit. The means come as one list,
-    so that numpy's error state is set once per call.
+    whose widths after the first are powers of two is read from the dyadic
+    table (module docstring), whose last-axis levels grow as the windows
+    widen; its last-axis level may not fall below an earlier one's. A first
+    width W that is not a power of two is summed as :func:`tree_sum_rows`
+    sums a row of W blocks: the table's entry for the top bit of W, then the
+    carry of each lower set bit 2^b, ascending, read from level 2^b at
+    offset ((W >> b) - 1) << b while the doubling passes that level. Any
+    other window is gathered out of the box about ``WINDOW_BLOCK_ELEMENTS``
+    window elements at a time and summed by :func:`tree_mean_rows`; rows
+    are summed independently, so blocks do not move a bit. The means come
+    as one list, so that numpy's error state is set once per call.
     """
     starts = tuple(starts)
     for s, w, n in zip(starts, map(max, zip(*windows)), box.shape):
         if s.min() < 0 or s.max() + w > n:
             raise ValueError("window out of the box")
+    carries = {}  # window -> the carries of its first width, in the tree's order
+    pending = {}  # width of a level -> (window, offset) of each carry read there
+
+    def peel(i, width):
+        for b in range((width & (width - 1)).bit_length()):  # the set bits below the top one
+            if width >> b & 1:
+                pending.setdefault(1 << b, []).append((i, ((width >> b) - 1) << b))
+
+    def read(level, k):
+        # the carries pending at width k, at the starts moved along axis 0
+        for i, off in pending.pop(k, ()):
+            carries.setdefault(i, []).append(level[(starts[0] + off,) + starts[1:]])
+
     earlier = range(box.ndim - 2, -1, -1)
+    if not earlier:  # on Z axis 0 is the last axis, whose levels every window shares
+        for i, (width,) in enumerate(windows):
+            if width & (width - 1):
+                peel(i, width)
     last, k = box, 1
     out = []
     with np.errstate(over="ignore"):  # an overflow is +-inf (module docstring)
-        for win in windows:
+        for i, win in enumerate(windows):
             size = math.prod(win)
-            if size & (size - 1):  # some width is not a power of two
+            later = size // win[0]  # a power of two when every later width is one
+            if later & (later - 1):
                 view = sliding_window_view(box, win)
                 step = max(1, WINDOW_BLOCK_ELEMENTS // size)
                 out.append(np.concatenate([
@@ -165,17 +193,26 @@ def window_means(box: np.ndarray, starts, windows) -> list[np.ndarray]:
                     for a in range(0, len(starts[0]), step)
                 ]))
                 continue
-            while k < win[-1]:
+            while 2 * k <= win[-1]:
+                if pending:
+                    read(last, k)
                 last = last[..., :-k] + last[..., k:]
                 k *= 2
-            if k != win[-1]:
+            if k > win[-1]:
                 raise ValueError("window widths must not shrink along the last axis")
             table = last
             for axis in earlier:
+                if axis == 0:
+                    peel(i, win[0])
                 head = (slice(None),) * axis
                 j = 1
-                while j < win[axis]:
+                while 2 * j <= win[axis]:
+                    if pending:
+                        read(table, j)
                     table = table[head + (slice(None, -j),)] + table[head + (slice(j, None),)]
                     j *= 2
-            out.append(table[starts] / size)
+            total = table[starts]
+            for carry in carries.pop(i, ()):
+                total += carry
+            out.append(total / size)
     return out

@@ -29,7 +29,9 @@ system whose support fibers are all constant (isometric): there every sup
 profile is the pair's constant ``fold_norm(torus_delta(x, y))``, and a
 whole row of pairs is measured in one numpy pass from the same draws
 (``_row_norms``, ``pseudometrics._constant_banach_values``), with the bits,
-stop, counts and chain check of the pair loop.
+stop, counts and chain check of the pair loop. There a sensitivity
+candidate's value is the least window mean of its pair's norm, with no
+engine.
 
 The verdict is "wme-evidence" or "sensitive-evidence" only when exactly one
 side holds; anything else is "inconclusive" with an escalation suggestion.
@@ -52,6 +54,8 @@ from .pseudometrics import (
     _banach_value,
     _check_field_types,
     _constant_banach_values,
+    _constant_means,
+    _scan_plan,
     _sup_fiber_value,
     pair_source,
 )
@@ -393,7 +397,15 @@ def sensitivity_test(
     ccfg: ClassifierConfig,
     rng,
 ) -> SensitivityResult:
-    """Search shrinking balls for separation witnesses above delta0."""
+    """Search shrinking balls for separation witnesses above delta0.
+
+    On a system whose support fibers are all constant, a candidate's value
+    is the least of the :func:`_constant_means` of its pair's norm on the
+    Banach plan: the pair lies in the fiber it was drawn from, and each
+    fiber holding it has that constant profile. No engine is built."""
+    plan = None
+    if system._all_constant:
+        plan = _scan_plan(system.group, cfg.m_max, None, cfg.search_radius, cfg.element_budget)
     points = []
     for idx in system.base.support:
         fs = system.fibers[idx]
@@ -411,7 +423,10 @@ def sensitivity_test(
             for _ in range(ccfg.candidate_budget):
                 tried += 1
                 y = fs.sample_near(x, eps, rng)
-                v = _sup_fiber_value(system, x, y, cfg)
+                if plan is None:
+                    v = _sup_fiber_value(system, x, y, cfg)
+                else:
+                    v = min(_constant_means(torus_distance(x, y), plan))
                 if v > ccfg.delta0:
                     found_y, found_v = y, v
                     break

@@ -673,12 +673,15 @@ class RandomDynamicalSystem:
     def _element_walk(self, g, omega_idx: int, x):
         """(g w, matrix of F_{g, w}, numerators of F_{g, w} x) for numerators
         x: the identity map at w, then g's letters along the canonical
-        coordinate path."""
+        coordinate path. With no ``identity_maps`` the identity step is
+        skipped: I x + 0 is x exactly, for numerators already mod 2^1074."""
         g = self.group.check_element(g)
-        ident = self.identity_map_at(omega_idx)
-        x = _affine(ident.matrix, x, _numerators(ident.shift))
+        mat = _identity_matrix(self.dim)
+        if self.identity_maps is not None:
+            ident = self.identity_maps[omega_idx]
+            mat, x = ident.matrix, _affine(ident.matrix, x, _numerators(ident.shift))
         word = [(i, 1 if s > 0 else -1) for i, s in enumerate(g) for _ in range(abs(s))]
-        return self._walk_word(omega_idx, word, ident.matrix, x)
+        return self._walk_word(omega_idx, word, mat, x)
 
     def element_map(self, g, omega_idx: int) -> FiberMap:
         """Cocycle map F_{g, w} along the canonical coordinate path, its

@@ -229,6 +229,29 @@ def test_constant_rows_equal_the_pair_loop(system, pair_budget, m_max, generator
         assert got == want
 
 
+@pytest.mark.parametrize("generator", [np.random.Generator, _FlatNormals])
+@pytest.mark.parametrize("m_max", [256, 1000])
+@pytest.mark.parametrize("delta0", [0.05, 1e-3])
+@pytest.mark.parametrize("system", CONSTANT_SYSTEMS, ids=lambda s: s.name)
+def test_constant_sensitivity_equals_the_pair_loop(system, delta0, m_max, generator,
+                                                   monkeypatch):
+    """On every constant system the sensitivity probe answers each candidate
+    from its pair's norm, with no engine, and gives the report and generator
+    state of the per-pair path, early stops included, on dyadic and other
+    plans."""
+    cfg = EstimatorConfig(m_max=m_max, search_radius=8)
+    ccfg = ClassifierConfig(delta0=delta0)
+    for seed in range(2):
+        want_rng = generator(np.random.PCG64(seed))
+        want = sensitivity_test(_per_pair(system), cfg, ccfg, want_rng)
+        rng = generator(np.random.PCG64(seed))
+        with monkeypatch.context() as m:
+            m.setattr(rds.PairEngine, "__init__", lambda *a: pytest.fail("an engine was built"))
+            got = sensitivity_test(system, cfg, ccfg, rng)
+        assert repr(got) == repr(want)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("m_max", [256, 1000])
 def test_constant_rows_at_an_eps_a_pair_reaches(m_max):
     """With eps the first pair's norm c, a dyadic plan gives that pair the

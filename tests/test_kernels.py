@@ -371,9 +371,54 @@ def test_non_power_of_two_top_entry_matches(name, gathers):
     offsets = np.arange(129)
     for m, means in zip(schedule, window_means(vals, (offsets,), windows)):
         assert means.tobytes() == _gathered_line_means(vals, offsets, m).tobytes()
-    assert sum(gathers) == 129  # only the 10000 top is gathered
+    assert gathers == []  # the 10000 top is read from the table too
     for m, means in zip(schedule, window_means(vals, (offsets[:1],), windows)):
         assert float(means[0]) == float(tree_mean_rows(vals[:m])[0])
+
+
+def _line_caps():
+    rng = np.random.default_rng(20)
+    return list(range(1, 301)) + sorted(rng.integers(301, 20001, size=12).tolist())
+
+
+def _line_profile(rng, n, kind):
+    """Values over 1e-3..1e3, or over 1e-300..1e300 with one in four near
+    the largest float, so that window sums overflow to inf (to -inf when
+    the kind is negated)."""
+    if kind == "mixed":
+        return rng.random(n) * 10.0 ** rng.uniform(-3, 3, size=n)
+    huge = rng.random(n) < 0.25
+    exponent = np.where(huge, rng.uniform(307, 308.25, size=n), rng.uniform(-300, 300, size=n))
+    return (-1.0 if kind == "-overflow" else 1.0) * 10.0 ** exponent
+
+
+@pytest.mark.parametrize("kind", ["mixed", "overflow", "-overflow"])
+def test_line_windows_read_from_the_table_at_every_cap(kind, gathers):
+    """On Z every schedule, whatever its cap, is read from the table: a top
+    that is not a power of two is the top bit's entry plus the carries of
+    its lower bits, with the bits of summing each window on its own, at
+    starts away from 0 and through overflow."""
+    rng = np.random.default_rng(21)
+    folner = FolnerFamily(parse_group("Z"))
+    for cap in _line_caps():
+        schedule = window_schedule(folner, cap)
+        offsets = np.sort(rng.integers(0, 64, size=17))
+        vals = _line_profile(rng, int(offsets.max()) + cap + rng.integers(0, 3), kind)
+        got = window_means(vals, (offsets,), [(m,) for m in schedule])
+        for m, means in zip(schedule, got, strict=True):
+            assert means.tobytes() == _gathered_line_means(vals, offsets, m).tobytes(), (cap, m)
+    assert gathers == []
+
+
+def test_line_carries_read_for_any_later_window():
+    """Windows of one call that share a top bit, or whose lower bits were
+    passed by an earlier window's doubling, still get every carry."""
+    rng = np.random.default_rng(22)
+    vals = _line_profile(rng, 200, "mixed")
+    offsets = np.asarray([0, 5, 70])
+    widths = [(1,), (3,), (12,), (9,), (15,), (8,), (100,), (127,), (64,)]
+    for m, means in zip(widths, window_means(vals, (offsets,), widths), strict=True):
+        assert means.tobytes() == _gathered_line_means(vals, offsets, m[0]).tobytes(), m
 
 
 class _CoordinateSource(ValueSource):
@@ -418,6 +463,8 @@ TABLE_CASES = [  # (group, m_max, radius, the gathered windows)
     ("Z^2 x C2", 512, 4, ()),
     ("Z x C3", 256, 4, (4, 8, 16, 32, 64, 85)),  # width 3 once n >= 3
     ("Z^2", 48, 4, (6,)),           # a bisected top
+    ("Z x C2", 1000, 6, ()),        # a bisected top (500, 2), read from the table
+    ("Z x C4", 1000, 5, ()),        # a bisected top (250, 4), read from the table
 ]
 
 
