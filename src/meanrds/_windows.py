@@ -22,10 +22,10 @@ window. A first width W that is not a power of two (a bisected schedule top
 on Z, or on the Z axis of Z x C2 and Z x C4) is read from the same table:
 the tree on W rows peels the last block of each level with an odd number of
 blocks, so its sum is the entry for the top bit of W plus, for each lower
-set bit, ascending, the entry of that level at the peeled block. Only a
-window with a later width that is not a power of two (a C3 axis, or the
-bisected top of Z^a for a >= 2) is gathered out of the box and summed by
-:func:`tree_mean_rows`.
+set bit, ascending, the entry of that level at the peeled block. Later
+widths B of a size L that is not a power of two (a C3 axis, or the bisected
+top of Z^a for a >= 2) are read on Z: box[:, t:t+B] flattened row-major holds
+the window of first width W at (s, t) in the tree's order, W * L from s * L.
 
 Schedules are powers of two up to the element cap, plus the largest window
 that still fits when the cap is not itself a power of two.
@@ -36,13 +36,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .groups import FolnerFamily, GroupSpecError
-
-# a window with a width after the first that is not a power of two is gathered
-# and summed in blocks of about this many elements; blocks do not move a bit
-WINDOW_BLOCK_ELEMENTS = 1 << 18
 
 
 def window_schedule(folner: FolnerFamily, max_elements: int) -> tuple[int, ...]:
@@ -76,14 +72,10 @@ def window_schedule(folner: FolnerFamily, max_elements: int) -> tuple[int, ...]:
     return tuple(sched)
 
 
-def tail_count(length: int, tail_fraction: float) -> int:
+def tail_indices(schedule, tail_fraction: float) -> tuple[int, ...]:
     if not 0 < tail_fraction <= 1:
         raise ValueError("tail_fraction must be in (0, 1]")
-    return max(1, math.ceil(tail_fraction * length))
-
-
-def tail_indices(schedule, tail_fraction: float) -> tuple[int, ...]:
-    k = tail_count(len(schedule), tail_fraction)
+    k = max(1, math.ceil(tail_fraction * len(schedule)))
     return tuple(range(len(schedule) - k, len(schedule)))
 
 
@@ -107,10 +99,7 @@ def tree_sum_rows(arr: np.ndarray) -> np.ndarray:
 
 
 def tree_mean_rows(arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    return tree_sum_rows(arr) / arr.shape[1]
+    return tree_sum_rows(arr) / np.shape(arr)[-1]
 
 
 def constant_mean_rows(c: np.ndarray, size: int) -> np.ndarray:
@@ -151,11 +140,11 @@ def window_means(box: np.ndarray, starts, windows) -> list[np.ndarray]:
     width W that is not a power of two is summed as :func:`tree_sum_rows`
     sums a row of W blocks: the table's entry for the top bit of W, then the
     carry of each lower set bit 2^b, ascending, read from level 2^b at
-    offset ((W >> b) - 1) << b while the doubling passes that level. Any
-    other window is gathered out of the box about ``WINDOW_BLOCK_ELEMENTS``
-    window elements at a time and summed by :func:`tree_mean_rows`; rows
-    are summed independently, so blocks do not move a bit. The means come
-    as one list, so that numpy's error state is set once per call.
+    offset ((W >> b) - 1) << b while the doubling passes that level. Later
+    widths of a size that is not a power of two are read last, as runs on
+    Z (module docstring) of the blocks at their trailing starts laid end to
+    end, about a box of them at a time. The means come as one list,
+    so that numpy's error state is set once per call.
     """
     starts = tuple(starts)
     for s, w, n in zip(starts, map(max, zip(*windows)), box.shape):
@@ -180,21 +169,17 @@ def window_means(box: np.ndarray, starts, windows) -> list[np.ndarray]:
             if width & (width - 1):
                 peel(i, width)
     last, k = box, 1
-    out = []
+    out = [None] * len(windows)
+    runs = {}  # later widths whose product is not a power of two -> their windows
     with np.errstate(over="ignore"):  # an overflow is +-inf (module docstring)
         for i, win in enumerate(windows):
             size = math.prod(win)
             later = size // win[0]  # a power of two when every later width is one
             if later & (later - 1):
-                view = sliding_window_view(box, win)
-                step = max(1, WINDOW_BLOCK_ELEMENTS // size)
-                out.append(np.concatenate([
-                    tree_mean_rows(view[tuple(s[a:a + step] for s in starts)].reshape(-1, size))
-                    for a in range(0, len(starts[0]), step)
-                ]))
+                runs.setdefault(win[1:], []).append(i)
                 continue
             while 2 * k <= win[-1]:
-                if pending:
+                if k in pending:
                     read(last, k)
                 last = last[..., :-k] + last[..., k:]
                 k *= 2
@@ -207,12 +192,31 @@ def window_means(box: np.ndarray, starts, windows) -> list[np.ndarray]:
                 head = (slice(None),) * axis
                 j = 1
                 while 2 * j <= win[axis]:
-                    if pending:
+                    if j in pending:
                         read(table, j)
                     table = table[head + (slice(None, -j),)] + table[head + (slice(j, None),)]
                     j *= 2
             total = table[starts]
             for carry in carries.pop(i, ()):
                 total += carry
-            out.append(total / size)
+            out[i] = total / size
+    for trailing, idx in runs.items():  # runs of the flattened trailing blocks
+        idx.sort(key=lambda i: windows[i][0])  # first widths may not shrink on Z
+        last = table = None  # free the levels first
+        size, tail = math.prod(trailing), tuple(n - w + 1 for n, w in zip(box.shape[1:], trailing))
+        used, col = np.unique(np.ravel_multi_index(starts[1:], tail), return_inverse=True)
+        # blocks[t, i, b] = box[i, t + b]: a chunk of t copies out as blocks end to end
+        blocks = as_strided(box, tail + box.shape[:1] + trailing,
+                            box.strides[1:] + box.strides[:1] + box.strides[1:], writeable=False)
+        # ceil(all blocks / box) chunks of equally many blocks: about a box each
+        step = math.ceil(len(used) / math.ceil(len(used) * box.shape[0] * size / box.size))
+        for i in idx:
+            out[i] = np.empty(len(col))
+        for a in range(0, len(used), step):
+            at = np.flatnonzero((col >= a) & (col < a + step))
+            line = blocks[np.unravel_index(used[a:a + step], tail)].ravel()
+            for i, means in zip(idx, window_means(
+                    line, (((col[at] - a) * box.shape[0] + starts[0][at]) * size,),
+                    [(windows[j][0] * size,) for j in idx])):
+                out[i][at] = means
     return out

@@ -62,6 +62,7 @@ from .pseudometrics import (
 from .rds import (
     DTILDE_CONVENTION,
     RandomDynamicalSystem,
+    _cube_root,
     _direction_norm,
     _fold_norm_rows,
     _near_point,
@@ -258,7 +259,7 @@ def _row_norms(system, delta, rng, n) -> np.ndarray:
     rounded operations in its order: x + (radius * c) / norm on the free
     axes, then mod 1 with 1.0 taken to 0.0. A fixed axis of a sliced pair
     adds (radius * 0.0) / norm = 0.0, which leaves it as it is. The radius's
-    u^(1/3) for three free axes is Python's ``**``, pair by pair."""
+    u^(1/3) for three free axes is ``_cube_root``, pair by pair."""
     stream, at, steps, sliced = _draw_row(system, rng, n)
     d = system.dim
     origin = stream[np.add.outer(at, np.arange(1, 1 + d))]
@@ -280,8 +281,7 @@ def _row_norms(system, delta, rng, n) -> np.ndarray:
             k = np.full(len(stepped), d)
         u = stream[np.asarray(at)[stepped] + 1 + d]
         root = np.where(k == 1, u, np.sqrt(u))
-        if (k == 3).any():
-            root[k == 3] = [v ** (1.0 / 3.0) for v in u[k == 3].tolist()]
+        root[k == 3] = [_cube_root(v) for v in u[k == 3].tolist()]
         moved = (origin[stepped] + (delta * root)[:, None] * direction / norm[:, None]) % 1.0
         moved[moved == 1.0] = 0.0
         y[stepped] = moved

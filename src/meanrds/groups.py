@@ -88,15 +88,6 @@ class AmenableGroup:
         """None for free generators, the order for cyclic ones."""
         return (None,) * self.free_rank + self.cyclic_orders
 
-    def word_length(self, g) -> int:
-        """Word length in the standard generators (cyclic ones walk both ways)."""
-        f = self.free_rank
-        total = sum(abs(g[i]) for i in range(f))
-        for i, k in enumerate(self.cyclic_orders):
-            v = g[f + i] % k
-            total += min(v, k - v)
-        return total
-
 
 def parse_group(text: str) -> AmenableGroup:
     """Parse descriptions like ``"Z"``, ``"Z^2"``, ``"Z x C2"``, ``"Z^3 x C2 x C3"``."""

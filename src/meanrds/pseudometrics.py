@@ -348,9 +348,7 @@ def _window_means(source: ValueSource, plan: _ScanPlan):
 
     The profile is read once, over the plan's box, with each cyclic axis
     whole and then padded by wrap, so translates wrap mod k.
-    :func:`_windows.window_means` takes every window out of it: from the
-    dyadic table, or by gathering the windows in blocks when a width after
-    the first is not a power of two.
+    :func:`_windows.window_means` reads every window from its dyadic table.
     """
     box = source.range_values(plan.lo, plan.hi).reshape(plan.shape)
     if plan.pad:

@@ -317,15 +317,26 @@ def _direction_norm(direction) -> float:
     return math.sqrt(s)
 
 
+def _cube_root(u: float) -> float:
+    """The correctly rounded cube root of a float u >= 0. With u = n / 2^p,
+    n scaled by 2^(3e - p), e = ceil(p / 3) + 60, has an integer cube root r
+    (Newton from above) of 60 bits or more, so no rounding boundary lies in
+    (r, r + 1): r + 1/2 stands for an inexact root, rounded by one division."""
+    n, den = u.as_integer_ratio()
+    e = 60 - (1 - den.bit_length()) // 3
+    n <<= 3 * e + 1 - den.bit_length()
+    r = 1 << -(-n.bit_length() // 3)  # at least the root
+    while r and (step := (2 * r + n // (r * r)) // 3) < r:
+        r = step
+    return (2 * r + (r ** 3 != n)) / (2 << e)
+
+
 def _near_point(origin, free, direction, norm, u, delta) -> tuple[float, ...]:
     """The point at ``radius * direction / norm`` from origin on the free
-    axes, mod 1, for a radius of delta times u^(1/k) with k free axes.
-
-    u^(1/k) is taken as u and sqrt(u) for k = 1, 2, so that only correctly
-    rounded operations occur. Three free axes (no bundled system has them)
-    use the libm ``** (1/3)``."""
+    axes, mod 1, for a radius of delta times u^(1/k) with k free axes, the
+    root correctly rounded (u, sqrt(u) or :func:`_cube_root`)."""
     k = len(free)
-    radius = delta * (u if k == 1 else math.sqrt(u) if k == 2 else u ** (1.0 / 3.0))
+    radius = delta * (u if k == 1 else math.sqrt(u) if k == 2 else _cube_root(u))
     out = list(origin)
     for ax, c in zip(free, direction):
         out[ax] = _mod1(out[ax] + radius * c / norm)
@@ -553,11 +564,6 @@ class BaseSpace:
 
     def act_generator(self, gen: int, omega_idx: int, steps: int = 1) -> int:
         return self._powers[gen].apply(omega_idx, steps)
-
-    def act(self, g, omega_idx: int) -> int:
-        for i, steps in enumerate(g):
-            omega_idx = self._powers[i].apply(omega_idx, steps)
-        return omega_idx
 
 
 # ---------------------------------------------------------------------------

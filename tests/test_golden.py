@@ -3,8 +3,7 @@ and validate runs.
 
 Refactors of the walks and window scans must leave every byte of these
 outputs unchanged. ``classify`` samples near pairs with only correctly
-rounded operations when a fiber has at most two free axes, as every system
-here has, so its bytes do not depend on the libm either.
+rounded operations, so its bytes do not depend on the libm either.
 """
 
 import hashlib
@@ -152,6 +151,17 @@ REPORT_GOLDEN = [
     pytest.param(Z_SLICED, (64, 16, 2),
                  "0296ba1d8caa7e68b48e6c010f9130404a141b636c08139b5da57e9b0900dc2d",
                  id="z-sliced"),
+    # windows whose widths after the first multiply to a number that is not
+    # a power of two: width 3 on C3 from n = 3 up, and the bisected top 6 of Z^2
+    pytest.param(ZXC3_ORDER3, (64, 16, 2),
+                 "97dc9a5e986a5529316ee3bd5c7f4ca2e27f5c4409f5eaab42cd7f2b1ac3a4a1",
+                 id="zxc3-order3"),
+    pytest.param(ZXC3_ORDER3, (256, 64, 4),
+                 "d691e1f5fd19c59bdb2ca48573b72999a1d79286a437a764f504d09b293ac2c4",
+                 id="zxc3-order3-256-64-4"),
+    pytest.param(Z2_CAT, (256, 48, 4),
+                 "87cb0073d18bd32b24b506428746fc5baaa94e47d6d537c829c978a1ec600e32",
+                 id="z2-cat-256-48-4"),
 ]
 
 

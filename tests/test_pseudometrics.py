@@ -486,38 +486,6 @@ def test_generic_group_path_isometric_equality():
     assert translated_besicovitch_scan(pair_source(sys_, x, y), cfg).value == d
 
 
-@pytest.mark.parametrize("spec,x,y", [(Z2_CAT, (0.1, 0.2), (0.1004, 0.2002)),
-                                      (ZXC3_ORDER3, (0.1, 0.2), (0.13, 0.21))])
-def test_window_blocks_do_not_change_a_bit(spec, x, y, monkeypatch):
-    """Windows with a width that is not a power of two (the bisected top 6
-    on Z^2, width 3 on C3) are gathered and summed a block at a time; blocks
-    of one to a few rows give the bits of a single block."""
-    system = catalog.build_system(spec)
-    cfg = EstimatorConfig(n_max=256, m_max=48, search_radius=4)
-    src = pair_source(system, x, y)
-    plan = pseudometrics._scan_plan(system.group, cfg.m_max, None, cfg.search_radius,
-                                    cfg.element_budget)
-    gathered = []
-
-    def counting(arr):
-        gathered.append(len(arr))
-        return tree_mean_rows(arr)
-
-    monkeypatch.setattr(_windows, "tree_mean_rows", counting)
-
-    def read():
-        gathered.clear()
-        out = ([m.tobytes() for _, m in pseudometrics._window_means(src, plan)],
-               [json.dumps(e.to_dict()) for e in pair_summary(system, x, y, cfg).values()])
-        assert gathered, "no window was gathered"
-        return out
-
-    whole = read()
-    monkeypatch.setattr(_windows, "WINDOW_BLOCK_ELEMENTS", 7)
-    assert read() == whole
-    assert set(gathered) == {1}
-
-
 def test_box_over_the_element_budget_raises_before_walking():
     """Off Z the box covering every translated window is capped: the ball
     (145 elements) and the top window (64) fit in 500, the 24 x 24 box not."""
