@@ -44,7 +44,9 @@ from .pseudometrics import (
 )
 from .rds import DTILDE_CONVENTION, DomainError, SystemSpecError, _is_number, validate
 
-SCHEMA_VERSION = "1"
+# the layout version of each command's document, bumped on a breaking change
+SCHEMA_VERSIONS = {"catalog": "1", "validate": "2", "estimate": "1", "density": "1",
+                   "classify": "1"}
 
 _DEFAULT_DENSITY_SETS = ("evens", "odds", "squares", "dyadic-blocks", "mod:3:0")
 
@@ -93,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = command("validate", "check the cocycle axioms of a system")
     v.add_argument("--system", required=True)
-    v.add_argument("--max-word-length", type=int, default=8, dest="max_word_length")
 
     e = command("estimate", "mean separations of pairs or profiles")
     e.add_argument("--system", required=True,
@@ -200,7 +201,7 @@ def _resolve_system(name: str, settings: dict):
 
 def _envelope(command: str, settings: dict, extra_hash: dict, payload: dict) -> dict:
     out = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSIONS[command],
         "command": command,
         "config_hash": _config_hash(command, settings, extra_hash),
         "seed": settings["seed"],
@@ -261,13 +262,8 @@ def _cmd_catalog(args, settings) -> int:
 
 def _cmd_validate(args, settings) -> int:
     system = _resolve_system(args.system, settings)
-    report = validate(system, max_word_length=args.max_word_length, seed=settings["seed"])
-    env = _envelope(
-        "validate",
-        settings,
-        {"system": args.system, "max_word_length": args.max_word_length},
-        {"report": report.to_dict()},
-    )
+    report = validate(system)
+    env = _envelope("validate", settings, {"system": args.system}, {"report": report.to_dict()})
     _emit(args, env, report.to_text())
     return 0 if report.ok else 2
 

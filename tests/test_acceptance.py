@@ -70,11 +70,11 @@ def test_criterion_1_axioms():
     worst = 0.0
     ok = True
     for name in catalog.names():
-        rep = validate(catalog.load(name), max_word_length=8)
+        rep = validate(catalog.load(name))
         worst = max(worst, rep.worst_residual)
         ok = ok and rep.ok
     ok = ok and worst < 1e-12
-    _line(1, "axiom residuals < 1e-12 at word length 8", ok)
+    _line(1, "axiom residuals < 1e-12", ok)
     assert ok, f"worst residual {worst:.3e}"
 
 

@@ -22,7 +22,7 @@ GRID_SPECS = {spec["name"]: spec for spec in (Z2_CAT, ZXC2_ROT, ZXC3_ORDER3, ZXC
 @pytest.mark.parametrize("name", [*catalog.names(), *GRID_SPECS])
 def test_every_system_validates(name):
     sys_ = catalog.build_system(GRID_SPECS[name]) if name in GRID_SPECS else catalog.load(name)
-    rep = validate(sys_, max_word_length=8)
+    rep = validate(sys_)
     assert rep.ok, rep.to_text()
     assert rep.worst_residual == 0.0
 
@@ -104,7 +104,7 @@ def test_build_system_from_dict():
     assert sys_.base.labels == ("a", "b")
     assert sys_.maps[0][1].shift == (0.75,)
     assert sys_.fibers[0] == FiberSpace.full(1)
-    assert validate(sys_, max_word_length=6).ok
+    assert validate(sys_).ok
     assert sys_.declared["expected"] == "wme-evidence"
 
 
@@ -123,7 +123,7 @@ def test_build_system_with_sliced_fibers():
     assert sys_.name == "custom"
     assert sys_.fibers[0].contains((0.3, 0.5))
     assert not sys_.fibers[0].contains((0.3, 0.4))
-    assert validate(sys_, max_word_length=4).ok
+    assert validate(sys_).ok
 
 
 def test_build_system_shift_defaults_to_zero():

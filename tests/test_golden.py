@@ -60,19 +60,20 @@ def test_cli_stdout_is_golden(argv, digest, capsys):
 
 
 # (system name, config-file system or None for a catalog system, exit code,
-# digest of ``validate --json``): every check exact, so z2-cat passes too
+# digest of ``validate --json``, schema 2): every check exact, so z2-cat
+# passes too
 VALIDATE_GOLDEN = [
-    ("rot2", None, 0, "c35e488722566da1ff368cd7ab41ae27dc78bac59641fb301f20a943783697d7"),
-    ("rot1-trivial", None, 0, "eacca732beeb9b334afe2e32d468358a5f8466ce559ae82a32f44f0098a1aa72"),
-    ("cat-trivial", None, 0, "111ade3552356a798480beb065c5f492b278f895b291ed03b0c9cb25fdfe2e1e"),
-    ("cat2", None, 0, "72df88927b318e2352e203a29b180563d512597b953dd92649114c47308bf60f"),
-    ("mixed", None, 0, "2d9156a231c5912771bacf550f06cbd3717c61a13b062202a62f7537fef7b78c"),
-    ("z2-cat", Z2_CAT, 0, "1a40535e5e8148a5cdc85e357952c7f4f54d99b1e0968ee99f7da1cc54867882"),
-    ("zxc2-rot", ZXC2_ROT, 0, "73b481c63f5f3513b2351f1ca9ce18257428a70559ad1837d088b3bc9d9322d4"),
+    ("rot2", None, 0, "ab420d97b499c650d3dbab9f4c7852f697c591e56b637bbd5d6e7e4c0af2d51b"),
+    ("rot1-trivial", None, 0, "d5477eb3e626a1f04e0221cbcded5a466c1ec02dccd228367f40a526fea9150b"),
+    ("cat-trivial", None, 0, "2f794c9bdd6a81589a9267f6fa987d6289434c5e96a3b0c02ac7c30a5c517f86"),
+    ("cat2", None, 0, "1ac3b5481387fc086be50165c637360b4f6596430ce2020d0b71b005381d2fbb"),
+    ("mixed", None, 0, "bca7787b60719e83786ca616d0263733bddcabd90bcfeb4b20d29d5056d90f35"),
+    ("z2-cat", Z2_CAT, 0, "ac623290e877647a447885a8e485359280af26dc6d75dbaf31b4df37b8d89aff"),
+    ("zxc2-rot", ZXC2_ROT, 0, "d90331e33c3917f46317e076c65df150726dbaeea938f4dda2e8e524868761e9"),
     ("zxc3-order3", ZXC3_ORDER3, 0,
-     "06c81ee03efa0396fc3fbc7850617b8caf20f894ca16449ec635680822c04714"),
+     "5245fb251ecc01c211b29b16773260c8cf8cfa45119792294a4b1f4b7d90a5d2"),
     ("zxc2-cat2", ZXC2_CAT2, 0,
-     "c255bcad55b8a44b84327e71956eca63c077e04d68572a92929e4bc8cb1a82e8"),
+     "21e0496330b4c37e43ec7c4deca1180bb289426390ea89fb0957f11d9a33da73"),
 ]
 
 

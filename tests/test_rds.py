@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from grid_fixtures import Z2_CAT, Z_SLICED, ZXC2_ROT
-from test_catalog import SLICED
+from test_catalog import GRID_SPECS, SLICED
 from test_pseudometrics import GATE_SECONDS
 from meanrds import rds
 from meanrds.groups import GroupSpecError, parse_group
@@ -99,13 +99,22 @@ def test_cat_map_apply():
     assert fm.apply((0.0, 0.0)) == (0.0, 0.0)
 
 
+def _identity_residual(fm):
+    """Distance of a fiber map from the identity: inf if the matrix
+    differs, else the largest distance of a shift coordinate to the
+    integers."""
+    if fm.matrix != rds._identity_matrix(fm.dim):
+        return math.inf
+    return max(min(c, 1.0 - c) for c in fm.shift)
+
+
 def test_fiber_map_compose_and_inverse():
     fm = FiberMap(CAT, (0.25, 0.5))
     inv = fm.inverse()
     x = (0.37, 0.81)
     assert torus_distance(inv.apply(fm.apply(x)), x) <= 1e-15
     both = inv.compose(fm)
-    assert both.identity_residual() <= 1e-15
+    assert _identity_residual(both) <= 1e-15
     # 3x3 with determinant -1
     m3 = FiberMap(((0, 1, 0), (1, 0, 0), (0, 0, 1)), (0.1, 0.2, 0.3))
     y = (0.5, 0.25, 0.125)
@@ -148,12 +157,6 @@ def test_fiber_map_arithmetic_is_exact_then_rounded_once(matrix):
     # 1 - 2^-54 + 2^-60 lies above the midpoint of 1 - 2^-53 and 1.0, so it
     # rounds to 1.0, the point 0.0
     assert FiberMap.rotation((1 - 2**-53,)).apply((2**-54 + 2**-60,)) == (0.0,)
-
-
-def test_identity_residual_flags_shift():
-    assert FiberMap.identity(2).identity_residual() == 0.0
-    assert FiberMap.rotation((0.1,)).identity_residual() == pytest.approx(0.1)
-    assert FiberMap(CAT, (0.0, 0.0)).identity_residual() == math.inf
 
 
 def test_fiber_space_slices():
@@ -359,30 +362,113 @@ def test_integral_requires_membership_everywhere():
         eng.integral_range((0,), (4,))
 
 
+WALK_SPECS = {**GRID_SPECS, Z_SLICED["name"]: Z_SLICED}
+
+
+@pytest.mark.parametrize("name", [*catalog.names(), *WALK_SPECS])
+def test_element_walk_is_a_cocycle(name):
+    """On seeded g1, g2, w and x the walk of g2 g1 from w is the walk of g1
+    from w, then of g2 from its end, on exact numerators; the identity
+    element walks nowhere. Both follow from the relators, which validate
+    checks: this is the oracle of the walk."""
+    sys_ = catalog.build_system(WALK_SPECS[name]) if name in WALK_SPECS else catalog.load(name)
+    grp = sys_.group
+    rng = np.random.default_rng(11)
+    ident = rds._identity_matrix(sys_.dim)
+
+    def draw():
+        return tuple(int(rng.integers(-3, 4)) if k is None else int(rng.integers(0, k))
+                     for k in grp.generator_orders())
+
+    for _ in range(16):
+        g1, g2 = draw(), draw()
+        w = int(rng.integers(sys_.base.size))
+        x = rds._numerators(sys_.fibers[w].sample(rng))
+        w1, m1, mid = sys_._element_walk(g1, w, x)
+        w2, m2, end = sys_._element_walk(g2, w1, mid)
+        assert sys_._element_walk(grp.multiply(g2, g1), w, x) == (w2, rds._mat_mul(m2, m1), end)
+        assert sys_._element_walk(grp.identity(), w, x) == (w, ident, x)
+
+
 def test_validate_needs_words_of_two_letters():
-    """The word-length cap bounds no check, but the report carries it, so a
-    cap below 2 is still rejected. Z has no relator."""
-    sys_ = catalog.load("rot2")
-    for cap in (-3, 0, 1):
-        with pytest.raises(ValueError, match="max_word_length"):
-            validate(sys_, max_word_length=cap)
-    (words,) = [c for c in validate(sys_, max_word_length=2).checks if c.name == "relation-words"]
-    assert words.passed and words.detail == "0 relators checked exactly"
+    """A relator is a word of two letters or more: Z has none, Z^2 has the
+    commutator [s0, s1], and Z x C2 adds s1^2. relation-words checks
+    exactly those, on every system."""
+    for sys_, names in ((catalog.load("rot2"), []),
+                        (catalog.build_system(Z2_CAT), ["[s0, s1]"]),
+                        (catalog.build_system(ZXC2_ROT), ["[s0, s1]", "s1^2"])):
+        relators = rds._relators(sys_.group)
+        assert [name for name, _ in relators] == names
+        assert all(len(word) >= 2 for _, word in relators)
+        (words,) = [c for c in validate(sys_).checks if c.name == "relation-words"]
+        assert words.passed and words.detail == f"{len(names)} relators checked exactly"
 
 
 def test_validate_takes_bounded_time_at_any_word_length():
-    """validate checks the relators, not words up to the cap: rot2 at
-    length 24 and z2-cat pass within the gate."""
+    """validate checks the relators, not words up to some length, and takes
+    no length to bound: rot2 and z2-cat pass within the gate."""
     start = time.perf_counter()
-    rep = validate(catalog.load("rot2"), max_word_length=24)
-    assert rep.ok and rep.max_word_length == 24
+    assert validate(catalog.load("rot2")).ok
     assert validate(catalog.build_system(Z2_CAT)).ok
     assert time.perf_counter() - start < GATE_SECONDS
+    with pytest.raises(TypeError, match="max_word_length"):
+        validate(catalog.load("rot2"), max_word_length=24)
 
 
 def test_sliced_fixture_fails_only_its_domain_coverage():
+    """Generator s0 at w1 carries the slice {y = 0.75} onto {y = 0}, which
+    lies in no slice of w1: 0.25 from {y = 0.75}."""
     rep = validate(catalog.build_system(Z_SLICED))
-    assert [c.name for c in rep.checks if not c.passed] == ["fiber-domain-coverage"]
+    (row,) = [c for c in rep.checks if not c.passed]
+    assert row.name == "fiber-domain-coverage"
+    assert row.residual == 0.25 and row.detail == "generator s0 at w1"
+
+
+def _one_sliced_fiber(matrix):
+    """Z acting on one base point whose fiber is the circle {y = 1/2} of
+    T^2, by x -> matrix x."""
+    return RandomDynamicalSystem(
+        name="one-slice",
+        group=parse_group("Z"),
+        base=BaseSpace(("w0",), (1.0,), ((0,),)),
+        dim=2,
+        fibers=(FiberSpace(2, (((1, 0.5),),)),),
+        maps=((FiberMap(matrix, (0.0, 0.0)),),),
+    )
+
+
+@pytest.mark.parametrize("matrix,residual", [
+    (((1, 1), (0, 1)), 0.0),
+    (((1, 0), (1, 1)), math.inf),
+], ids=["row-1-zero-on-x", "row-1-moves-y"])
+def test_domain_coverage_is_exact_on_a_shear(matrix, residual):
+    """{y = 1/2} is carried into itself when row 1 of the matrix is 0 on the
+    free axis x, and swept over the whole torus when it is not."""
+    rep = validate(_one_sliced_fiber(matrix))
+    row = {c.name: c for c in rep.checks}["fiber-domain-coverage"]
+    assert row.residual == residual and row.passed is (residual == 0.0)
+    assert row.detail == ("" if row.passed else "generator s0 at w0")
+
+
+def test_domain_coverage_sees_a_rounding_defect():
+    """Z swaps the slices y = 0.3 and y = 0.4 by the shifts 0.1 and 0.9.
+    Up to rounding each lands on the other (the float sum 0.3 + 0.1 is
+    0.4), but exactly 0.3 + 0.1 misses 0.4 by 2^-55 and 0.4 + 0.9 - 1
+    misses 0.3 by 2^-54: coverage fails by the worse, at b."""
+    spec = {
+        "group": "Z",
+        "dim": 2,
+        "base": {"labels": ["a", "b"], "weights": [0.5, 0.5], "perms": [[1, 0]]},
+        "fibers": [{"slices": [[[1, 0.3]]]}, {"slices": [[[1, 0.4]]]}],
+        "maps": [[{"matrix": [[1, 0], [0, 1]], "shift": [0.0, 0.1]},
+                  {"matrix": [[1, 0], [0, 1]], "shift": [0.0, 0.9]}]],
+    }
+    rep = validate(catalog.build_system(spec))
+    (row,) = [c for c in rep.checks if not c.passed]
+    assert Fraction(0.3) + Fraction(0.1) - Fraction(0.4) == -Fraction(1, 2**55)
+    assert Fraction(0.4) + Fraction(0.9) - 1 - Fraction(0.3) == Fraction(1, 2**54)
+    assert row.name == "fiber-domain-coverage" and row.residual == 2**-54
+    assert row.detail == "generator s0 at b"
 
 
 @pytest.mark.parametrize("defect", [0.5, 0.25, 2**-40])
@@ -423,7 +509,7 @@ def test_validate_passes_on_z2_commuting_rotations():
             (FiberMap.rotation((math.sqrt(3) - 1,)),),
         ),
     )
-    rep = validate(sys_, max_word_length=6)
+    rep = validate(sys_)
     assert rep.ok
     assert rep.worst_residual < 1e-12
 
@@ -444,19 +530,10 @@ def test_validate_catches_noncommuting_matrices():
             (FiberMap(((1, 1), (0, 1)), (0.0, 0.0)),),
         ),
     )
-    rep = validate(sys_, max_word_length=4)
+    rep = validate(sys_)
     row = {c.name: c for c in rep.checks}["relation-words"]
     assert not row.passed and row.residual == math.inf
     assert row.detail.startswith("relator [s0, s1] at base point w0 composes to matrix")
-    assert not rep.ok
-
-
-def test_validate_catches_identity_override():
-    sys_ = catalog.load("rot1-trivial")
-    sys_.identity_maps = (FiberMap.rotation((0.1,)),)
-    rep = validate(sys_)
-    names = {c.name: c for c in rep.checks}
-    assert not names["identity-fiber-maps"].passed
     assert not rep.ok
 
 
@@ -475,7 +552,7 @@ def test_validate_catches_wrong_cyclic_order():
             (FiberMap.identity(1),) * 3,
         ),
     )
-    rep = validate(sys_, max_word_length=4)
+    rep = validate(sys_)
     names = {c.name: c for c in rep.checks}
     assert not names["base-action-relations"].passed
 
@@ -494,6 +571,7 @@ def test_validate_catches_fiber_domain_escape():
     rep = validate(sys_)
     names = {c.name: c for c in rep.checks}
     assert not names["fiber-domain-coverage"].passed
+    assert names["fiber-domain-coverage"].residual == 0.25
 
 
 def test_validate_zxc2_swap_system():
@@ -513,7 +591,7 @@ def test_validate_zxc2_swap_system():
             (FiberMap.rotation((0.25,)), FiberMap.rotation((0.75,))),
         ),
     )
-    rep = validate(sys_, max_word_length=8)
+    rep = validate(sys_)
     assert rep.ok, rep.to_text()
     assert rep.worst_residual < 1e-12
     # breaking the matching equation must be caught
@@ -528,7 +606,7 @@ def test_validate_zxc2_swap_system():
             sys_.maps[1],
         ),
     )
-    bad = validate(broken, max_word_length=4)
+    bad = validate(broken)
     names = {c.name: c for c in bad.checks}
     assert not names["relation-words"].passed
 
