@@ -8,7 +8,8 @@ produce window means that equal the pointwise value bitwise, which several
 equality tests rely on. Float addition is monotone, so pointwise-dominated
 value arrays keep dominated window sums, bitwise, under the same tree. A sum
 that overflows is +-inf, the value the estimates then report; numpy is told
-not to warn about it.
+not to warn about it, nor about the NaN of a sum that adds +inf to -inf,
+which the scans raise on.
 
 Every scan reads its profile once, over one box of group elements, and takes
 every window out of that box with :func:`window_means`, on Z and on every
@@ -120,14 +121,6 @@ def constant_mean_rows(c: np.ndarray, size: int) -> np.ndarray:
     return level / size
 
 
-def constant_mean(c: float, size: int) -> float:
-    """The mean of ``size`` copies of c: :func:`constant_mean_rows` of c,
-    which on a power-of-two size is (c * size) / size, with no array."""
-    if size & (size - 1):
-        return float(constant_mean_rows(np.asarray([c], dtype=np.float64), size)[0])
-    return (c * size) / size
-
-
 def window_means(box: np.ndarray, starts, windows) -> list[np.ndarray]:
     """For each window shape of ``windows``, the means of ``box`` over the
     windows of that shape at the starts, in order.
@@ -171,7 +164,8 @@ def window_means(box: np.ndarray, starts, windows) -> list[np.ndarray]:
     last, k = box, 1
     out = [None] * len(windows)
     runs = {}  # later widths whose product is not a power of two -> their windows
-    with np.errstate(over="ignore"):  # an overflow is +-inf (module docstring)
+    # an overflow is +-inf, and +inf plus -inf is NaN, which the scans raise on
+    with np.errstate(over="ignore", invalid="ignore"):
         for i, win in enumerate(windows):
             size = math.prod(win)
             later = size // win[0]  # a power of two when every later width is one

@@ -20,18 +20,16 @@ pair that reaches eps, so a delta's draws do not depend on how many of its
 pairs are measured. A row's draws are made in one pass, ``_draw_row``,
 which takes the random stream of n single pair draws.
 
-Every probe, and the region search, reads only the value of each scan
-(``pseudometrics._banach_value`` and ``_sup_fiber_value``, bitwise the
-``.value`` of ``banach_mean``, ``banach_upper_density``, ``fiber_weyl`` and
-``sup_fiber_weyl``); estimate records are built only for reports. A
-modulus-probe pair gets its profile from ``pair_source``, except on a
-system whose support fibers are all constant (isometric): there every sup
-profile is the pair's constant ``fold_norm(torus_delta(x, y))``, and a
-whole row of pairs is measured in one numpy pass from the same draws
-(``_row_norms``, ``pseudometrics._constant_banach_values``), with the bits,
-stop, counts and chain check of the pair loop. There a sensitivity
-candidate's value is the least window mean of its pair's norm, with no
-engine.
+Every probe, and the region search, reads the ``value`` of the estimates
+that reports print: ``banach_mean``, ``banach_upper_density``,
+``fiber_weyl`` and ``sup_fiber_weyl``. A modulus-probe pair gets its
+profile from ``pair_source``, except on a system whose support fibers are
+all constant (isometric): there every sup profile is the pair's constant
+``fold_norm(torus_delta(x, y))``, and a whole row of pairs is measured in
+one numpy pass from the same draws (``_row_norms``,
+``pseudometrics._constant_banach_values``), with the bits, stop, counts and
+chain check of the pair loop. There a sensitivity candidate's value is the
+least window mean of its pair's norm, with no engine.
 
 The verdict is "wme-evidence" or "sensitive-evidence" only when exactly one
 side holds; anything else is "inconclusive" with an escalation suggestion.
@@ -48,16 +46,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import separation_set
+from .density import banach_upper_density, separation_set
 from .pseudometrics import (
     EstimatorConfig,
-    _banach_value,
     _check_field_types,
     _constant_banach_values,
     _constant_means,
     _scan_plan,
-    _sup_fiber_value,
+    banach_mean,
+    fiber_weyl,
     pair_source,
+    sup_fiber_weyl,
 )
 from .rds import (
     DTILDE_CONVENTION,
@@ -342,7 +341,7 @@ def wme_test(
     """Modulus search: largest grid delta keeping all pair separations < eps."""
 
     def measure(x, y, eps):
-        return _banach_value(pair_source(system, x, y, "sup"), cfg)
+        return banach_mean(pair_source(system, x, y, "sup"), cfg).value
 
     def measure_row(c, eps):
         return _measured(_constant_banach_values(system.group, c, cfg), eps).tolist()
@@ -371,8 +370,8 @@ def mean_l_stable_test(
 
     def measure(x, y, eps):
         src = pair_source(system, x, y, "sup")
-        bd = _banach_value(separation_set(src, eps), cfg)
-        check(eps, bd, _banach_value(src, cfg))
+        bd = banach_upper_density(separation_set(src, eps), cfg).value
+        check(eps, bd, banach_mean(src, cfg).value)
         return bd
 
     def measure_row(c, eps):
@@ -424,7 +423,7 @@ def sensitivity_test(
                 tried += 1
                 y = fs.sample_near(x, eps, rng)
                 if plan is None:
-                    v = _sup_fiber_value(system, x, y, cfg)
+                    v = sup_fiber_weyl(system, x, y, cfg).value
                 else:
                     v = min(_constant_means(torus_distance(x, y), plan))
                 if v > ccfg.delta0:
@@ -468,7 +467,7 @@ def equicontinuity_region(
             ok = True
             for _ in range(ccfg.candidate_budget):
                 y = fs.sample_near(x, delta, rng)
-                if _banach_value(pair_source(system, x, y, "fiber", idx), cfg) >= eps:
+                if fiber_weyl(system, x, y, idx, cfg).value >= eps:
                     ok = False
                     break
             if ok:

@@ -21,6 +21,8 @@ starts from -inf (outer max) or +inf (outer min) at the first scanned window
 with no translate, so when no mean beats that start (every mean +inf under an
 outer min, as for a pair with no common fiber) the estimate reports the first
 scanned window and translate None. Untranslated scans report translate None.
+A window whose sum adds +inf to -inf has a NaN mean, which no pick can
+order, so a scan that reads one raises ValueError.
 
 Profiles come either from a pair of points in a system (sup over admissible
 fibers, a single fiber, or the weighted fiber average) or from synthetic
@@ -44,16 +46,16 @@ answers from the plan's window sizes, before the window loop: when every
 size is a power of two and c times the largest does not overflow, every
 window mean is c, the bits the table gives on a constant box; otherwise
 (an overflow, a cap that is not a power of two, a cyclic factor such as C3)
-each mean comes from :func:`_windows.constant_mean`. Every translate ties,
-so the first of the ball is picked, and the first extreme mean, taken
+each mean comes from :func:`_windows.constant_mean_rows`. Every translate
+ties, so the first of the ball is picked, and the first extreme mean, taken
 strictly against the start, picks the window the tie and start rules pick.
 
 Estimates carry their schedule, the attained window and translate, and a
 truncation note; the Banach-style scans are heuristic two-sided truncations
-and are labeled as such. The scan itself, ``_pick``, returns the value, window
-and translate; ``_scan`` wraps them in a record. The classify probes read only
-values, through ``_banach_value`` and ``_sup_fiber_value``, so records, with
-their notes and relabels, are built only for reports; a row of constant
+and are labeled as such. The one scan, ``_scan``, builds each estimate with
+its final kind and note; only ``weyl`` relabels a ``banach`` scan it reuses,
+and ``sup-fiber-weyl`` the fiber estimate it picks. The classify probes read
+the ``value`` of these same estimates, except that a row of constant
 profiles takes its values from ``_constant_banach_values`` in one pass.
 """
 
@@ -364,25 +366,16 @@ def _constant_means(c: float, plan: _ScanPlan) -> list[float]:
     size, which is c itself unless c * size overflows: scaling by 2^k and
     back is exact. The largest size overflows first, so one check covers
     the plan. Any other plan, or an overflow, takes each mean from
-    :func:`_windows.constant_mean`."""
+    :func:`_windows.constant_mean_rows`."""
     if plan.dyadic and math.isfinite(c * plan.sizes[-1]):
         return [c] * len(plan.sizes)
-    return [_windows.constant_mean(c, size) for size in plan.sizes]
+    return [float(_windows.constant_mean_rows(c, size)) for size in plan.sizes]
 
 
-def _picked_means(source: ValueSource, plan: _ScanPlan, inner):
-    """For each scanned window index n of the plan, yield n, the ``inner``
-    pick (max or min) of its means over the ball, and the index of the
-    picked translate in the ball."""
-    for n, means in _window_means(source, plan):
-        k = int(means.argmax() if inner is max else means.argmin())
-        yield n, float(means[k]), k
-
-
-def _pick(source: ValueSource, cfg: EstimatorConfig, *, outer, inner=None,
-          tail: bool = False):
-    """The one min-max window scan behind every estimator and density,
-    returning (plan, value, window, translate) with no record.
+def _scan(source: ValueSource, cfg: EstimatorConfig, kind: str, note: str, *,
+          outer, inner=None, tail: bool = False) -> PseudometricEstimate:
+    """The one min-max window scan behind every estimator and density, as
+    an estimate of the given kind and truncation note.
 
     Scans the tail of the n_max schedule when ``tail`` is set, else the whole
     m_max schedule. ``inner`` (max or min) picks over the ball translates of
@@ -390,8 +383,9 @@ def _pick(source: ValueSource, cfg: EstimatorConfig, *, outer, inner=None,
     0); ``outer`` (max or min) picks over the windows. The schedule, ball and
     box come from one cached :func:`_scan_plan`. The tie and start rules are
     in the module docstring. A constant source is answered before the window
-    loop, from the plan's sizes; only the fallback of :func:`_constant_means`
-    calls :func:`_windows.constant_mean`.
+    loop, from the plan's sizes. A picked mean that is NaN, a window sum
+    that adds +inf to -inf, raises ValueError: argmax and argmin pick the
+    first NaN of the means, so no window holding one is passed over.
     """
     plan = _scan_plan(source.group, cfg.n_max if tail else cfg.m_max,
                       cfg.tail_fraction if tail else None,
@@ -405,18 +399,15 @@ def _pick(source: ValueSource, cfg: EstimatorConfig, *, outer, inner=None,
             value, window = means[k], plan.scanned[k]
             translate = None if inner is None else plan.ball[0]
     else:
-        for n, mean, k in _picked_means(source, plan, inner):
+        for n, means in _window_means(source, plan):
+            k = int(means.argmax() if inner is max else means.argmin())
+            mean = float(means[k])
+            if math.isnan(mean):
+                raise ValueError(f"profile {source.label!r} has a NaN mean over window {n}: "
+                                 "its sum adds +inf to -inf")
             if better(mean, value):
                 value, window = mean, n
                 translate = None if inner is None else plan.ball[k]
-    return plan, value, window, translate
-
-
-def _scan(source: ValueSource, cfg: EstimatorConfig, kind: str, note: str, *,
-          outer, inner=None, tail: bool = False) -> PseudometricEstimate:
-    """The estimate of :func:`_pick`'s scan, with its schedule, tail start,
-    truncation note and source label."""
-    plan, value, window, translate = _pick(source, cfg, outer=outer, inner=inner, tail=tail)
     return PseudometricEstimate(
         kind=kind,
         value=value,
@@ -429,16 +420,10 @@ def _scan(source: ValueSource, cfg: EstimatorConfig, kind: str, note: str, *,
     )
 
 
-def _banach_value(source: ValueSource, cfg: EstimatorConfig) -> float:
-    """The value of ``banach_mean(source, cfg)``, with no record; on an
-    indicator it is that of ``density.banach_upper_density``, the same scan."""
-    return _pick(source, cfg, outer=min, inner=max)[1]
-
-
 def _constant_banach_values(group: AmenableGroup, c: np.ndarray,
                             cfg: EstimatorConfig) -> np.ndarray:
-    """For each entry c of the array, the ``_banach_value`` of a source on
-    ``group`` known to be the constant c, with the same bits: the least of
+    """For each entry c of the array, the ``banach_mean`` value of a source
+    on ``group`` known to be the constant c, with the same bits: the least of
     its :func:`_constant_means`, which is c itself on a dyadic plan unless a
     finite c times the largest size overflows."""
     plan = _scan_plan(group, cfg.m_max, None, cfg.search_radius, cfg.element_budget)
@@ -452,9 +437,13 @@ def _as_weyl(est: PseudometricEstimate, kind: str) -> PseudometricEstimate:
     return dataclasses.replace(est, kind=kind, truncation_note=est.truncation_note + WEYL_NOTE)
 
 
+def _besicovitch(source: ValueSource, cfg: EstimatorConfig, kind: str) -> PseudometricEstimate:
+    return _scan(source, cfg, kind, BESICOVITCH_NOTE, outer=max, tail=True)
+
+
 def besicovitch_mean(source: ValueSource, cfg: EstimatorConfig) -> PseudometricEstimate:
     """Tail max of untranslated window means."""
-    return _scan(source, cfg, "besicovitch", BESICOVITCH_NOTE, outer=max, tail=True)
+    return _besicovitch(source, cfg, "besicovitch")
 
 
 def banach_mean(source: ValueSource, cfg: EstimatorConfig) -> PseudometricEstimate:
@@ -508,17 +497,16 @@ def weyl_separation(system, x, y, cfg) -> PseudometricEstimate:
 
 
 def _fiber_weyl(source: ValueSource, cfg) -> PseudometricEstimate:
-    return _as_weyl(banach_mean(source, cfg), "fiber-weyl")
+    note = BANACH_NOTE.format(m=cfg.m_max, r=cfg.search_radius) + WEYL_NOTE
+    return _scan(source, cfg, "fiber-weyl", note, outer=min, inner=max)
 
 
 def integral_besicovitch(system, x, y, cfg) -> PseudometricEstimate:
-    est = besicovitch_mean(pair_source(system, x, y, "integral"), cfg)
-    return dataclasses.replace(est, kind="integral-besicovitch")
+    return _besicovitch(pair_source(system, x, y, "integral"), cfg, "integral-besicovitch")
 
 
 def fiber_besicovitch(system, x, y, omega, cfg) -> PseudometricEstimate:
-    est = besicovitch_mean(pair_source(system, x, y, "fiber", omega), cfg)
-    return dataclasses.replace(est, kind="fiber-besicovitch")
+    return _besicovitch(pair_source(system, x, y, "fiber", omega), cfg, "fiber-besicovitch")
 
 
 def fiber_weyl(system, x, y, omega, cfg) -> PseudometricEstimate:
@@ -542,27 +530,17 @@ def _sup_of_fiber_weyls(estimates) -> PseudometricEstimate:
     return dataclasses.replace(best, kind="sup-fiber-weyl")
 
 
-def _sup_fiber_value(system, x, y, cfg) -> float:
-    """The value of ``sup_fiber_weyl(system, x, y, cfg)``, with no record:
-    the maximum of the fiber Banach values, read from one engine, or 0.0
-    when no fiber holds both points. When every fiber holding both is
-    constant, each has the profile ``norm0`` and the same plan, hence the
-    same value, so the first one's scan answers for all."""
+def sup_fiber_weyl(system, x, y, cfg) -> PseudometricEstimate:
+    """First maximum of the fiber Weyl estimates over support fibers holding
+    both points, all read from one engine; a conservative 0 with a note when
+    no fiber holds both. When every fiber holding both is constant, each has
+    the profile ``norm0`` and the same plan, hence the same value, so the
+    first one's scan, the first maximum, answers for all."""
     engine = PairEngine(system, x, y)
     fibers = engine.admissible
     if engine.dtilde_constant() is not None:
         fibers = fibers[:1]
-    return max((_banach_value(_fiber_source(engine, i), cfg) for i in fibers), default=0.0)
-
-
-def sup_fiber_weyl(system, x, y, cfg) -> PseudometricEstimate:
-    """First maximum of the fiber Weyl estimates over support fibers holding
-    both points, all read from one engine; a conservative 0 with a note when
-    no fiber holds both."""
-    engine = PairEngine(system, x, y)
-    return _sup_of_fiber_weyls(
-        _fiber_weyl(_fiber_source(engine, i), cfg) for i in engine.admissible
-    )
+    return _sup_of_fiber_weyls(_fiber_weyl(_fiber_source(engine, i), cfg) for i in fibers)
 
 
 def pair_summary(system, x, y, cfg) -> dict[str, PseudometricEstimate]:
@@ -578,12 +556,12 @@ def pair_summary(system, x, y, cfg) -> dict[str, PseudometricEstimate]:
     out["banach"] = banach_mean(sup, cfg)
     out["weyl"] = _as_weyl(out["banach"], "weyl")
     if engine.admissible == system.base.support:
-        integral = besicovitch_mean(_engine_source(engine, "integral"), cfg)
-        out["integral-besicovitch"] = dataclasses.replace(integral, kind="integral-besicovitch")
+        integral = _engine_source(engine, "integral")
+        out["integral-besicovitch"] = _besicovitch(integral, cfg, "integral-besicovitch")
     fibers = []
     for i in engine.admissible:
         src = _fiber_source(engine, i)
-        fb = dataclasses.replace(besicovitch_mean(src, cfg), kind="fiber-besicovitch")
+        fb = _besicovitch(src, cfg, "fiber-besicovitch")
         fibers.append((system.base.labels[i], fb, _fiber_weyl(src, cfg)))
     out["sup-fiber-weyl"] = _sup_of_fiber_weyls(fw for _, _, fw in fibers)
     for label, fb, fw in fibers:

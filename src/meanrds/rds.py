@@ -26,9 +26,9 @@ the scans then read nothing (see :mod:`meanrds.pseudometrics`); a box read
 of it is that value repeated, without a walk.
 Outside the walks, maps and points compose in exact arithmetic: every float
 is an integer multiple of 2^-1074, so a coordinate mod 1 is held as an int
-numerator over 2^1074, and matrix entries are Python ints. ``FiberMap``'s
-``apply``, ``compose`` and ``inverse`` and the system's ``element_map`` and
-``apply`` round their result once, correctly; :func:`validate` compares
+numerator over 2^1074, and matrix entries are Python ints. One exact walk
+of a group word, ``_walk_word``, serves the system's ``apply``, which
+rounds its result once, correctly, and :func:`validate`, which compares
 numerators, so its checks of the cocycle and the fiber domains are exact.
 """
 
@@ -254,16 +254,6 @@ class FiberMap:
         object.__setattr__(self, "shift", tuple(_mod1(_finite(s, "shift")) for s in self.shift))
 
     @classmethod
-    def _unchecked(cls, matrix, shift) -> "FiberMap":
-        """A map from an int matrix tuple of det +-1 and shifts in [0, 1),
-        built without the checks of ``__post_init__``: the product and
-        inverse of checked maps are valid by construction."""
-        fm = object.__new__(cls)
-        object.__setattr__(fm, "matrix", matrix)
-        object.__setattr__(fm, "shift", shift)
-        return fm
-
-    @classmethod
     def identity(cls, dim: int) -> "FiberMap":
         return cls(_identity_matrix(dim), (0.0,) * dim)
 
@@ -275,21 +265,6 @@ class FiberMap:
     @property
     def dim(self) -> int:
         return len(self.matrix)
-
-    def apply(self, x) -> tuple[float, ...]:
-        """Mx + c mod 1, rounded once."""
-        return _rounded(_affine(self.matrix, _numerators(x), _numerators(self.shift)))
-
-    def compose(self, other: "FiberMap") -> "FiberMap":
-        """self after other: shift Mc' + c mod 1, rounded once."""
-        shift = _affine(self.matrix, _numerators(other.shift), _numerators(self.shift))
-        return FiberMap._unchecked(_mat_mul(self.matrix, other.matrix), _rounded(shift))
-
-    def inverse(self) -> "FiberMap":
-        """x -> M^-1 (x - c): shift -M^-1 c mod 1, rounded once."""
-        inv = _mat_inverse(self.matrix)
-        shift = _affine(inv, [-n for n in _numerators(self.shift)], (0,) * self.dim)
-        return FiberMap._unchecked(inv, _rounded(shift))
 
 
 # ---------------------------------------------------------------------------
@@ -660,12 +635,6 @@ class RandomDynamicalSystem:
         g = self.group.check_element(g)
         word = [(i, 1 if s > 0 else -1) for i, s in enumerate(g) for _ in range(abs(s))]
         return self._walk_word(omega_idx, word, _identity_matrix(self.dim), x)
-
-    def element_map(self, g, omega_idx: int) -> FiberMap:
-        """Cocycle map F_{g, w} along the canonical coordinate path, its
-        shift rounded once."""
-        _, mat, shift = self._element_walk(g, omega_idx, (0,) * self.dim)
-        return FiberMap._unchecked(mat, _rounded(shift))
 
     def apply(self, g, omega, x) -> tuple[float, ...]:
         """Fiber image F_{g, w} x, rounded once."""

@@ -20,7 +20,7 @@ from meanrds.classify import (
     sensitivity_test,
     wme_test,
 )
-from meanrds.pseudometrics import EstimatorConfig, sup_fiber_weyl
+from meanrds.pseudometrics import EstimatorConfig, pair_summary, sup_fiber_weyl
 
 CFG = EstimatorConfig(n_max=1024, m_max=256, search_radius=16)
 CCFG = ClassifierConfig(
@@ -295,19 +295,19 @@ def test_constant_modulus_rows_build_no_engine(monkeypatch):
 
 @pytest.mark.parametrize("name,scans", [("rot2", 1), ("mixed", 2)])
 def test_sup_fiber_value_scans_constant_fibers_once(name, scans, monkeypatch):
-    """Constant fibers share norm0 and the plan, so rot2's two fibers take
-    one scan; mixed scans both of its fibers. The value is that of
-    sup_fiber_weyl, bitwise."""
+    """Constant fibers share norm0 and the plan, so sup_fiber_weyl scans
+    one of rot2's two fibers; it scans both of mixed's. The estimate is the
+    one pair_summary picks from the scans of every fiber, bitwise."""
     system = catalog.load(name)
     picks = []
-    pick = pseudometrics._pick
-    monkeypatch.setattr(pseudometrics, "_pick", lambda *a, **k: picks.append(1) or pick(*a, **k))
+    scan = pseudometrics._scan
+    monkeypatch.setattr(pseudometrics, "_scan", lambda *a, **k: picks.append(1) or scan(*a, **k))
     for x, y in (((0.1,) * system.dim, (0.13,) * system.dim),
                  ((0.9,) * system.dim, (0.2,) * system.dim)):
         picks.clear()
-        value = pseudometrics._sup_fiber_value(system, x, y, CFG)
+        est = sup_fiber_weyl(system, x, y, CFG)
         assert len(picks) == scans
-        assert value.hex() == sup_fiber_weyl(system, x, y, CFG).value.hex()
+        assert repr(est) == repr(pair_summary(system, x, y, CFG)["sup-fiber-weyl"])
 
 
 def test_report_tables_equal_asdict():

@@ -514,3 +514,19 @@ def test_overflowing_window_sums_are_silent(spec, caps):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == OVERFLOW_ESTIMATES.format(spec=f"synthetic:{spec}")
+
+
+@pytest.mark.parametrize("spec,window", [
+    ("periodic:-inf,inf", 2),
+    ("periodic:1e308,1e308,-1e308,-1e308", 4),
+])
+def test_nan_window_means_exit_one(spec, window):
+    """A window sum that adds +inf to -inf is an error naming the profile
+    and the window, exit 1, with nothing on stdout and no numpy warning."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "meanrds", "estimate", "--system", f"synthetic:{spec}"],
+        capture_output=True, text=True, cwd=PACKAGE_ROOT,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (f"meanrds: error: profile '{spec}' has a NaN mean over window "
+                           f"{window}: its sum adds +inf to -inf\n")

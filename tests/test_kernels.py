@@ -129,7 +129,7 @@ def _reference_walk(system, omega, delta, lo, hi):
     w, d = omega, delta
     for t in range(-1, lo - 1, -1):
         w = system.base.act_generator(0, w, -1)
-        d = _row_step(system.maps[0][w].inverse().matrix, d)
+        d = _row_step(rds._mat_inverse(system.maps[0][w].matrix), d)
         vals[t] = fold_norm(d)
     return np.asarray([vals[t] for t in range(lo, hi)], dtype=np.float64)
 
@@ -183,7 +183,7 @@ def _reference_element(system, omega, delta, g):
                 w = system.base.act_generator(i, w, 1)
             else:
                 w = system.base.act_generator(i, w, -1)
-                d = _row_step(system.maps[i][w].inverse().matrix, d)
+                d = _row_step(rds._mat_inverse(system.maps[i][w].matrix), d)
     return fold_norm(d)
 
 
@@ -742,12 +742,12 @@ CONSTANTS = (0.0, -0.0, 5e-324, 0.1, 1 / 3, 0.3125, math.sqrt(0.75), 1e308, -1e3
 def test_constant_mean_rows_is_the_tree_on_constant_rows(size):
     """The O(log size) mean of a constant row has the bits of the tree over
     the whole row, through signed zero, a subnormal, overflow and
-    infinities; constant_mean agrees on each value."""
+    infinities, in an array of constants and on each value alone."""
     c = np.asarray(CONSTANTS)
     want = tree_mean_rows(np.repeat(c[:, None], size, axis=1)).tolist()
     got = _windows.constant_mean_rows(c, size).tolist()
     assert list(map(float.hex, got)) == list(map(float.hex, want))
-    singles = [_windows.constant_mean(v, size) for v in CONSTANTS]
+    singles = [float(_windows.constant_mean_rows(v, size)) for v in CONSTANTS]
     assert list(map(float.hex, singles)) == list(map(float.hex, want))
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -390,8 +391,10 @@ VALUE_SYSTEMS = [catalog.load(n) for n in catalog.names()] + [
 
 @pytest.mark.parametrize("system", VALUE_SYSTEMS, ids=lambda s: s.name)
 def test_value_picks_equal_their_records(system):
-    """The values the classify probes read equal, by repr, the values of the
-    records that reports build, each from its own engine."""
+    """The values the classify probes read, each from its own engine, equal
+    by repr those of the records one pair summary builds from one engine,
+    and each separation-set density the mean-L probe reads keeps the chain
+    eps * density <= banach that it checks."""
     if system.group.rank == 1:
         cfg = EstimatorConfig(n_max=1024, m_max=256, search_radius=16)
     else:
@@ -400,15 +403,14 @@ def test_value_picks_equal_their_records(system):
     fs = system.fibers[system.base.support[0]]
     x = fs.sample(rng)
     for y in (fs.sample_near(x, 1e-3, rng), fs.sample(rng)):
+        summary = pair_summary(system, x, y, cfg)
         ban = banach_mean(pair_source(system, x, y), cfg).value
-        assert repr(pseudometrics._banach_value(pair_source(system, x, y), cfg)) == repr(ban)
+        assert repr(ban) == repr(summary["banach"].value)
         assert 0.0 < ban < math.inf
         for eps in (ban / 2, ban, 2 * ban):
-            record = banach_upper_density(separation_set(pair_source(system, x, y), eps), cfg)
-            value = pseudometrics._banach_value(separation_set(pair_source(system, x, y), eps), cfg)
-            assert repr(value) == repr(record.value)
-        assert repr(pseudometrics._sup_fiber_value(system, x, y, cfg)) == \
-            repr(sup_fiber_weyl(system, x, y, cfg).value)
+            density = banach_upper_density(separation_set(pair_source(system, x, y), eps), cfg)
+            assert eps * density.value <= ban + cfg.tolerance
+        assert repr(sup_fiber_weyl(system, x, y, cfg)) == repr(summary["sup-fiber-weyl"])
 
 
 def test_value_pick_cases_include_read_profiles():
@@ -421,11 +423,14 @@ def test_value_pick_cases_include_read_profiles():
 
 
 def test_sup_fiber_value_with_no_common_fiber_is_zero():
+    """With no fiber holding both points, sup_fiber_weyl reports the empty
+    sup, 0.0, with the record pair_summary gives it."""
     sys_ = _sliced_system()
     cfg = EstimatorConfig(n_max=64, m_max=16, search_radius=4)
     assert sys_.admissible_fibers((0.25,), (0.5,)) == ()
-    value = pseudometrics._sup_fiber_value(sys_, (0.25,), (0.5,), cfg)
-    assert repr(value) == repr(sup_fiber_weyl(sys_, (0.25,), (0.5,), cfg).value) == "0.0"
+    est = sup_fiber_weyl(sys_, (0.25,), (0.5,), cfg)
+    assert repr(est.value) == "0.0"
+    assert repr(est) == repr(pair_summary(sys_, (0.25,), (0.5,), cfg)["sup-fiber-weyl"])
 
 
 def _disjoint_system():
@@ -585,7 +590,7 @@ def _assert_closed_form_is_the_table_read(src, cfg):
     assert repr(mean_curves(hidden, cfg)) == repr((sched, untranslated, translated))
     plan = pseudometrics._scan_plan(src.group, cfg.m_max, None, cfg.search_radius,
                                     cfg.element_budget)
-    want = [_windows.constant_mean(src.constant, math.prod(w)) for w in plan.windows]
+    want = [float(_windows.constant_mean_rows(src.constant, math.prod(w))) for w in plan.windows]
     assert repr(untranslated) == repr(translated) == repr(want)
 
 
@@ -663,6 +668,27 @@ def test_synthetic_constants_scan_in_closed_form(spec):
         _assert_closed_form_is_the_table_read(src, c)
 
 
+# the windows of the first NaN mean the besicovitch and banach scans pick at
+# the default caps (a sum adds +inf to -inf from width 2 on one, from width
+# 4 on the other), and the banach value at m_max 1, whose one window has none
+NAN_WINDOWS = {"periodic:-inf,inf": (64, 2, math.inf),
+               "periodic:1e308,1e308,-1e308,-1e308": (64, 4, 1e308)}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec", NAN_WINDOWS)
+def test_nan_window_means_raise(spec):
+    """A scan that picks a NaN window mean raises, naming the profile and
+    the window, with no numpy warning; a scan of earlier windows does not."""
+    src = synthetic_source(spec)
+    *windows, first = NAN_WINDOWS[spec]
+    for scan, window in zip((besicovitch_mean, banach_mean), windows):
+        with pytest.raises(ValueError, match=(
+                f"^profile '{re.escape(spec)}' has a NaN mean over window {window}: ")):
+            scan(src, EstimatorConfig())
+    assert banach_mean(src, EstimatorConfig(m_max=1)).value == first
+
+
 class _Constant(pseudometrics.ValueSource):
     """The profile c at every element of a group, known to be constant."""
 
@@ -688,12 +714,12 @@ def test_edge_constants_scan_in_closed_form(spec, cfg, c, monkeypatch):
     """Signed zero, a subnormal, overflow and infinities, on power-of-two and
     other windows: the closed form is the table read, bitwise. Only a plan
     whose sizes are all powers of two, with c * top finite, skips
-    ``constant_mean``."""
+    ``constant_mean_rows``."""
     src = _Constant(spec, c)
     _assert_closed_form_is_the_table_read(src, cfg)
     sizes = []
-    real = _windows.constant_mean
-    monkeypatch.setattr(_windows, "constant_mean",
+    real = _windows.constant_mean_rows
+    monkeypatch.setattr(_windows, "constant_mean_rows",
                         lambda c, size: sizes.append(size) or real(c, size))
     for scan in _SCANS:
         scan(src, cfg)
@@ -713,7 +739,7 @@ def test_constant_banach_values_are_the_scans(spec, cfg):
     the array."""
     for consts in ((0.0, 0.1, 0.3125, math.sqrt(0.75)), EDGE_CONSTANTS):
         got = pseudometrics._constant_banach_values(parse_group(spec), np.asarray(consts), cfg)
-        want = [pseudometrics._banach_value(_Constant(spec, c), cfg) for c in consts]
+        want = [banach_mean(_Constant(spec, c), cfg).value for c in consts]
         assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
 
 

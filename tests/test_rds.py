@@ -66,59 +66,12 @@ def test_mod_one_never_returns_one():
     assert eng.fiber_range(0, (-3,), (4,)).tolist() == [0.0] * 7
 
 
-def test_composed_maps_are_not_rechecked(monkeypatch):
-    """compose and inverse build their result without FiberMap's checks,
-    with the fields the checked constructor would give."""
-    a = FiberMap(CAT, (0.25, 0.5))
-    b = FiberMap(((0, 1), (1, 0)), (0.75, 1 - 2**-53))
-    m3 = FiberMap(((0, 1, 0), (1, 0, 0), (0, 0, 1)), (0.1, 0.2, 0.3))
-    checks = []
-    post_init = FiberMap.__post_init__
-    monkeypatch.setattr(FiberMap, "__post_init__", lambda fm: checks.append(fm))
-    made = [a.compose(b), b.compose(a), a.inverse(), b.inverse(),
-            a.inverse().compose(a), m3.inverse(), m3.compose(m3)]
-    assert checks == []
-    monkeypatch.setattr(FiberMap, "__post_init__", post_init)
-    for fm in made:
-        assert FiberMap(fm.matrix, fm.shift) == fm
-        assert all(type(v) is int for row in fm.matrix for v in row)
-        assert all(0.0 <= c < 1.0 for c in fm.shift)
-
-
 def test_fiber_map_requires_unimodular():
     FiberMap(CAT, (0.0, 0.0))
     with pytest.raises(SystemSpecError):
         FiberMap(((2, 0), (0, 1)), (0.0, 0.0))
     with pytest.raises(SystemSpecError):
         FiberMap(((1, 0.5), (0, 1)), (0.0, 0.0))
-
-
-def test_cat_map_apply():
-    fm = FiberMap(CAT, (0.0, 0.0))
-    assert fm.apply((0.5, 0.5)) == (0.5, 0.0)
-    assert fm.apply((0.0, 0.0)) == (0.0, 0.0)
-
-
-def _identity_residual(fm):
-    """Distance of a fiber map from the identity: inf if the matrix
-    differs, else the largest distance of a shift coordinate to the
-    integers."""
-    if fm.matrix != rds._identity_matrix(fm.dim):
-        return math.inf
-    return max(min(c, 1.0 - c) for c in fm.shift)
-
-
-def test_fiber_map_compose_and_inverse():
-    fm = FiberMap(CAT, (0.25, 0.5))
-    inv = fm.inverse()
-    x = (0.37, 0.81)
-    assert torus_distance(inv.apply(fm.apply(x)), x) <= 1e-15
-    both = inv.compose(fm)
-    assert _identity_residual(both) <= 1e-15
-    # 3x3 with determinant -1
-    m3 = FiberMap(((0, 1, 0), (1, 0, 0), (0, 0, 1)), (0.1, 0.2, 0.3))
-    y = (0.5, 0.25, 0.125)
-    assert torus_distance(m3.inverse().apply(m3.apply(y)), y) <= 1e-15
 
 
 def _exact_image(mat, x, c):
@@ -131,6 +84,19 @@ def _exact_image(mat, x, c):
     return tuple(out)
 
 
+def _one_point_system(fm):
+    """Z acting on one base point, whose full-torus fiber the generator
+    maps by fm."""
+    return RandomDynamicalSystem(
+        name="one-point",
+        group=parse_group("Z"),
+        base=BaseSpace(("w0",), (1.0,), ((0,),)),
+        dim=fm.dim,
+        fibers=(FiberSpace.full(fm.dim),),
+        maps=((fm,),),
+    )
+
+
 @pytest.mark.parametrize("matrix", [
     CAT,
     ((1, 1), (0, 1)),
@@ -138,25 +104,26 @@ def _exact_image(mat, x, c):
     ((1, 1, 0), (1, 2, 1), (0, 1, 2)),
 ], ids=["cat", "shear", "swap3", "hyperbolic3"])
 def test_fiber_map_arithmetic_is_exact_then_rounded_once(matrix):
-    """apply, compose and inverse give the exact result rounded once, as a
-    Fraction oracle computes it, on random points and shifts and on ones
-    whose image rounds to 1.0."""
+    """The system's apply, at the generator and at its inverse, gives the
+    exact image rounded once, as a Fraction oracle computes it, on random
+    points and shifts and on ones whose image rounds to 1.0."""
     n = len(matrix)
+    inv = rds._mat_inverse(matrix)
+    assert rds._mat_mul(inv, matrix) == rds._identity_matrix(n)
     rng = np.random.default_rng(3)
     draws = [tuple(rng.random(n).tolist()) for _ in range(40)]
     draws += [tuple(rng.uniform(-1e6, 1e6, n).tolist()) for _ in range(10)]
     draws += [(1 - 2**-53,) * n, (2**-54 + 2**-60,) * n, (5e-324,) * n, (0.0,) * n]
     for c, x in zip(draws, draws[1:] + draws[:1]):
-        fm = FiberMap(matrix, c)
-        assert fm.apply(x) == _exact_image(matrix, x, fm.shift)
-        other = FiberMap(matrix, x)
-        assert fm.compose(other).shift == _exact_image(matrix, other.shift, fm.shift)
-        inv = fm.inverse()
-        assert rds._mat_mul(inv.matrix, matrix) == rds._identity_matrix(n)
-        assert inv.shift == _exact_image(inv.matrix, [-v for v in fm.shift], (0.0,) * n)
+        system = _one_point_system(FiberMap(matrix, c))
+        shift = system.maps[0][0].shift  # c mod 1
+        assert system.apply((1,), "w0", x) == _exact_image(matrix, x, shift)
+        back = [Fraction(v) - Fraction(s) for v, s in zip(x, shift)]
+        assert system.apply((-1,), "w0", x) == _exact_image(inv, back, (0,) * n)
     # 1 - 2^-54 + 2^-60 lies above the midpoint of 1 - 2^-53 and 1.0, so it
     # rounds to 1.0, the point 0.0
-    assert FiberMap.rotation((1 - 2**-53,)).apply((2**-54 + 2**-60,)) == (0.0,)
+    rotation = _one_point_system(FiberMap.rotation((1 - 2**-53,)))
+    assert rotation.apply((1,), "w0", (2**-54 + 2**-60,)) == (0.0,)
 
 
 def test_fiber_space_slices():

@@ -23,6 +23,9 @@ def test_tracer_installs_and_uninstalls():
         assert cli.main is not main and rds.PairEngine.fiber_range is not fiber_range
         # classify.pair_evals counts the probes' calls of this name
         assert "meanrds.classify.pair_source" not in tracer.missing
+        # the probes' scans are timed through the estimators they call
+        for name in ("banach_mean", "banach_upper_density", "sup_fiber_weyl", "fiber_weyl"):
+            assert f"meanrds.classify.{name}" not in tracer.missing
     finally:
         tracer.uninstall()
     assert cli.main is main and rds.PairEngine.fiber_range is fiber_range
