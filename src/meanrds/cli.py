@@ -234,8 +234,6 @@ def _fmt(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        if math.isinf(v):
-            return "inf"
         return f"{v:.12g}"
     return str(v)
 

@@ -35,7 +35,10 @@ before it builds the ball. A pair's profile is one of the box reads of
 its :class:`PairEngine`, chosen once, with its domain check, by
 ``_engine_source``. The profiles of one pair share one engine, which walks
 each fiber once: ``pair_summary`` and ``sup_fiber_weyl`` read all their
-estimates from one engine.
+estimates from one engine, and the engine memoises each profile's window
+means per plan, so a profile that several estimates scan with one plan,
+or two profiles with the same values (the sup over one fiber and that
+fiber), are read once.
 
 A source that knows its profile to be one value c (``constant``) is never
 read; the engine reports it for a fiber whose every generator matrix on
@@ -175,18 +178,47 @@ class ValueSource:
         row-major order, coordinate 0 slowest."""
         raise NotImplementedError
 
+    def window_means(self, plan) -> tuple[np.ndarray, ...]:
+        """For each scanned window of the plan, the means of the profile
+        over its translates by the plan's ball, in ball order.
+
+        The profile is read once, over the plan's box, with each cyclic
+        axis whole and then padded by wrap, so translates wrap mod k.
+        :func:`_windows.window_means` reads every window from its dyadic
+        table."""
+        box = self.range_values(plan.lo, plan.hi).reshape(plan.shape)
+        if plan.pad:
+            box = np.pad(box, plan.pad, mode="wrap")
+        return tuple(_windows.window_means(box, plan.starts, plan.windows))
+
 
 class _EngineSource(ValueSource):
-    """One profile of an engine's pair: ``read`` is the engine's box read."""
+    """One profile of an engine's pair: ``read`` is the engine's box read,
+    and ``key`` names the profile among the engine's profiles: two sources
+    of one key have the same values, bitwise."""
 
-    def __init__(self, engine: PairEngine, read, label: str, constant: float | None):
+    def __init__(self, engine: PairEngine, read, label: str, constant: float | None, key):
         self.group = engine.sys.group
+        self.engine = engine
         self.read = read
         self.label = label
         self.constant = constant
+        self.key = key
 
     def range_values(self, lo, hi):
         return self.read(lo, hi)
+
+    def window_means(self, plan):
+        """Read once per profile and plan: the means are memoised, read-only,
+        in the engine's ``means``. A plan's box and windows fix its means,
+        since the engine's group fixes the ball of a box's radius."""
+        key = (self.key, plan.lo, plan.hi, plan.windows)
+        means = self.engine.means.get(key)
+        if means is None:
+            means = self.engine.means[key] = super().window_means(plan)
+            for arr in means:
+                arr.flags.writeable = False
+        return means
 
 
 class SyntheticSource(ValueSource):
@@ -251,14 +283,16 @@ def synthetic_source(spec: str) -> SyntheticSource:
 def _fiber_source(engine: PairEngine, idx: int) -> ValueSource:
     """The profile of the engine's pair in fiber idx, unchecked."""
     return _EngineSource(engine, functools.partial(engine.fiber_range, idx),
-                         f"fiber[{engine.sys.base.labels[idx]}]", engine.fiber_constant(idx))
+                         f"fiber[{engine.sys.base.labels[idx]}]", engine.fiber_constant(idx), idx)
 
 
 def _engine_source(engine: PairEngine, mode: str, omega=None) -> ValueSource:
     """The ``mode`` profile of the engine's pair, after its domain check."""
     system = engine.sys
     if mode == "sup":
-        return _EngineSource(engine, engine.dtilde_range, "sup", engine.dtilde_constant())
+        # the max over one fiber is that fiber's profile, bitwise
+        key = engine.admissible[0] if len(engine.admissible) == 1 else "sup"
+        return _EngineSource(engine, engine.dtilde_range, "sup", engine.dtilde_constant(), key)
     if mode == "fiber":
         idx = system.base.index_of(omega)
         fs = system.fibers[idx]
@@ -268,8 +302,9 @@ def _engine_source(engine: PairEngine, mode: str, omega=None) -> ValueSource:
     if mode == "integral":
         if engine.admissible != system.base.support:
             raise DomainError("integral mode needs both points in every support fiber")
+        # keyed on its own: one support fiber gives weight * fiber, not the fiber
         return _EngineSource(engine, engine.integral_range, "integral",
-                             engine.integral_constant())
+                             engine.integral_constant(), "integral")
     raise ValueError(f"unknown pair mode {mode!r}")
 
 
@@ -344,18 +379,10 @@ def _cached_plan(free: int, orders: tuple[int, ...], cap: int, tail_fraction: fl
 
 
 def _window_means(source: ValueSource, plan: _ScanPlan):
-    """For each scanned window index n of the plan, yield n and the means of
-    the profile over the translates g F_n, one per g of the plan's ball, in
-    ball order.
-
-    The profile is read once, over the plan's box, with each cyclic axis
-    whole and then padded by wrap, so translates wrap mod k.
-    :func:`_windows.window_means` reads every window from its dyadic table.
-    """
-    box = source.range_values(plan.lo, plan.hi).reshape(plan.shape)
-    if plan.pad:
-        box = np.pad(box, plan.pad, mode="wrap")
-    yield from zip(plan.scanned, _windows.window_means(box, plan.starts, plan.windows))
+    """For each scanned window index n of the plan, n and the means of the
+    profile over the translates g F_n, one per g of the plan's ball, in ball
+    order (:meth:`ValueSource.window_means`)."""
+    return zip(plan.scanned, source.window_means(plan))
 
 
 def _constant_means(c: float, plan: _ScanPlan) -> list[float]:
@@ -546,10 +573,22 @@ def sup_fiber_weyl(system, x, y, cfg) -> PseudometricEstimate:
 def pair_summary(system, x, y, cfg) -> dict[str, PseudometricEstimate]:
     """All headline estimates for one pair, keyed by kind.
 
-    Every estimate reads one engine, so each fiber of the pair is walked
-    once; ``weyl`` and ``sup-fiber-weyl`` reuse the ``banach`` and
-    ``fiber-weyl`` scans instead of running them again."""
+    Every estimate reads one engine. Its scans take two plans, the n_max
+    tail and the m_max plan over the search radius, so before any scan it
+    reads each fiber that the scans will read over the hull of the two
+    plans' boxes, when that fits the element budget: each fiber is then
+    walked once, and every scan's box is a slice of the hull. Each profile
+    is read once per plan, however many estimates scan it (the engine
+    memoises its window means), and ``weyl`` and ``sup-fiber-weyl`` reuse
+    the ``banach`` and ``fiber-weyl`` scans instead of running them again."""
     engine = PairEngine(system, x, y)
+    tail = _scan_plan(system.group, cfg.n_max, cfg.tail_fraction, 0, cfg.element_budget)
+    full = _scan_plan(system.group, cfg.m_max, None, cfg.search_radius, cfg.element_budget)
+    lo, hi = tuple(map(min, tail.lo, full.lo)), tuple(map(max, tail.hi, full.hi))
+    if math.prod(b - a for a, b in zip(lo, hi)) <= cfg.element_budget:
+        for i in engine.admissible:
+            if engine.fiber_constant(i) is None:
+                engine.fiber_range(i, lo, hi)
     sup = _engine_source(engine, "sup")
     out: dict[str, PseudometricEstimate] = {}
     out["besicovitch"] = besicovitch_mean(sup, cfg)

@@ -19,7 +19,8 @@ for every reader of that pair, on Z (the rank-1 case) as on every other
 group. A box walk follows the canonical coordinate path: the first axis out
 of one line of states per fiber, grown on demand in the scalar kernel, each
 later axis with every state reached stepping at once in numpy; the engine
-keeps each box it has walked. Both take the same left-to-right matrix step.
+keeps each box it has walked and serves a box inside a kept one as a slice.
+Both take the same left-to-right matrix step.
 A fiber whose every generator matrix on its base orbit is the identity has
 a constant profile, fold_norm(delta0); the engine reports that value, and
 the scans then read nothing (see :mod:`meanrds.pseudometrics`); a box read
@@ -726,36 +727,47 @@ def _fold_norm_rows(coords: np.ndarray) -> np.ndarray:
     return np.sqrt(s)
 
 
-def _step_rows(w, d, nxt, rows):
-    """One canonical matrix step of every state at once: the left-to-right
-    row sums and mod-1 reduction of the walk kernels, on numpy columns."""
-    m = rows[w]
-    dim = d.shape[1]
-    out = np.empty_like(d)
-    for r in range(dim):
-        s = m[:, r * dim] * d[:, 0]
-        for c in range(1, dim):
-            s = s + m[:, r * dim + c] * d[:, c]
-        out[:, r] = s % 1.0
-    return nxt[w], out
-
-
 def _walk_axis(w, d, steps, lo: int, hi: int):
     """States at positions lo..hi-1 along one generator from each state
     (w, d) at 0, as (base points, vectors) with the position varying
-    fastest; ``steps`` maps 1 and -1 to the kernel tables. Every state takes
-    its step at once, as numpy columns."""
-    states = {0: (w, d)}
-    for sign, stop in ((1, hi), (-1, lo - 1)):
+    fastest; ``steps`` maps 1 and -1 to the kernel tables. Positions between
+    0 and the box are walked too, as the path to them runs through them.
+
+    Every state takes its step at once. Per direction the base points'
+    trajectory comes first, then the step matrices are gathered once; each
+    step is then the canonical matrix step of the walk kernels on numpy
+    arrays: one product per entry, each row's products added left to right
+    and reduced mod 1, with the same correctly rounded operations in the
+    same order, into a preallocated array of every position."""
+    n, dim = d.shape
+    first, stop = min(lo, 0), max(hi, 1)
+    states = np.empty((stop - first, n, dim))
+    bases = np.empty((stop - first, n), dtype=np.intp)
+    states[-first], bases[-first] = d, w
+    prod = np.empty((n, dim, dim))
+    # views made once: the products' columns and each state as a row vector
+    cols, row_vecs = [prod[:, :, c] for c in range(dim)], states[:, :, None, :]
+    for sign, end in ((1, stop - 1), (-1, first)):
+        # indices into states of the positions stepped from, 0 towards end
+        froms = range(-first, end - first, sign)
+        if not froms:
+            continue
         nxt, rows = steps[sign]
         nxt = np.asarray(nxt)
-        rows = np.asarray(rows, dtype=np.float64).reshape(len(nxt), -1)
-        cur = (w, d)
-        for t in range(sign, stop, sign):
-            cur = states[t] = _step_rows(*cur, nxt, rows)
-    kept = [states[t] for t in range(lo, hi)]
-    return (np.stack([s[0] for s in kept], axis=1).reshape(-1),
-            np.stack([s[1] for s in kept], axis=1).reshape(-1, d.shape[1]))
+        rows = np.asarray(rows, dtype=np.float64).reshape(len(nxt), dim, dim)
+        for t in froms:
+            bases[t + sign] = nxt[bases[t]]
+        mats = rows[bases[froms.start:froms.stop:sign]]
+        for m, t in zip(mats, froms):
+            out = states[t + sign]
+            np.multiply(m, row_vecs[t], out=prod)
+            acc = cols[0]
+            for col in cols[1:]:
+                acc = np.add(acc, col, out=out)
+            np.remainder(acc, 1.0, out=out)
+    keep = slice(lo - first, hi - first)
+    return (bases[keep].T.reshape(-1),
+            states[keep].transpose(1, 0, 2).reshape(-1, dim))
 
 
 class PairEngine:
@@ -770,8 +782,15 @@ class PairEngine:
     (cyclic ones forward), so values are bitwise those of the scalar
     kernels. A constant fiber's box is ``norm0`` repeated, with no walk.
     Corners are tuples on every group; Z is the rank-1 case, whose boxes are
-    ranges of times. Each box is folded and kept, read-only, keyed by
-    (fiber, lo, hi), for as long as the engine lives.
+    ranges of times. Each fiber keeps every box it has walked, folded and
+    read-only, for as long as the engine lives: a read of equal corners
+    returns the kept array itself, and a box inside a kept one is a
+    read-only slice of it, with the same bits, since a value depends only
+    on its element's path. A reader that will read several boxes of a fiber
+    reads their hull first, so the fiber is walked once.
+
+    ``means`` is where the scans memoise the window means of the engine's
+    profiles (:mod:`meanrds.pseudometrics`).
 
     ``admissible`` holds the support fibers containing both points. The
     weighted ``integral_range`` needs every support fiber, that is
@@ -794,7 +813,8 @@ class PairEngine:
         self.norm0 = fold_norm(self.delta0)
         self.admissible = system._admissible(self.x, self.y)
         self._lines: dict[int, dict] = {}
-        self._boxes: dict[tuple, np.ndarray] = {}
+        self._boxes: dict[int, list] = {}  # fiber -> [(lo, hi, values)]
+        self.means: dict[tuple, tuple] = {}
 
     def _box(self, lo, hi):
         """The corner tuples, checked against the group, and the box size."""
@@ -825,22 +845,30 @@ class PairEngine:
         return np.concatenate((left[max(-hi, 0):max(-lo, 0)][::-1], right[max(lo, 0):max(hi, 0)]))
 
     def _fiber_box(self, omega_idx: int, lo, hi) -> np.ndarray:
-        vals = self._boxes.get((omega_idx, lo, hi))
-        if vals is None:
-            if self.sys._constant[omega_idx]:
-                vals = np.full(math.prod(b - a for a, b in zip(lo, hi)), self.norm0)
-            else:
-                d = self._first_axis(omega_idx, lo[0], hi[0])
-                if len(lo) > 1:
-                    powers = self.sys.base._powers[0]
-                    cycle = np.asarray(powers.cycles[powers.cycle_of[omega_idx]])
-                    w = cycle[(powers.pos_in_cycle[omega_idx]
-                               + np.arange(lo[0], hi[0])) % len(cycle)]
-                    for steps, a, b in zip(self.sys._steps[1:], lo[1:], hi[1:]):
-                        w, d = _walk_axis(w, d, steps, a, b)
-                vals = _fold_norm_rows(d)
-            vals.flags.writeable = False
-            self._boxes[omega_idx, lo, hi] = vals
+        kept = self._boxes.setdefault(omega_idx, [])
+        for klo, khi, vals in kept:
+            if (klo, khi) == (lo, hi):
+                return vals
+            if all(a <= c and e <= b for a, b, c, e in zip(klo, khi, lo, hi)):
+                shape = [b - a for a, b in zip(klo, khi)]
+                part = vals.reshape(shape)[tuple(
+                    slice(c - a, e - a) for a, c, e in zip(klo, lo, hi))].ravel()
+                part.flags.writeable = False
+                return part
+        if self.sys._constant[omega_idx]:
+            vals = np.full(math.prod(b - a for a, b in zip(lo, hi)), self.norm0)
+        else:
+            d = self._first_axis(omega_idx, lo[0], hi[0])
+            if len(lo) > 1:
+                powers = self.sys.base._powers[0]
+                cycle = np.asarray(powers.cycles[powers.cycle_of[omega_idx]])
+                w = cycle[(powers.pos_in_cycle[omega_idx]
+                           + np.arange(lo[0], hi[0])) % len(cycle)]
+                for steps, a, b in zip(self.sys._steps[1:], lo[1:], hi[1:]):
+                    w, d = _walk_axis(w, d, steps, a, b)
+            vals = _fold_norm_rows(d)
+        vals.flags.writeable = False
+        kept.append((lo, hi, vals))
         return vals
 
     def fiber_range(self, omega, lo, hi) -> np.ndarray:

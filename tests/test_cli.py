@@ -311,6 +311,22 @@ def test_out_directory_files(tmp_path, capsys):
     assert len(rows) == 1 + 4  # header plus one row per estimator
 
 
+@pytest.mark.parametrize("c", ["inf", "-inf"])
+def test_infinities_keep_their_sign_in_text_and_csv(tmp_path, capsys, c):
+    """An infinite estimate prints as ``inf`` or ``-inf`` on stdout and in
+    ``estimate.csv``, as its JSON holds ``Infinity`` or ``-Infinity``."""
+    spec = f"synthetic:constant:{c}"
+    assert main(["estimate", "--system", spec, "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [f"  {kind} = {c} (window {n})" for kind, n in
+                         (("besicovitch", 64), ("banach", 1), ("weyl", 1),
+                          ("translated-besicovitch-scan", 64))]
+    with open(tmp_path / "estimate.csv", newline="") as fh:
+        assert [row[5] for row in csv.reader(fh)] == ["value"] + [c] * 4
+    blob = json.loads((tmp_path / "estimate.json").read_text())
+    assert [e["value"] for e in blob["estimates"]] == [float(c)] * 4
+
+
 def test_out_directory_classify_csv(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, SMALL)
     out_dir = tmp_path / "cls"

@@ -153,22 +153,33 @@ def test_line_walk_matches_reference_walk(system):
             assert engine.fiber_range(0, (t,), (t + 1,))[0] == refs[0][t - LO]
 
 
-@pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.name)
+# ranges on both sides of 0 and not containing it
+WALK_RANGES = [(-40, 40), (3, 9), (-9, -3), (0, 1), (-1, 0), (5, 6)]
+# a dimension-1 fiber whose step is not the identity: x -> -x
+FLIP1 = {"name": "flip1", "group": "Z", "dim": 1,
+         "base": {"labels": ["w0"], "weights": [1.0], "perms": [[0]]},
+         "maps": [[{"matrix": [[-1]], "shift": [0.25]}]]}
+
+
+@pytest.mark.parametrize("system", SYSTEMS + [catalog.build_system(FLIP1)],
+                         ids=lambda s: s.name)
 def test_element_path_matches_line_walk(system):
     """The batched axis step that walks a box's later axes, started from
     every base point at once along generator 0, takes the steps of the
-    scalar kernel that grows each fiber's first-axis line."""
+    scalar kernel that grows each fiber's first-axis line, in dimensions
+    1-3; the positions between 0 and a range are walked, not kept."""
     rng = np.random.default_rng(5)
     engine = rds.PairEngine(system, system.fibers[0].sample(rng),
                             system.fibers[0].sample(rng))
     size = system.base.size
-    w, d = _walk_axis(np.arange(size), np.asarray([engine.delta0] * size),
-                      system._steps[0], -40, 40)
-    stepped = _fold_norm_rows(d).reshape(size, 80)
-    for i in range(size):
-        assert stepped[i].tobytes() == engine.fiber_range(i, (-40,), (40,)).tobytes()
-        assert w[80 * i + 40:80 * i + 43].tolist() == [
-            system.base.act_generator(0, i, t) for t in range(3)]
+    for lo, hi in WALK_RANGES:
+        w, d = _walk_axis(np.arange(size), np.asarray([engine.delta0] * size),
+                          system._steps[0], lo, hi)
+        stepped = _fold_norm_rows(d).reshape(size, hi - lo)
+        for i in range(size):
+            assert stepped[i].tobytes() == engine.fiber_range(i, (lo,), (hi,)).tobytes()
+            assert w[(hi - lo) * i:(hi - lo) * (i + 1)].tolist() == [
+                system.base.act_generator(0, i, t) for t in range(lo, hi)]
 
 
 def _reference_element(system, omega, delta, g):
@@ -221,6 +232,54 @@ def test_box_walk_matches_reference_elements(spec, x, y, lo, hi):
     assert engine.dtilde_range(lo, hi).tobytes() == sup.tobytes()
 
 
+# (system, x, y, box reads in order, the reads that walk): a hull, boxes
+# inside it, a box that straddles it, a repeat of the hull and one-element
+# boxes inside a kept box or outside every one
+KEPT_BOX_READS = [
+    (Z2_CAT, (0.3, 0.7), (0.9, 0.05),
+     [((-3, -4), (5, 6)), ((0, 0), (5, 6)), ((-3, -2), (1, 2)), ((2, 3), (7, 9)),
+      ((-3, -4), (5, 6)), ((4, 5), (5, 6)), ((6, -6), (7, -5))], (0, 3, 6)),
+    (ZXC2_CAT2, (0.1, 0.2), (0.1004, 0.2002),
+     [((-5, 0), (6, 2)), ((-2, 0), (3, 2)), ((0, 1), (4, 2)), ((3, 0), (9, 2)),
+      ((-5, 0), (6, 2)), ((8, 1), (9, 2)), ((-1, 1), (0, 2))], (0, 3)),
+    (ZXC3_ORDER3, (0.1, 0.2), (0.13, 0.21),
+     [((-5, 0), (4, 3)), ((-1, 1), (2, 3)), ((0, 0), (4, 1)), ((2, 0), (7, 3)),
+      ((-5, 0), (4, 3)), ((-6, 2), (-5, 3)), ((3, 2), (4, 3))], (0, 3, 5)),
+]
+
+
+@pytest.mark.parametrize("spec,x,y,reads,walked", KEPT_BOX_READS,
+                         ids=[b[0]["name"] for b in KEPT_BOX_READS])
+def test_kept_box_reads_match_reference_elements(spec, x, y, reads, walked, monkeypatch):
+    """Boxes read out of order from one engine, each inside a kept box, equal
+    to one or straddling it, are bitwise the reference elements; only a
+    box outside every kept one walks, and every read is read-only."""
+    system = catalog.build_system(spec)
+    engine = rds.PairEngine(system, x, y)
+    walk_axis, walks = rds._walk_axis, []
+
+    def counting(w, d, steps, lo, hi):
+        walks.append((lo, hi))
+        return walk_axis(w, d, steps, lo, hi)
+
+    monkeypatch.setattr(rds, "_walk_axis", counting)
+    hulls = {}
+    for k, (lo, hi) in enumerate(reads):
+        box = list(itertools.product(*(range(a, b) for a, b in zip(lo, hi))))
+        for omega in range(system.base.size):
+            vals = engine.fiber_range(omega, lo, hi)
+            want = [_reference_element(system, omega, engine.delta0, g) for g in box]
+            assert vals.tobytes() == np.asarray(want).tobytes(), (lo, hi, omega)
+            assert not vals.flags.writeable
+            if k == 0:
+                hulls[omega] = vals
+        if (lo, hi) == reads[0]:
+            assert all(engine.fiber_range(i, lo, hi) is v for i, v in hulls.items())
+    # a walked box walks its later axis once in each fiber
+    assert walks == [(reads[k][0][1], reads[k][1][1]) for k in walked
+                     for _ in range(system.base.size)]
+
+
 def test_pair_summary_walks_each_fiber_once(monkeypatch):
     """One engine serves a whole pair summary: each fiber's first axis is
     stepped once per direction, as far as the boxes read reach, however many
@@ -256,6 +315,50 @@ def test_pair_summary_walks_each_fiber_once(monkeypatch):
             -1: sum(max(-lo for j, lo, _ in reads if j == i) for i in (0, 1))}
         if system.group.rank == 1:
             assert steps == {1: 2 * 4095, -1: 2 * 64}
+
+
+def test_pair_summary_walks_one_hull_and_reads_each_profile_once_per_plan(monkeypatch):
+    """On Z^2 at radius 8 the tail box (0, 0)-(64, 64) and the banach box
+    (-8, -8)-(40, 40) come out of one walk of their hull, one axis step
+    call over 72 rows. z2-cat's one fiber is also its sup profile, so the
+    fiber scans read nothing of their own; the integral profile is read on
+    its own. On zxc2-cat2 each fiber walks once, and the sup, integral and
+    fiber profiles are each read once per plan they are scanned with."""
+    walk_axis, window_means = rds._walk_axis, _windows.window_means
+    read = pseudometrics._EngineSource.range_values
+    walks, reads, tables = [], [], []
+
+    def walking(w, d, steps, lo, hi):
+        walks.append((len(w), lo, hi))
+        return walk_axis(w, d, steps, lo, hi)
+
+    def reading(source, lo, hi):
+        reads.append((source.label, lo, hi))
+        return read(source, lo, hi)
+
+    def tabling(box, starts, windows):
+        tables.append(box.shape)
+        return window_means(box, starts, windows)
+
+    monkeypatch.setattr(rds, "_walk_axis", walking)
+    monkeypatch.setattr(pseudometrics._EngineSource, "range_values", reading)
+    monkeypatch.setattr(_windows, "window_means", tabling)
+    x, y = (0.1, 0.2), (0.1004, 0.2002)
+    pair_summary(catalog.build_system(Z2_CAT), x, y, EstimatorConfig(search_radius=8))
+    assert walks == [(72, -8, 64)]
+    tail, full = ((0, 0), (64, 64)), ((-8, -8), (40, 40))
+    assert reads == [("sup", *tail), ("sup", *full), ("integral", *tail)]
+    assert tables == [(64, 64), (48, 48), (64, 64)]
+    for log in (walks, reads, tables):
+        log.clear()
+    pair_summary(catalog.build_system(ZXC2_CAT2), x, y,
+                 EstimatorConfig(n_max=512, m_max=128, search_radius=8))
+    assert walks == [(264, 0, 2)] * 2
+    tail, full = ((0, 0), (256, 2)), ((-8, 0), (72, 2))
+    assert reads == [("sup", *tail), ("sup", *full), ("integral", *tail),
+                     ("fiber[w0]", *tail), ("fiber[w0]", *full),
+                     ("fiber[w1]", *tail), ("fiber[w1]", *full)]
+    assert len(tables) == 7
 
 
 # (x, y) coordinate pairs whose differences are 0.0, a subnormal, 1 - 2**-53,

@@ -26,6 +26,9 @@ def test_tracer_installs_and_uninstalls():
         # the probes' scans are timed through the estimators they call
         for name in ("banach_mean", "banach_upper_density", "sup_fiber_weyl", "fiber_weyl"):
             assert f"meanrds.classify.{name}" not in tracer.missing
+        # rds.range times the engine's box reads, the walks included
+        for name in ("fiber_range", "dtilde_range", "integral_range"):
+            assert f"PairEngine.{name}" not in tracer.missing
     finally:
         tracer.uninstall()
     assert cli.main is main and rds.PairEngine.fiber_range is fiber_range
