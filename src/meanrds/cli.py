@@ -212,22 +212,89 @@ def _envelope(command: str, settings: dict, extra_hash: dict, payload: dict) -> 
     return out
 
 
-def _emit(args, envelope: dict, text: str, csv_rows=None, csv_name=None, csv_header=None):
-    if args.json:
-        print(json.dumps(envelope, sort_keys=True, indent=2))
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _flat_encode(depth: int):
+    """``encode`` of a json encoder whose item separator ends the line and
+    indents ``depth + 1`` levels. Without ``indent`` it runs json's C
+    encoder, and a container of scalars at ``depth`` comes out as its
+    indented text once its brackets get their newlines."""
+    return json.JSONEncoder(sort_keys=True,
+                            separators=(",\n" + "  " * (depth + 1), ": ")).encode
+
+
+def _scalar(v) -> str:
+    """json's text of a value that is no container, by json's type rules:
+    bool before int, and any float by ``float.__repr__``."""
+    if isinstance(v, str):
+        return json.encoder.encode_basestring_ascii(v)
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return float.__repr__(v)
+        return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+    if v is None or v is True or v is False:
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _render(obj, depth: int) -> str:
+    """The text of the container obj, ``depth`` levels deep, in a document
+    of :func:`_dumps`: a container of scalars in one call of the C encoder,
+    any other item by item."""
+    is_dict = isinstance(obj, dict)
+    if not obj:
+        return "{}" if is_dict else "[]"
+    inner = "\n" + "  " * (depth + 1)
+    for v in obj.values() if is_dict else obj:
+        if isinstance(v, _CONTAINERS):
+            break
     else:
-        print(text)
+        text = _flat_encode(depth)(obj)
+        return text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
+    if is_dict:
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("a nested dict has a key that is not a str")
+        items = [_scalar(k) + ": " + (_render(v, depth + 1) if isinstance(v, _CONTAINERS)
+                                      else _scalar(v))
+                 for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + inner[:-2] + "}"
+    items = [_render(v, depth + 1) if isinstance(v, _CONTAINERS) else _scalar(v) for v in obj]
+    return "[" + inner + ("," + inner).join(items) + inner[:-2] + "]"
+
+
+def _dumps(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, bytewise, mostly
+    through json's C encoder, which ``indent`` would turn off. On a
+    TypeError (a nested dict with a key that is not a str, or a value json
+    cannot write) it returns ``json.dumps`` itself, which converts and
+    sorts such keys, or raises its own error."""
+    try:
+        return _render(doc, 0) if isinstance(doc, _CONTAINERS) else _scalar(doc)
+    except TypeError:
+        return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _emit(args, envelope: dict, text, csv_rows=None, csv_name=None, csv_header=None):
+    """Print the JSON document or the text, and with ``--out`` write the
+    document and the CSV rows. The document is rendered once; ``text`` and
+    ``csv_rows`` are zero-argument callables, called only when their
+    output is printed or written."""
+    doc = _dumps(envelope) if args.json or args.out else None
+    print(doc if args.json else text())
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         base = f"{envelope['command']}"
         with open(os.path.join(args.out, base + ".json"), "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(envelope, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(doc + "\n")
         if csv_rows is not None:
             with open(os.path.join(args.out, csv_name), "w", encoding="utf-8", newline="") as fh:
                 w = csv.writer(fh, lineterminator="\n")
                 w.writerow(csv_header)
-                w.writerows(csv_rows)
+                w.writerows(csv_rows())
 
 
 def _fmt(v) -> str:
@@ -248,13 +315,9 @@ def _point_str(pt) -> str:
 def _cmd_catalog(args, settings) -> int:
     rows = catalog.summary()
     env = _envelope("catalog", settings, {}, {"systems": rows})
-    lines = ["bundled systems:"]
-    for r in rows:
-        lines.append(
-            f"  {r['name']}: group {r['group']}, dim {r['dim']}, "
-            f"base size {r['base_size']}, expected {r['expected']}"
-        )
-    _emit(args, env, "\n".join(lines))
+    _emit(args, env, lambda: "\n".join(["bundled systems:"] + [
+        f"  {r['name']}: group {r['group']}, dim {r['dim']}, "
+        f"base size {r['base_size']}, expected {r['expected']}" for r in rows]))
     return 0
 
 
@@ -262,7 +325,7 @@ def _cmd_validate(args, settings) -> int:
     system = _resolve_system(args.system, settings)
     report = validate(system)
     env = _envelope("validate", settings, {"system": args.system}, {"report": report.to_dict()})
-    _emit(args, env, report.to_text())
+    _emit(args, env, report.to_text)
     return 0 if report.ok else 2
 
 
@@ -286,6 +349,13 @@ _ESTIMATE_HEADER = (
 )
 
 
+def _estimate_cells(est) -> tuple:
+    """The CSV cells of an estimate from its value to its truncation note."""
+    return (_fmt(est.value), _fmt(est.window_index),
+            _point_str(est.translate) if est.translate else "", _fmt(est.tail_start),
+            est.truncation_note)
+
+
 def _cmd_estimate(args, settings) -> int:
     cfg = settings["estimator"]
     if args.system.startswith("synthetic:"):
@@ -298,19 +368,16 @@ def _cmd_estimate(args, settings) -> int:
             _as_weyl(banach, "weyl"),
             translated_besicovitch_scan(src, cfg),
         ]
-        rows = [
-            (args.system, "", "", "", e.kind, _fmt(e.value), _fmt(e.window_index),
-             _point_str(e.translate) if e.translate else "", _fmt(e.tail_start),
-             e.truncation_note, e.source_label)
-            for e in ests
-        ]
         env = _envelope(
             "estimate", settings, {"system": args.system},
             {"system": args.system, "estimates": [e.to_dict() for e in ests]},
         )
-        lines = [f"estimates for {args.system}:"]
-        lines += [f"  {e.kind} = {_fmt(e.value)} (window {e.window_index})" for e in ests]
-        _emit(args, env, "\n".join(lines), rows, "estimate.csv", _ESTIMATE_HEADER)
+        _emit(args, env,
+              lambda: "\n".join([f"estimates for {args.system}:"] + [
+                  f"  {e.kind} = {_fmt(e.value)} (window {e.window_index})" for e in ests]),
+              lambda: [(args.system, "", "", "", e.kind, *_estimate_cells(e), e.source_label)
+                       for e in ests],
+              "estimate.csv", _ESTIMATE_HEADER)
         return 0
 
     system = _resolve_system(args.system, settings)
@@ -326,31 +393,35 @@ def _cmd_estimate(args, settings) -> int:
             idx = support[int(rng.integers(len(support)))]
             fs = system.fibers[idx]
             pairs.append((fs.sample(rng), fs.sample(rng)))
-    rows = []
-    pair_payload = []
-    lines = [f"estimates for {args.system}:"]
-    for k, (x, y) in enumerate(pairs):
-        summary = pair_summary(system, x, y, cfg)
-        lines.append(f"  pair {k}: x=({_point_str(x)}) y=({_point_str(y)})")
-        entry = {"x": list(x), "y": list(y), "estimates": {}}
-        for key, est in summary.items():
-            entry["estimates"][key] = est.to_dict()
-            rows.append(
-                (args.system, k, _point_str(x), _point_str(y), key, _fmt(est.value),
-                 _fmt(est.window_index),
-                 _point_str(est.translate) if est.translate else "",
-                 _fmt(est.tail_start), est.truncation_note, est.source_label)
-            )
-            lines.append(f"    {key} = {_fmt(est.value)}")
-        pair_payload.append(entry)
+    summaries = [pair_summary(system, x, y, cfg) for x, y in pairs]
+
+    def text():
+        lines = [f"estimates for {args.system}:"]
+        for k, ((x, y), summary) in enumerate(zip(pairs, summaries)):
+            lines.append(f"  pair {k}: x=({_point_str(x)}) y=({_point_str(y)})")
+            lines += [f"    {key} = {_fmt(est.value)}" for key, est in summary.items()]
+        return "\n".join(lines)
+
+    def rows():
+        return [(args.system, k, _point_str(x), _point_str(y), key, *_estimate_cells(est),
+                 est.source_label)
+                for k, ((x, y), summary) in enumerate(zip(pairs, summaries))
+                for key, est in summary.items()]
+
     env = _envelope(
         "estimate", settings,
         {"system": args.system, "pairs": [[list(x), list(y)] for x, y in pairs]},
-        {"system": args.system, "pairs": pair_payload},
+        {"system": args.system, "pairs": [
+            {"x": list(x), "y": list(y),
+             "estimates": {key: est.to_dict() for key, est in summary.items()}}
+            for (x, y), summary in zip(pairs, summaries)]},
     )
-    _emit(args, env, "\n".join(lines), rows, "estimate.csv", _ESTIMATE_HEADER)
+    _emit(args, env, text, rows, "estimate.csv", _ESTIMATE_HEADER)
     return 0
 
+
+_DENSITY_KINDS = ("banach-lower-density", "lower-density", "upper-density",
+                  "banach-upper-density")
 
 _DENSITY_HEADER = (
     "set", "kind", "value", "window_index", "translate", "tail_start",
@@ -361,26 +432,22 @@ _DENSITY_HEADER = (
 def _cmd_density(args, settings) -> int:
     cfg = settings["estimator"]
     sets = args.sets or list(_DEFAULT_DENSITY_SETS)
-    rows = []
-    payload = []
-    lines = ["densities:"]
-    for spec in sets:
-        ind = subset_indicator(spec)
-        summary = density_summary(ind, cfg)
-        entry = {"set": spec, "densities": {}}
-        lines.append(f"  {spec}:")
-        for key in ("banach-lower-density", "lower-density", "upper-density", "banach-upper-density"):
-            est = summary[key]
-            entry["densities"][key] = est.to_dict()
-            rows.append(
-                (spec, key, _fmt(est.value), _fmt(est.window_index),
-                 _point_str(est.translate) if est.translate else "",
-                 _fmt(est.tail_start), est.truncation_note)
-            )
-            lines.append(f"    {key} = {_fmt(est.value)}")
-        payload.append(entry)
-    env = _envelope("density", settings, {"sets": list(sets)}, {"sets": payload})
-    _emit(args, env, "\n".join(lines), rows, "density.csv", _DENSITY_HEADER)
+    summaries = [density_summary(subset_indicator(spec), cfg) for spec in sets]
+
+    def text():
+        lines = ["densities:"]
+        for spec, summary in zip(sets, summaries):
+            lines.append(f"  {spec}:")
+            lines += [f"    {key} = {_fmt(summary[key].value)}" for key in _DENSITY_KINDS]
+        return "\n".join(lines)
+
+    env = _envelope("density", settings, {"sets": list(sets)}, {"sets": [
+        {"set": spec, "densities": {key: summary[key].to_dict() for key in _DENSITY_KINDS}}
+        for spec, summary in zip(sets, summaries)]})
+    _emit(args, env, text,
+          lambda: [(spec, key, *_estimate_cells(summary[key]))
+                   for spec, summary in zip(sets, summaries) for key in _DENSITY_KINDS],
+          "density.csv", _DENSITY_HEADER)
     return 0
 
 
@@ -397,19 +464,18 @@ def _cmd_classify(args, settings) -> int:
         ccfg=settings["classifier"],
         seed=settings["seed"],
     )
-    rows = [
-        ("separation", r.eps, _fmt(r.delta), r.pairs_tested, _fmt(r.worst_value), r.passed)
-        for r in report.wme.rows
-    ] + [
-        ("density", r.eps, _fmt(r.delta), r.pairs_tested, _fmt(r.worst_density), r.passed)
-        for r in report.stability.rows
-    ]
     env = _envelope(
         "classify", settings, {"system": args.system},
         {"classifier": settings["classifier_fields"],
          "report": report.to_dict()},
     )
-    _emit(args, env, report.to_text(), rows, "classify.csv", _CLASSIFY_HEADER)
+    _emit(args, env, report.to_text, lambda: [
+        ("separation", r.eps, _fmt(r.delta), r.pairs_tested, _fmt(r.worst_value), r.passed)
+        for r in report.wme.rows
+    ] + [
+        ("density", r.eps, _fmt(r.delta), r.pairs_tested, _fmt(r.worst_density), r.passed)
+        for r in report.stability.rows
+    ], "classify.csv", _CLASSIFY_HEADER)
     return 3 if report.verdict == "inconclusive" else 0
 
 

@@ -35,10 +35,7 @@ before it builds the ball. A pair's profile is one of the box reads of
 its :class:`PairEngine`, chosen once, with its domain check, by
 ``_engine_source``. The profiles of one pair share one engine, which walks
 each fiber once: ``pair_summary`` and ``sup_fiber_weyl`` read all their
-estimates from one engine, and the engine memoises each profile's window
-means per plan, so a profile that several estimates scan with one plan,
-or two profiles with the same values (the sup over one fiber and that
-fiber), are read once.
+estimates from one engine, and ``pair_summary`` scans no values twice.
 
 A source that knows its profile to be one value c (``constant``) is never
 read; the engine reports it for a fiber whose every generator matrix on
@@ -193,32 +190,16 @@ class ValueSource:
 
 
 class _EngineSource(ValueSource):
-    """One profile of an engine's pair: ``read`` is the engine's box read,
-    and ``key`` names the profile among the engine's profiles: two sources
-    of one key have the same values, bitwise."""
+    """One profile of an engine's pair: ``read`` is the engine's box read."""
 
-    def __init__(self, engine: PairEngine, read, label: str, constant: float | None, key):
+    def __init__(self, engine: PairEngine, read, label: str, constant: float | None):
         self.group = engine.sys.group
-        self.engine = engine
         self.read = read
         self.label = label
         self.constant = constant
-        self.key = key
 
     def range_values(self, lo, hi):
         return self.read(lo, hi)
-
-    def window_means(self, plan):
-        """Read once per profile and plan: the means are memoised, read-only,
-        in the engine's ``means``. A plan's box and windows fix its means,
-        since the engine's group fixes the ball of a box's radius."""
-        key = (self.key, plan.lo, plan.hi, plan.windows)
-        means = self.engine.means.get(key)
-        if means is None:
-            means = self.engine.means[key] = super().window_means(plan)
-            for arr in means:
-                arr.flags.writeable = False
-        return means
 
 
 class SyntheticSource(ValueSource):
@@ -283,16 +264,14 @@ def synthetic_source(spec: str) -> SyntheticSource:
 def _fiber_source(engine: PairEngine, idx: int) -> ValueSource:
     """The profile of the engine's pair in fiber idx, unchecked."""
     return _EngineSource(engine, functools.partial(engine.fiber_range, idx),
-                         f"fiber[{engine.sys.base.labels[idx]}]", engine.fiber_constant(idx), idx)
+                         f"fiber[{engine.sys.base.labels[idx]}]", engine.fiber_constant(idx))
 
 
 def _engine_source(engine: PairEngine, mode: str, omega=None) -> ValueSource:
     """The ``mode`` profile of the engine's pair, after its domain check."""
     system = engine.sys
     if mode == "sup":
-        # the max over one fiber is that fiber's profile, bitwise
-        key = engine.admissible[0] if len(engine.admissible) == 1 else "sup"
-        return _EngineSource(engine, engine.dtilde_range, "sup", engine.dtilde_constant(), key)
+        return _EngineSource(engine, engine.dtilde_range, "sup", engine.dtilde_constant())
     if mode == "fiber":
         idx = system.base.index_of(omega)
         fs = system.fibers[idx]
@@ -302,9 +281,8 @@ def _engine_source(engine: PairEngine, mode: str, omega=None) -> ValueSource:
     if mode == "integral":
         if engine.admissible != system.base.support:
             raise DomainError("integral mode needs both points in every support fiber")
-        # keyed on its own: one support fiber gives weight * fiber, not the fiber
         return _EngineSource(engine, engine.integral_range, "integral",
-                             engine.integral_constant(), "integral")
+                             engine.integral_constant())
     raise ValueError(f"unknown pair mode {mode!r}")
 
 
@@ -570,6 +548,11 @@ def sup_fiber_weyl(system, x, y, cfg) -> PseudometricEstimate:
     return _sup_of_fiber_weyls(_fiber_weyl(_fiber_source(engine, i), cfg) for i in fibers)
 
 
+def _relabel(est: PseudometricEstimate, kind: str, source: ValueSource) -> PseudometricEstimate:
+    """``est`` as the estimate of ``source``, whose values it scanned bitwise."""
+    return dataclasses.replace(est, kind=kind, source_label=source.label)
+
+
 def pair_summary(system, x, y, cfg) -> dict[str, PseudometricEstimate]:
     """All headline estimates for one pair, keyed by kind.
 
@@ -577,10 +560,12 @@ def pair_summary(system, x, y, cfg) -> dict[str, PseudometricEstimate]:
     tail and the m_max plan over the search radius, so before any scan it
     reads each fiber that the scans will read over the hull of the two
     plans' boxes, when that fits the element budget: each fiber is then
-    walked once, and every scan's box is a slice of the hull. Each profile
-    is read once per plan, however many estimates scan it (the engine
-    memoises its window means), and ``weyl`` and ``sup-fiber-weyl`` reuse
-    the ``banach`` and ``fiber-weyl`` scans instead of running them again."""
+    walked once, and every scan's box is a slice of the hull. No values
+    are scanned twice with one plan: ``weyl`` and ``sup-fiber-weyl`` reuse
+    the ``banach`` and ``fiber-weyl`` scans, and the sup's scans, relabelled,
+    answer for the one admissible fiber, whose profile is the sup's
+    bitwise, and for the integral over a one-point support of weight 1.0,
+    since 0.0 + 1.0 * v == v for every fold value (none is -0.0)."""
     engine = PairEngine(system, x, y)
     tail = _scan_plan(system.group, cfg.n_max, cfg.tail_fraction, 0, cfg.element_budget)
     full = _scan_plan(system.group, cfg.m_max, None, cfg.search_radius, cfg.element_budget)
@@ -594,14 +579,23 @@ def pair_summary(system, x, y, cfg) -> dict[str, PseudometricEstimate]:
     out["besicovitch"] = besicovitch_mean(sup, cfg)
     out["banach"] = banach_mean(sup, cfg)
     out["weyl"] = _as_weyl(out["banach"], "weyl")
+    one = len(engine.admissible) == 1
     if engine.admissible == system.base.support:
         integral = _engine_source(engine, "integral")
-        out["integral-besicovitch"] = _besicovitch(integral, cfg, "integral-besicovitch")
+        if one and system.base.weights[engine.admissible[0]] == 1.0:
+            out["integral-besicovitch"] = _relabel(out["besicovitch"], "integral-besicovitch",
+                                                   integral)
+        else:
+            out["integral-besicovitch"] = _besicovitch(integral, cfg, "integral-besicovitch")
     fibers = []
     for i in engine.admissible:
         src = _fiber_source(engine, i)
-        fb = _besicovitch(src, cfg, "fiber-besicovitch")
-        fibers.append((system.base.labels[i], fb, _fiber_weyl(src, cfg)))
+        if one:
+            fb = _relabel(out["besicovitch"], "fiber-besicovitch", src)
+            fw = _relabel(out["weyl"], "fiber-weyl", src)
+        else:
+            fb, fw = _besicovitch(src, cfg, "fiber-besicovitch"), _fiber_weyl(src, cfg)
+        fibers.append((system.base.labels[i], fb, fw))
     out["sup-fiber-weyl"] = _sup_of_fiber_weyls(fw for _, _, fw in fibers)
     for label, fb, fw in fibers:
         out[f"fiber-besicovitch[{label}]"] = fb

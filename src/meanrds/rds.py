@@ -733,20 +733,21 @@ def _walk_axis(w, d, steps, lo: int, hi: int):
     fastest; ``steps`` maps 1 and -1 to the kernel tables. Positions between
     0 and the box are walked too, as the path to them runs through them.
 
-    Every state takes its step at once. Per direction the base points'
-    trajectory comes first, then the step matrices are gathered once; each
-    step is then the canonical matrix step of the walk kernels on numpy
-    arrays: one product per entry, each row's products added left to right
-    and reduced mod 1, with the same correctly rounded operations in the
-    same order, into a preallocated array of every position."""
+    Every state takes its step at once, coordinate-major: the vectors are
+    held as (positions, dim, n), so each coordinate of every state is one
+    contiguous row. Per direction the base points' trajectory comes first,
+    then the step matrices are taken once along the base axis of a
+    (dim, dim, base) copy of the table; each step is then the canonical
+    matrix step of the walk kernels on numpy rows: one product per entry,
+    each row's products added left to right and reduced mod 1, with the
+    same correctly rounded operations in the same order."""
     n, dim = d.shape
     first, stop = min(lo, 0), max(hi, 1)
-    states = np.empty((stop - first, n, dim))
+    states = np.empty((stop - first, dim, n))
     bases = np.empty((stop - first, n), dtype=np.intp)
-    states[-first], bases[-first] = d, w
-    prod = np.empty((n, dim, dim))
-    # views made once: the products' columns and each state as a row vector
-    cols, row_vecs = [prod[:, :, c] for c in range(dim)], states[:, :, None, :]
+    states[-first], bases[-first] = d.T, w
+    prod = np.empty((dim, dim, n))
+    cols = [prod[:, c] for c in range(dim)]  # entry (r, c) times coordinate c
     for sign, end in ((1, stop - 1), (-1, first)):
         # indices into states of the positions stepped from, 0 towards end
         froms = range(-first, end - first, sign)
@@ -757,17 +758,18 @@ def _walk_axis(w, d, steps, lo: int, hi: int):
         rows = np.asarray(rows, dtype=np.float64).reshape(len(nxt), dim, dim)
         for t in froms:
             bases[t + sign] = nxt[bases[t]]
-        mats = rows[bases[froms.start:froms.stop:sign]]
-        for m, t in zip(mats, froms):
+        mats = np.take(rows.transpose(1, 2, 0).copy(), bases[froms.start:froms.stop:sign],
+                       axis=2)
+        for m, t in zip(np.moveaxis(mats, 2, 0), froms):
             out = states[t + sign]
-            np.multiply(m, row_vecs[t], out=prod)
+            np.multiply(m, states[t], out=prod)
             acc = cols[0]
             for col in cols[1:]:
                 acc = np.add(acc, col, out=out)
             np.remainder(acc, 1.0, out=out)
     keep = slice(lo - first, hi - first)
     return (bases[keep].T.reshape(-1),
-            states[keep].transpose(1, 0, 2).reshape(-1, dim))
+            states[keep].transpose(2, 0, 1).reshape(-1, dim))
 
 
 class PairEngine:
@@ -788,9 +790,6 @@ class PairEngine:
     read-only slice of it, with the same bits, since a value depends only
     on its element's path. A reader that will read several boxes of a fiber
     reads their hull first, so the fiber is walked once.
-
-    ``means`` is where the scans memoise the window means of the engine's
-    profiles (:mod:`meanrds.pseudometrics`).
 
     ``admissible`` holds the support fibers containing both points. The
     weighted ``integral_range`` needs every support fiber, that is
@@ -814,7 +813,6 @@ class PairEngine:
         self.admissible = system._admissible(self.x, self.y)
         self._lines: dict[int, dict] = {}
         self._boxes: dict[int, list] = {}  # fiber -> [(lo, hi, values)]
-        self.means: dict[tuple, tuple] = {}
 
     def _box(self, lo, hi):
         """The corner tuples, checked against the group, and the box size."""

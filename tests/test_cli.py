@@ -3,10 +3,13 @@
 import csv
 import dataclasses
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from grid_fixtures import Z2_CAT, ZXC2_ROT
@@ -298,17 +301,75 @@ def test_removed_workers_flag_exits_one(capsys):
 
 
 def test_out_directory_files(tmp_path, capsys):
+    """Each command's ``<command>.json`` holds the bytes of its ``--json``
+    stdout: the document and a newline."""
     out_dir = tmp_path / "results"
     code = main(["estimate", "--system", "synthetic:squares",
                  "--out", str(out_dir), "--json"])
     assert code == 0
-    stdout_blob = json.loads(capsys.readouterr().out)
-    file_blob = json.loads((out_dir / "estimate.json").read_text())
-    assert file_blob == stdout_blob
+    assert (out_dir / "estimate.json").read_bytes() == capsys.readouterr().out.encode()
     with open(out_dir / "estimate.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][:6] == ["system", "pair", "x", "y", "kind", "value"]
     assert len(rows) == 1 + 4  # header plus one row per estimator
+    cfg = _cfg_file(tmp_path, SMALL)
+    for argv in (["estimate", "--system", "mixed", "--config", cfg, "--pairs", "2"],
+                 ["density", "--set", "evens", "--set", "squares", "--config", cfg],
+                 ["classify", "--system", "rot2", "--config", cfg],
+                 ["validate", "--system", "cat2"],
+                 ["catalog"]):
+        assert main(argv + ["--out", str(out_dir), "--json"]) == 0
+        stdout = capsys.readouterr().out
+        assert (out_dir / f"{argv[0]}.json").read_bytes() == stdout.encode(), argv
+        assert stdout == json.dumps(json.loads(stdout), sort_keys=True, indent=2) + "\n"
+
+
+# scalars json.dumps writes in every form it has: the float specials, -0.0,
+# exponents, large ints, bools, None, and strings that need escapes
+_SCALARS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-09, 5e-324, 1.7976931348623157e308,
+            0.1, 2**70, -(2**64) - 1, 0, True, False, None, "", "plain", "caf\u00e9",
+            "\u65e5\u672c", "\U0001f600", '"quoted"', "back\\slash", "tab\tnew\nline\x00",
+            "\u2028", np.float64(0.5), np.float64(-math.inf), np.float64(math.nan)]
+_KEYS = ["", "a", "b", "B", "kind", "value", "\u00e9t\u00e9", "\U0001f600", "a b", '"k"']
+
+
+def _random_doc(rng: random.Random, depth: int):
+    roll = rng.random()
+    if depth > 4 or roll < 0.4:
+        if rng.random() < 0.5:
+            return rng.choice(_SCALARS)
+        return rng.choice([rng.uniform(-1e6, 1e6), rng.randint(-10**20, 10**20),
+                           np.float64(rng.random()), rng.random() * 10.0 ** rng.randint(-30, 30)])
+    size = rng.choice([0, 1, 2, 3, 5])
+    items = [_random_doc(rng, depth + 1) for _ in range(size)]
+    if roll < 0.7:
+        return dict(zip(rng.sample(_KEYS, size), items))
+    return items if roll < 0.85 else tuple(items)
+
+
+def test_dumps_is_json_dumps_indent_2():
+    """The CLI's renderer gives the bytes of json.dumps(doc, sort_keys=True,
+    indent=2) on seeded nested documents of dicts, lists and tuples, empty
+    or not, over every kind of scalar json writes."""
+    rng = random.Random(2026)
+    docs = [_random_doc(rng, 0) for _ in range(2000)]
+    assert sum(isinstance(d, dict) and any(isinstance(v, (dict, list, tuple))
+                                           for v in d.values()) for d in docs) > 300
+    for doc in docs:
+        assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_dumps_falls_back_on_keys_that_are_not_str():
+    """A nested dict whose keys are not all str is json.dumps's, which
+    converts and sorts them; a flat one is the C encoder's, which does too."""
+    for doc in ({"a": {2: [1], 10: {"x": 1.5}}}, [{2.5: [None], 0.5: ()}],
+                {"b": {True: [1], False: {}}}, {3: 1, 10: 2.0}, [{None: "n"}]):
+        assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    for doc in ({"a": {1: [1], "b": [2]}}, {1: 1, "b": 2}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            cli._dumps(doc)
 
 
 @pytest.mark.parametrize("c", ["inf", "-inf"])

@@ -320,10 +320,12 @@ def test_pair_summary_walks_each_fiber_once(monkeypatch):
 def test_pair_summary_walks_one_hull_and_reads_each_profile_once_per_plan(monkeypatch):
     """On Z^2 at radius 8 the tail box (0, 0)-(64, 64) and the banach box
     (-8, -8)-(40, 40) come out of one walk of their hull, one axis step
-    call over 72 rows. z2-cat's one fiber is also its sup profile, so the
-    fiber scans read nothing of their own; the integral profile is read on
-    its own. On zxc2-cat2 each fiber walks once, and the sup, integral and
-    fiber profiles are each read once per plan they are scanned with."""
+    call over 72 rows. z2-cat's one fiber is also its sup profile, and its
+    one-point support of weight 1.0 makes the integral that fiber too, so
+    the sup is read once per plan and nothing else is read; so is
+    cat-trivial's on Z. On zxc2-cat2 each fiber walks once, and the sup,
+    integral and fiber profiles are each read once per plan they are
+    scanned with."""
     walk_axis, window_means = rds._walk_axis, _windows.window_means
     read = pseudometrics._EngineSource.range_values
     walks, reads, tables = [], [], []
@@ -347,8 +349,14 @@ def test_pair_summary_walks_one_hull_and_reads_each_profile_once_per_plan(monkey
     pair_summary(catalog.build_system(Z2_CAT), x, y, EstimatorConfig(search_radius=8))
     assert walks == [(72, -8, 64)]
     tail, full = ((0, 0), (64, 64)), ((-8, -8), (40, 40))
-    assert reads == [("sup", *tail), ("sup", *full), ("integral", *tail)]
-    assert tables == [(64, 64), (48, 48), (64, 64)]
+    assert reads == [("sup", *tail), ("sup", *full)]
+    assert tables == [(64, 64), (48, 48)]
+    for log in (walks, reads, tables):
+        log.clear()
+    pair_summary(catalog.load("cat-trivial"), x, y,
+                 EstimatorConfig(n_max=512, m_max=128, search_radius=8))
+    assert reads == [("sup", (0,), (512,)), ("sup", (-8,), (136,))]
+    assert len(tables) == 2
     for log in (walks, reads, tables):
         log.clear()
     pair_summary(catalog.build_system(ZXC2_CAT2), x, y,

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from grid_fixtures import Z2_CAT, ZXC2_CAT2, ZXC2_ROT, ZXC3_ORDER3
+from grid_fixtures import Z2_CAT, Z_SLICED, ZXC2_CAT2, ZXC2_ROT, ZXC3_ORDER3
 from meanrds import catalog, pseudometrics, rds
 from meanrds import _windows
 from meanrds._windows import (
@@ -386,7 +386,7 @@ def test_sliced_system_domain_errors_and_empty_sup():
 
 
 VALUE_SYSTEMS = [catalog.load(n) for n in catalog.names()] + [
-    catalog.build_system(spec) for spec in (ZXC2_CAT2, Z2_CAT)]
+    catalog.build_system(spec) for spec in (ZXC2_CAT2, Z2_CAT, Z_SLICED)]
 
 
 @pytest.mark.parametrize("system", VALUE_SYSTEMS, ids=lambda s: s.name)
@@ -394,7 +394,11 @@ def test_value_picks_equal_their_records(system):
     """The values the classify probes read, each from its own engine, equal
     by repr those of the records one pair summary builds from one engine,
     and each separation-set density the mean-L probe reads keeps the chain
-    eps * density <= banach that it checks."""
+    eps * density <= banach that it checks. The summary's fiber and
+    integral records, which it relabels from the sup scans when one fiber
+    is admissible or the support is one point of weight 1.0, equal by repr
+    the public estimators' own scans; on z-sliced the pair lies only in the
+    full fiber w0 of three support fibers."""
     if system.group.rank == 1:
         cfg = EstimatorConfig(n_max=1024, m_max=256, search_radius=16)
     else:
@@ -411,6 +415,19 @@ def test_value_picks_equal_their_records(system):
             density = banach_upper_density(separation_set(pair_source(system, x, y), eps), cfg)
             assert eps * density.value <= ban + cfg.tolerance
         assert repr(sup_fiber_weyl(system, x, y, cfg)) == repr(summary["sup-fiber-weyl"])
+        admissible = system.admissible_fibers(x, y)
+        if system.name == "z-sliced":
+            assert admissible == (0,)
+        for omega in (system.base.labels[i] for i in admissible):
+            assert repr(fiber_besicovitch(system, x, y, omega, cfg)) == repr(
+                summary[f"fiber-besicovitch[{omega}]"])
+            assert repr(fiber_weyl(system, x, y, omega, cfg)) == repr(
+                summary[f"fiber-weyl[{omega}]"])
+        if admissible == system.base.support:
+            assert repr(integral_besicovitch(system, x, y, cfg)) == repr(
+                summary["integral-besicovitch"])
+        else:
+            assert "integral-besicovitch" not in summary
 
 
 def test_value_pick_cases_include_read_profiles():
@@ -419,7 +436,8 @@ def test_value_pick_cases_include_read_profiles():
     constant = {s.name: pair_source(s, (0.1,) * s.dim, (0.2,) * s.dim).constant is not None
                 for s in VALUE_SYSTEMS}
     assert constant == {"rot2": True, "rot1-trivial": True, "cat-trivial": False,
-                        "cat2": False, "mixed": False, "zxc2-cat2": False, "z2-cat": False}
+                        "cat2": False, "mixed": False, "zxc2-cat2": False, "z2-cat": False,
+                        "z-sliced": True}
 
 
 def test_sup_fiber_value_with_no_common_fiber_is_zero():
