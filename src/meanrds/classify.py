@@ -17,8 +17,11 @@ Three seeded probes feed one report:
 The two modulus probes run through one delta descent, ``_modulus_search``:
 per delta it draws every pair before measuring any and stops at the first
 pair that reaches eps, so a delta's draws do not depend on how many of its
-pairs are measured. A row's draws are made in one pass, ``_draw_row``,
-which takes the random stream of n single pair draws.
+pairs are measured. A row's draws, ``_draw_row``, take the random stream
+of n single pair draws. With every support fiber full they are two
+generator calls per pair into the row's arrays; a row with a zero-norm
+direction is drawn again pair by pair from the saved generator state, as
+every row is on a system with a sliced support fiber.
 
 Every probe, and the region search, reads the ``value`` of the estimates
 that reports print: ``banach_mean``, ``banach_upper_density``,
@@ -41,7 +44,6 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,75 +174,106 @@ class RegionResult:
 
 def _draw_row(system, rng, n):
     """Every draw of n pairs (x, y within delta of x), each on a support
-    fiber drawn by weight, made in one pass, as (stream, at, steps, sliced).
+    fiber drawn by weight, as (stream, at, dirs, norms, sliced).
 
     Each pair takes the draws of a support draw by weight, then
     ``FiberSpace.sample`` and ``FiberSpace.sample_near`` on that fiber, in
     that order: the support uniform and the point's uniforms, the slice index
     on a sliced fiber, the Gaussian direction over the free axes and, unless
     there is no free axis or the direction's norm is 0, the radius uniform.
-    Adjacent uniforms are drawn in one call, so the stream, and the generator
-    state after the row, are those of n single draws. ``stream`` holds the
-    uniforms in order and ``at`` where each pair's uniforms start; ``steps`` holds
-    each pair's direction and norm, or None when it draws no radius; and
-    ``sliced`` maps each pair on a sliced fiber to its x, the start of its
-    near step and its free axes. The draws do not depend on delta."""
-    base, d = system.base, system.dim
-    fibers = [system.fibers[i] for i in base.support]
-    # only a sliced fiber needs its pair's support index before the next draw
-    cdf = base.support_cdf.tolist() if any(fs.slices is not None for fs in fibers) else None
+    ``stream`` holds the uniforms in order and ``at`` where each pair's
+    uniforms start; ``dirs`` holds each pair's direction (0.0 on a fixed
+    axis), ``norms`` its :func:`_direction_norm` (0.0 when it draws no
+    radius), and ``sliced`` maps each pair on a sliced fiber to its x, the
+    start of its near step and its free axes. The draws do not depend on
+    delta.
+
+    With every support fiber full, pair i's uniforms start at i * (2 + dim),
+    and the row takes two generator calls per pair, filled in place: the
+    direction, then the radius uniform with the next pair's support and
+    point. A zero norm draws no radius and so shifts every later draw: the
+    row is then drawn again pair by pair, from the generator state saved
+    before it. A row with a sliced support fiber is always drawn pair by
+    pair, as a slice index comes between its pair's uniforms, on the fiber
+    the support uniform picks. The fills are the routines of single draws,
+    so the stream, and the generator state after the row, are those of n
+    single draws."""
+    d = system.dim
     random, normal = rng.random, rng.standard_normal
-    chunks = [random(1 + d)]  # the uniforms, in stream order
-    steps = []  # per pair: its direction and norm, or None when no u is drawn
+    stream = np.empty(n * (2 + d))
+    dirs = np.zeros((n, d))
+    if system._all_full:
+        state = rng.bit_generator.state
+        random(out=stream[:1 + d])
+        for a, direction in zip(range(1 + d, n * (2 + d), 2 + d), dirs):
+            normal(out=direction)
+            random(out=stream[a:a + 2 + d])
+        norms = _direction_norms(dirs)
+        if norms.all():
+            return stream, np.arange(0, n * (2 + d), 2 + d), dirs, norms, {}
+        rng.bit_generator.state = state
+    fibers = [system.fibers[i] for i in system.base.support]
+    # only a sliced fiber needs its pair's support index before the next draw
+    cdf = None if system._all_full else system.base.support_cdf.tolist()
+    at = np.empty(n, dtype=np.intp)
     sliced = {}  # pair -> (x, start of its near step, free axes)
+    random(out=stream[:1 + d])
+    a = 0
     for i in range(n):
-        free = d
+        at[i] = a
+        free = range(d)
         if cdf is not None:
-            fs = fibers[bisect.bisect_right(cdf, float(chunks[-1][-1 - d]))]
+            fs = fibers[bisect.bisect_right(cdf, float(stream[a]))]
             if fs.slices is not None:
-                x = chunks[-1][-d:].tolist()
+                x = stream[a + 1:a + 1 + d].tolist()
                 for ax, val in fs.slices[int(rng.integers(len(fs.slices)))]:
                     x[ax] = val
-                origin, axes = fs._near_base(x)
-                sliced[i] = (tuple(x), origin, axes)
-                free = len(axes)
-        step = None
+                origin, free = fs._near_base(x)
+                sliced[i] = (tuple(x), origin, free)
+        drawn = False
         if free:
-            direction = normal(free).tolist()
-            norm = _direction_norm(direction)
-            if norm > 0.0:
-                step = (direction, norm)
-        steps.append(step)
+            direction = normal(len(free))
+            dirs[i, list(free)] = direction
+            drawn = _direction_norm(direction.tolist()) > 0.0
         # this pair's radius uniform and the next pair's support and point
-        count = (step is not None) + (1 + d if i < n - 1 else 0)
+        a += 1 + d
+        count = drawn + (1 + d if i < n - 1 else 0)
         if count:
-            chunks.append(random(count))
-    stream = np.concatenate(chunks)
-    # where each pair's uniforms start in the stream
-    at = list(itertools.accumulate((2 + d if step else 1 + d for step in steps[:-1]), initial=0))
-    return stream, at, steps, sliced
+            random(out=stream[a:a + count])
+        a += drawn
+    return stream, at, dirs, _direction_norms(dirs), sliced
+
+
+def _direction_norms(dirs: np.ndarray) -> np.ndarray:
+    """:func:`_direction_norm` of each row, with the same bits: a fixed
+    axis's 0.0 adds 0.0, and 0.0 + c * c is c * c."""
+    s = dirs[:, 0] * dirs[:, 0]
+    for j in range(1, dirs.shape[1]):
+        s += dirs[:, j] * dirs[:, j]
+    return np.sqrt(s)
 
 
 def _sample_pairs(system, delta, rng, n):
     """n pairs (x, y within delta of x), from the draws of :func:`_draw_row`.
-    The points are read for the whole row before this returns; the returned
-    iterator computes each y, with ``sample_near``'s step, when its pair is
+    The draws are made for the whole row before this returns; the returned
+    iterator builds each pair, with ``sample_near``'s step, when it is
     reached."""
-    stream, at, steps, sliced = _draw_row(system, rng, n)
+    stream, at, dirs, norms, sliced = _draw_row(system, rng, n)
     d = system.dim
-    uniforms = stream.tolist()
     all_axes = tuple(range(d))
 
     def pairs():
-        for i, (a, step) in enumerate(zip(at, steps)):
-            x = origin = tuple(uniforms[a + 1:a + 1 + d])
+        for i, a in enumerate(at.tolist()):
+            x = origin = tuple(stream[a + 1:a + 1 + d].tolist())
             free = all_axes
             if i in sliced:
                 x, origin, free = sliced[i]
-            if step is None:
+            norm = float(norms[i])
+            if norm == 0.0:
                 yield x, origin
             else:
-                yield x, _near_point(origin, free, *step, uniforms[a + 1 + d], delta)
+                direction = dirs[i, list(free)].tolist()
+                yield x, _near_point(origin, free, direction, norm, float(stream[a + 1 + d]), delta)
 
     return pairs()
 
@@ -259,31 +292,21 @@ def _row_norms(system, delta, rng, n) -> np.ndarray:
     axes, then mod 1 with 1.0 taken to 0.0. A fixed axis of a sliced pair
     adds (radius * 0.0) / norm = 0.0, which leaves it as it is. The radius's
     u^(1/3) for three free axes is ``_cube_root``, pair by pair."""
-    stream, at, steps, sliced = _draw_row(system, rng, n)
+    stream, at, dirs, norms, sliced = _draw_row(system, rng, n)
     d = system.dim
     origin = stream[np.add.outer(at, np.arange(1, 1 + d))]
     x = origin.copy()
-    for i, (xi, oi, _) in sliced.items():
-        x[i], origin[i] = xi, oi
+    k = np.full(n, d)  # free axes per pair
+    for i, (xi, oi, axes) in sliced.items():
+        x[i], origin[i], k[i] = xi, oi, len(axes)
     y = origin.copy()
-    stepped = [i for i, step in enumerate(steps) if step is not None]
-    if stepped:
-        norm = np.asarray([steps[i][1] for i in stepped])
-        if sliced:
-            free = [sliced[i][2] if i in sliced else range(d) for i in stepped]
-            direction = np.zeros((len(stepped), d))
-            for row, axes, i in zip(direction, free, stepped):
-                row[list(axes)] = steps[i][0]
-            k = np.asarray([len(axes) for axes in free])
-        else:
-            direction = np.asarray([steps[i][0] for i in stepped])
-            k = np.full(len(stepped), d)
-        u = stream[np.asarray(at)[stepped] + 1 + d]
-        root = np.where(k == 1, u, np.sqrt(u))
-        root[k == 3] = [_cube_root(v) for v in u[k == 3].tolist()]
-        moved = (origin[stepped] + (delta * root)[:, None] * direction / norm[:, None]) % 1.0
-        moved[moved == 1.0] = 0.0
-        y[stepped] = moved
+    step = norms > 0.0  # the pairs that draw a radius
+    u, k = stream[at[step] + 1 + d], k[step]
+    root = np.where(k == 1, u, np.sqrt(u))
+    root[k == 3] = [_cube_root(v) for v in u[k == 3].tolist()]
+    moved = (origin[step] + (delta * root)[:, None] * dirs[step] / norms[step, None]) % 1.0
+    moved[moved == 1.0] = 0.0
+    y[step] = moved
     diff = (x - y) % 1.0
     diff[diff == 1.0] = 0.0
     return _fold_norm_rows(diff)

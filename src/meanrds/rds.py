@@ -458,10 +458,24 @@ class _PermPowers:
                 cyc.append(i)
                 i = perm[i]
             self.cycles.append(cyc)
+        # per point: where its cycle starts in the cycles laid end to end,
+        # the cycle's length and the point's place in it
+        starts = list(itertools.accumulate(map(len, self.cycles), initial=0))
+        self._flat = np.asarray(list(itertools.chain(*self.cycles)), dtype=np.intp)
+        self._start = np.asarray([starts[c] for c in self.cycle_of], dtype=np.intp)
+        self._length = np.asarray([len(self.cycles[c]) for c in self.cycle_of], dtype=np.intp)
+        self._pos = np.asarray(self.pos_in_cycle, dtype=np.intp)
 
     def apply(self, i: int, k: int) -> int:
         cyc = self.cycles[self.cycle_of[i]]
         return cyc[(self.pos_in_cycle[i] + k) % len(cyc)]
+
+    def path(self, w, lo: int, hi: int) -> np.ndarray:
+        """``apply(i, k)`` for k = lo..hi-1 (rows) and each i of w
+        (columns): the powers of every point, then one gather of w's."""
+        idx = (np.arange(lo, hi)[:, None] + self._pos) % self._length
+        idx += self._start
+        return self._flat[idx][:, w]
 
 
 @dataclass
@@ -727,25 +741,26 @@ def _fold_norm_rows(coords: np.ndarray) -> np.ndarray:
     return np.sqrt(s)
 
 
-def _walk_axis(w, d, steps, lo: int, hi: int):
+def _walk_axis(w, d, steps, powers, lo: int, hi: int):
     """States at positions lo..hi-1 along one generator from each state
     (w, d) at 0, as (base points, vectors) with the position varying
-    fastest; ``steps`` maps 1 and -1 to the kernel tables. Positions between
-    0 and the box are walked too, as the path to them runs through them.
+    fastest; ``steps`` maps 1 and -1 to the kernel tables and ``powers`` is
+    the generator's :class:`_PermPowers`. Positions between 0 and the box
+    are walked too, as the path to them runs through them.
 
     Every state takes its step at once, coordinate-major: the vectors are
     held as (positions, dim, n), so each coordinate of every state is one
-    contiguous row. Per direction the base points' trajectory comes first,
-    then the step matrices are taken once along the base axis of a
-    (dim, dim, base) copy of the table; each step is then the canonical
-    matrix step of the walk kernels on numpy rows: one product per entry,
-    each row's products added left to right and reduced mod 1, with the
-    same correctly rounded operations in the same order."""
+    contiguous row. The base points' trajectory comes first, in one gather
+    from ``powers``. Per direction the step matrices are taken once along
+    the base axis of a (dim, dim, base) copy of the table; each step is
+    then the canonical matrix step of the walk kernels on numpy rows: one
+    product per entry, each row's products added left to right and reduced
+    mod 1, with the same correctly rounded operations in the same order."""
     n, dim = d.shape
     first, stop = min(lo, 0), max(hi, 1)
     states = np.empty((stop - first, dim, n))
-    bases = np.empty((stop - first, n), dtype=np.intp)
-    states[-first], bases[-first] = d.T, w
+    states[-first] = d.T
+    bases = powers.path(w, first, stop)
     prod = np.empty((dim, dim, n))
     cols = [prod[:, c] for c in range(dim)]  # entry (r, c) times coordinate c
     for sign, end in ((1, stop - 1), (-1, first)):
@@ -753,11 +768,7 @@ def _walk_axis(w, d, steps, lo: int, hi: int):
         froms = range(-first, end - first, sign)
         if not froms:
             continue
-        nxt, rows = steps[sign]
-        nxt = np.asarray(nxt)
-        rows = np.asarray(rows, dtype=np.float64).reshape(len(nxt), dim, dim)
-        for t in froms:
-            bases[t + sign] = nxt[bases[t]]
+        rows = np.asarray(steps[sign][1], dtype=np.float64).reshape(-1, dim, dim)
         mats = np.take(rows.transpose(1, 2, 0).copy(), bases[froms.start:froms.stop:sign],
                        axis=2)
         for m, t in zip(np.moveaxis(mats, 2, 0), froms):
@@ -858,12 +869,10 @@ class PairEngine:
         else:
             d = self._first_axis(omega_idx, lo[0], hi[0])
             if len(lo) > 1:
-                powers = self.sys.base._powers[0]
-                cycle = np.asarray(powers.cycles[powers.cycle_of[omega_idx]])
-                w = cycle[(powers.pos_in_cycle[omega_idx]
-                           + np.arange(lo[0], hi[0])) % len(cycle)]
-                for steps, a, b in zip(self.sys._steps[1:], lo[1:], hi[1:]):
-                    w, d = _walk_axis(w, d, steps, a, b)
+                powers = self.sys.base._powers
+                w = powers[0].path(omega_idx, lo[0], hi[0])
+                for steps, pw, a, b in zip(self.sys._steps[1:], powers[1:], lo[1:], hi[1:]):
+                    w, d = _walk_axis(w, d, steps, pw, a, b)
             vals = _fold_norm_rows(d)
         vals.flags.writeable = False
         kept.append((lo, hi, vals))

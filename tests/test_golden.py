@@ -16,7 +16,7 @@ from meanrds.classify import ClassifierConfig, dichotomy_report
 from meanrds.cli import main
 from meanrds.pseudometrics import EstimatorConfig, pair_summary
 
-from grid_fixtures import Z2_CAT, Z_SLICED, ZXC2_CAT2, ZXC2_ROT, ZXC3_ORDER3
+from grid_fixtures import ROT3, Z2_CAT, Z_SLICED, ZXC2_CAT2, ZXC2_ROT, ZXC3_ORDER3
 
 BIG = ["--n-max", "10000", "--m-max", "10000"]
 
@@ -163,6 +163,10 @@ REPORT_GOLDEN = [
     pytest.param(Z2_CAT, (256, 48, 4),
                  "87cb0073d18bd32b24b506428746fc5baaa94e47d6d537c829c978a1ec600e32",
                  id="z2-cat-256-48-4"),
+    # three free axes on every pair: each radius is a correctly rounded cube root
+    pytest.param(ROT3, (64, 16, 2),
+                 "cc4995215de8dad7186f52fa6fcba69a576c879dbc8c688048d91447ee659b06",
+                 id="rot3"),
 ]
 
 

@@ -174,7 +174,7 @@ def test_element_path_matches_line_walk(system):
     size = system.base.size
     for lo, hi in WALK_RANGES:
         w, d = _walk_axis(np.arange(size), np.asarray([engine.delta0] * size),
-                          system._steps[0], lo, hi)
+                          system._steps[0], system.base._powers[0], lo, hi)
         stepped = _fold_norm_rows(d).reshape(size, hi - lo)
         for i in range(size):
             assert stepped[i].tobytes() == engine.fiber_range(i, (lo,), (hi,)).tobytes()
@@ -258,9 +258,9 @@ def test_kept_box_reads_match_reference_elements(spec, x, y, reads, walked, monk
     engine = rds.PairEngine(system, x, y)
     walk_axis, walks = rds._walk_axis, []
 
-    def counting(w, d, steps, lo, hi):
+    def counting(w, d, steps, powers, lo, hi):
         walks.append((lo, hi))
-        return walk_axis(w, d, steps, lo, hi)
+        return walk_axis(w, d, steps, powers, lo, hi)
 
     monkeypatch.setattr(rds, "_walk_axis", counting)
     hulls = {}
@@ -330,9 +330,9 @@ def test_pair_summary_walks_one_hull_and_reads_each_profile_once_per_plan(monkey
     read = pseudometrics._EngineSource.range_values
     walks, reads, tables = [], [], []
 
-    def walking(w, d, steps, lo, hi):
+    def walking(w, d, steps, powers, lo, hi):
         walks.append((len(w), lo, hi))
-        return walk_axis(w, d, steps, lo, hi)
+        return walk_axis(w, d, steps, powers, lo, hi)
 
     def reading(source, lo, hi):
         reads.append((source.label, lo, hi))
@@ -788,13 +788,22 @@ def _pair_bits(pair):
 SUPPORT_WEIGHTS = [(0.5, 0.5), (1.0,), (0.2, 0.3, 0.5), (0.25, 0.0, 0.75)]
 
 
-@pytest.mark.parametrize("generator", [np.random.Generator, _FlatNormals])
+class _Philox(np.random.Generator):
+    """A plain generator on the Philox bit generator, seeded as the bit
+    generator it is given."""
+
+    def __init__(self, bit_generator):
+        super().__init__(np.random.Philox(bit_generator.seed_seq))
+
+
+@pytest.mark.parametrize("generator", [np.random.Generator, _FlatNormals, _Philox])
 @pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
 @pytest.mark.parametrize("sliced", [False, True], ids=["full", "sliced"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_row_sampler_matches_single_draws(dim, sliced, delta, generator):
     """The row sampler's pairs are those of single draws, bitwise, with the
-    fiber of each drawn as rng.choice draws it by weight."""
+    fiber of each drawn as rng.choice draws it by weight, on PCG64 and on
+    Philox."""
     if sliced:
         systems = [_sampling_system(dim, (0.25, 0.5, 0.25), ["full", *SLICED_FIBERS[dim]])]
         systems += [_sampling_system(dim, w, [[[[0, (i + 1) / 8]]] for i in range(len(w))])
@@ -809,7 +818,8 @@ def test_row_sampler_matches_single_draws(dim, sliced, delta, generator):
                 expected = [_reference_pair(system, delta, ref) for _ in range(n)]
                 got = _sample_pairs(system, delta, new, n)
                 assert list(map(_pair_bits, got)) == list(map(_pair_bits, expected))
-                assert new.bit_generator.state == ref.bit_generator.state
+                # repr: Philox's state holds arrays
+                assert repr(new.bit_generator.state) == repr(ref.bit_generator.state)
 
 
 class _TinyUniforms(np.random.Generator):
@@ -843,6 +853,62 @@ def test_row_norms_match_the_sampled_pairs(dim, sliced, generator):
             got = _row_norms(system, delta, new, 40).tolist()
             assert list(map(float.hex, got)) == list(map(float.hex, want))
             assert new.bit_generator.state == ref.bit_generator.state
+
+
+class _ZeroDirection(np.random.Generator):
+    """A generator that zeroes each Gaussian direction whose first value is
+    ``target``, so the direction drawn at one place in the stream has norm
+    0 however often that place is drawn; it records every direction's first
+    value as drawn, and counts the zeroed ones."""
+
+    def __init__(self, bit_generator, target=None):
+        super().__init__(bit_generator)
+        self.target, self.firsts, self.zeroed = target, [], 0
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        z = super().standard_normal(size, dtype, out)
+        self.firsts.append(float(z[0]))
+        if z[0] == self.target:
+            z[:] = 0.0
+            self.zeroed += 1
+        return z
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("sliced", [False, True], ids=["full", "sliced"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_zero_norm_row_equals_single_draws(dim, sliced, where):
+    """A row with a zero-norm direction at its first, a middle or its last
+    direction gives the pairs, norms and generator state of single draws,
+    bitwise. With every support fiber full the row is drawn twice: the
+    zero norm is met, the state restored, and the row drawn pair by pair."""
+    if sliced:
+        system = _sampling_system(dim, (0.25, 0.5, 0.25), ["full", *SLICED_FIBERS[dim]])
+    else:
+        system = _sampling_system(dim, (0.5, 0.5), ["full", "full"])
+    n, delta = 40, 1e-2
+    for seed in range(3):
+        probe = _ZeroDirection(np.random.PCG64(seed))
+        for _ in range(n):
+            _reference_pair(system, delta, probe)
+        target = probe.firsts[{"first": 0, "middle": len(probe.firsts) // 2, "last": -1}[where]]
+
+        def generator():
+            return _ZeroDirection(np.random.PCG64(seed), target)
+
+        ref = generator()
+        expected = [_reference_pair(system, delta, ref) for _ in range(n)]
+        assert ref.zeroed == 1
+        new = generator()
+        got = list(_sample_pairs(system, delta, new, n))
+        assert list(map(_pair_bits, got)) == list(map(_pair_bits, expected))
+        assert new.bit_generator.state == ref.bit_generator.state
+        assert new.zeroed == (1 if sliced else 2)
+        new = generator()
+        want = [fold_norm(torus_delta(x, y)) for x, y in expected]
+        got = _row_norms(system, delta, new, n).tolist()
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+        assert new.bit_generator.state == ref.bit_generator.state
 
 
 CONSTANTS = (0.0, -0.0, 5e-324, 0.1, 1 / 3, 0.3125, math.sqrt(0.75), 1e308, -1e308,
