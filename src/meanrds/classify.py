@@ -23,11 +23,36 @@ generator calls per pair into the row's arrays; a row with a zero-norm
 direction is drawn again pair by pair from the saved generator state, as
 every row is on a system with a sliced support fiber.
 
+A report on a system with a non-constant support fiber draws pairs ahead
+(``_Draws``). It measures wme's first eps pair by pair. If each of those
+rows stopped at its first pair, the outcome on expanding systems, it draws
+in stream order the first pair of every later row of both modulus probes,
+the sensitivity points and every point's first candidate at each eps,
+assuming that outcome holds on (each row stops at its first pair, each
+first candidate is a witness), and saves the generator state before each
+row and candidate. The engines of those pairs have their generator-0
+lines walked together, one batched pass per fiber (``rds._seed_lines``),
+and the probes take the draws and engines in order. A row whose first pair
+stays below eps is drawn again from its saved state for its other pairs,
+the generator then put back, and the draws ahead still line up with the
+stream. They stop lining up when a row passes before the last delta (its
+eps takes fewer rows) or a first candidate is no witness (its point and
+eps take another): the draws not yet taken are dropped, the generator goes
+back to its state before them, and the probes draw and measure pair by
+pair, as the public probes always do. So rows, records and the generator
+state after each probe are those of the public probes called in sequence
+on one generator.
+A batched pass costs about as much as walking seven pairs one at a time,
+so the first eps is measured before anything is drawn ahead: a report
+whose first rows do not stop at their first pair (a small search radius,
+a finite cocycle) draws nothing ahead and walks nothing it does not read.
+
 Every probe, and the region search, reads the ``value`` of the estimates
 that reports print: ``banach_mean``, ``banach_upper_density``,
 ``fiber_weyl`` and ``sup_fiber_weyl``. A modulus-probe pair gets its
-profile from ``pair_source``, except on a system whose support fibers are
-all constant (isometric): there every sup profile is the pair's constant
+profile from ``pair_source`` (a pair drawn ahead, from its seeded engine),
+except on a system whose support fibers are all constant (isometric):
+there every sup profile is the pair's constant
 ``fold_norm(torus_delta(x, y))``, and a whole row of pairs is measured in
 one numpy pass from the same draws (``_row_norms``,
 ``pseudometrics._constant_banach_values``), with the bits, stop, counts and
@@ -43,6 +68,7 @@ are provided for the openness diagnostics.
 from __future__ import annotations
 
 import bisect
+import collections
 import dataclasses
 from dataclasses import dataclass
 
@@ -54,6 +80,8 @@ from .pseudometrics import (
     _check_field_types,
     _constant_banach_values,
     _constant_means,
+    _engine_source,
+    _engine_sup_fiber_weyl,
     _scan_plan,
     banach_mean,
     fiber_weyl,
@@ -62,11 +90,13 @@ from .pseudometrics import (
 )
 from .rds import (
     DTILDE_CONVENTION,
+    PairEngine,
     RandomDynamicalSystem,
     _cube_root,
     _direction_norm,
     _fold_norm_rows,
     _near_point,
+    _seed_lines,
     torus_distance,
 )
 
@@ -312,22 +342,135 @@ def _row_norms(system, delta, rng, n) -> np.ndarray:
     return _fold_norm_rows(diff)
 
 
+def _sample_points(system, ccfg: ClassifierConfig, rng) -> list[tuple]:
+    """The sensitivity probe's base points: ``point_budget`` draws on each
+    support fiber, in support order, as (fiber, point)."""
+    return [(idx, system.fibers[idx].sample(rng))
+            for idx in system.base.support for _ in range(ccfg.point_budget)]
+
+
+class _Draws:
+    """The draws of the probes in stream order, from ``rng``: each row, the
+    sensitivity points and each near candidate as a probe reaches it, or
+    from what was drawn ahead (module docstring). A first pair or candidate
+    drawn ahead comes with its engine, whose lines are seeded; every other
+    pair comes with None.
+
+    Draws are made ahead only with ``cfg`` given, as a report gives it on a
+    system with a non-constant support fiber, and only when every row of
+    wme's first eps stopped at its first pair (``held``). Each is kept with
+    what it was drawn for (a row's delta, the points, a candidate) and the
+    generator state before it, and serves only a request for the same."""
+
+    def __init__(self, system: RandomDynamicalSystem, ccfg: ClassifierConfig, rng,
+                 cfg: EstimatorConfig | None = None):
+        self.system = system
+        self.ccfg = ccfg
+        self.rng = rng
+        self.cfg = cfg
+        self.held = cfg is not None
+        self.taken = 0  # modulus rows taken
+        self.ahead = collections.deque()  # (drawn for, draws, generator state before them)
+
+    def _predict(self) -> None:
+        """Draw ahead the rest of the probes, assuming that each modulus
+        row stops at its first pair, as every row of wme's first eps did,
+        and that each point's first candidate is a witness; then seed the
+        predicted pairs' lines over the first axis of the box that every
+        probe reads."""
+        system, rng, ccfg, cfg = self.system, self.rng, self.ccfg, self.cfg
+        ahead, engines = self.ahead, []
+        for delta in ccfg.delta_grid * (2 * len(ccfg.eps_list) - 1):
+            state = rng.bit_generator.state
+            x, y = next(_sample_pairs(system, delta, rng, ccfg.pair_budget))
+            engines.append(PairEngine(system, x, y))
+            ahead.append((delta, self._row(x, y, engines[-1], state, delta), state))
+        state = rng.bit_generator.state
+        points = _sample_points(system, ccfg, rng)
+        ahead.append(("points", points, state))
+        for idx, x in points:
+            for eps in ccfg.eps_sequence:
+                state = rng.bit_generator.state
+                y = system.fibers[idx].sample_near(x, eps, rng)
+                engines.append(PairEngine(system, x, y))
+                ahead.append(("near", (y, engines[-1]), state))
+        plan = _scan_plan(system.group, cfg.m_max, None, cfg.search_radius, cfg.element_budget)
+        _seed_lines(engines, plan.lo[0], plan.hi[0], cfg.element_budget)
+
+    def _row(self, x, y, engine, state, delta: float):
+        """A row drawn ahead: its first pair and, if the probe goes on past
+        it, the rest of the row drawn again from the generator state before
+        it, the generator then put back where it was."""
+        yield x, y, engine
+        rng = self.rng
+        now, rng.bit_generator.state = rng.bit_generator.state, state
+        pairs = _sample_pairs(self.system, delta, rng, self.ccfg.pair_budget)
+        rng.bit_generator.state = now
+        next(pairs)
+        for x, y in pairs:
+            yield x, y, None
+
+    def _fresh_row(self, delta: float):
+        """A row drawn now; a probe that goes on past its first pair ends
+        the predictions."""
+        pairs = _sample_pairs(self.system, delta, self.rng, self.ccfg.pair_budget)
+        x, y = next(pairs)
+        yield x, y, None
+        self.held = False
+        for x, y in pairs:
+            yield x, y, None
+
+    def _take(self, drawn_for):
+        """The next draws ahead if they were drawn for ``drawn_for``, else
+        None after :meth:`drop`: a row passed before the last delta, so its
+        eps takes fewer rows than were drawn."""
+        if self.ahead and self.ahead[0][0] == drawn_for:
+            return self.ahead.popleft()[1]
+        self.drop()
+        return None
+
+    def row(self, delta: float):
+        """The next row of ``pair_budget`` pairs within delta, as (x, y,
+        engine)."""
+        if self.held and self.taken == len(self.ccfg.delta_grid):
+            self._predict()
+        self.taken += 1
+        return self._take(delta) or self._fresh_row(delta)
+
+    def points(self) -> list[tuple]:
+        return self._take("points") or _sample_points(self.system, self.ccfg, self.rng)
+
+    def near(self, fs, x, eps: float):
+        """The next candidate near x, as (y, engine)."""
+        return self._take("near") or (fs.sample_near(x, eps, self.rng), None)
+
+    def drop(self) -> None:
+        """Drop the draws ahead, which no longer line up with the stream, and
+        put the generator back to its state before the first of them; the
+        sensitivity probe calls it when a candidate is no witness, since its
+        point and eps then take another."""
+        if self.ahead:
+            self.rng.bit_generator.state = self.ahead[0][2]
+            self.ahead.clear()
+
+
 def _measured(values: np.ndarray, eps: float) -> np.ndarray:
     """The values a per-pair row measures: up to the first that reaches eps."""
     hit = np.flatnonzero(values >= eps)
     return values[:hit[0] + 1] if hit.size else values
 
 
-def _modulus_search(system, ccfg: ClassifierConfig, rng, measure, measure_row) -> list[tuple]:
+def _modulus_search(system, ccfg: ClassifierConfig, draws: _Draws, measure,
+                    measure_row) -> list[tuple]:
     """The delta descent of both modulus probes.
 
     For each eps, walk down ``ccfg.delta_grid``. At each delta, draw all
     ``pair_budget`` pairs within delta before measuring any, then measure
-    them in order, stopping at the first whose value ``measure(x, y, eps)``
-    reaches eps. The first delta whose measured pairs all stay below eps is
-    the modulus. Returns one (eps, delta or None, pairs measured, worst
-    value, passed) row per eps; the counts are those of the last delta
-    tried.
+    them in order, stopping at the first whose value ``measure(src, eps)``
+    of its sup profile reaches eps. The first delta whose measured pairs
+    all stay below eps is the modulus. Returns one (eps, delta or None,
+    pairs measured, worst value, passed) row per eps; the counts are those
+    of the last delta tried.
 
     On a system whose support fibers are all constant, each pair's value
     depends only on its sup profile, the constant :func:`_row_norms`, and
@@ -340,11 +483,13 @@ def _modulus_search(system, ccfg: ClassifierConfig, rng, measure, measure_row) -
         found = None
         for delta in ccfg.delta_grid:
             if system._all_constant:
-                values = measure_row(_row_norms(system, delta, rng, ccfg.pair_budget), eps)
+                values = measure_row(_row_norms(system, delta, draws.rng, ccfg.pair_budget), eps)
             else:
                 values = []
-                for x, y in _sample_pairs(system, delta, rng, ccfg.pair_budget):
-                    values.append(measure(x, y, eps))
+                for x, y, engine in draws.row(delta):
+                    src = (pair_source(system, x, y, "sup") if engine is None
+                           else _engine_source(engine, "sup"))
+                    values.append(measure(src, eps))
                     if values[-1] >= eps:
                         break
             worst = max(values)
@@ -360,16 +505,23 @@ def wme_test(
     cfg: EstimatorConfig,
     ccfg: ClassifierConfig,
     rng,
+    *,
+    _draws: _Draws | None = None,
 ) -> WmeResult:
-    """Modulus search: largest grid delta keeping all pair separations < eps."""
+    """Modulus search: largest grid delta keeping all pair separations < eps.
 
-    def measure(x, y, eps):
-        return banach_mean(pair_source(system, x, y, "sup"), cfg).value
+    ``_draws`` is the report's :class:`_Draws`; without it the probe draws
+    from ``rng``."""
+
+    def measure(src, eps):
+        return banach_mean(src, cfg).value
 
     def measure_row(c, eps):
         return _measured(_constant_banach_values(system.group, c, cfg), eps).tolist()
 
-    rows = tuple(ModulusRow(*r) for r in _modulus_search(system, ccfg, rng, measure, measure_row))
+    draws = _draws or _Draws(system, ccfg, rng)
+    rows = tuple(ModulusRow(*r)
+                 for r in _modulus_search(system, ccfg, draws, measure, measure_row))
     return WmeResult(rows, all(r.passed for r in rows))
 
 
@@ -378,6 +530,8 @@ def mean_l_stable_test(
     cfg: EstimatorConfig,
     ccfg: ClassifierConfig,
     rng,
+    *,
+    _draws: _Draws | None = None,
 ) -> StabilityResult:
     """Like the modulus search, with the separation-set density as criterion.
 
@@ -391,8 +545,7 @@ def mean_l_stable_test(
                 f"eps={eps:g}: eps*density {eps * bd:.6g} exceeds banach {ban:.6g}"
             )
 
-    def measure(x, y, eps):
-        src = pair_source(system, x, y, "sup")
+    def measure(src, eps):
         bd = banach_upper_density(separation_set(src, eps), cfg).value
         check(eps, bd, banach_mean(src, cfg).value)
         return bd
@@ -406,8 +559,9 @@ def mean_l_stable_test(
                 check(eps, b, a)
         return bd.tolist()
 
+    draws = _draws or _Draws(system, ccfg, rng)
     rows = tuple(StabilityRow(*r)
-                 for r in _modulus_search(system, ccfg, rng, measure, measure_row))
+                 for r in _modulus_search(system, ccfg, draws, measure, measure_row))
     return StabilityResult(
         rows, all(r.passed for r in rows), not first_violation, "".join(first_violation)
     )
@@ -418,6 +572,8 @@ def sensitivity_test(
     cfg: EstimatorConfig,
     ccfg: ClassifierConfig,
     rng,
+    *,
+    _draws: _Draws | None = None,
 ) -> SensitivityResult:
     """Search shrinking balls for separation witnesses above delta0.
 
@@ -425,14 +581,11 @@ def sensitivity_test(
     is the least of the :func:`_constant_means` of its pair's norm on the
     Banach plan: the pair lies in the fiber it was drawn from, and each
     fiber holding it has that constant profile. No engine is built."""
+    draws = _draws or _Draws(system, ccfg, rng)
     plan = None
     if system._all_constant:
         plan = _scan_plan(system.group, cfg.m_max, None, cfg.search_radius, cfg.element_budget)
-    points = []
-    for idx in system.base.support:
-        fs = system.fibers[idx]
-        for _ in range(ccfg.point_budget):
-            points.append((idx, fs.sample(rng)))
+    points = draws.points()
     results = []
     for idx, x in points:
         fs = system.fibers[idx]
@@ -444,14 +597,18 @@ def sensitivity_test(
             tried = 0
             for _ in range(ccfg.candidate_budget):
                 tried += 1
-                y = fs.sample_near(x, eps, rng)
                 if plan is None:
-                    v = sup_fiber_weyl(system, x, y, cfg).value
+                    y, engine = draws.near(fs, x, eps)
+                    v = (sup_fiber_weyl(system, x, y, cfg) if engine is None
+                         else _engine_sup_fiber_weyl(engine, cfg)).value
                 else:
+                    y = fs.sample_near(x, eps, draws.rng)
                     v = min(_constant_means(torus_distance(x, y), plan))
                 if v > ccfg.delta0:
                     found_y, found_v = y, v
                     break
+                if plan is None:  # only a system with a non-constant fiber draws ahead
+                    draws.drop()
             records.append(WitnessRecord(eps, found_y, found_v, tried))
             if found_y is None:
                 robust = False
@@ -659,13 +816,16 @@ def dichotomy_report(
     ccfg: ClassifierConfig | None = None,
     seed: int = 0,
 ) -> ClassificationReport:
-    """Run all three probes and assemble the verdict."""
+    """Run all three probes and assemble the verdict. On a system with a
+    non-constant support fiber the probes' pairs may be drawn ahead (module
+    docstring), with the rows and records of the probes run in sequence."""
     cfg = cfg or EstimatorConfig()
     ccfg = ccfg or ClassifierConfig()
     rng = np.random.default_rng(seed)
-    wme = wme_test(system, cfg, ccfg, rng)
-    stability = mean_l_stable_test(system, cfg, ccfg, rng)
-    sensitivity = sensitivity_test(system, cfg, ccfg, rng)
+    draws = _Draws(system, ccfg, rng, None if system._all_constant else cfg)
+    wme = wme_test(system, cfg, ccfg, rng, _draws=draws)
+    stability = mean_l_stable_test(system, cfg, ccfg, rng, _draws=draws)
+    sensitivity = sensitivity_test(system, cfg, ccfg, rng, _draws=draws)
 
     if wme.passed and not sensitivity.passed:
         verdict = "wme-evidence"

@@ -541,7 +541,11 @@ def sup_fiber_weyl(system, x, y, cfg) -> PseudometricEstimate:
     no fiber holds both. When every fiber holding both is constant, each has
     the profile ``norm0`` and the same plan, hence the same value, so the
     first one's scan, the first maximum, answers for all."""
-    engine = PairEngine(system, x, y)
+    return _engine_sup_fiber_weyl(PairEngine(system, x, y), cfg)
+
+
+def _engine_sup_fiber_weyl(engine: PairEngine, cfg) -> PseudometricEstimate:
+    """:func:`sup_fiber_weyl` of the engine's pair, read from the engine."""
     fibers = engine.admissible
     if engine.dtilde_constant() is not None:
         fibers = fibers[:1]

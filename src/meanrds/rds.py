@@ -17,9 +17,10 @@ A pair's values are read only over boxes of group elements, given by tuple
 corners, from one :class:`PairEngine` per pair, which walks each fiber once
 for every reader of that pair, on Z (the rank-1 case) as on every other
 group. A box walk follows the canonical coordinate path: the first axis out
-of one line of states per fiber, grown on demand in the scalar kernel, each
-later axis with every state reached stepping at once in numpy; the engine
-keeps each box it has walked and serves a box inside a kept one as a slice.
+of one line of states per fiber, grown on demand in the scalar kernel or
+seeded for many engines at once in the batched one, each later axis with
+every state reached stepping at once in numpy; the engine keeps each box
+it has walked and serves a box inside a kept one as a slice.
 Both take the same left-to-right matrix step.
 A fiber whose every generator matrix on its base orbit is the identity has
 a constant profile, fold_norm(delta0); the engine reports that value, and
@@ -681,6 +682,15 @@ class RandomDynamicalSystem:
 # 1, the row-major entries otherwise). Each row's products are added left to
 # right and reduced mod 1: the canonical matrix step. The kernel returns the
 # final base point and vector and the flat coordinates after every step.
+#
+# ``_walk_line`` takes that step for many vectors that start on one base
+# point, as the pairs of a classify do: they share the base trajectory, so
+# each step applies one matrix, held as (dim, dim, 1), to all of them. The
+# vectors are held coordinate-major, (dim, n) per position; a step is one
+# ``np.multiply`` of the matrix into a (dim, dim, n) product, each row's
+# products added left to right with ``np.add`` into the next position, and
+# one ``np.remainder(.., 1.0)``, Python's ``%``: the correctly rounded
+# operations of the scalar kernels in their order, so every bit is theirs.
 
 def _walk_1d(w, d, count, nxt, rows):
     (x,) = d
@@ -722,6 +732,31 @@ def _walk_3d(w, d, count, nxt, rows):
 
 
 _WALKS = {1: _walk_1d, 2: _walk_2d, 3: _walk_3d}
+
+
+def _walk_line(w, d, steps, powers, first: int, stop: int):
+    """Raw difference vectors at t = first..stop-1 (first <= 0 < stop) along
+    one generator from base point w, for each column of d (dim, n), as a
+    (stop - first, dim, n) array, with the base points at first and at
+    stop - 1; ``steps`` and ``powers`` are the generator's kernel tables and
+    :class:`_PermPowers`. The step is the one in the block comment above."""
+    dim, n = d.shape
+    states = np.empty((stop - first, dim, n))
+    states[-first] = d
+    rows = list(states)
+    bases = powers.path([w], first, stop)[:, 0].tolist()
+    prod = np.empty((dim, dim, n))
+    cols = [prod[:, c] for c in range(dim)]  # entry (r, c) times coordinate c
+    for sign, end in ((1, stop - 1), (-1, first)):
+        mats = list(np.asarray(steps[sign][1], dtype=np.float64).reshape(-1, dim, dim, 1))
+        for t in range(-first, end - first, sign):
+            out = rows[t + sign]
+            np.multiply(mats[bases[t]], rows[t], out=prod)
+            acc = cols[0]
+            for col in cols[1:]:
+                acc = np.add(acc, col, out=out)
+            np.remainder(acc, 1.0, out=out)
+    return states, bases[0], bases[-1]
 
 
 def _float_rows(mat):
@@ -790,10 +825,13 @@ class PairEngine:
     Build one engine per pair and read every profile of the pair from it:
     each fiber is then walked once, however many scans read it. Each fiber
     has one line of raw difference vectors along generator 0, grown on
-    demand in the scalar kernel. A box takes its first axis from that line,
-    and :func:`_walk_axis` walks each later axis along the canonical path
-    (cyclic ones forward), so values are bitwise those of the scalar
-    kernels. A constant fiber's box is ``norm0`` repeated, with no walk.
+    demand in the scalar kernel; :func:`_seed_lines` may first seed it, for
+    many engines at once, with the batched kernel :func:`_walk_line`, whose
+    vectors are the scalar kernel's bitwise. A box takes its first axis
+    from that line, and :func:`_walk_axis` walks each later axis along the
+    canonical path (cyclic ones forward), so values are bitwise those of
+    the scalar kernels. A constant fiber's box is ``norm0`` repeated, with
+    no walk.
     Corners are tuples on every group; Z is the rank-1 case, whose boxes are
     ranges of times. Each fiber keeps every box it has walked, folded and
     read-only, for as long as the engine lives: a read of equal corners
@@ -915,6 +953,37 @@ class PairEngine:
         for i in support:
             out += self.sys.base.weights[i] * self.norm0
         return out
+
+
+def _seed_lines(engines, lo: int, hi: int, budget: int) -> None:
+    """Seed each engine's generator-0 line, on every non-constant fiber
+    holding both points of its pair, with its raw difference vectors at
+    t = lo..hi-1 and at 0. The engines, of one system, have no line yet.
+
+    The engines that start on one fiber take each step together, in
+    :func:`_walk_line`, at most ``budget // line length`` of them a pass, so
+    that a pass holds at most ``budget`` line elements; each engine's line
+    is a view of its pass's array, with the state at each end, from which
+    the scalar kernel grows it as before."""
+    system = engines[0].sys
+    by_fiber: dict[int, list] = {}
+    for engine in engines:
+        for i in engine.admissible:
+            if not system._constant[i]:
+                by_fiber.setdefault(i, []).append(engine)
+    first, stop = min(lo, 0), max(hi, 1)
+    size = max(1, budget // (stop - first))
+    for w, group in by_fiber.items():
+        for k in range(0, len(group), size):
+            part = group[k:k + size]
+            d = np.array([engine.delta0 for engine in part]).T
+            states, w_first, w_last = _walk_line(w, d, system._steps[0],
+                                                 system.base._powers[0], first, stop)
+            right, left = states[-first:], states[:-first][::-1]
+            ends = zip(states[-1].T.tolist(), states[0].T.tolist())
+            for j, (engine, (d_last, d_first)) in enumerate(zip(part, ends)):
+                engine._lines[w] = {1: (right[:, :, j], (w_last, tuple(d_last))),
+                                    -1: (left[:, :, j], (w_first, tuple(d_first)))}
 
 
 # ---------------------------------------------------------------------------

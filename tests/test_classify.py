@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from grid_fixtures import ROT3, Z_SLICED, ZXC2_ROT, _FlatNormals
+from test_golden import REPORT_GOLDEN, SMALL_CLASSIFIER, WIDE_CLASSIFIER, WIDE_GOLDEN
 from meanrds import catalog, pseudometrics, rds
 from meanrds.classify import (
     ClassifierConfig,
@@ -148,20 +149,31 @@ def test_dichotomy_verdicts_and_crosschecks():
 
 
 def test_classify_walks_only_non_identity_fibers(monkeypatch):
-    """The rotation systems never call the walk kernel; mixed calls it only
-    from its hyperbolic fiber w1, which its base action fixes."""
-    starts = set()
+    """The rotation systems never call a walk kernel, scalar or batched;
+    mixed calls each only from its hyperbolic fiber w1, which its base
+    action fixes: the scalar kernel for wme's first eps, measured pair by
+    pair, and the batched kernel for the pairs drawn ahead."""
+    scalar, batched = set(), set()
     for dim, kernel in list(rds._WALKS.items()):
         def counting(w, d, count, nxt, rows, kernel=kernel):
-            starts.add(w)
+            scalar.add(w)
             return kernel(w, d, count, nxt, rows)
         monkeypatch.setitem(rds._WALKS, dim, counting)
+    walk_line = rds._walk_line
+
+    def counting_line(w, d, steps, powers, first, stop):
+        batched.add(w)
+        return walk_line(w, d, steps, powers, first, stop)
+
+    monkeypatch.setattr(rds, "_walk_line", counting_line)
     walked = {}
     for name in ("rot2", "rot1-trivial", "mixed"):
-        starts.clear()
+        scalar.clear()
+        batched.clear()
         dichotomy_report(catalog.load(name), CFG, CCFG, seed=9)
-        walked[name] = set(starts)
-    assert walked == {"rot2": set(), "rot1-trivial": set(), "mixed": {1}}
+        walked[name] = (set(scalar), set(batched))
+    assert walked == {"rot2": (set(), set()), "rot1-trivial": (set(), set()),
+                      "mixed": ({1}, {1})}
 
 
 def test_classify_reads_no_constant_profile(monkeypatch):
@@ -360,3 +372,86 @@ def test_report_is_reproducible_for_a_seed():
     a = dichotomy_report(catalog.load("cat2"), CFG, CCFG, seed=21)
     b = dichotomy_report(catalog.load("cat2"), CFG, CCFG, seed=21)
     assert a.to_dict() == b.to_dict()
+
+
+def _report_and_generator(system, cfg, ccfg, seed, monkeypatch):
+    """dichotomy_report, and the generator it drew from, as it leaves it."""
+    made = []
+    default_rng = np.random.default_rng
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", lambda s: made.append(default_rng(s)) or made[-1])
+        report = dichotomy_report(system, cfg, ccfg, seed)
+    return report, made[0]
+
+
+# every path of the draw-ahead at small caps (see REPORT_GOLDEN and
+# WIDE_GOLDEN), a constant system, and an expanding system at the default
+# caps, where every prediction holds
+SEQUENCE_CASES = [pytest.param(*p.values[:3], SMALL_CLASSIFIER, id=p.id)
+                  for p in REPORT_GOLDEN] + [
+    pytest.param(*p.values[:3], WIDE_CLASSIFIER, id=p.id) for p in WIDE_GOLDEN] + [
+    pytest.param("rot2", None, 4, CCFG, id="rot2"),
+    pytest.param("cat-trivial", None, 1, ClassifierConfig(), id="cat-trivial-default"),
+]
+
+
+@pytest.mark.parametrize("spec,caps,seed,ccfg", SEQUENCE_CASES)
+def test_public_probes_in_sequence_give_the_report(spec, caps, seed, ccfg, monkeypatch):
+    """wme_test, mean_l_stable_test and sensitivity_test called in sequence
+    on one generator give the rows and records of dichotomy_report, bitwise,
+    and leave that generator where the report leaves its own, whether the
+    report drew its pairs ahead, fell back from a wrong prediction or drew
+    nothing ahead."""
+    system = catalog.load(spec) if isinstance(spec, str) else catalog.build_system(spec)
+    cfg = EstimatorConfig() if caps is None else EstimatorConfig(
+        n_max=caps[0], m_max=caps[1], search_radius=caps[2])
+    report, report_rng = _report_and_generator(system, cfg, ccfg, seed, monkeypatch)
+    rng = np.random.default_rng(seed)
+    probes = (wme_test(system, cfg, ccfg, rng), mean_l_stable_test(system, cfg, ccfg, rng),
+              sensitivity_test(system, cfg, ccfg, rng))
+    assert repr(probes) == repr((report.wme, report.stability, report.sensitivity))
+    assert rng.bit_generator.state == report_rng.bit_generator.state
+
+
+def test_a_chunked_report_is_the_report(monkeypatch):
+    """With an element budget that holds three lines, the batched walk takes
+    the drawn-ahead pairs three at a time, and the report is the one at the
+    default budget, byte for byte, but for the budget it prints."""
+    system = catalog.load("cat2")
+    walk_line, sizes = rds._walk_line, []
+
+    def spy(w, d, steps, powers, first, stop):
+        sizes.append((d.shape[1], stop - first))
+        return walk_line(w, d, steps, powers, first, stop)
+
+    monkeypatch.setattr(rds, "_walk_line", spy)
+    docs, passes = [], []
+    for budget in (72, pseudometrics.DEFAULT_ELEMENT_BUDGET):
+        sizes.clear()
+        cfg = EstimatorConfig(n_max=64, m_max=8, search_radius=8, element_budget=budget)
+        doc = dichotomy_report(system, cfg, SMALL_CLASSIFIER, seed=7).to_dict()
+        assert doc.pop("estimator")["element_budget"] == budget
+        docs.append(json.dumps(doc))
+        passes.append(list(sizes))
+    # every line is the box's first axis, [-8, 16); on each of the two
+    # fibers, 9 predicted rows and 12 predicted candidates
+    assert {length for _, length in passes[0] + passes[1]} == {24}
+    assert [n for n, _ in passes[0]] == [3] * 14
+    assert [n for n, _ in passes[1]] == [21, 21]
+    assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("name,walks", [("z2-cat", False), ("zxc3-order3", False),
+                                        ("cat2", False), ("cat2-64-8-8", True)])
+def test_only_a_first_eps_that_stops_at_first_pairs_draws_ahead(name, walks, monkeypatch):
+    """A report draws pairs ahead, and walks them in the batched kernel, only
+    when every row of wme's first eps stopped at its first pair: z2-cat and
+    cat2 at (64, 16, 2) and zxc3-order3 pass a row of that eps and walk
+    nothing batched; cat2 at (64, 8, 8) holds every prediction."""
+    spec, caps, seed, _ = next(p.values for p in REPORT_GOLDEN if p.id == name)
+    system = catalog.load(spec) if isinstance(spec, str) else catalog.build_system(spec)
+    cfg = EstimatorConfig(n_max=caps[0], m_max=caps[1], search_radius=caps[2])
+    walk_line, passes = rds._walk_line, []
+    monkeypatch.setattr(rds, "_walk_line", lambda *a: passes.append(1) or walk_line(*a))
+    dichotomy_report(system, cfg, SMALL_CLASSIFIER, seed=seed)
+    assert bool(passes) == walks

@@ -6,6 +6,7 @@ outputs unchanged. ``classify`` samples near pairs with only correctly
 rounded operations, so its bytes do not depend on the libm either.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -131,49 +132,103 @@ def test_pair_summary_on_generic_groups_is_golden(spec, x, y, caps, digest):
 
 # classify at small caps, off Z and on sliced fibers: the wme and mean-L
 # probes read one engine per pair, the sensitivity probe goes through
-# sup_fiber_weyl
+# sup_fiber_weyl; the pins after rot3 reach each path of the draw-ahead
 SMALL_CLASSIFIER = ClassifierConfig(
     eps_list=(0.2, 0.1), delta_grid=(1e-1, 1e-2, 1e-3), pair_budget=8,
     point_budget=2, candidate_budget=3, eps_sequence=(0.1, 0.01, 1e-3))
 
 REPORT_GOLDEN = [
-    pytest.param(Z2_CAT, (64, 16, 2),
+    pytest.param(Z2_CAT, (64, 16, 2), 7,
                  "88b3bfc4ae57785d85965fccd201a1b1ccb9513ce549155bf99b50db02a7dc29",
                  id="z2-cat"),
-    pytest.param(Z2_CAT, (256, 64, 4),
+    pytest.param(Z2_CAT, (256, 64, 4), 7,
                  "289b0f761e300ef1efdf0f0c28a3c384f065236740d4c5c6ec2150ed00636b79",
                  id="z2-cat-256-64-4"),
-    pytest.param(ZXC2_ROT, (64, 16, 2),
+    pytest.param(ZXC2_ROT, (64, 16, 2), 7,
                  "d342c879beb12b2c87d769e0e60ff83353c3c98c59f0a0c1b95a2d3e6ac83f16",
                  id="zxc2-rot"),
-    pytest.param(ZXC2_ROT, (256, 64, 4),
+    pytest.param(ZXC2_ROT, (256, 64, 4), 7,
                  "9e6f0a7dfc22ea7082aadeeb440839dcc3c3e53aa0e49b81fcd0905f4becad89",
                  id="zxc2-rot-256-64-4"),
-    pytest.param(Z_SLICED, (64, 16, 2),
+    pytest.param(Z_SLICED, (64, 16, 2), 7,
                  "0296ba1d8caa7e68b48e6c010f9130404a141b636c08139b5da57e9b0900dc2d",
                  id="z-sliced"),
     # windows whose widths after the first multiply to a number that is not
     # a power of two: width 3 on C3 from n = 3 up, and the bisected top 6 of Z^2
-    pytest.param(ZXC3_ORDER3, (64, 16, 2),
+    pytest.param(ZXC3_ORDER3, (64, 16, 2), 7,
                  "97dc9a5e986a5529316ee3bd5c7f4ca2e27f5c4409f5eaab42cd7f2b1ac3a4a1",
                  id="zxc3-order3"),
-    pytest.param(ZXC3_ORDER3, (256, 64, 4),
+    pytest.param(ZXC3_ORDER3, (256, 64, 4), 7,
                  "d691e1f5fd19c59bdb2ca48573b72999a1d79286a437a764f504d09b293ac2c4",
                  id="zxc3-order3-256-64-4"),
-    pytest.param(Z2_CAT, (256, 48, 4),
+    pytest.param(Z2_CAT, (256, 48, 4), 7,
                  "87cb0073d18bd32b24b506428746fc5baaa94e47d6d537c829c978a1ec600e32",
                  id="z2-cat-256-48-4"),
     # three free axes on every pair: each radius is a correctly rounded cube root
-    pytest.param(ROT3, (64, 16, 2),
+    pytest.param(ROT3, (64, 16, 2), 7,
                  "cc4995215de8dad7186f52fa6fcba69a576c879dbc8c688048d91447ee659b06",
                  id="rot3"),
+    # the draw-ahead of a report on a system with a non-constant fiber: above,
+    # z2-cat at (64, 16, 2) and zxc3-order3 pass a row of wme's first eps, so
+    # nothing is drawn ahead, and z2-cat at (256, 64, 4) holds every
+    # prediction; here the first pair of a row drawn ahead stays below eps,
+    # so the row is drawn again for its other pairs (wme: mixed, seed 7;
+    # mean-L: mixed, seed 2), a mean-L row passes at the last delta after
+    # every wme prediction held, which leaves the draws ahead in line with the
+    # stream (z2-cat, seed 283), a first candidate is no witness partway
+    # through the sequence, which drops them (z2-cat at candidate 3 of 6,
+    # cat2 at candidate 9 of 12), cat2 passes a row of wme's first eps on Z,
+    # and at (64, 8, 8) every prediction holds; WIDE_GOLDEN below drops the
+    # draws ahead at a row
+    pytest.param("mixed", (64, 8, 6), 7,
+                 "964f6e5a90f5316e83fc2b0b28209c62d5c650dbc6c567339db6af1bcffb4ec6",
+                 id="mixed-64-8-6-seed-7"),
+    pytest.param(Z2_CAT, (64, 8, 3), 283,
+                 "b8ff9ed46767b0005b1e3898cdc728536ab3bcc5b8cd7de91e7751389b35a737",
+                 id="z2-cat-64-8-3-seed-283"),
+    pytest.param(Z2_CAT, (64, 8, 3), 244,
+                 "4a0e9b9b738de89a131fbea4b529ed23931b51a4467b33dc6265790827c20e53",
+                 id="z2-cat-64-8-3-seed-244"),
+    pytest.param("mixed", (64, 8, 6), 2,
+                 "67904fa128318f7abeb80c54543e3d409465871a62f62536e248021c61656c59",
+                 id="mixed-64-8-6-seed-2"),
+    pytest.param("cat2", (64, 8, 6), 52,
+                 "1d5d39ea5f4edf60a7b6fb3d4a18f10a8d1c0df88ae20ed93733af9a66f5e627",
+                 id="cat2-64-8-6-seed-52"),
+    pytest.param("cat2", (64, 16, 2), 7,
+                 "180a7c087022ceeccfb40c1970b735555ef75ff9d428eaa21b734755fe8b2d50",
+                 id="cat2"),
+    pytest.param("cat2", (64, 8, 8), 7,
+                 "94ae5fe2691b9fec76299d8432f05d9120526e5000c13751647e7faf9a4f2749",
+                 id="cat2-64-8-8"),
 ]
 
 
-@pytest.mark.parametrize("spec,caps,digest", REPORT_GOLDEN)
-def test_dichotomy_report_on_generic_groups_is_golden(spec, caps, digest):
+# a second eps of 0.6, above every Banach mean these caps give, passes wme's
+# row at its first delta after every row of the first eps stopped at its
+# first pair: the rows drawn ahead for its later deltas no longer line up
+# with the stream, and every draw ahead is dropped
+WIDE_CLASSIFIER = dataclasses.replace(SMALL_CLASSIFIER, eps_list=(0.2, 0.6))
+WIDE_GOLDEN = [
+    pytest.param("cat2", (64, 16, 8), 0,
+                 "148bea1500f334ff854fc0bfa19cd225dbcef676d75abebf5c123c58ae5f9189",
+                 id="cat2-64-16-8-wide"),
+]
+
+
+def _report_digest(spec, caps, seed, ccfg):
     n_max, m_max, radius = caps
     cfg = EstimatorConfig(n_max=n_max, m_max=m_max, search_radius=radius)
-    report = dichotomy_report(catalog.build_system(spec), cfg, SMALL_CLASSIFIER, seed=7)
-    blob = json.dumps(report.to_dict())
-    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+    system = catalog.load(spec) if isinstance(spec, str) else catalog.build_system(spec)
+    report = dichotomy_report(system, cfg, ccfg, seed=seed)
+    return hashlib.sha256(json.dumps(report.to_dict()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("spec,caps,seed,digest", REPORT_GOLDEN)
+def test_dichotomy_report_on_generic_groups_is_golden(spec, caps, seed, digest):
+    assert _report_digest(spec, caps, seed, SMALL_CLASSIFIER) == digest
+
+
+@pytest.mark.parametrize("spec,caps,seed,digest", WIDE_GOLDEN)
+def test_dichotomy_report_with_a_wide_eps_list_is_golden(spec, caps, seed, digest):
+    assert _report_digest(spec, caps, seed, WIDE_CLASSIFIER) == digest

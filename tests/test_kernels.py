@@ -182,6 +182,98 @@ def test_element_path_matches_line_walk(system):
                 system.base.act_generator(0, i, t) for t in range(lo, hi)]
 
 
+# config systems for the batched line walk beside the catalog and grid ones:
+# a unimodular shear of the 3-torus, and a full cat fiber next to a sliced
+# fiber whose shear keeps its slice x0 = 0.25, so a pair drawn on w1 lies in
+# both fibers and one drawn on w0 in w0 only
+SHEAR3 = {"name": "shear3", "group": "Z", "dim": 3,
+          "base": {"labels": ["w0"], "weights": [1.0], "perms": [[0]]},
+          "maps": [[{"matrix": [[1, 1, 0], [0, 1, 1], [0, 0, 1]], "shift": [0.125, 0.25, 0.5]}]]}
+SLICED_SHEAR = {"name": "sliced-shear", "group": "Z", "dim": 2,
+                "base": {"labels": ["w0", "w1"], "weights": [0.5, 0.5], "perms": [[0, 1]]},
+                "fibers": ["full", {"slices": [[[0, 0.25]]]}],
+                "maps": [[{"matrix": [[2, 1], [1, 1]]},
+                          {"matrix": [[1, 0], [1, 1]], "shift": [0.0, 0.375]}]]}
+LINE_SYSTEMS = [catalog.build_system(spec) for spec in (FLIP1, SHEAR3, SLICED_SHEAR, Z2_CAT,
+                                                        ZXC2_CAT2, ZXC3_ORDER3)]
+LINE_SYSTEMS += [_dim3_system(), catalog.load("cat2"), catalog.load("mixed")]
+# (lo, hi) of the first axis: around 0, wholly positive, ending at 0 and
+# wholly negative, and the one element 0
+LINE_RANGES = [(-6, 9), (3, 11), (-7, 0), (-7, -2), (0, 1)]
+
+
+def _line_pairs(system, count):
+    return list(itertools.islice(_sample_pairs(system, 0.05, np.random.default_rng(3), count),
+                                 count))
+
+
+def _walked_fibers(engine):
+    return [i for i in engine.admissible if not engine.sys._constant[i]]
+
+
+# batches of 7 pairs over every range, and of one pair around 0
+LINE_CASES = [pytest.param(s, lo, hi, 7, id=f"{s.name}-{lo}-{hi}")
+              for s in LINE_SYSTEMS for lo, hi in LINE_RANGES] + [
+    pytest.param(s, -6, 9, 1, id=f"{s.name}-one-pair") for s in LINE_SYSTEMS]
+
+
+@pytest.mark.parametrize("system,lo,hi,count", LINE_CASES)
+def test_seeded_lines_are_the_scalar_lines(system, lo, hi, count, monkeypatch):
+    """The batched line walk seeds each engine's generator-0 line with the
+    scalar kernel's vectors, bitwise, in dimensions 1-3, on Z, Z^2, Z x C2
+    and Z x C3, for a batch of one pair and of pairs whose admissible
+    fibers differ: the seeded range reads with no scalar walk, a longer
+    read grows the line from its seeded ends, and box reads over every axis
+    (the later ones walked per pair, as before) are those of a fresh
+    engine. A constant fiber, or one without both points, gets no line."""
+    pairs = _line_pairs(system, count)
+    seeded = [rds.PairEngine(system, x, y) for x, y in pairs]
+    fresh = [rds.PairEngine(system, x, y) for x, y in pairs]
+    if system.name == "sliced-shear" and count > 1:
+        assert len({e.admissible for e in seeded}) == 2
+    rds._seed_lines(seeded, lo, hi, DEFAULT_ELEMENT_BUDGET)
+    for engine in seeded:
+        assert sorted(engine._lines) == _walked_fibers(engine)
+    later = [(0, k) if k else (-2, 3) for k in system.group.generator_orders()[1:]]
+    for a, b in zip(seeded, fresh):
+        for i in _walked_fibers(a):
+            with monkeypatch.context() as m:
+                for dim in rds._WALKS:
+                    m.setitem(rds._WALKS, dim, lambda *args: pytest.fail("a scalar walk"))
+                got = a._first_axis(i, lo, hi)
+            assert got.tobytes() == b._first_axis(i, lo, hi).tobytes()
+            assert got.shape == (hi - lo, system.dim)
+            grown = (lo - 5, hi + 6)
+            assert a._first_axis(i, *grown).tobytes() == b._first_axis(i, *grown).tobytes()
+            box = ((lo - 2,) + tuple(c for c, _ in later), (hi + 3,) + tuple(c for _, c in later))
+            assert a.fiber_range(i, *box).tobytes() == b.fiber_range(i, *box).tobytes()
+
+
+def test_seeded_lines_chunk_to_the_element_budget(monkeypatch):
+    """A pass of the batched walk holds at most ``budget`` line elements
+    (pairs times line length): above it the pairs are walked in chunks, with
+    the same lines bitwise."""
+    system = catalog.load("cat2")
+    pairs = _line_pairs(system, 9)
+    lo, hi = -6, 9
+    walk_line, sizes = rds._walk_line, []
+
+    def spy(w, d, steps, powers, first, stop):
+        sizes.append(d.shape[1] * (stop - first))
+        return walk_line(w, d, steps, powers, first, stop)
+
+    monkeypatch.setattr(rds, "_walk_line", spy)
+    lines = {}
+    for budget in (DEFAULT_ELEMENT_BUDGET, 15, 29, 45, 130):
+        sizes.clear()
+        engines = [rds.PairEngine(system, x, y) for x, y in pairs]
+        rds._seed_lines(engines, lo, hi, budget)
+        assert max(sizes) <= max(budget, hi - lo) and sum(sizes) == 2 * 9 * (hi - lo)
+        assert len(sizes) == 2 * -(-9 // max(1, budget // (hi - lo)))
+        lines[budget] = [e._first_axis(i, lo, hi).tobytes() for e in engines for i in (0, 1)]
+    assert all(got == lines[DEFAULT_ELEMENT_BUDGET] for got in lines.values())
+
+
 def _reference_element(system, omega, delta, g):
     """fold_norm of the difference vector after g, one step at a time from
     the FiberMap matrices along the canonical path: coordinate 0 first,

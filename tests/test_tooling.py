@@ -7,17 +7,24 @@ here rather than as a failed benchmark run."""
 import importlib.util
 from pathlib import Path
 
-from meanrds import cli, rds
+import pytest
+
+from meanrds import catalog, classify, cli, rds
+from meanrds.pseudometrics import EstimatorConfig
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
-def test_tracer_installs_and_uninstalls():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
+    return layers.Tracer()
+
+
+def test_tracer_installs_and_uninstalls():
     main, fiber_range = cli.main, rds.PairEngine.fiber_range
-    tracer = layers.Tracer()
+    tracer = _tracer()
     tracer.install()
     try:
         assert cli.main is not main and rds.PairEngine.fiber_range is not fiber_range
@@ -32,3 +39,21 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert cli.main is main and rds.PairEngine.fiber_range is fiber_range
+
+
+@pytest.mark.parametrize("name", ["rot2", "cat-trivial"])
+def test_report_calls_each_probe_through_the_classify_module(name):
+    """The tracer's classify.wme, classify.meanl and classify.sensitivity
+    spans wrap the names wme_test, mean_l_stable_test and sensitivity_test
+    of the classify module, so a report, with its pairs drawn ahead or not,
+    calls each of them once, by those names."""
+    tracer = _tracer()
+    tracer.install()
+    try:
+        classify.dichotomy_report(catalog.load(name),
+                                  EstimatorConfig(n_max=256, m_max=64, search_radius=16), seed=3)
+    finally:
+        tracer.uninstall()
+    assert {span: tracer.calls[span] for span in (
+        "classify.report", "classify.wme", "classify.meanl", "classify.sensitivity")} == {
+        "classify.report": 1, "classify.wme": 1, "classify.meanl": 1, "classify.sensitivity": 1}
