@@ -138,9 +138,16 @@ def window_means(box: np.ndarray, starts, windows) -> list[np.ndarray]:
     Z (module docstring) of the blocks at their trailing starts laid end to
     end, about a box of them at a time. The means come as one list,
     so that numpy's error state is set once per call.
+
+    Axes of ``box`` before its ``len(starts)`` group axes index a stack of
+    boxes, and each mean array then has them first. Every addition and
+    division is elementwise, so each box of a stack gets the bits of its
+    own call.
     """
     starts = tuple(starts)
-    for s, w, n in zip(starts, map(max, zip(*windows)), box.shape):
+    stack = box.shape[:box.ndim - len(starts)]
+    shape = box.shape[len(stack):]
+    for s, w, n in zip(starts, map(max, zip(*windows)), shape):
         if s.min() < 0 or s.max() + w > n:
             raise ValueError("window out of the box")
     carries = {}  # window -> the carries of its first width, in the tree's order
@@ -154,9 +161,9 @@ def window_means(box: np.ndarray, starts, windows) -> list[np.ndarray]:
     def read(level, k):
         # the carries pending at width k, at the starts moved along axis 0
         for i, off in pending.pop(k, ()):
-            carries.setdefault(i, []).append(level[(starts[0] + off,) + starts[1:]])
+            carries.setdefault(i, []).append(level[(..., starts[0] + off) + starts[1:]])
 
-    earlier = range(box.ndim - 2, -1, -1)
+    earlier = range(len(shape) - 2, -1, -1)
     if not earlier:  # on Z axis 0 is the last axis, whose levels every window shares
         for i, (width,) in enumerate(windows):
             if width & (width - 1):
@@ -183,34 +190,37 @@ def window_means(box: np.ndarray, starts, windows) -> list[np.ndarray]:
             for axis in earlier:
                 if axis == 0:
                     peel(i, win[0])
-                head = (slice(None),) * axis
+                head = (slice(None),) * (len(stack) + axis)
                 j = 1
                 while 2 * j <= win[axis]:
                     if j in pending:
                         read(table, j)
                     table = table[head + (slice(None, -j),)] + table[head + (slice(j, None),)]
                     j *= 2
-            total = table[starts]
+            total = table[(...,) + starts]
             for carry in carries.pop(i, ()):
                 total += carry
             out[i] = total / size
     for trailing, idx in runs.items():  # runs of the flattened trailing blocks
         idx.sort(key=lambda i: windows[i][0])  # first widths may not shrink on Z
         last = table = None  # free the levels first
-        size, tail = math.prod(trailing), tuple(n - w + 1 for n, w in zip(box.shape[1:], trailing))
+        size, tail = math.prod(trailing), tuple(n - w + 1 for n, w in zip(shape[1:], trailing))
         used, col = np.unique(np.ravel_multi_index(starts[1:], tail), return_inverse=True)
-        # blocks[t, i, b] = box[i, t + b]: a chunk of t copies out as blocks end to end
-        blocks = as_strided(box, tail + box.shape[:1] + trailing,
-                            box.strides[1:] + box.strides[:1] + box.strides[1:], writeable=False)
+        # blocks[..., t, i, b] = box[..., i, t + b]: a chunk of t copies out as
+        # blocks end to end, one line per box of the stack
+        st = box.strides[len(stack):]
+        blocks = as_strided(box, stack + tail + shape[:1] + trailing,
+                            box.strides[:len(stack)] + st[1:] + st[:1] + st[1:], writeable=False)
         # ceil(all blocks / box) chunks of equally many blocks: about a box each
-        step = math.ceil(len(used) / math.ceil(len(used) * box.shape[0] * size / box.size))
+        step = math.ceil(len(used) / math.ceil(len(used) * shape[0] * size / math.prod(shape)))
         for i in idx:
-            out[i] = np.empty(len(col))
+            out[i] = np.empty(stack + (len(col),))
         for a in range(0, len(used), step):
             at = np.flatnonzero((col >= a) & (col < a + step))
-            line = blocks[np.unravel_index(used[a:a + step], tail)].ravel()
+            line = blocks[(slice(None),) * len(stack) + np.unravel_index(used[a:a + step], tail)]
+            line = line.reshape(stack + (-1,))
             for i, means in zip(idx, window_means(
-                    line, (((col[at] - a) * box.shape[0] + starts[0][at]) * size,),
+                    line, (((col[at] - a) * shape[0] + starts[0][at]) * size,),
                     [(windows[j][0] * size,) for j in idx])):
-                out[i][at] = means
+                out[i][..., at] = means
     return out

@@ -32,20 +32,29 @@ assuming that outcome holds on (each row stops at its first pair, each
 first candidate is a witness), and saves the generator state before each
 row and candidate. The engines of those pairs have their generator-0
 lines walked together, one batched pass per fiber (``rds._seed_lines``),
-and the probes take the draws and engines in order. A row whose first pair
-stays below eps is drawn again from its saved state for its other pairs,
-the generator then put back, and the draws ahead still line up with the
-stream. They stop lining up when a row passes before the last delta (its
+which on Z also folds each line once into the engine's box. Then every
+profile those pairs will be measured by is window-summed on the Banach
+plan in stacks, one ``_windows.window_means`` call a stack
+(``pseudometrics._keep_means``), kind by kind: the sup profile of each
+row, the separation set of each mean-L row at its eps, and each
+candidate's non-constant fiber profiles. Each engine keeps its means, and
+the probes' scans read them through the usual sources, with the bits of
+the pair's own read. The probes take the draws and engines in order. A
+row whose first pair stays below eps is drawn again from its saved state
+for its other pairs, the generator then put back, and the draws ahead
+still line up with the stream. They stop lining up when a row passes before the last delta (its
 eps takes fewer rows) or a first candidate is no witness (its point and
 eps take another): the draws not yet taken are dropped, the generator goes
 back to its state before them, and the probes draw and measure pair by
 pair, as the public probes always do. So rows, records and the generator
 state after each probe are those of the public probes called in sequence
 on one generator.
-A batched pass costs about as much as walking seven pairs one at a time,
-so the first eps is measured before anything is drawn ahead: a report
-whose first rows do not stop at their first pair (a small search radius,
-a finite cocycle) draws nothing ahead and walks nothing it does not read.
+A batched pass over a report's ~80 predicted pairs, folded, costs about as
+much as measuring 14 pairs one at a time (8.6 ms against 0.62 ms a pair
+on cat-trivial at the default caps, on a 2 vCPU x86-64 VM), so the first
+eps is measured before anything is drawn ahead: a report whose first rows
+do not stop at their first pair (a small search radius, a finite cocycle)
+draws nothing ahead and walks nothing it does not read.
 
 Every probe, and the region search, reads the ``value`` of the estimates
 that reports print: ``banach_mean``, ``banach_upper_density``,
@@ -82,6 +91,8 @@ from .pseudometrics import (
     _constant_means,
     _engine_source,
     _engine_sup_fiber_weyl,
+    _fiber_source,
+    _keep_means,
     _scan_plan,
     banach_mean,
     fiber_weyl,
@@ -375,16 +386,21 @@ class _Draws:
     def _predict(self) -> None:
         """Draw ahead the rest of the probes, assuming that each modulus
         row stops at its first pair, as every row of wme's first eps did,
-        and that each point's first candidate is a witness; then seed the
+        and that each point's first candidate is a witness; seed the
         predicted pairs' lines over the first axis of the box that every
-        probe reads."""
+        probe reads; then take the window means of every profile the
+        predicted pairs will be measured by, in stacks of one kind
+        (``_keep_means``): each row's sup profile, each mean-L row's
+        separation set at its eps, and each candidate's fiber profiles."""
         system, rng, ccfg, cfg = self.system, self.rng, self.ccfg, self.cfg
-        ahead, engines = self.ahead, []
-        for delta in ccfg.delta_grid * (2 * len(ccfg.eps_list) - 1):
-            state = rng.bit_generator.state
-            x, y = next(_sample_pairs(system, delta, rng, ccfg.pair_budget))
-            engines.append(PairEngine(system, x, y))
-            ahead.append((delta, self._row(x, y, engines[-1], state, delta), state))
+        ahead, rows, near = self.ahead, [], []
+        # wme's later eps, then every eps of mean-L
+        for eps in ccfg.eps_list[1:] + ccfg.eps_list:
+            for delta in ccfg.delta_grid:
+                state = rng.bit_generator.state
+                x, y = next(_sample_pairs(system, delta, rng, ccfg.pair_budget))
+                rows.append((eps, PairEngine(system, x, y)))
+                ahead.append((delta, self._row(x, y, rows[-1][1], state, delta), state))
         state = rng.bit_generator.state
         points = _sample_points(system, ccfg, rng)
         ahead.append(("points", points, state))
@@ -392,10 +408,18 @@ class _Draws:
             for eps in ccfg.eps_sequence:
                 state = rng.bit_generator.state
                 y = system.fibers[idx].sample_near(x, eps, rng)
-                engines.append(PairEngine(system, x, y))
-                ahead.append(("near", (y, engines[-1]), state))
+                near.append(PairEngine(system, x, y))
+                ahead.append(("near", (y, near[-1]), state))
         plan = _scan_plan(system.group, cfg.m_max, None, cfg.search_radius, cfg.element_budget)
-        _seed_lines(engines, plan.lo[0], plan.hi[0], cfg.element_budget)
+        _seed_lines([e for _, e in rows] + near, plan.lo[0], plan.hi[0], cfg.element_budget)
+        sups = [(eps, _engine_source(e, "sup")) for eps, e in rows]
+        meanl = len(ccfg.eps_list[1:]) * len(ccfg.delta_grid)  # the first mean-L row
+        for stack in ([src for _, src in sups if src.constant is None],
+                      [separation_set(src, eps) for eps, src in sups[meanl:]
+                       if src.constant is None],
+                      [_fiber_source(e, i) for e in near for i in e.admissible
+                       if e.fiber_constant(i) is None]):
+            _keep_means(stack, plan, cfg.element_budget)
 
     def _row(self, x, y, engine, state, delta: float):
         """A row drawn ahead: its first pair and, if the probe goes on past

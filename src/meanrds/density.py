@@ -91,6 +91,14 @@ class SeparationSet(ValueSource):
     def range_values(self, lo, hi):
         return (self.source.range_values(lo, hi) >= self.eps).astype(np.float64)
 
+    def _slot(self):
+        """Its source's store, keyed by the source's profile and this eps;
+        none over a profile that is itself keyed by an eps."""
+        slot = self.source._slot()
+        if slot is None or slot[1][1] is not None:
+            return None
+        return slot[0], (slot[1][0], self.eps)
+
 
 def upper_density(ind: ValueSource, cfg: EstimatorConfig) -> DensityEstimate:
     return _scan(ind, cfg, "upper-density", UPPER_NOTE, outer=max, tail=True)

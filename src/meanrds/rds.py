@@ -18,10 +18,10 @@ corners, from one :class:`PairEngine` per pair, which walks each fiber once
 for every reader of that pair, on Z (the rank-1 case) as on every other
 group. A box walk follows the canonical coordinate path: the first axis out
 of one line of states per fiber, grown on demand in the scalar kernel or
-seeded for many engines at once in the batched one, each later axis with
-every state reached stepping at once in numpy; the engine keeps each box
-it has walked and serves a box inside a kept one as a slice.
-Both take the same left-to-right matrix step.
+seeded for many engines at once in the batched one (on Z, as their folded
+boxes), each later axis with every state reached stepping at once in
+numpy; the engine keeps each box it has walked and serves a box inside a
+kept one as a slice. Both take the same left-to-right matrix step.
 A fiber whose every generator matrix on its base orbit is the identity has
 a constant profile, fold_norm(delta0); the engine reports that value, and
 the scans then read nothing (see :mod:`meanrds.pseudometrics`); a box read
@@ -689,8 +689,12 @@ class RandomDynamicalSystem:
 # vectors are held coordinate-major, (dim, n) per position; a step is one
 # ``np.multiply`` of the matrix into a (dim, dim, n) product, each row's
 # products added left to right with ``np.add`` into the next position, and
-# one ``np.remainder(.., 1.0)``, Python's ``%``: the correctly rounded
-# operations of the scalar kernels in their order, so every bit is theirs.
+# the reduction mod 1 as ``acc - floor(acc)``. That is Python's ``%`` on
+# every finite float: ``floor`` is exact, and the one correctly rounded
+# subtraction rounds the real that ``%`` rounds once (a tiny negative acc
+# gives 1.0 both ways). So the batched steps make the correctly rounded
+# operations of the scalar kernels in their order, and every bit is theirs;
+# ``_walk_axis`` steps the same way.
 
 def _walk_1d(w, d, count, nxt, rows):
     (x,) = d
@@ -745,7 +749,7 @@ def _walk_line(w, d, steps, powers, first: int, stop: int):
     states[-first] = d
     rows = list(states)
     bases = powers.path([w], first, stop)[:, 0].tolist()
-    prod = np.empty((dim, dim, n))
+    prod, whole = np.empty((dim, dim, n)), np.empty((dim, n))
     cols = [prod[:, c] for c in range(dim)]  # entry (r, c) times coordinate c
     for sign, end in ((1, stop - 1), (-1, first)):
         mats = list(np.asarray(steps[sign][1], dtype=np.float64).reshape(-1, dim, dim, 1))
@@ -755,7 +759,7 @@ def _walk_line(w, d, steps, powers, first: int, stop: int):
             acc = cols[0]
             for col in cols[1:]:
                 acc = np.add(acc, col, out=out)
-            np.remainder(acc, 1.0, out=out)
+            np.subtract(acc, np.floor(acc, out=whole), out=out)
     return states, bases[0], bases[-1]
 
 
@@ -766,14 +770,23 @@ def _float_rows(mat):
 
 def _fold_norm_rows(coords: np.ndarray) -> np.ndarray:
     """:func:`fold_norm` of each row of coordinates in [0, 1], with the same
-    correctly rounded operations in the same order, hence the same bits."""
-    f = np.where(coords <= 0.5, coords, 1.0 - coords)
-    if f.shape[1] == 1:
-        return f[:, 0]
-    s = f[:, 0] * f[:, 0]
-    for j in range(1, f.shape[1]):
-        s += f[:, j] * f[:, j]
-    return np.sqrt(s)
+    correctly rounded operations in the same order, hence the same bits.
+    The coordinates run along axis 1, and ``coords`` may have axes after
+    it, as a batched line's (positions, dim, n) has; no temporary is larger
+    than one coordinate. The fold is min(c, 1 - c), the value of ``_fold``
+    on [0, 1]: 1 - c is exact above 0.5 and at least 0.5 below it."""
+    f = np.empty(coords.shape[:1] + coords.shape[2:])
+    s = None
+    for j in range(coords.shape[1]):
+        c = coords[:, j]
+        np.minimum(c, np.subtract(1.0, c, out=f), out=f)
+        if coords.shape[1] == 1:
+            return f
+        if s is None:
+            s = f * f
+        else:
+            s += np.multiply(f, f, out=f)
+    return np.sqrt(s, out=s)
 
 
 def _walk_axis(w, d, steps, powers, lo: int, hi: int):
@@ -790,13 +803,14 @@ def _walk_axis(w, d, steps, powers, lo: int, hi: int):
     the base axis of a (dim, dim, base) copy of the table; each step is
     then the canonical matrix step of the walk kernels on numpy rows: one
     product per entry, each row's products added left to right and reduced
-    mod 1, with the same correctly rounded operations in the same order."""
+    mod 1 by floor (block comment above), with the same correctly rounded
+    operations in the same order."""
     n, dim = d.shape
     first, stop = min(lo, 0), max(hi, 1)
     states = np.empty((stop - first, dim, n))
     states[-first] = d.T
     bases = powers.path(w, first, stop)
-    prod = np.empty((dim, dim, n))
+    prod, whole = np.empty((dim, dim, n)), np.empty((dim, n))
     cols = [prod[:, c] for c in range(dim)]  # entry (r, c) times coordinate c
     for sign, end in ((1, stop - 1), (-1, first)):
         # indices into states of the positions stepped from, 0 towards end
@@ -812,7 +826,7 @@ def _walk_axis(w, d, steps, powers, lo: int, hi: int):
             acc = cols[0]
             for col in cols[1:]:
                 acc = np.add(acc, col, out=out)
-            np.remainder(acc, 1.0, out=out)
+            np.subtract(acc, np.floor(acc, out=whole), out=out)
     keep = slice(lo - first, hi - first)
     return (bases[keep].T.reshape(-1),
             states[keep].transpose(2, 0, 1).reshape(-1, dim))
@@ -825,10 +839,11 @@ class PairEngine:
     Build one engine per pair and read every profile of the pair from it:
     each fiber is then walked once, however many scans read it. Each fiber
     has one line of raw difference vectors along generator 0, grown on
-    demand in the scalar kernel; :func:`_seed_lines` may first seed it, for
-    many engines at once, with the batched kernel :func:`_walk_line`, whose
-    vectors are the scalar kernel's bitwise. A box takes its first axis
-    from that line, and :func:`_walk_axis` walks each later axis along the
+    demand in the scalar kernel; :func:`_seed_lines` may first seed it, or
+    on Z the folded box over it, for many engines at once, with the batched
+    kernel :func:`_walk_line`, whose vectors are the scalar kernel's
+    bitwise. A box takes its first axis from that line, and
+    :func:`_walk_axis` walks each later axis along the
     canonical path (cyclic ones forward), so values are bitwise those of
     the scalar kernels. A constant fiber's box is ``norm0`` repeated, with
     no walk.
@@ -862,6 +877,9 @@ class PairEngine:
         self.admissible = system._admissible(self.x, self.y)
         self._lines: dict[int, dict] = {}
         self._boxes: dict[int, list] = {}  # fiber -> [(lo, hi, values)]
+        # (profile, eps or None) -> (plan, window means) of a stacked scan
+        # (pseudometrics._keep_means), kept for one read
+        self._means: dict[tuple, tuple] = {}
 
     def _box(self, lo, hi):
         """The corner tuples, checked against the group, and the box size."""
@@ -956,15 +974,21 @@ class PairEngine:
 
 
 def _seed_lines(engines, lo: int, hi: int, budget: int) -> None:
-    """Seed each engine's generator-0 line, on every non-constant fiber
-    holding both points of its pair, with its raw difference vectors at
-    t = lo..hi-1 and at 0. The engines, of one system, have no line yet.
+    """Seed each engine, on every non-constant fiber holding both points of
+    its pair, with its generator-0 line at t = lo..hi-1 and at 0. The
+    engines, of one system, have walked nothing yet.
 
     The engines that start on one fiber take each step together, in
     :func:`_walk_line`, at most ``budget // line length`` of them a pass, so
-    that a pass holds at most ``budget`` line elements; each engine's line
-    is a view of its pass's array, with the state at each end, from which
-    the scalar kernel grows it as before."""
+    that a pass holds at most ``budget`` line elements. On a rank-1 group
+    the line is the box lo <= t < hi, so each pass is folded once
+    (:func:`_fold_norm_rows`, a block of positions at a time) and each
+    engine keeps its folded box, a view of the pass's array; the raw
+    vectors are dropped, and a read outside the box walks the fiber in the
+    scalar kernel, as on a fresh engine. Otherwise each engine's line is a
+    view of its pass's raw vectors, with the state at each end, from which
+    the scalar kernel grows it as before, and the later axes are walked
+    from it per box."""
     system = engines[0].sys
     by_fiber: dict[int, list] = {}
     for engine in engines:
@@ -979,6 +1003,15 @@ def _seed_lines(engines, lo: int, hi: int, budget: int) -> None:
             d = np.array([engine.delta0 for engine in part]).T
             states, w_first, w_last = _walk_line(w, d, system._steps[0],
                                                  system.base._powers[0], first, stop)
+            if system.group.rank == 1:
+                vals = np.empty((hi - lo, len(part)))
+                for a in range(lo, hi, 128):  # 128 positions a block: small temporaries
+                    b = min(a + 128, hi)
+                    vals[a - lo:b - lo] = _fold_norm_rows(states[a - first:b - first])
+                vals.flags.writeable = False
+                for engine, box in zip(part, vals.T):
+                    engine._boxes[w] = [((lo,), (hi,), box)]
+                continue
             right, left = states[-first:], states[:-first][::-1]
             ends = zip(states[-1].T.tolist(), states[0].T.tolist())
             for j, (engine, (d_last, d_first)) in enumerate(zip(part, ends)):

@@ -198,8 +198,8 @@ LINE_SYSTEMS = [catalog.build_system(spec) for spec in (FLIP1, SHEAR3, SLICED_SH
                                                         ZXC2_CAT2, ZXC3_ORDER3)]
 LINE_SYSTEMS += [_dim3_system(), catalog.load("cat2"), catalog.load("mixed")]
 # (lo, hi) of the first axis: around 0, wholly positive, ending at 0 and
-# wholly negative, and the one element 0
-LINE_RANGES = [(-6, 9), (3, 11), (-7, 0), (-7, -2), (0, 1)]
+# wholly negative, the one element 0, and a box that Z folds in 3 blocks
+LINE_RANGES = [(-6, 9), (3, 11), (-7, 0), (-7, -2), (0, 1), (-70, 200)]
 
 
 def _line_pairs(system, count):
@@ -217,42 +217,55 @@ LINE_CASES = [pytest.param(s, lo, hi, 7, id=f"{s.name}-{lo}-{hi}")
     pytest.param(s, -6, 9, 1, id=f"{s.name}-one-pair") for s in LINE_SYSTEMS]
 
 
+def _no_scalar_walk(m):
+    for dim in rds._WALKS:
+        m.setitem(rds._WALKS, dim, lambda *args: pytest.fail("a scalar walk"))
+
+
 @pytest.mark.parametrize("system,lo,hi,count", LINE_CASES)
 def test_seeded_lines_are_the_scalar_lines(system, lo, hi, count, monkeypatch):
-    """The batched line walk seeds each engine's generator-0 line with the
-    scalar kernel's vectors, bitwise, in dimensions 1-3, on Z, Z^2, Z x C2
-    and Z x C3, for a batch of one pair and of pairs whose admissible
-    fibers differ: the seeded range reads with no scalar walk, a longer
-    read grows the line from its seeded ends, and box reads over every axis
-    (the later ones walked per pair, as before) are those of a fresh
-    engine. A constant fiber, or one without both points, gets no line."""
+    """The batched line walk seeds each engine with the scalar kernel's
+    values, bitwise, in dimensions 1-3, on Z, Z^2, Z x C2 and Z x C3, for a
+    batch of one pair and of pairs whose admissible fibers differ. On Z each
+    engine keeps its folded box lo <= t < hi and no raw line; on the other
+    groups it keeps its raw generator-0 line, with the vectors of a fresh
+    engine's. Either way the seeded box reads with no scalar walk, and a
+    grown box (lo - 5, hi + 6) and a box over every axis (the later ones
+    walked per pair, as before) read as on a fresh engine. A constant
+    fiber, or one without both points, gets neither."""
     pairs = _line_pairs(system, count)
     seeded = [rds.PairEngine(system, x, y) for x, y in pairs]
     fresh = [rds.PairEngine(system, x, y) for x, y in pairs]
     if system.name == "sliced-shear" and count > 1:
         assert len({e.admissible for e in seeded}) == 2
     rds._seed_lines(seeded, lo, hi, DEFAULT_ELEMENT_BUDGET)
+    rank1 = system.group.rank == 1
     for engine in seeded:
-        assert sorted(engine._lines) == _walked_fibers(engine)
+        kept, raw = (engine._boxes, engine._lines) if rank1 else (engine._lines, engine._boxes)
+        assert sorted(kept) == _walked_fibers(engine) and not raw
     later = [(0, k) if k else (-2, 3) for k in system.group.generator_orders()[1:]]
+    lo_later, hi_later = tuple(c for c, _ in later), tuple(c for _, c in later)
     for a, b in zip(seeded, fresh):
         for i in _walked_fibers(a):
+            box = ((lo,) + lo_later, (hi,) + hi_later)
             with monkeypatch.context() as m:
-                for dim in rds._WALKS:
-                    m.setitem(rds._WALKS, dim, lambda *args: pytest.fail("a scalar walk"))
-                got = a._first_axis(i, lo, hi)
-            assert got.tobytes() == b._first_axis(i, lo, hi).tobytes()
-            assert got.shape == (hi - lo, system.dim)
-            grown = (lo - 5, hi + 6)
-            assert a._first_axis(i, *grown).tobytes() == b._first_axis(i, *grown).tobytes()
-            box = ((lo - 2,) + tuple(c for c, _ in later), (hi + 3,) + tuple(c for _, c in later))
-            assert a.fiber_range(i, *box).tobytes() == b.fiber_range(i, *box).tobytes()
+                _no_scalar_walk(m)
+                got = a.fiber_range(i, *box)
+                if not rank1:
+                    line = a._first_axis(i, lo, hi)
+            assert got.tobytes() == b.fiber_range(i, *box).tobytes()
+            if not rank1:
+                assert line.tobytes() == b._first_axis(i, lo, hi).tobytes()
+                assert line.shape == (hi - lo, system.dim)
+            for box in (((lo - 5,) + lo_later, (hi + 6,) + hi_later),
+                        ((lo - 2,) + lo_later, (hi + 3,) + hi_later)):
+                assert a.fiber_range(i, *box).tobytes() == b.fiber_range(i, *box).tobytes()
 
 
 def test_seeded_lines_chunk_to_the_element_budget(monkeypatch):
     """A pass of the batched walk holds at most ``budget`` line elements
     (pairs times line length): above it the pairs are walked in chunks, with
-    the same lines bitwise."""
+    the same seeded boxes bitwise, read with no scalar walk."""
     system = catalog.load("cat2")
     pairs = _line_pairs(system, 9)
     lo, hi = -6, 9
@@ -263,15 +276,16 @@ def test_seeded_lines_chunk_to_the_element_budget(monkeypatch):
         return walk_line(w, d, steps, powers, first, stop)
 
     monkeypatch.setattr(rds, "_walk_line", spy)
-    lines = {}
+    _no_scalar_walk(monkeypatch)
+    boxes = {}
     for budget in (DEFAULT_ELEMENT_BUDGET, 15, 29, 45, 130):
         sizes.clear()
         engines = [rds.PairEngine(system, x, y) for x, y in pairs]
         rds._seed_lines(engines, lo, hi, budget)
         assert max(sizes) <= max(budget, hi - lo) and sum(sizes) == 2 * 9 * (hi - lo)
         assert len(sizes) == 2 * -(-9 // max(1, budget // (hi - lo)))
-        lines[budget] = [e._first_axis(i, lo, hi).tobytes() for e in engines for i in (0, 1)]
-    assert all(got == lines[DEFAULT_ELEMENT_BUDGET] for got in lines.values())
+        boxes[budget] = [e.fiber_range(i, (lo,), (hi,)).tobytes() for e in engines for i in (0, 1)]
+    assert all(got == boxes[DEFAULT_ELEMENT_BUDGET] for got in boxes.values())
 
 
 def _reference_element(system, omega, delta, g):
@@ -781,6 +795,54 @@ def test_dyadic_table_rejects_bad_requests():
     with pytest.raises(ValueError, match="out of the box"):
         list(window_means(vals, (np.asarray([4]),), [(2,), (13,)]))
 
+
+# (group, m_max, radius, whether a window is read as runs of flattened
+# blocks): dyadic plans, bisected tops on Z and Z^2, and C3's runs
+STACK_CASES = [("Z", 1024, 16, False), ("Z", 1000, 8, False), ("Z^2", 256, 4, False),
+               ("Z x C2", 256, 4, False), ("Z^2", 48, 4, True), ("Z x C3", 256, 4, True)]
+
+
+@pytest.mark.parametrize("spec,m_max,radius,runs", STACK_CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in STACK_CASES])
+def test_a_stack_of_boxes_gives_each_box_its_own_means(spec, m_max, radius, runs):
+    """window_means over a (2, 3) stack of boxes gives each box the bits of
+    its own call, with +inf, -inf and +inf + -inf (NaN) entries. The runs of
+    flattened blocks (C3, a bisected Z^2 top) take stacks too. A window out
+    of the stacked boxes still raises."""
+    plan = _scan_plan(parse_group(spec), m_max, None, radius, DEFAULT_ELEMENT_BUDGET)
+    assert runs == any(size // win[0] & (size // win[0] - 1)
+                       for size, win in zip(plan.sizes, plan.windows))
+    boxes = np.random.default_rng(26).random((2, 3) + plan.shape)
+    mid = math.prod(plan.shape) // 2  # mid-box, which the largest windows reach
+    boxes[0, 1].flat[mid], boxes[1, 0].flat[mid] = np.inf, -np.inf
+    boxes[1, 2].flat[mid], boxes[1, 2].flat[mid + 1] = np.inf, -np.inf
+    if plan.pad:
+        boxes = np.pad(boxes, ((0, 0), (0, 0)) + plan.pad, mode="wrap")
+    got = window_means(boxes, plan.starts, plan.windows)
+    for b in np.ndindex(2, 3):
+        own = window_means(boxes[b], plan.starts, plan.windows)
+        assert [means[b].tobytes() for means in got] == [means.tobytes() for means in own]
+    assert np.isposinf(got[-1][0, 1]).any() and np.isneginf(got[-1][1, 0]).any()
+    assert np.isnan(got[-1][1, 2]).any()
+    with pytest.raises(ValueError, match="out of the box"):
+        window_means(boxes[..., :-1], plan.starts, plan.windows)
+
+
+def test_floor_step_is_the_remainder_bitwise():
+    """The batched walks' mod-1 step x - floor(x) gives the bits of
+    np.remainder(x, 1.0) and of Python's x % 1.0 on edge values (signed
+    zeros, a tiny negative that rounds to 1.0, integers from 2^52 up,
+    subnormals, huge values) and on floats spanning exponents -30..30."""
+    one_below = math.nextafter(1.0, 0.0)
+    edges = [0.0, -0.0, -1e-17, one_below, -one_below, 2.0 ** 52, -2.0 ** 52,
+             2.0 ** 53 + 2, -(2.0 ** 53 + 2), 5e-324, -5e-324, 1e308, -1e308]
+    rng = np.random.default_rng(27)
+    spread = rng.uniform(-1.0, 1.0, 200_000) * 2.0 ** rng.integers(-30, 31, 200_000)
+    x = np.concatenate((edges, spread))
+    got = x - np.floor(x)
+    assert got.tobytes() == np.remainder(x, 1.0).tobytes()
+    assert got.tobytes() == np.asarray([v % 1.0 for v in x.tolist()]).tobytes()
+    assert got[2] == 1.0 and math.copysign(1.0, got[1]) == 1.0
 
 # ---------------------------------------------------------------------------
 # the row sampler of the modulus probes against one pair at a time

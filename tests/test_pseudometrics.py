@@ -767,3 +767,39 @@ def test_constant_subsets_scan_in_closed_form(spec, c):
     assert ind.constant == c
     for cfg in CLOSED_FORM_CFGS:
         _assert_closed_form_is_the_table_read(ind, cfg)
+
+
+def test_kept_means_are_keyed_by_the_float_eps():
+    """Means kept for a separation set at one eps serve only that eps: a
+    probe at an eps whose label is the same ({eps:g}) re-reads the profile
+    and gets the record of an unseeded engine, and the kept means still
+    serve their own eps afterwards, once, from no read."""
+    system = catalog.load("cat2")
+    cfg = EstimatorConfig(n_max=256, m_max=64, search_radius=16)
+    plan = pseudometrics._scan_plan(system.group, cfg.m_max, None, cfg.search_radius,
+                                    cfg.element_budget)
+    x, y = (0.1, 0.2), (0.1004, 0.2002)
+    engine = rds.PairEngine(system, x, y)
+    sup = pseudometrics._engine_source(engine, "sup")
+    values = sup.range_values(plan.lo, plan.hi)
+    kept = float(values[5])  # the size-1 window at a translate: >= kept counts it
+    near = math.nextafter(kept, 1.0)  # the same label; the value no longer counts
+    assert separation_set(sup, kept).label == separation_set(sup, near).label
+    pseudometrics._keep_means([separation_set(sup, kept)], plan, cfg.element_budget)
+
+    def fresh(eps):
+        return separation_set(pair_source(system, x, y), eps)
+
+    assert (fresh(near).window_means(plan)[0].tobytes()
+            != fresh(kept).window_means(plan)[0].tobytes())
+    reads = []
+    read = sup.read
+    sup.read = lambda lo, hi: reads.append(lo) or read(lo, hi)
+    assert repr(banach_upper_density(separation_set(sup, near), cfg)) == repr(
+        banach_upper_density(fresh(near), cfg))
+    assert len(reads) == 1
+    got = separation_set(sup, kept).window_means(plan)
+    assert len(reads) == 1 and not engine._means
+    assert [m.tobytes() for m in got] == [m.tobytes() for m in fresh(kept).window_means(plan)]
+    assert separation_set(sup, kept).window_means(plan)[0].tobytes() == got[0].tobytes()
+    assert len(reads) == 2

@@ -7,6 +7,7 @@ here rather than as a failed benchmark run."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from meanrds import catalog, classify, cli, rds
@@ -57,3 +58,40 @@ def test_report_calls_each_probe_through_the_classify_module(name):
     assert {span: tracer.calls[span] for span in (
         "classify.report", "classify.wme", "classify.meanl", "classify.sensitivity")} == {
         "classify.report": 1, "classify.wme": 1, "classify.meanl": 1, "classify.sensitivity": 1}
+
+
+def test_stacked_reads_go_through_the_traced_engine_reads(monkeypatch):
+    """A cat-trivial report takes the window means of its pairs drawn ahead
+    in stacks, and still reads each profile it scans through
+    ``PairEngine.dtilde_range`` and ``fiber_range``, which the tracer's
+    rds.range wraps: as many calls, and values, as the public probes called
+    in sequence, which draw and read pair by pair."""
+    system = catalog.load("cat-trivial")
+    cfg = EstimatorConfig(n_max=256, m_max=64, search_radius=16)
+    stacks, keep = [], classify._keep_means
+
+    def counting(sources, plan, budget):
+        stacks.append(len(sources))
+        return keep(sources, plan, budget)
+
+    monkeypatch.setattr(classify, "_keep_means", counting)
+
+    def report():
+        classify.dichotomy_report(system, cfg, seed=3)
+
+    def probes():
+        rng = np.random.default_rng(3)
+        for probe in (classify.wme_test, classify.mean_l_stable_test, classify.sensitivity_test):
+            probe(system, cfg, classify.ClassifierConfig(), rng)
+
+    counts = []
+    for run in (report, probes):
+        tracer = _tracer()
+        tracer.install()
+        try:
+            run()
+        finally:
+            tracer.uninstall()
+        counts.append((tracer.calls["rds.range"], tracer.work["rds.range.values"]))
+    assert len(stacks) == 3 and all(stacks)
+    assert counts[0] == counts[1] and counts[0][0] > 0
