@@ -121,7 +121,7 @@ def constant_mean_rows(c: np.ndarray, size: int) -> np.ndarray:
     return level / size
 
 
-def window_means(box: np.ndarray, starts, windows) -> list[np.ndarray]:
+def window_means(box: np.ndarray, starts, windows) -> np.ndarray:
     """For each window shape of ``windows``, the means of ``box`` over the
     windows of that shape at the starts, in order.
 
@@ -136,13 +136,14 @@ def window_means(box: np.ndarray, starts, windows) -> list[np.ndarray]:
     offset ((W >> b) - 1) << b while the doubling passes that level. Later
     widths of a size that is not a power of two are read last, as runs on
     Z (module docstring) of the blocks at their trailing starts laid end to
-    end, about a box of them at a time. The means come as one list,
-    so that numpy's error state is set once per call.
+    end, about a box of them at a time. The means come as one array,
+    (windows, *stack, starts), each window's written in place by one
+    elementwise division, so that numpy's error state is set once per call.
 
     Axes of ``box`` before its ``len(starts)`` group axes index a stack of
-    boxes, and each mean array then has them first. Every addition and
-    division is elementwise, so each box of a stack gets the bits of its
-    own call.
+    boxes, and they come between the window and start axes of the means.
+    Every addition and division is elementwise, so each box of a stack gets
+    the bits of its own call.
     """
     starts = tuple(starts)
     stack = box.shape[:box.ndim - len(starts)]
@@ -169,7 +170,7 @@ def window_means(box: np.ndarray, starts, windows) -> list[np.ndarray]:
             if width & (width - 1):
                 peel(i, width)
     last, k = box, 1
-    out = [None] * len(windows)
+    out = np.empty((len(windows),) + stack + starts[0].shape)
     runs = {}  # later widths whose product is not a power of two -> their windows
     # an overflow is +-inf, and +inf plus -inf is NaN, which the scans raise on
     with np.errstate(over="ignore", invalid="ignore"):
@@ -200,7 +201,7 @@ def window_means(box: np.ndarray, starts, windows) -> list[np.ndarray]:
             total = table[(...,) + starts]
             for carry in carries.pop(i, ()):
                 total += carry
-            out[i] = total / size
+            np.divide(total, size, out=out[i])
     for trailing, idx in runs.items():  # runs of the flattened trailing blocks
         idx.sort(key=lambda i: windows[i][0])  # first widths may not shrink on Z
         last = table = None  # free the levels first
@@ -213,8 +214,6 @@ def window_means(box: np.ndarray, starts, windows) -> list[np.ndarray]:
                             box.strides[:len(stack)] + st[1:] + st[:1] + st[1:], writeable=False)
         # ceil(all blocks / box) chunks of equally many blocks: about a box each
         step = math.ceil(len(used) / math.ceil(len(used) * shape[0] * size / math.prod(shape)))
-        for i in idx:
-            out[i] = np.empty(stack + (len(col),))
         for a in range(0, len(used), step):
             at = np.flatnonzero((col >= a) & (col < a + step))
             line = blocks[(slice(None),) * len(stack) + np.unravel_index(used[a:a + step], tail)]

@@ -30,28 +30,30 @@ in stream order the first pair of every later row of both modulus probes,
 the sensitivity points and every point's first candidate at each eps,
 assuming that outcome holds on (each row stops at its first pair, each
 first candidate is a witness), and saves the generator state before each
-row and candidate. The engines of those pairs have their generator-0
-lines walked together, one batched pass per fiber (``rds._seed_lines``),
-which on Z also folds each line once into the engine's box. Then every
+row and candidate. The engines of those pairs have the generator-0 lines
+of all their non-constant fibers walked together, in one batched pass
+(``rds._seed_lines``, chunked to the element budget), which on Z folds
+each block of positions into the engines' boxes as it steps. Then every
 profile those pairs will be measured by is window-summed on the Banach
 plan in stacks, one ``_windows.window_means`` call a stack
 (``pseudometrics._keep_means``), kind by kind: the sup profile of each
 row, the separation set of each mean-L row at its eps, and each
-candidate's non-constant fiber profiles. Each engine keeps its means, and
-the probes' scans read them through the usual sources, with the bits of
-the pair's own read. The probes take the draws and engines in order. A
-row whose first pair stays below eps is drawn again from its saved state
-for its other pairs, the generator then put back, and the draws ahead
-still line up with the stream. They stop lining up when a row passes before the last delta (its
-eps takes fewer rows) or a first candidate is no witness (its point and
-eps take another): the draws not yet taken are dropped, the generator goes
-back to its state before them, and the probes draw and measure pair by
-pair, as the public probes always do. So rows, records and the generator
-state after each probe are those of the public probes called in sequence
-on one generator.
-A batched pass over a report's ~80 predicted pairs, folded, costs about as
-much as measuring 14 pairs one at a time (8.6 ms against 0.62 ms a pair
-on cat-trivial at the default caps, on a 2 vCPU x86-64 VM), so the first
+candidate's non-constant fiber profiles. Each engine keeps only the
+picks the probes' scans read of those means, each window's greatest mean
+and its first translate, and the scans read them through the usual
+sources, with the bits of the pair's own read. The probes take the draws
+and engines in order. A row whose first pair stays below eps is drawn
+again from its saved state for its other pairs, the generator then put
+back, and the draws ahead still line up with the stream. They stop lining
+up when a row passes before the last delta (its eps takes fewer rows) or
+a first candidate is no witness (its point and eps take another): the
+draws not yet taken are dropped, the generator goes back to its state
+before them, and the probes draw and measure pair by pair, as the public
+probes always do. So rows, records and the generator state after each
+probe are those of the public probes called in sequence on one generator.
+The pass over a report's ~80 predicted pairs costs about as much as
+measuring 11 pairs one at a time (4.1 ms against 0.38 ms a pair on
+cat-trivial at the default caps, on a 2 vCPU x86-64 VM), so the first
 eps is measured before anything is drawn ahead: a report whose first rows
 do not stop at their first pair (a small search radius, a finite cocycle)
 draws nothing ahead and walks nothing it does not read.
@@ -388,10 +390,11 @@ class _Draws:
         row stops at its first pair, as every row of wme's first eps did,
         and that each point's first candidate is a witness; seed the
         predicted pairs' lines over the first axis of the box that every
-        probe reads; then take the window means of every profile the
-        predicted pairs will be measured by, in stacks of one kind
-        (``_keep_means``): each row's sup profile, each mean-L row's
-        separation set at its eps, and each candidate's fiber profiles."""
+        probe reads, in one pass; then take the window means of every
+        profile the predicted pairs will be measured by, in stacks of one
+        kind, and keep their picks (``_keep_means``): each row's sup
+        profile, each mean-L row's separation set at its eps, and each
+        candidate's fiber profiles."""
         system, rng, ccfg, cfg = self.system, self.rng, self.ccfg, self.cfg
         ahead, rows, near = self.ahead, [], []
         # wme's later eps, then every eps of mean-L

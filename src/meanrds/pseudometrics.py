@@ -36,10 +36,13 @@ its :class:`PairEngine`, chosen once, with its domain check, by
 ``_engine_source``. The profiles of one pair share one engine, which walks
 each fiber once: ``pair_summary`` and ``sup_fiber_weyl`` read all their
 estimates from one engine, and ``pair_summary`` scans no values twice.
-The pairs a classify report draws ahead take the window means of their
-profiles in stacks, one ``_windows.window_means`` call each
-(``_keep_means``); the engine keeps them, and the profile's source serves
-them to its next scan on that plan, with the bits of its own read.
+A scan reads each window's inner pick, the first extreme mean over the
+translates and that translate (``_picks``), from one array of window
+means. The pairs a classify report draws ahead take the window means of
+their profiles in stacks, one ``_windows.window_means`` call each
+(``_keep_means``); the engine keeps only each profile's inner-max picks,
+which its source serves to its next inner-max scan on that plan, with the
+bits of its own read.
 
 A source that knows its profile to be one value c (``constant``) is never
 read; the engine reports it for a fiber whose every generator matrix on
@@ -195,23 +198,26 @@ class ValueSource:
 
     def _slot(self):
         """(store, key) where :func:`_keep_means` keeps this profile's
-        means, or None when it keeps none."""
+        picks, or None when it keeps none."""
         return None
 
-    def window_means(self, plan) -> tuple[np.ndarray, ...]:
-        """For each scanned window of the plan, the means of the profile
-        over its translates by the plan's ball, in ball order.
+    def _picks(self, plan, inner) -> tuple[list, list]:
+        """For each scanned window of the plan, the ``inner`` pick (max or
+        min) over the means of the profile over its translates by the
+        plan's ball: :func:`_picked` of the means, as lists.
 
-        Means that :func:`_keep_means` kept for this profile on this plan
-        are served once; otherwise the profile is read once, over the
-        plan's box (:meth:`_box`), and :func:`_windows.window_means` reads
-        every window from its dyadic table."""
+        Inner-max picks that :func:`_keep_means` kept for this profile on
+        this plan are served once; otherwise the profile is read once, over
+        the plan's box (:meth:`_box`), and :func:`_windows.window_means`
+        reads every window from its dyadic table."""
         slot = self._slot()
-        if slot is not None:
+        if slot is not None and inner is max:
             store, key = slot
             if key in store and store[key][0] is plan:
                 return store.pop(key)[1]
-        return tuple(_windows.window_means(self._box(plan), plan.starts, plan.windows))
+        values, at = _picked(_windows.window_means(self._box(plan), plan.starts, plan.windows),
+                             inner)
+        return values.tolist(), at.tolist()
 
 
 class _EngineSource(ValueSource):
@@ -231,7 +237,7 @@ class _EngineSource(ValueSource):
         return self.read(lo, hi)
 
     def _slot(self):
-        return self.engine._means, (self.profile, None)
+        return self.engine._picks, (self.profile, None)
 
 
 class SyntheticSource(ValueSource):
@@ -388,25 +394,28 @@ def _cached_plan(free: int, orders: tuple[int, ...], cap: int, tail_fraction: fl
     return _ScanPlan(schedule, scanned, ball, lo, hi, shape, pad, windows, sizes, dyadic, starts)
 
 
-def _window_means(source: ValueSource, plan: _ScanPlan):
-    """For each scanned window index n of the plan, n and the means of the
-    profile over the translates g F_n, one per g of the plan's ball, in ball
-    order (:meth:`ValueSource.window_means`)."""
-    return zip(plan.scanned, source.window_means(plan))
+def _picked(means: np.ndarray, inner) -> tuple[np.ndarray, np.ndarray]:
+    """The ``inner`` pick over the last (translate) axis of window means:
+    each row's extreme mean and the first translate holding it. argmax and
+    argmin take the first NaN of a row, so a window with one picks a NaN."""
+    at = means.argmax(axis=-1) if inner is max else means.argmin(axis=-1)
+    rows = means.reshape(-1, means.shape[-1])
+    return rows[np.arange(at.size), at.ravel()].reshape(at.shape), at
 
 
 def _keep_means(sources, plan: _ScanPlan, budget: int) -> None:
-    """Take the window means of each source on the plan, as
-    :meth:`ValueSource.window_means` takes them, and keep them where the
-    source serves them from on its next read on that plan: each source is
-    an engine's profile or a separation set of one, not constant.
+    """Take the inner-max picks of each source on the plan, as
+    :meth:`ValueSource._picks` takes them, and keep them where the source
+    serves them from on its next inner-max scan on that plan: each source
+    is an engine's profile or a separation set of one, not constant.
 
     The profiles are read one by one (``range_values``) and stacked in
     equal chunks of at most ``min(budget, STACK_ELEMENTS)`` elements (or
     one box), and each stack takes one :func:`_windows.window_means` call,
-    which gives each box the bits of its own call. A kept mean is keyed by
-    the profile, the float eps of a separation set (or None) and the plan
-    itself, never by a label."""
+    which gives each box the bits of its own call; only each box's picks
+    are kept, not its means. Kept picks are keyed by the profile, the
+    float eps of a separation set (or None) and the plan itself, never by
+    a label."""
     if not sources:
         return
     shape = [n + sum(p) for n, p in zip(plan.shape, plan.pad)] if plan.pad else plan.shape
@@ -414,11 +423,11 @@ def _keep_means(sources, plan: _ScanPlan, budget: int) -> None:
     count = math.ceil(len(sources) / math.ceil(len(sources) / per))
     for a in range(0, len(sources), count):
         part = sources[a:a + count]
-        means = _windows.window_means(np.stack([src._box(plan) for src in part]),
-                                      plan.starts, plan.windows)
+        values, at = _picked(_windows.window_means(np.stack([src._box(plan) for src in part]),
+                                                   plan.starts, plan.windows), max)
         for b, src in enumerate(part):
             store, key = src._slot()
-            store[key] = plan, tuple(m[b] for m in means)
+            store[key] = plan, (values[:, b].tolist(), at[:, b].tolist())
 
 
 def _constant_means(c: float, plan: _ScanPlan) -> list[float]:
@@ -446,9 +455,11 @@ def _scan(source: ValueSource, cfg: EstimatorConfig, kind: str, note: str, *,
     0); ``outer`` (max or min) picks over the windows. The schedule, ball and
     box come from one cached :func:`_scan_plan`. The tie and start rules are
     in the module docstring. A constant source is answered before the window
-    loop, from the plan's sizes. A picked mean that is NaN, a window sum
-    that adds +inf to -inf, raises ValueError: argmax and argmin pick the
-    first NaN of the means, so no window holding one is passed over.
+    loop, from the plan's sizes. Otherwise the loop walks each window's
+    inner pick (:meth:`ValueSource._picks`). A picked mean that is NaN, a
+    window sum that adds +inf to -inf, raises ValueError: argmax and argmin
+    pick the first NaN of the means, so no window holding one is passed
+    over.
     """
     plan = _scan_plan(source.group, cfg.n_max if tail else cfg.m_max,
                       cfg.tail_fraction if tail else None,
@@ -462,9 +473,7 @@ def _scan(source: ValueSource, cfg: EstimatorConfig, kind: str, note: str, *,
             value, window = means[k], plan.scanned[k]
             translate = None if inner is None else plan.ball[0]
     else:
-        for n, means in _window_means(source, plan):
-            k = int(means.argmax() if inner is max else means.argmin())
-            mean = float(means[k])
+        for n, mean, k in zip(plan.scanned, *source._picks(plan, inner)):
             if math.isnan(mean):
                 raise ValueError(f"profile {source.label!r} has a NaN mean over window {n}: "
                                  "its sum adds +inf to -inf")
@@ -537,11 +546,8 @@ def mean_curves(source: ValueSource, cfg: EstimatorConfig):
         curve = _constant_means(source.constant, plan)
         return plan.schedule, curve, list(curve)
     at = plan.ball.index(source.group.identity())
-    untranslated, translated_max = [], []
-    for _, means in _window_means(source, plan):
-        untranslated.append(float(means[at]))
-        translated_max.append(float(np.max(means)))
-    return plan.schedule, untranslated, translated_max
+    means = _windows.window_means(source._box(plan), plan.starts, plan.windows)
+    return plan.schedule, means[:, at].tolist(), [float(np.max(row)) for row in means]
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,11 @@ corners, from one :class:`PairEngine` per pair, which walks each fiber once
 for every reader of that pair, on Z (the rank-1 case) as on every other
 group. A box walk follows the canonical coordinate path: the first axis out
 of one line of states per fiber, grown on demand in the scalar kernel or
-seeded for many engines at once in the batched one (on Z, as their folded
-boxes), each later axis with every state reached stepping at once in
-numpy; the engine keeps each box it has walked and serves a box inside a
-kept one as a slice. Both take the same left-to-right matrix step.
+seeded for every fiber of many engines in one pass of the batched one (on
+Z, as their folded boxes), each later axis with every state reached
+stepping at once in the batched kernel; the engine keeps each box it has
+walked and serves a box inside a kept one as a slice. Both kernels take
+the same left-to-right matrix step.
 A fiber whose every generator matrix on its base orbit is the identity has
 a constant profile, fold_norm(delta0); the engine reports that value, and
 the scans then read nothing (see :mod:`meanrds.pseudometrics`); a box read
@@ -683,18 +684,18 @@ class RandomDynamicalSystem:
 # right and reduced mod 1: the canonical matrix step. The kernel returns the
 # final base point and vector and the flat coordinates after every step.
 #
-# ``_walk_line`` takes that step for many vectors that start on one base
-# point, as the pairs of a classify do: they share the base trajectory, so
-# each step applies one matrix, held as (dim, dim, 1), to all of them. The
-# vectors are held coordinate-major, (dim, n) per position; a step is one
-# ``np.multiply`` of the matrix into a (dim, dim, n) product, each row's
-# products added left to right with ``np.add`` into the next position, and
-# the reduction mod 1 as ``acc - floor(acc)``. That is Python's ``%`` on
-# every finite float: ``floor`` is exact, and the one correctly rounded
-# subtraction rounds the real that ``%`` rounds once (a tiny negative acc
-# gives 1.0 both ways). So the batched steps make the correctly rounded
-# operations of the scalar kernels in their order, and every bit is theirs;
-# ``_walk_axis`` steps the same way.
+# ``_walk_line`` takes that step for many vectors at once, each column from
+# its own base point, as the (pair, fiber) columns of a classify report and
+# the states of a box's later axes (``_walk_axis``) do. The vectors are held
+# coordinate-major, (dim, n) per position, and so are the columns' matrices,
+# (dim, dim, n) per step; a step (``_steps``) is one ``np.multiply`` of the
+# matrices into a (dim, dim, n) product, each row's products added left to
+# right with ``np.add`` into the next position, and the reduction mod 1 as
+# ``acc - floor(acc)``. That is Python's ``%`` on every finite float:
+# ``floor`` is exact, and the one correctly rounded subtraction rounds the
+# real that ``%`` rounds once (a tiny negative acc gives 1.0 both ways). So
+# the batched steps make the correctly rounded operations of the scalar
+# kernels in their order, and every bit is theirs.
 
 def _walk_1d(w, d, count, nxt, rows):
     (x,) = d
@@ -738,29 +739,75 @@ def _walk_3d(w, d, count, nxt, rows):
 _WALKS = {1: _walk_1d, 2: _walk_2d, 3: _walk_3d}
 
 
-def _walk_line(w, d, steps, powers, first: int, stop: int):
-    """Raw difference vectors at t = first..stop-1 (first <= 0 < stop) along
-    one generator from base point w, for each column of d (dim, n), as a
-    (stop - first, dim, n) array, with the base points at first and at
-    stop - 1; ``steps`` and ``powers`` are the generator's kernel tables and
-    :class:`_PermPowers`. The step is the one in the block comment above."""
-    dim, n = d.shape
-    states = np.empty((stop - first, dim, n))
-    states[-first] = d
-    rows = list(states)
-    bases = powers.path([w], first, stop)[:, 0].tolist()
+# positions a line pass steps between gathers of its matrices and, when it
+# folds, between folds: its temporaries stay a small block of the line
+_LINE_BLOCK = 128
+
+
+def _steps(prev, rows, mats):
+    """The canonical matrix step (block comment above) from the states
+    ``prev`` (dim, n) into each row of ``rows`` in turn, each column by its
+    own matrix: the step's of ``mats``, (dim, dim, n) matrices read in step
+    with ``rows`` (they may run on past the last row); the last state."""
+    dim, n = prev.shape
+    multiply, add, subtract, floor = np.multiply, np.add, np.subtract, np.floor
     prod, whole = np.empty((dim, dim, n)), np.empty((dim, n))
-    cols = [prod[:, c] for c in range(dim)]  # entry (r, c) times coordinate c
-    for sign, end in ((1, stop - 1), (-1, first)):
-        mats = list(np.asarray(steps[sign][1], dtype=np.float64).reshape(-1, dim, dim, 1))
-        for t in range(-first, end - first, sign):
-            out = rows[t + sign]
-            np.multiply(mats[bases[t]], rows[t], out=prod)
-            acc = cols[0]
-            for col in cols[1:]:
-                acc = np.add(acc, col, out=out)
-            np.subtract(acc, np.floor(acc, out=whole), out=out)
-    return states, bases[0], bases[-1]
+    head, *rest = (prod[:, c] for c in range(dim))  # entry (r, c) times coordinate c
+    for out, m in zip(rows, mats):
+        multiply(m, prev, out=prod)
+        acc = head
+        for col in rest:
+            acc = add(acc, col, out=out)
+        subtract(acc, floor(acc, out=whole), out=out)
+        prev = out
+    return prev
+
+
+def _walk_line(w, d, steps, powers, first: int, stop: int, fold: bool = False) -> np.ndarray:
+    """Raw difference vectors at t = first..stop-1 (first <= 0 < stop)
+    along one generator, column j of d (dim, n) from base point w[j], as a
+    (stop - first, dim, n) array; ``steps`` maps 1 and -1 to the
+    generator's kernel tables and ``powers`` is its :class:`_PermPowers`.
+    With ``fold`` the array is the :func:`_fold_norm_rows` of the vectors,
+    (stop - first, n), and no raw vector is held past its block.
+
+    Per direction the step matrices are taken once as a (dim, dim, base)
+    copy of the table, and the line is stepped ``_LINE_BLOCK`` positions
+    at a time: :func:`_steps` over the block's rows (with ``fold``, one
+    reused block, folded into the output once stepped). The columns' base
+    points repeat with the period of their cycles' least common multiple,
+    so a block takes the matrices of at most one period, in one gather from
+    ``powers`` and one along the base axis, and cycles through them."""
+    dim, n = d.shape
+    period = math.lcm(*set(powers._length[w].tolist()))
+    if fold:
+        out = np.empty((stop - first, n))
+        out[-first] = _fold_norm_rows(d[None])[0]
+        block = np.empty((_LINE_BLOCK, dim, n))
+    else:
+        out = np.empty((stop - first, dim, n))
+        out[-first] = d
+
+    def span(p, k, sign):
+        # the rows of out at positions p, p + sign, ... (k of them), as a view
+        i = p - first
+        return out[i:i + k] if sign == 1 else out[i - k + 1:i + 1][::-1]
+
+    for sign, count in ((1, stop - 1), (-1, -first)):
+        table = np.asarray(steps[sign][1], dtype=np.float64).reshape(-1, dim, dim)
+        table = table.transpose(1, 2, 0).copy()
+        prev = d
+        for a in range(0, count, _LINE_BLOCK):
+            k = min(_LINE_BLOCK, count - a)
+            p = min(k, period)
+            # the base points stepped from: positions sign * (a .. a + p - 1)
+            froms = powers.path(w, a, a + p) if sign == 1 else powers.path(w, 1 - a - p, 1 - a)
+            mats = np.moveaxis(np.take(table, froms[::sign], axis=2), 2, 0)
+            rows = block[:k] if fold else span(sign * (a + 1), k, sign)
+            prev = _steps(prev, rows, itertools.cycle(mats))
+            if fold:
+                span(sign * (a + 1), k, sign)[...] = _fold_norm_rows(rows)
+    return out
 
 
 def _float_rows(mat):
@@ -794,42 +841,12 @@ def _walk_axis(w, d, steps, powers, lo: int, hi: int):
     (w, d) at 0, as (base points, vectors) with the position varying
     fastest; ``steps`` maps 1 and -1 to the kernel tables and ``powers`` is
     the generator's :class:`_PermPowers`. Positions between 0 and the box
-    are walked too, as the path to them runs through them.
-
-    Every state takes its step at once, coordinate-major: the vectors are
-    held as (positions, dim, n), so each coordinate of every state is one
-    contiguous row. The base points' trajectory comes first, in one gather
-    from ``powers``. Per direction the step matrices are taken once along
-    the base axis of a (dim, dim, base) copy of the table; each step is
-    then the canonical matrix step of the walk kernels on numpy rows: one
-    product per entry, each row's products added left to right and reduced
-    mod 1 by floor (block comment above), with the same correctly rounded
-    operations in the same order."""
-    n, dim = d.shape
+    are walked too, as the path to them runs through them. Every state
+    takes its step at once, in the batched line kernel :func:`_walk_line`."""
+    dim = d.shape[1]
     first, stop = min(lo, 0), max(hi, 1)
-    states = np.empty((stop - first, dim, n))
-    states[-first] = d.T
-    bases = powers.path(w, first, stop)
-    prod, whole = np.empty((dim, dim, n)), np.empty((dim, n))
-    cols = [prod[:, c] for c in range(dim)]  # entry (r, c) times coordinate c
-    for sign, end in ((1, stop - 1), (-1, first)):
-        # indices into states of the positions stepped from, 0 towards end
-        froms = range(-first, end - first, sign)
-        if not froms:
-            continue
-        rows = np.asarray(steps[sign][1], dtype=np.float64).reshape(-1, dim, dim)
-        mats = np.take(rows.transpose(1, 2, 0).copy(), bases[froms.start:froms.stop:sign],
-                       axis=2)
-        for m, t in zip(np.moveaxis(mats, 2, 0), froms):
-            out = states[t + sign]
-            np.multiply(m, states[t], out=prod)
-            acc = cols[0]
-            for col in cols[1:]:
-                acc = np.add(acc, col, out=out)
-            np.subtract(acc, np.floor(acc, out=whole), out=out)
-    keep = slice(lo - first, hi - first)
-    return (bases[keep].T.reshape(-1),
-            states[keep].transpose(2, 0, 1).reshape(-1, dim))
+    states = _walk_line(w, d.T, steps, powers, first, stop)[lo - first:hi - first]
+    return powers.path(w, lo, hi).T.reshape(-1), states.transpose(2, 0, 1).reshape(-1, dim)
 
 
 class PairEngine:
@@ -840,13 +857,12 @@ class PairEngine:
     each fiber is then walked once, however many scans read it. Each fiber
     has one line of raw difference vectors along generator 0, grown on
     demand in the scalar kernel; :func:`_seed_lines` may first seed it, or
-    on Z the folded box over it, for many engines at once, with the batched
-    kernel :func:`_walk_line`, whose vectors are the scalar kernel's
-    bitwise. A box takes its first axis from that line, and
-    :func:`_walk_axis` walks each later axis along the
-    canonical path (cyclic ones forward), so values are bitwise those of
-    the scalar kernels. A constant fiber's box is ``norm0`` repeated, with
-    no walk.
+    on Z the folded box over it, for the fibers of many engines at once, in
+    one pass of the batched kernel :func:`_walk_line`, whose vectors are
+    the scalar kernel's bitwise. A box takes its first axis from that line,
+    and :func:`_walk_axis` walks each later axis along the canonical path
+    (cyclic ones forward), so values are bitwise those of the scalar
+    kernels. A constant fiber's box is ``norm0`` repeated, with no walk.
     Corners are tuples on every group; Z is the rank-1 case, whose boxes are
     ranges of times. Each fiber keeps every box it has walked, folded and
     read-only, for as long as the engine lives: a read of equal corners
@@ -877,9 +893,9 @@ class PairEngine:
         self.admissible = system._admissible(self.x, self.y)
         self._lines: dict[int, dict] = {}
         self._boxes: dict[int, list] = {}  # fiber -> [(lo, hi, values)]
-        # (profile, eps or None) -> (plan, window means) of a stacked scan
-        # (pseudometrics._keep_means), kept for one read
-        self._means: dict[tuple, tuple] = {}
+        # (profile, eps or None) -> (plan, inner-max picks) of a stacked
+        # scan (pseudometrics._keep_means), kept for one read
+        self._picks: dict[tuple, tuple] = {}
 
     def _box(self, lo, hi):
         """The corner tuples, checked against the group, and the box size."""
@@ -978,45 +994,39 @@ def _seed_lines(engines, lo: int, hi: int, budget: int) -> None:
     its pair, with its generator-0 line at t = lo..hi-1 and at 0. The
     engines, of one system, have walked nothing yet.
 
-    The engines that start on one fiber take each step together, in
-    :func:`_walk_line`, at most ``budget // line length`` of them a pass, so
-    that a pass holds at most ``budget`` line elements. On a rank-1 group
-    the line is the box lo <= t < hi, so each pass is folded once
-    (:func:`_fold_norm_rows`, a block of positions at a time) and each
-    engine keeps its folded box, a view of the pass's array; the raw
-    vectors are dropped, and a read outside the box walks the fiber in the
-    scalar kernel, as on a fresh engine. Otherwise each engine's line is a
-    view of its pass's raw vectors, with the state at each end, from which
-    the scalar kernel grows it as before, and the later axes are walked
-    from it per box."""
+    A column is one such (engine, fiber), starting at the fiber's base
+    point with the pair's difference vector. Every column takes each step
+    together, in one pass of :func:`_walk_line`, at most ``budget // line
+    length`` columns a pass, so that a pass holds at most ``budget`` line
+    elements. On a rank-1 group the line is the box lo <= t < hi, so the
+    pass folds each block of positions as it steps, holding no raw line,
+    and each engine keeps its folded box, a view of the pass's array; a
+    read outside the box walks the fiber in the scalar kernel, as on a
+    fresh engine. Otherwise each engine's line is a view of its pass's raw
+    vectors, with the state at each end, from which the scalar kernel grows
+    it as before, and the later axes are walked from it per box."""
     system = engines[0].sys
-    by_fiber: dict[int, list] = {}
-    for engine in engines:
-        for i in engine.admissible:
-            if not system._constant[i]:
-                by_fiber.setdefault(i, []).append(engine)
+    columns = [(engine, i) for engine in engines for i in engine.admissible
+               if not system._constant[i]]
     first, stop = min(lo, 0), max(hi, 1)
     size = max(1, budget // (stop - first))
-    for w, group in by_fiber.items():
-        for k in range(0, len(group), size):
-            part = group[k:k + size]
-            d = np.array([engine.delta0 for engine in part]).T
-            states, w_first, w_last = _walk_line(w, d, system._steps[0],
-                                                 system.base._powers[0], first, stop)
-            if system.group.rank == 1:
-                vals = np.empty((hi - lo, len(part)))
-                for a in range(lo, hi, 128):  # 128 positions a block: small temporaries
-                    b = min(a + 128, hi)
-                    vals[a - lo:b - lo] = _fold_norm_rows(states[a - first:b - first])
-                vals.flags.writeable = False
-                for engine, box in zip(part, vals.T):
-                    engine._boxes[w] = [((lo,), (hi,), box)]
-                continue
-            right, left = states[-first:], states[:-first][::-1]
-            ends = zip(states[-1].T.tolist(), states[0].T.tolist())
-            for j, (engine, (d_last, d_first)) in enumerate(zip(part, ends)):
-                engine._lines[w] = {1: (right[:, :, j], (w_last, tuple(d_last))),
-                                    -1: (left[:, :, j], (w_first, tuple(d_first)))}
+    fold, powers = system.group.rank == 1, system.base._powers[0]
+    for k in range(0, len(columns), size):
+        part = columns[k:k + size]
+        w = np.array([i for _, i in part], dtype=np.intp)
+        d = np.array([engine.delta0 for engine, _ in part]).T
+        out = _walk_line(w, d, system._steps[0], powers, first, stop, fold)
+        out.flags.writeable = False
+        if fold:
+            for (engine, i), box in zip(part, out[lo - first:hi - first].T):
+                engine._boxes[i] = [((lo,), (hi,), box)]
+            continue
+        right, left = out[-first:], out[:-first][::-1]
+        ends = zip(powers.path(w, stop - 1, stop)[0].tolist(), out[-1].T.tolist(),
+                   powers.path(w, first, first + 1)[0].tolist(), out[0].T.tolist())
+        for j, ((engine, i), (w_last, d_last, w_first, d_first)) in enumerate(zip(part, ends)):
+            engine._lines[i] = {1: (right[:, :, j], (w_last, tuple(d_last))),
+                                -1: (left[:, :, j], (w_first, tuple(d_first)))}
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@
 import copy
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from grid_fixtures import ROT3, Z_SLICED, ZXC2_ROT, _FlatNormals
 from test_golden import REPORT_GOLDEN, SMALL_CLASSIFIER, WIDE_CLASSIFIER, WIDE_GOLDEN
-from meanrds import catalog, pseudometrics, rds
+from meanrds import catalog, classify, pseudometrics, rds
 from meanrds.classify import (
     ClassifierConfig,
     _row_norms,
@@ -152,7 +153,8 @@ def test_classify_walks_only_non_identity_fibers(monkeypatch):
     """The rotation systems never call a walk kernel, scalar or batched;
     mixed calls each only from its hyperbolic fiber w1, which its base
     action fixes: the scalar kernel for wme's first eps, measured pair by
-    pair, and the batched kernel for the pairs drawn ahead."""
+    pair, and the batched kernel, whose columns each start at a base point
+    of an array, for the pairs drawn ahead."""
     scalar, batched = set(), set()
     for dim, kernel in list(rds._WALKS.items()):
         def counting(w, d, count, nxt, rows, kernel=kernel):
@@ -161,9 +163,9 @@ def test_classify_walks_only_non_identity_fibers(monkeypatch):
         monkeypatch.setitem(rds._WALKS, dim, counting)
     walk_line = rds._walk_line
 
-    def counting_line(w, d, steps, powers, first, stop):
-        batched.add(w)
-        return walk_line(w, d, steps, powers, first, stop)
+    def counting_line(w, d, steps, powers, first, stop, fold=False):
+        batched.update(w.tolist())
+        return walk_line(w, d, steps, powers, first, stop, fold)
 
     monkeypatch.setattr(rds, "_walk_line", counting_line)
     walked = {}
@@ -413,16 +415,36 @@ def test_public_probes_in_sequence_give_the_report(spec, caps, seed, ccfg, monke
     assert rng.bit_generator.state == report_rng.bit_generator.state
 
 
+def test_a_default_report_holds_no_raw_line():
+    """A default-config cat2 report at seed 7 peaks below 3.5 MB of traced
+    allocations (2.9 MB on numpy 2.4.6): its pass over the pairs drawn
+    ahead folds each block of positions as it steps, and a stack keeps only
+    each profile's picks. A pass that held its raw (positions, dim, n)
+    states, or stacks that kept every profile's window means, reached
+    4.2 MB. The report runs once first, so that cached plans are not
+    counted."""
+    system = catalog.load("cat2")
+    dichotomy_report(system, seed=7)
+    tracemalloc.start()
+    try:
+        dichotomy_report(system, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
+
+
 def test_a_chunked_report_is_the_report(monkeypatch):
-    """With an element budget that holds three lines, the batched walk takes
-    the drawn-ahead pairs three at a time, and the report is the one at the
-    default budget, byte for byte, but for the budget it prints."""
+    """The batched walk takes every line of the drawn-ahead pairs, on both
+    fibers, in one pass at the default budget, and three lines a pass with
+    an element budget that holds three; the report is the same, byte for
+    byte, but for the budget it prints."""
     system = catalog.load("cat2")
     walk_line, sizes = rds._walk_line, []
 
-    def spy(w, d, steps, powers, first, stop):
+    def spy(w, d, steps, powers, first, stop, fold=False):
         sizes.append((d.shape[1], stop - first))
-        return walk_line(w, d, steps, powers, first, stop)
+        return walk_line(w, d, steps, powers, first, stop, fold)
 
     monkeypatch.setattr(rds, "_walk_line", spy)
     docs, passes = [], []
@@ -434,24 +456,24 @@ def test_a_chunked_report_is_the_report(monkeypatch):
         docs.append(json.dumps(doc))
         passes.append(list(sizes))
     # every line is the box's first axis, [-8, 16); on each of the two
-    # fibers, 9 predicted rows and 12 predicted candidates
+    # fibers, 9 predicted rows and 12 predicted candidates: 42 columns
     assert {length for _, length in passes[0] + passes[1]} == {24}
     assert [n for n, _ in passes[0]] == [3] * 14
-    assert [n for n, _ in passes[1]] == [21, 21]
+    assert [n for n, _ in passes[1]] == [42]
     assert docs[0] == docs[1]
 
 
 @pytest.mark.parametrize("name,walks", [("z2-cat", False), ("zxc3-order3", False),
                                         ("cat2", False), ("cat2-64-8-8", True)])
 def test_only_a_first_eps_that_stops_at_first_pairs_draws_ahead(name, walks, monkeypatch):
-    """A report draws pairs ahead, and walks them in the batched kernel, only
-    when every row of wme's first eps stopped at its first pair: z2-cat and
-    cat2 at (64, 16, 2) and zxc3-order3 pass a row of that eps and walk
-    nothing batched; cat2 at (64, 8, 8) holds every prediction."""
+    """A report draws pairs ahead, and seeds their lines, only when every
+    row of wme's first eps stopped at its first pair: z2-cat and cat2 at
+    (64, 16, 2) and zxc3-order3 pass a row of that eps and seed nothing;
+    cat2 at (64, 8, 8) holds every prediction."""
     spec, caps, seed, _ = next(p.values for p in REPORT_GOLDEN if p.id == name)
     system = catalog.load(spec) if isinstance(spec, str) else catalog.build_system(spec)
     cfg = EstimatorConfig(n_max=caps[0], m_max=caps[1], search_radius=caps[2])
-    walk_line, passes = rds._walk_line, []
-    monkeypatch.setattr(rds, "_walk_line", lambda *a: passes.append(1) or walk_line(*a))
+    seed_lines, passes = classify._seed_lines, []
+    monkeypatch.setattr(classify, "_seed_lines", lambda *a: passes.append(1) or seed_lines(*a))
     dichotomy_report(system, cfg, SMALL_CLASSIFIER, seed=seed)
     assert bool(passes) == walks

@@ -211,10 +211,29 @@ def _walked_fibers(engine):
     return [i for i in engine.admissible if not engine.sys._constant[i]]
 
 
+# a 3-cycle of distinct cat-like matrices beside a fixed fiber with its
+# own hyperbolic matrix: a pass holds columns of periods 3 and 1
+CYCLE3 = {"name": "cycle3", "group": "Z", "dim": 2,
+          "base": {"labels": ["w0", "w1", "w2", "w3"], "weights": [0.25] * 4,
+                   "perms": [[1, 2, 0, 3]]},
+          "maps": [[{"matrix": [[2, 1], [1, 1]], "shift": [0.125, 0.0]},
+                    {"matrix": [[1, 1], [1, 2]]},
+                    {"matrix": [[3, 2], [1, 1]], "shift": [0.0, 0.25]},
+                    {"matrix": [[1, 1], [1, 0]], "shift": [0.5, 0.5]}]]}
+# lines of 127, 128, 129 and 130 positions (one direction stepping 126 to
+# 129 times, about the fold's 128-position block), of 257 (128 steps each
+# way), one that ends at 0 and one wholly negative, each at the default
+# budget and at budgets of 3 and 10 lines, whose passes split the 28
+# columns of 7 pairs in the middle of a pair's 4 fibers
+CYCLE_RANGES = [(0, 127), (0, 128), (0, 129), (0, 130), (-128, 129), (-129, 0), (-300, -40)]
+
 # batches of 7 pairs over every range, and of one pair around 0
-LINE_CASES = [pytest.param(s, lo, hi, 7, id=f"{s.name}-{lo}-{hi}")
+LINE_CASES = [pytest.param(s, lo, hi, 7, None, id=f"{s.name}-{lo}-{hi}")
               for s in LINE_SYSTEMS for lo, hi in LINE_RANGES] + [
-    pytest.param(s, -6, 9, 1, id=f"{s.name}-one-pair") for s in LINE_SYSTEMS]
+    pytest.param(s, -6, 9, 1, None, id=f"{s.name}-one-pair") for s in LINE_SYSTEMS] + [
+    pytest.param(catalog.build_system(CYCLE3), lo, hi, 7, lines,
+                 id=f"cycle3-{lo}-{hi}-{lines or 'default'}")
+    for lo, hi in CYCLE_RANGES for lines in (None, 3, 10)]
 
 
 def _no_scalar_walk(m):
@@ -222,8 +241,8 @@ def _no_scalar_walk(m):
         m.setitem(rds._WALKS, dim, lambda *args: pytest.fail("a scalar walk"))
 
 
-@pytest.mark.parametrize("system,lo,hi,count", LINE_CASES)
-def test_seeded_lines_are_the_scalar_lines(system, lo, hi, count, monkeypatch):
+@pytest.mark.parametrize("system,lo,hi,count,lines", LINE_CASES)
+def test_seeded_lines_are_the_scalar_lines(system, lo, hi, count, lines, monkeypatch):
     """The batched line walk seeds each engine with the scalar kernel's
     values, bitwise, in dimensions 1-3, on Z, Z^2, Z x C2 and Z x C3, for a
     batch of one pair and of pairs whose admissible fibers differ. On Z each
@@ -232,13 +251,15 @@ def test_seeded_lines_are_the_scalar_lines(system, lo, hi, count, monkeypatch):
     engine's. Either way the seeded box reads with no scalar walk, and a
     grown box (lo - 5, hi + 6) and a box over every axis (the later ones
     walked per pair, as before) read as on a fresh engine. A constant
-    fiber, or one without both points, gets neither."""
+    fiber, or one without both points, gets neither. A budget of ``lines``
+    whole lines splits the columns into passes of that many."""
     pairs = _line_pairs(system, count)
     seeded = [rds.PairEngine(system, x, y) for x, y in pairs]
     fresh = [rds.PairEngine(system, x, y) for x, y in pairs]
     if system.name == "sliced-shear" and count > 1:
         assert len({e.admissible for e in seeded}) == 2
-    rds._seed_lines(seeded, lo, hi, DEFAULT_ELEMENT_BUDGET)
+    length = max(hi, 1) - min(lo, 0)
+    rds._seed_lines(seeded, lo, hi, DEFAULT_ELEMENT_BUDGET if lines is None else lines * length)
     rank1 = system.group.rank == 1
     for engine in seeded:
         kept, raw = (engine._boxes, engine._lines) if rank1 else (engine._lines, engine._boxes)
@@ -264,16 +285,18 @@ def test_seeded_lines_are_the_scalar_lines(system, lo, hi, count, monkeypatch):
 
 def test_seeded_lines_chunk_to_the_element_budget(monkeypatch):
     """A pass of the batched walk holds at most ``budget`` line elements
-    (pairs times line length): above it the pairs are walked in chunks, with
-    the same seeded boxes bitwise, read with no scalar walk."""
+    (columns, one per pair and fiber, times line length): above it the 18
+    columns of 9 pairs on cat2's two fibers are walked in chunks that cross
+    from one fiber to the next, with the same seeded boxes bitwise, read
+    with no scalar walk."""
     system = catalog.load("cat2")
     pairs = _line_pairs(system, 9)
     lo, hi = -6, 9
     walk_line, sizes = rds._walk_line, []
 
-    def spy(w, d, steps, powers, first, stop):
+    def spy(w, d, steps, powers, first, stop, fold=False):
         sizes.append(d.shape[1] * (stop - first))
-        return walk_line(w, d, steps, powers, first, stop)
+        return walk_line(w, d, steps, powers, first, stop, fold)
 
     monkeypatch.setattr(rds, "_walk_line", spy)
     _no_scalar_walk(monkeypatch)
@@ -282,8 +305,8 @@ def test_seeded_lines_chunk_to_the_element_budget(monkeypatch):
         sizes.clear()
         engines = [rds.PairEngine(system, x, y) for x, y in pairs]
         rds._seed_lines(engines, lo, hi, budget)
-        assert max(sizes) <= max(budget, hi - lo) and sum(sizes) == 2 * 9 * (hi - lo)
-        assert len(sizes) == 2 * -(-9 // max(1, budget // (hi - lo)))
+        assert max(sizes) <= max(budget, hi - lo) and sum(sizes) == 18 * (hi - lo)
+        assert len(sizes) == -(-18 // max(1, budget // (hi - lo)))
         boxes[budget] = [e.fiber_range(i, (lo,), (hi,)).tobytes() for e in engines for i in (0, 1)]
     assert all(got == boxes[DEFAULT_ELEMENT_BUDGET] for got in boxes.values())
 
@@ -706,7 +729,7 @@ def test_dyadic_table_matches_the_gather(spec, m_max, radius, kind):
     wants = []
     for r in (radius, 0):
         plan = _scan_plan(src.group, m_max, None, r, EstimatorConfig().element_budget)
-        got = list(pseudometrics._window_means(src, plan))
+        got = list(zip(plan.scanned, window_means(src._box(plan), plan.starts, plan.windows)))
         want = list(_gathered_means(src, schedule, plan.ball))
         assert [n for n, _ in got] == list(schedule)
         for (n, means), (_, ref) in zip(got, want):
@@ -729,7 +752,7 @@ def test_dyadic_table_matches_the_gather_on_systems(spec, x, y):
     plan = _scan_plan(system.group, 256, None, 5, EstimatorConfig().element_budget)
     for mode in ("sup", "integral"):
         src = pair_source(system, x, y, mode)
-        got = pseudometrics._window_means(src, plan)
+        got = zip(plan.scanned, window_means(src._box(plan), plan.starts, plan.windows))
         for (n, means), (_, ref) in zip(got, _gathered_means(src, plan.schedule, plan.ball),
                                         strict=True):
             assert means.tobytes() == ref.tobytes(), (mode, n)

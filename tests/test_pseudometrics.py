@@ -769,10 +769,15 @@ def test_constant_subsets_scan_in_closed_form(spec, c):
         _assert_closed_form_is_the_table_read(ind, cfg)
 
 
+def _hexed(picks):
+    values, at = picks
+    return [v.hex() for v in values], at
+
+
 def test_kept_means_are_keyed_by_the_float_eps():
-    """Means kept for a separation set at one eps serve only that eps: a
+    """Picks kept for a separation set at one eps serve only that eps: a
     probe at an eps whose label is the same ({eps:g}) re-reads the profile
-    and gets the record of an unseeded engine, and the kept means still
+    and gets the record of an unseeded engine, and the kept picks still
     serve their own eps afterwards, once, from no read."""
     system = catalog.load("cat2")
     cfg = EstimatorConfig(n_max=256, m_max=64, search_radius=16)
@@ -790,16 +795,91 @@ def test_kept_means_are_keyed_by_the_float_eps():
     def fresh(eps):
         return separation_set(pair_source(system, x, y), eps)
 
-    assert (fresh(near).window_means(plan)[0].tobytes()
-            != fresh(kept).window_means(plan)[0].tobytes())
+    assert fresh(near)._picks(plan, max) != fresh(kept)._picks(plan, max)
     reads = []
     read = sup.read
     sup.read = lambda lo, hi: reads.append(lo) or read(lo, hi)
     assert repr(banach_upper_density(separation_set(sup, near), cfg)) == repr(
         banach_upper_density(fresh(near), cfg))
     assert len(reads) == 1
-    got = separation_set(sup, kept).window_means(plan)
-    assert len(reads) == 1 and not engine._means
-    assert [m.tobytes() for m in got] == [m.tobytes() for m in fresh(kept).window_means(plan)]
-    assert separation_set(sup, kept).window_means(plan)[0].tobytes() == got[0].tobytes()
+    got = separation_set(sup, kept)._picks(plan, max)
+    assert len(reads) == 1 and not engine._picks
+    assert _hexed(got) == _hexed(fresh(kept)._picks(plan, max))
+    assert _hexed(separation_set(sup, kept)._picks(plan, max)) == _hexed(got)
     assert len(reads) == 2
+
+
+class _KeptProfile(pseudometrics.SyntheticSource):
+    """A synthetic profile that keeps its picks in a store of its own, as
+    an engine's profile keeps them on its engine."""
+
+    def __init__(self, spec):
+        super().__init__(synthetic_source(spec).fn, spec)
+        self.store = {}
+
+    def _slot(self):
+        return self.store, (self.label, None)
+
+
+# a tie at every window, +inf and -inf entries (every translate of a wide
+# window ties at +-inf), and a window that adds +inf to -inf from width 2
+KEPT_SPECS = ("periodic:1,0,1,1", "periodic:0.5,inf,0.25,0.5", "periodic:0.5,-inf,0.25,0.5",
+              "periodic:-inf,inf")
+
+
+def _scanned(scan, src, cfg):
+    try:
+        return repr(scan(src, cfg))
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@pytest.mark.parametrize("kind", ["sup", "set", "fiber", "synthetic"])
+def test_kept_picks_are_a_fresh_scans_picks(kind):
+    """The picks that a stacked window-means call keeps, for each kind of
+    stacked source, are those of a fresh read, bitwise: each window's
+    greatest mean and the first translate holding it (a tie's first, a
+    +-inf entry's, and a NaN's). Each is served once, to an inner-max scan,
+    which reports what a fresh scan reports, the ValueError of a window
+    that adds +inf to -inf included; an inner-min scan reads afresh."""
+    cfg = EstimatorConfig(n_max=256, m_max=64, search_radius=16)
+    if kind == "synthetic":
+        group = parse_group("Z")
+        kept = [_KeptProfile(spec) for spec in KEPT_SPECS]
+        fresh = [synthetic_source(spec) for spec in KEPT_SPECS]
+    else:
+        system = catalog.load("mixed")
+        group = system.group
+        pairs = [((0.1, 0.2), (0.1004, 0.2002)), ((0.3, 0.6), (0.31, 0.6)),
+                 ((0.7, 0.1), (0.2, 0.9))]
+
+        def sources(engine):
+            sup = pseudometrics._engine_source(engine, "sup")
+            return {"sup": [sup], "set": [separation_set(sup, 0.01)],
+                    "fiber": [pseudometrics._fiber_source(engine, 1)]}[kind]
+
+        engines = [rds.PairEngine(system, x, y) for x, y in pairs]
+        kept = [src for engine in engines for src in sources(engine)]
+        fresh = [src for x, y in pairs for src in sources(rds.PairEngine(system, x, y))]
+    plan = pseudometrics._scan_plan(group, cfg.m_max, None, cfg.search_radius,
+                                    cfg.element_budget)
+    pseudometrics._keep_means(kept, plan, cfg.element_budget)
+    scan = banach_upper_density if kind == "set" else banach_mean
+    for src, ref in zip(kept, fresh, strict=True):
+        store, key = src._slot()
+        values, at = ref._picks(plan, max)
+        assert store[key][0] is plan and _hexed(store[key][1]) == _hexed((values, at))
+        means = window_means(ref._box(plan), plan.starts, plan.windows).tolist()
+        if not any(map(math.isnan, values)):
+            assert at == [row.index(max(row)) for row in means]
+        assert _hexed(src._picks(plan, min)) == _hexed(ref._picks(plan, min))
+        assert key in store
+        assert _scanned(scan, src, cfg) == _scanned(scan, ref, cfg)
+        assert key not in store
+    if kind == "synthetic":
+        assert _scanned(banach_mean, fresh[-1], cfg).startswith(
+            "ValueError: profile 'periodic:-inf,inf' has a NaN mean over window 2: ")
+        assert math.inf in fresh[1]._picks(plan, max)[0]
+        assert -math.inf in fresh[2]._picks(plan, max)[0]
+    else:
+        assert not any(engine._picks for engine in engines)
