@@ -62,8 +62,9 @@ Every probe, and the region search, reads the ``value`` of the estimates
 that reports print: ``banach_mean``, ``banach_upper_density``,
 ``fiber_weyl`` and ``sup_fiber_weyl``. A modulus-probe pair gets its
 profile from ``pair_source`` (a pair drawn ahead, from its seeded engine),
-except on a system whose support fibers are all constant (isometric):
-there every sup profile is the pair's constant
+except on a system whose support fibers are all constant (isometric: every
+matrix on their orbits a signed permutation, such as a rotation system's
+identities): there every sup profile is the pair's constant
 ``fold_norm(torus_delta(x, y))``, and a whole row of pairs is measured in
 one numpy pass from the same draws (``_row_norms``,
 ``pseudometrics._constant_banach_values``), with the bits, stop, counts and

@@ -212,78 +212,12 @@ def _envelope(command: str, settings: dict, extra_hash: dict, payload: dict) -> 
     return out
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
-@functools.cache
-def _flat_encode(depth: int):
-    """``encode`` of a json encoder whose item separator ends the line and
-    indents ``depth + 1`` levels. Without ``indent`` it runs json's C
-    encoder, and a container of scalars at ``depth`` comes out as its
-    indented text once its brackets get their newlines."""
-    return json.JSONEncoder(sort_keys=True,
-                            separators=(",\n" + "  " * (depth + 1), ": ")).encode
-
-
-def _scalar(v) -> str:
-    """json's text of a value that is no container, by json's type rules:
-    bool before int, and any float by ``float.__repr__``."""
-    if isinstance(v, str):
-        return json.encoder.encode_basestring_ascii(v)
-    if isinstance(v, float):
-        if math.isfinite(v):
-            return float.__repr__(v)
-        return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
-    if v is None or v is True or v is False:
-        return "null" if v is None else "true" if v else "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-
-
-def _render(obj, depth: int) -> str:
-    """The text of the container obj, ``depth`` levels deep, in a document
-    of :func:`_dumps`: a container of scalars in one call of the C encoder,
-    any other item by item."""
-    is_dict = isinstance(obj, dict)
-    if not obj:
-        return "{}" if is_dict else "[]"
-    inner = "\n" + "  " * (depth + 1)
-    for v in obj.values() if is_dict else obj:
-        if isinstance(v, _CONTAINERS):
-            break
-    else:
-        text = _flat_encode(depth)(obj)
-        return text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
-    if is_dict:
-        if not all(isinstance(k, str) for k in obj):
-            raise TypeError("a nested dict has a key that is not a str")
-        items = [_scalar(k) + ": " + (_render(v, depth + 1) if isinstance(v, _CONTAINERS)
-                                      else _scalar(v))
-                 for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + inner[:-2] + "}"
-    items = [_render(v, depth + 1) if isinstance(v, _CONTAINERS) else _scalar(v) for v in obj]
-    return "[" + inner + ("," + inner).join(items) + inner[:-2] + "]"
-
-
-def _dumps(doc) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2)``, bytewise, mostly
-    through json's C encoder, which ``indent`` would turn off. On a
-    TypeError (a nested dict with a key that is not a str, or a value json
-    cannot write) it returns ``json.dumps`` itself, which converts and
-    sorts such keys, or raises its own error."""
-    try:
-        return _render(doc, 0) if isinstance(doc, _CONTAINERS) else _scalar(doc)
-    except TypeError:
-        return json.dumps(doc, sort_keys=True, indent=2)
-
-
 def _emit(args, envelope: dict, text, csv_rows=None, csv_name=None, csv_header=None):
     """Print the JSON document or the text, and with ``--out`` write the
     document and the CSV rows. The document is rendered once; ``text`` and
     ``csv_rows`` are zero-argument callables, called only when their
     output is printed or written."""
-    doc = _dumps(envelope) if args.json or args.out else None
+    doc = json.dumps(envelope, sort_keys=True, indent=2) if args.json or args.out else None
     print(doc if args.json else text())
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -46,16 +46,18 @@ bits of its own read.
 
 A source that knows its profile to be one value c (``constant``) is never
 read; the engine reports it for a fiber whose every generator matrix on
-its base orbit is the identity, for the sup and weighted average over such
-fibers, and for the sup of a pair with no common fiber (+inf). The scan
-still takes its plan, so budget and group errors are those of a read, then
-answers from the plan's window sizes, before the window loop: when every
-size is a power of two and c times the largest does not overflow, every
-window mean is c, the bits the table gives on a constant box; otherwise
-(an overflow, a cap that is not a power of two, a cyclic factor such as C3)
-each mean comes from :func:`_windows.constant_mean_rows`. Every translate
-ties, so the first of the ball is picked, and the first extreme mean, taken
-strictly against the start, picks the window the tie and start rules pick.
+its base orbit is a signed permutation (the identity, -I, a coordinate
+swap or flip), which keeps the torus norm, for the sup and weighted
+average over such fibers, and for the sup of a pair with no common fiber
+(+inf). The scan still takes its plan, so budget and group errors are
+those of a read, then answers from the plan's window sizes, before the
+window loop: when every size is a power of two and c times the largest
+does not overflow, every window mean is c, the bits the table gives on a
+constant box; otherwise (an overflow, a cap that is not a power of two, a
+cyclic factor such as C3) each mean comes from
+:func:`_windows.constant_mean_rows`. Every translate ties, so the first of
+the ball is picked, and the first extreme mean, taken strictly against the
+start, picks the window the tie and start rules pick.
 
 Estimates carry their schedule, the attained window and translate, and a
 truncation note; the Banach-style scans are heuristic two-sided truncations

@@ -9,9 +9,10 @@ point, with M an integer matrix of determinant +-1.
 The pairwise separation of two points x, y under the cocycle depends only on
 the difference vector A(x - y) mod 1, because shifts cancel. All estimators
 therefore walk a single difference vector along the base orbit instead of two
-points; isometric fibers keep that vector constant bitwise, which is what the
-exactness tests lean on. ``torus_distance`` and the walkers share one folding
-kernel so their outputs agree bitwise on identical inputs.
+points; isometric fibers keep that vector's norm, so their profiles are
+constant, which is what the exactness tests lean on. ``torus_distance`` and
+the walkers share one folding kernel so their outputs agree bitwise on
+identical inputs.
 
 A pair's values are read only over boxes of group elements, given by tuple
 corners, from one :class:`PairEngine` per pair, which walks each fiber once
@@ -23,16 +24,23 @@ Z, as their folded boxes), each later axis with every state reached
 stepping at once in the batched kernel; the engine keeps each box it has
 walked and serves a box inside a kept one as a slice. Both kernels take
 the same left-to-right matrix step.
-A fiber whose every generator matrix on its base orbit is the identity has
-a constant profile, fold_norm(delta0); the engine reports that value, and
-the scans then read nothing (see :mod:`meanrds.pseudometrics`); a box read
-of it is that value repeated, without a walk.
+A system holds its cocycle once, exactly, in one table (``_steps``): per
+generator, direction and base point, the point stepped to, the integer
+matrix M and shift numerators s of the step x -> Mx + s, and M's float rows;
+a step back inverts the map at the point before. The walks, the constant
+flags and :func:`validate` read it. A fiber whose every generator matrix on
+its base orbit is a signed permutation (the identity among them, and every
+1 x 1 one) keeps the difference vector's torus norm, so its profile is the
+constant fold_norm(delta0); the engine reports that value, and the scans
+then read nothing (see :mod:`meanrds.pseudometrics`); a box read of it is
+that value repeated, without a walk.
 Outside the walks, maps and points compose in exact arithmetic: every float
 is an integer multiple of 2^-1074, so a coordinate mod 1 is held as an int
 numerator over 2^1074, and matrix entries are Python ints. One exact walk
-of a group word, ``_walk_word``, serves the system's ``apply``, which
-rounds its result once, correctly, and :func:`validate`, which compares
-numerators, so its checks of the cocycle and the fiber domains are exact.
+of a group word through the table, ``_walk_word``, serves the system's
+``apply``, which rounds its result once, correctly, and :func:`validate`,
+which compares numerators, so its checks of the cocycle and the fiber
+domains are exact.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -438,43 +447,31 @@ class FiberSpace:
 # base space
 
 class _PermPowers:
-    """O(1) powers of a permutation via its cycle decomposition."""
+    """O(1) powers of a permutation via its cycle decomposition: the cycles
+    laid end to end, and per point where its cycle starts there, the
+    cycle's length and the point's place in it."""
 
     def __init__(self, perm):
         n = len(perm)
         if sorted(perm) != list(range(n)):
             raise SystemSpecError(f"not a permutation of 0..{n - 1}: {perm}")
-        self.cycle_of = [0] * n
-        self.pos_in_cycle = [0] * n
-        self.cycles = []
-        seen = [False] * n
-        for start in range(n):
-            if seen[start]:
+        flat, start, length, pos = [], [0] * n, [0] * n, [-1] * n
+        for first in range(n):
+            if pos[first] >= 0:
                 continue
-            cyc = []
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                self.cycle_of[i] = len(self.cycles)
-                self.pos_in_cycle[i] = len(cyc)
-                cyc.append(i)
-                i = perm[i]
-            self.cycles.append(cyc)
-        # per point: where its cycle starts in the cycles laid end to end,
-        # the cycle's length and the point's place in it
-        starts = list(itertools.accumulate(map(len, self.cycles), initial=0))
-        self._flat = np.asarray(list(itertools.chain(*self.cycles)), dtype=np.intp)
-        self._start = np.asarray([starts[c] for c in self.cycle_of], dtype=np.intp)
-        self._length = np.asarray([len(self.cycles[c]) for c in self.cycle_of], dtype=np.intp)
-        self._pos = np.asarray(self.pos_in_cycle, dtype=np.intp)
-
-    def apply(self, i: int, k: int) -> int:
-        cyc = self.cycles[self.cycle_of[i]]
-        return cyc[(self.pos_in_cycle[i] + k) % len(cyc)]
+            cyc = [first]
+            while perm[cyc[-1]] != first:
+                cyc.append(perm[cyc[-1]])
+            for k, i in enumerate(cyc):
+                start[i], length[i], pos[i] = len(flat), len(cyc), k
+            flat += cyc
+        self._flat, self._start, self._length, self._pos = (
+            np.asarray(v, dtype=np.intp) for v in (flat, start, length, pos))
 
     def path(self, w, lo: int, hi: int) -> np.ndarray:
-        """``apply(i, k)`` for k = lo..hi-1 (rows) and each i of w
-        (columns): the powers of every point, then one gather of w's."""
+        """Where the permutation's k-th power sends i, for k = lo..hi-1
+        (rows) and each i of w (columns): the powers of every point, then
+        one gather of w's."""
         idx = (np.arange(lo, hi)[:, None] + self._pos) % self._length
         idx += self._start
         return self._flat[idx][:, w]
@@ -543,11 +540,49 @@ class BaseSpace:
         return i
 
     def act_generator(self, gen: int, omega_idx: int, steps: int = 1) -> int:
-        return self._powers[gen].apply(omega_idx, steps)
+        return int(self._powers[gen].path([omega_idx], steps, steps + 1)[0, 0])
 
 
 # ---------------------------------------------------------------------------
 # the system
+
+class _Step(NamedTuple):
+    """One generator's steps in one direction, per base point w: the point
+    stepped to, the integer matrix M and shift numerators s of the step
+    x -> Mx + s (mod 1), and M's row-major float entries, which the walk
+    kernels read."""
+
+    nxt: tuple[int, ...]
+    mats: tuple
+    shifts: tuple
+    rows: tuple
+
+
+def _generator_steps(perm, maps) -> dict:
+    """One generator's :class:`_Step` for 1 and -1, from its base
+    permutation and its map at each base point: a step forward from w
+    takes maps[w], x -> Mx + c; a step back goes to the point p before w
+    and inverts maps[p], x -> M^-1 x - M^-1 c."""
+    fwd = [(fm.matrix, _numerators(fm.shift)) for fm in maps]
+    pred = sorted(range(len(perm)), key=perm.__getitem__)  # pred[perm[w]] == w
+    back = []
+    for m, c in (fwd[p] for p in pred):
+        inv = _mat_inverse(m)
+        back.append((inv, _affine(inv, [-v for v in c], (0,) * len(c))))
+    out = {}
+    for sign, nxt, steps in ((1, perm, fwd), (-1, pred, back)):
+        mats, shifts = zip(*steps)
+        rows = tuple(tuple(float(v) for row in m for v in row) for m in mats)
+        out[sign] = _Step(tuple(nxt), mats, shifts, rows)
+    return out
+
+
+def _signed_permutation(mat) -> bool:
+    """Whether each row and each column of mat holds one +-1 and zeros
+    else. Such an integer matrix maps Z^d onto itself and keeps Euclidean
+    length, so it keeps the torus norm; the identity is one."""
+    return all(sum(map(abs, line)) == 1 for line in (*mat, *zip(*mat)))
+
 
 @dataclass
 class RandomDynamicalSystem:
@@ -582,68 +617,53 @@ class RandomDynamicalSystem:
             for fm in row:
                 if fm.dim != self.dim:
                     raise SystemSpecError("fiber map dimension mismatch")
-        self._inv_matrices = tuple(
-            tuple(_mat_inverse(fm.matrix) for fm in row) for row in self.maps
-        )
-        # walk-kernel tables per generator and direction: the next base point
-        # and the float matrix applied when stepping from each base point
-        self._steps = []
-        for i in range(gens):
-            succ = [self.base.act_generator(i, w, 1) for w in range(self.base.size)]
-            pred = [self.base.act_generator(i, w, -1) for w in range(self.base.size)]
-            self._steps.append({
-                1: (succ, [_float_rows(fm.matrix) for fm in self.maps[i]]),
-                -1: (pred, [_float_rows(self._inv_matrices[i][p]) for p in pred]),
-            })
-        # per fiber: whether every generator's matrix on its orbit under all
-        # generators is the identity (then so are the inverses), in which
-        # case its whole profile is the one value fold_norm(delta0)
-        self._constant = self._identity_orbits()
+        # the exact cocycle table (module notes)
+        self._steps = [_generator_steps(perm, row)
+                       for perm, row in zip(self.base.generator_perms, self.maps)]
+        # per base point: whether every matrix on its orbit is a signed
+        # permutation, so that every step keeps the difference vector's
+        # torus norm and its whole profile is the one value fold_norm(delta0)
+        flags = [False] * self.base.size
+        for orbit in self._orbits():
+            flag = all(_signed_permutation(steps[1].mats[w]) for steps in self._steps for w in orbit)
+            for w in orbit:
+                flags[w] = flag
+        self._constant = tuple(flags)
         # with every support fiber constant, every sup profile is constant
         self._all_constant = all(self._constant[i] for i in self.base.support)
         # with no sliced support fiber, every pair is admissible in all of them
         self._all_full = all(self.fibers[i].slices is None for i in self.base.support)
 
-    def _identity_orbits(self) -> tuple[bool, ...]:
-        """Per base point, whether the matrix of every generator is the
-        identity at every point of its orbit."""
-        gens = range(self.group.rank)
-        ident = _identity_matrix(self.dim)
-        flags = [None] * self.base.size
-        for start in range(self.base.size):
-            if flags[start] is not None:
+    def _orbits(self) -> list[list[int]]:
+        """The base orbits under all generators, in order of their least
+        point, each found by a search along the table's forward steps (a
+        finite orbit is closed under them)."""
+        seen = [False] * self.base.size
+        orbits = []
+        for first in range(self.base.size):
+            if seen[first]:
                 continue
-            orbit, todo = {start}, [start]
-            while todo:
-                w = todo.pop()
-                for i in gens:
-                    v = self.base.generator_perms[i][w]
-                    if v not in orbit:
-                        orbit.add(v)
-                        todo.append(v)
-            ok = all(self.maps[i][v].matrix == ident for i in gens for v in orbit)
-            for v in orbit:
-                flags[v] = ok
-        return tuple(flags)
+            seen[first] = True
+            orbit = [first]
+            for w in orbit:  # the orbit grows as it is read
+                for steps in self._steps:
+                    v = steps[1].nxt[w]
+                    if not seen[v]:
+                        seen[v] = True
+                        orbit.append(v)
+            orbits.append(orbit)
+        return orbits
 
     # -- basic action ------------------------------------------------------
 
     def _walk_word(self, w, word, mat, x):
-        """(w, mat, x) carried along word, exactly: a letter (i, 1) at base
-        point w applies F = maps[i][w], taking mat to M mat and the
-        numerators x to Mx + c; a letter (i, -1) moves to the point p before
-        w and applies the inverse of F = maps[i][p], x -> M^-1 (x - c)."""
-        zero = (0,) * self.dim
+        """(w, mat, x) carried along word, exactly: a letter (i, sign) takes
+        the table's step from w, mat to M mat and the numerators x to
+        Mx + s."""
         for i, sign in word:
-            if sign == 1:
-                fm = self.maps[i][w]
-                mat, x = _mat_mul(fm.matrix, mat), _affine(fm.matrix, x, _numerators(fm.shift))
-                w = self.base.act_generator(i, w, 1)
-            else:
-                w = self.base.act_generator(i, w, -1)
-                inv = self._inv_matrices[i][w]
-                c = _numerators(self.maps[i][w].shift)
-                mat, x = _mat_mul(inv, mat), _affine(inv, [a - b for a, b in zip(x, c)], zero)
+            step = self._steps[i][sign]
+            m = step.mats[w]
+            w, mat, x = step.nxt[w], _mat_mul(m, mat), _affine(m, x, step.shifts[w])
         return w, mat, x
 
     def _element_walk(self, g, omega_idx: int, x):
@@ -679,10 +699,12 @@ class RandomDynamicalSystem:
 #
 # One kernel per fiber dimension walks the raw difference vector ``count``
 # steps in a local-variable loop. ``nxt[w]`` is the base point after one step
-# from w and ``rows[w]`` the float matrix applied there (a float in dimension
-# 1, the row-major entries otherwise). Each row's products are added left to
-# right and reduced mod 1: the canonical matrix step. The kernel returns the
-# final base point and vector and the flat coordinates after every step.
+# from w and ``rows[w]`` the row-major float matrix applied there, the
+# fields of a :class:`_Step`. Each row's products are added left to right
+# and reduced mod 1: the canonical matrix step. The kernel returns the final
+# base point and vector and the flat coordinates after every step. Dimension
+# 1 has no kernel: its matrices are +-1, signed permutations, so every
+# dimension-1 fiber is constant and never walked.
 #
 # ``_walk_line`` takes that step for many vectors at once, each column from
 # its own base point, as the (pair, fiber) columns of a classify report and
@@ -696,16 +718,6 @@ class RandomDynamicalSystem:
 # real that ``%`` rounds once (a tiny negative acc gives 1.0 both ways). So
 # the batched steps make the correctly rounded operations of the scalar
 # kernels in their order, and every bit is theirs.
-
-def _walk_1d(w, d, count, nxt, rows):
-    (x,) = d
-    out = [0.0] * count
-    for k in range(count):
-        x = (rows[w] * x) % 1.0
-        w = nxt[w]
-        out[k] = x
-    return w, (x,), out
-
 
 def _walk_2d(w, d, count, nxt, rows):
     x, y = d
@@ -736,7 +748,7 @@ def _walk_3d(w, d, count, nxt, rows):
     return w, (x, y, z), out
 
 
-_WALKS = {1: _walk_1d, 2: _walk_2d, 3: _walk_3d}
+_WALKS = {2: _walk_2d, 3: _walk_3d}
 
 
 # positions a line pass steps between gathers of its matrices and, when it
@@ -767,14 +779,14 @@ def _walk_line(w, d, steps, powers, first: int, stop: int, fold: bool = False) -
     """Raw difference vectors at t = first..stop-1 (first <= 0 < stop)
     along one generator, column j of d (dim, n) from base point w[j], as a
     (stop - first, dim, n) array; ``steps`` maps 1 and -1 to the
-    generator's kernel tables and ``powers`` is its :class:`_PermPowers`.
+    generator's :class:`_Step` and ``powers`` is its :class:`_PermPowers`.
     With ``fold`` the array is the :func:`_fold_norm_rows` of the vectors,
     (stop - first, n), and no raw vector is held past its block.
 
     Per direction the step matrices are taken once as a (dim, dim, base)
-    copy of the table, and the line is stepped ``_LINE_BLOCK`` positions
-    at a time: :func:`_steps` over the block's rows (with ``fold``, one
-    reused block, folded into the output once stepped). The columns' base
+    copy of the step's float rows, and the line is stepped ``_LINE_BLOCK``
+    positions at a time: :func:`_steps` over the block's rows (with
+    ``fold``, one reused block, folded into the output once stepped). The columns' base
     points repeat with the period of their cycles' least common multiple,
     so a block takes the matrices of at most one period, in one gather from
     ``powers`` and one along the base axis, and cycles through them."""
@@ -794,7 +806,7 @@ def _walk_line(w, d, steps, powers, first: int, stop: int, fold: bool = False) -
         return out[i:i + k] if sign == 1 else out[i - k + 1:i + 1][::-1]
 
     for sign, count in ((1, stop - 1), (-1, -first)):
-        table = np.asarray(steps[sign][1], dtype=np.float64).reshape(-1, dim, dim)
+        table = np.asarray(steps[sign].rows, dtype=np.float64).reshape(-1, dim, dim)
         table = table.transpose(1, 2, 0).copy()
         prev = d
         for a in range(0, count, _LINE_BLOCK):
@@ -808,11 +820,6 @@ def _walk_line(w, d, steps, powers, first: int, stop: int, fold: bool = False) -
             if fold:
                 span(sign * (a + 1), k, sign)[...] = _fold_norm_rows(rows)
     return out
-
-
-def _float_rows(mat):
-    flat = tuple(float(v) for row in mat for v in row)
-    return flat[0] if len(flat) == 1 else flat
 
 
 def _fold_norm_rows(coords: np.ndarray) -> np.ndarray:
@@ -839,8 +846,8 @@ def _fold_norm_rows(coords: np.ndarray) -> np.ndarray:
 def _walk_axis(w, d, steps, powers, lo: int, hi: int):
     """States at positions lo..hi-1 along one generator from each state
     (w, d) at 0, as (base points, vectors) with the position varying
-    fastest; ``steps`` maps 1 and -1 to the kernel tables and ``powers`` is
-    the generator's :class:`_PermPowers`. Positions between 0 and the box
+    fastest; ``steps`` maps 1 and -1 to the generator's :class:`_Step` and
+    ``powers`` is its :class:`_PermPowers`. Positions between 0 and the box
     are walked too, as the path to them runs through them. Every state
     takes its step at once, in the batched line kernel :func:`_walk_line`."""
     dim = d.shape[1]
@@ -862,7 +869,9 @@ class PairEngine:
     the scalar kernel's bitwise. A box takes its first axis from that line,
     and :func:`_walk_axis` walks each later axis along the canonical path
     (cyclic ones forward), so values are bitwise those of the scalar
-    kernels. A constant fiber's box is ``norm0`` repeated, with no walk.
+    kernels. Both read the system's cocycle table. A constant fiber, one
+    whose orbit carries only signed permutations, has the box ``norm0``
+    repeated, with no walk.
     Corners are tuples on every group; Z is the rank-1 case, whose boxes are
     ranges of times. Each fiber keeps every box it has walked, folded and
     read-only, for as long as the engine lives: a read of equal corners
@@ -919,7 +928,8 @@ class PairEngine:
             vecs, (w, d) = line[sign]
             count = need - len(vecs)
             if count > 0:
-                w, d, raw = _WALKS[self.sys.dim](w, d, count, *self.sys._steps[0][sign])
+                step = self.sys._steps[0][sign]
+                w, d, raw = _WALKS[self.sys.dim](w, d, count, step.nxt, step.rows)
                 raw = np.asarray(raw, dtype=np.float64).reshape(count, -1)
                 line[sign] = np.concatenate((vecs, raw)), (w, d)
         right, left = line[1][0], line[-1][0]
@@ -1093,24 +1103,25 @@ def _relators(grp: AmenableGroup) -> list[tuple[str, tuple]]:
     return out
 
 
-def _coverage_residual(fm: FiberMap, source: FiberSpace, target: FiberSpace) -> float:
-    """How far fm carries source off target, exactly: 0.0 when it maps
-    every source slice into one target slice (the full torus is one slice
-    fixing no axis). A slice's image is a coset of a subtorus, which lies in
+def _coverage_residual(mat, shift, source: FiberSpace, target: FiberSpace) -> float:
+    """How far the step x -> Mx + s (M ``mat``, s ``shift`` in numerators)
+    carries source off target, exactly: 0.0 when it maps every source
+    slice into one target slice (the full torus is one slice fixing no
+    axis). A slice's image is a coset of a subtorus, which lies in
     a finite union of closed slices only if it lies in one of them, and lies
     in slice T when the rows of M on T's fixed axes are 0 on the source's
     free axes and the image of the slice's point with free coordinates 0
     has T's values. The residual is the worst source slice's distance to
     its nearest target slice over T's fixed axes, inf where no T fits."""
-    shift = _numerators(fm.shift)
+    dim = len(mat)
     worst = 0.0
     for sl in source.slices or ((),):
         fixed = dict(sl)
-        free = [j for j in range(fm.dim) if j not in fixed]
-        image = _affine(fm.matrix, _numerators([fixed.get(j, 0.0) for j in range(fm.dim)]), shift)
+        free = [j for j in range(dim) if j not in fixed]
+        image = _affine(mat, _numerators([fixed.get(j, 0.0) for j in range(dim)]), shift)
         best = math.inf
         for tl in target.slices or ((),):
-            if all(fm.matrix[ax][j] == 0 for ax, _ in tl for j in free):
+            if all(mat[ax][j] == 0 for ax, _ in tl for j in free):
                 best = min(best, _distance([image[ax] for ax, _ in tl],
                                            _numerators([val for _, val in tl])))
         worst = max(worst, best)
@@ -1145,35 +1156,21 @@ def validate(system: RandomDynamicalSystem) -> ValidationReport:
     res = abs(wsum - 1.0)
     checks.append(CheckResult("base-weights-sum", res <= 1e-12, res))
 
-    # base action relations: commutation and cyclic orders, exact
-    perm_ok = True
-    detail = ""
-    for i in range(grp.rank):
-        for j in range(i + 1, grp.rank):
-            for w in range(size):
-                a = base.act_generator(j, base.act_generator(i, w, 1), 1)
-                b = base.act_generator(i, base.act_generator(j, w, 1), 1)
-                if a != b:
-                    perm_ok = False
-                    detail = f"generators s{i}, s{j} do not commute on the base"
-    for i, k in enumerate(grp.generator_orders()):
-        if k is None:
-            continue
-        for w in range(size):
-            if base.act_generator(i, w, k) != w:
-                perm_ok = False
-                detail = f"generator s{i} does not have order {k} on the base"
-    checks.append(CheckResult("base-action-relations", perm_ok, 0.0 if perm_ok else 1.0, detail))
-
-    # each relator, walked from each base point, is the identity map
+    # each relator, walked from each base point, is the identity map: on the
+    # base, where a commutator's two permutations commute and s_i^k's has an
+    # order dividing k, and on the fibers
     relators = _relators(grp)
+    on_base = ""
     worst = 0.0
     detail = f"{len(relators)} relators checked exactly"
     for name, word in relators:
+        (i, _), (j, _) = word[:2]
         for w in range(size):
             end, mat, shift = system._walk_word(w, word, ident, zero)
             at = f"relator {name} at base point {base.labels[w]}"
             if end != w:
+                on_base = (f"generators s{i}, s{j} do not commute on the base" if i != j else
+                           f"generator s{i} does not have order {len(word)} on the base")
                 res, why = math.inf, f"{at} ends at {base.labels[end]}"
             elif mat != ident:
                 res, why = math.inf, f"{at} composes to matrix {mat}"
@@ -1181,15 +1178,17 @@ def validate(system: RandomDynamicalSystem) -> ValidationReport:
                 res, why = _distance(shift, zero), f"{at} leaves a shift"
             if res > worst:
                 worst, detail = res, why
+    checks.append(CheckResult("base-action-relations", not on_base, float(bool(on_base)), on_base))
     checks.append(CheckResult("relation-words", worst == 0.0, worst, detail))
 
     # fiber domains are carried into fiber domains
     worst = 0.0
     detail = ""
-    for i in range(grp.rank):
+    for i, steps in enumerate(system._steps):
+        step = steps[1]
         for w in range(size):
-            target = system.fibers[base.act_generator(i, w, 1)]
-            res = _coverage_residual(system.maps[i][w], system.fibers[w], target)
+            res = _coverage_residual(step.mats[w], step.shifts[w], system.fibers[w],
+                                     system.fibers[step.nxt[w]])
             if res > worst:
                 worst, detail = res, f"generator s{i} at {base.labels[w]}"
     checks.append(CheckResult("fiber-domain-coverage", worst == 0.0, worst, detail))

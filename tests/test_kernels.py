@@ -16,7 +16,7 @@ import pytest
 from grid_fixtures import ROT3, Z2_CAT, ZXC2_CAT2, ZXC2_ROT, ZXC3_ORDER3, _FlatNormals
 from numpy.lib.stride_tricks import sliding_window_view
 
-from meanrds import _windows, catalog, pseudometrics, rds
+from meanrds import _windows, catalog, classify, pseudometrics, rds
 from meanrds._windows import tree_mean_rows, window_means, window_schedule
 from meanrds.classify import _row_norms, _sample_pairs
 from meanrds.density import banach_upper_density, separation_set
@@ -44,6 +44,7 @@ from meanrds.rds import (
     _walk_axis,
     fold_norm,
     torus_delta,
+    torus_distance,
 )
 
 LO, HI = -70, 1100
@@ -100,9 +101,9 @@ ZXC2_SHEAR = {
 
 SYSTEMS = ([catalog.load(n) for n in catalog.names()] + [_dim3_system()]
            + [catalog.build_system(spec) for spec in (ROT3, ROT_CAT_SWAP)])
-# per system, the fibers whose generator-0 cycle carries only identities;
-# on Z these are the constant fibers
-IDENTITY_CYCLES = {"rot2": (True, True), "rot1-trivial": (True,), "cat-trivial": (False,),
+# per system, the constant fibers: those whose every matrix on their orbit
+# is a signed permutation, here in each case the identity
+CONSTANT_FIBERS = {"rot2": (True, True), "rot1-trivial": (True,), "cat-trivial": (False,),
                    "cat2": (False, False), "mixed": (True, False), "dim3": (False, False),
                    "rot3": (True, True), "rot-cat-swap": (False, False)}
 
@@ -166,8 +167,8 @@ FLIP1 = {"name": "flip1", "group": "Z", "dim": 1,
 def test_element_path_matches_line_walk(system):
     """The batched axis step that walks a box's later axes, started from
     every base point at once along generator 0, takes the steps of the
-    scalar kernel that grows each fiber's first-axis line, in dimensions
-    1-3; the positions between 0 and a range are walked, not kept."""
+    reference walk, in dimensions 1-3; the positions between 0 and a range
+    are walked, not kept."""
     rng = np.random.default_rng(5)
     engine = rds.PairEngine(system, system.fibers[0].sample(rng),
                             system.fibers[0].sample(rng))
@@ -177,7 +178,8 @@ def test_element_path_matches_line_walk(system):
                           system._steps[0], system.base._powers[0], lo, hi)
         stepped = _fold_norm_rows(d).reshape(size, hi - lo)
         for i in range(size):
-            assert stepped[i].tobytes() == engine.fiber_range(i, (lo,), (hi,)).tobytes()
+            ref = _reference_walk(system, i, engine.delta0, lo, hi)
+            assert stepped[i].tobytes() == ref.tobytes()
             assert w[(hi - lo) * i:(hi - lo) * (i + 1)].tolist() == [
                 system.base.act_generator(0, i, t) for t in range(lo, hi)]
 
@@ -244,15 +246,16 @@ def _no_scalar_walk(m):
 @pytest.mark.parametrize("system,lo,hi,count,lines", LINE_CASES)
 def test_seeded_lines_are_the_scalar_lines(system, lo, hi, count, lines, monkeypatch):
     """The batched line walk seeds each engine with the scalar kernel's
-    values, bitwise, in dimensions 1-3, on Z, Z^2, Z x C2 and Z x C3, for a
-    batch of one pair and of pairs whose admissible fibers differ. On Z each
-    engine keeps its folded box lo <= t < hi and no raw line; on the other
-    groups it keeps its raw generator-0 line, with the vectors of a fresh
-    engine's. Either way the seeded box reads with no scalar walk, and a
-    grown box (lo - 5, hi + 6) and a box over every axis (the later ones
-    walked per pair, as before) read as on a fresh engine. A constant
-    fiber, or one without both points, gets neither. A budget of ``lines``
-    whole lines splits the columns into passes of that many."""
+    values, bitwise, in dimensions 2 and 3, on Z, Z^2, Z x C2 and Z x C3,
+    for a batch of one pair and of pairs whose admissible fibers differ. On
+    Z each engine keeps its folded box lo <= t < hi and no raw line; on the
+    other groups it keeps its raw generator-0 line, with the vectors of a
+    fresh engine's. Either way the seeded box reads with no scalar walk,
+    and a grown box (lo - 5, hi + 6) and a box over every axis (the later
+    ones walked per pair, as before) read as on a fresh engine. A constant
+    fiber (every fiber of dimension 1, as flip1's), or one without both
+    points, gets neither. A budget of ``lines`` whole lines splits the
+    columns into passes of that many."""
     pairs = _line_pairs(system, count)
     seeded = [rds.PairEngine(system, x, y) for x, y in pairs]
     fresh = [rds.PairEngine(system, x, y) for x, y in pairs]
@@ -435,7 +438,7 @@ def test_pair_summary_walks_each_fiber_once(monkeypatch):
     for system, cfg in cases:
         out = pair_summary(system, x, y, cfg)
         assert "integral-besicovitch" in out and system.admissible_fibers(x, y) == (0, 1)
-        steps = {sign: sum(n for nxt, n in calls if nxt is system._steps[0][sign][0])
+        steps = {sign: sum(n for nxt, n in calls if nxt is system._steps[0][sign].nxt)
                  for sign in (1, -1)}
         reads = [(i, lo, hi) for s, i, lo, hi in boxes if s is system]
         assert len({(lo, hi) for _, lo, hi in reads}) > 1
@@ -509,20 +512,15 @@ EDGE_PAIRS = [(0.0, 0.0), (5e-324, 0.0), (0.0, 5e-324), (1 - 2**-53, 0.0),
     ids=lambda v: getattr(v, "name", str(v)))
 def test_identity_cycle_line_is_the_walked_line(system, omega, monkeypatch):
     """A constant fiber's box is read without a kernel call, read-only and
-    bitwise the folded line the walk kernel gives, in dimensions 1-3."""
-    walk = rds._WALKS[system.dim]
+    bitwise the folded line the reference walk gives, in dimensions 1-3."""
     monkeypatch.setattr(rds, "_WALKS", {})  # a kernel call raises KeyError
     lo, hi = -20, 30
     for pair in itertools.product(EDGE_PAIRS, repeat=system.dim):
         x, y = zip(*pair)
         engine = rds.PairEngine(system, x, y)
-        right = walk(omega, engine.delta0, hi - 1, *system._steps[0][1])[2]
-        left = walk(omega, engine.delta0, -lo, *system._steps[0][-1])[2]
-        walked = np.concatenate((np.reshape(left, (-lo, -1))[::-1], [engine.delta0],
-                                 np.reshape(right, (hi - 1, -1))))
         vals = engine.fiber_range(omega, (lo,), (hi,))
         assert not vals.flags.writeable
-        assert vals.tobytes() == _fold_norm_rows(walked).tobytes()
+        assert vals.tobytes() == _reference_walk(system, omega, engine.delta0, lo, hi).tobytes()
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.name)
@@ -530,30 +528,35 @@ def test_walk_kernel_skips_only_identity_cycles(system, monkeypatch):
     """Each fiber's first axis calls the kernel once per direction, from
     the fiber itself, unless the fiber is constant; on rot-cat-swap the
     rotation fiber shares its cycle with a cat fiber, so it walks."""
-    kernel = rds._WALKS[system.dim]
     starts = []
-
-    def counting(w, d, count, nxt, rows):
-        starts.append(w)
-        return kernel(w, d, count, nxt, rows)
-
-    monkeypatch.setitem(rds._WALKS, system.dim, counting)
+    for dim, kernel in list(rds._WALKS.items()):
+        def counting(w, d, count, nxt, rows, kernel=kernel):
+            starts.append(w)
+            return kernel(w, d, count, nxt, rows)
+        monkeypatch.setitem(rds._WALKS, dim, counting)
     engine = rds.PairEngine(system, (0.1,) * system.dim, (0.35,) * system.dim)
-    for omega, ident in enumerate(IDENTITY_CYCLES[system.name]):
+    for omega, ident in enumerate(CONSTANT_FIBERS[system.name]):
         starts.clear()
         engine.fiber_range(omega, (-5,), (9,))
         assert starts == ([] if ident else [omega, omega])
 
 
-def test_constant_fibers_need_identities_on_every_generator():
+def test_constant_fibers_need_signed_permutations_on_every_generator():
     """A fiber's profile is constant only when every generator's matrix on
-    its orbit is the identity. On Z that is the identity cycle; on
+    its orbit is a signed permutation. zxc3-order3 and zxc2-cat2 pair -I
+    with a matrix that is none, z2-id-cat pairs the identity with the cat
+    matrix and z2-cat holds two hyperbolic ones; each system of ISOMETRIC
+    is constant. On
     zxc2-shear the identity cycle holds but the C2 shear moves the vector,
     so every estimate is the C2 average, not fold_norm(delta0) = 0.0316."""
     for system in SYSTEMS:
-        assert system._constant == IDENTITY_CYCLES[system.name], system.name
-    assert catalog.build_system(Z2_ID_CAT)._constant == (False,)
+        assert system._constant == CONSTANT_FIBERS[system.name], system.name
+    for spec in (Z2_ID_CAT, Z2_CAT, ZXC3_ORDER3):
+        assert catalog.build_system(spec)._constant == (False,), spec["name"]
+    assert catalog.build_system(ZXC2_CAT2)._constant == (False, False)
     assert catalog.build_system(ZXC2_ROT)._constant == (True, True)
+    for spec in ISOMETRIC:
+        assert catalog.build_system(spec)._constant == (True,), spec["name"]
     system = catalog.build_system(ZXC2_SHEAR)
     assert rds.validate(system).ok
     assert system._constant == (False,)
@@ -564,6 +567,60 @@ def test_constant_fibers_need_identities_on_every_generator():
     out = pair_summary(system, x, y, EstimatorConfig(search_radius=8))
     assert len(out) == 7
     assert {est.value for est in out.values()} == {0.033839144678161875}
+
+
+# one-point systems whose matrices are signed permutations, none of them
+# the identity: on Z in dimensions 2 and 3, and on Z x C2 with a flip on
+# the Z axis and -I on the C2 axis, whose shifts make the two commute
+_SHIFT = [0.41421356237309515, 0.1]
+ISOMETRIC = [
+    {"name": name, "group": "Z", "dim": 2,
+     "base": {"labels": ["w0"], "weights": [1.0], "perms": [[0]]},
+     "maps": [[{"matrix": matrix, "shift": _SHIFT}]]}
+    for name, matrix in (("minus-i", [[-1, 0], [0, -1]]), ("rot90", [[0, -1], [1, 0]]),
+                         ("flip", [[-1, 0], [0, 1]]), ("swap", [[0, 1], [1, 0]]))] + [
+    {"name": "signed3", "group": "Z", "dim": 3,
+     "base": {"labels": ["w0"], "weights": [1.0], "perms": [[0]]},
+     "maps": [[{"matrix": [[0, 0, -1], [1, 0, 0], [0, -1, 0]], "shift": _SHIFT + [0.25]}]]},
+    {"name": "zxc2-minus-i", "group": "Z x C2", "dim": 2,
+     "base": {"labels": ["w0"], "weights": [1.0], "perms": [[0], [0]]},
+     "maps": [[{"matrix": [[-1, 0], [0, 1]], "shift": [_SHIFT[0], 0.0]}],
+              [{"matrix": [[-1, 0], [0, -1]], "shift": _SHIFT}]]}]
+
+
+@pytest.mark.parametrize("spec", ISOMETRIC, ids=[s["name"] for s in ISOMETRIC])
+def test_signed_permutation_estimates_are_the_starting_distance(spec, monkeypatch):
+    """On a system whose every matrix is a signed permutation, every
+    estimate of a pair is bitwise its starting distance norm0, read in
+    closed form with no walk, for 60 near pairs of a classify draw. A float
+    walk of -I, a rotation by 90 degrees or a flip would step a coordinate
+    c to the rounded 1 - c, whose fold need not be c's, and one of the
+    dimension-3 permutation would add the squares in another order."""
+    system = catalog.build_system(spec)
+    assert rds.validate(system).ok
+    _no_scalar_walk(monkeypatch)
+    cfg = EstimatorConfig(search_radius=8)
+    for x, y in _line_pairs(system, 60):
+        out = pair_summary(system, x, y, cfg)
+        assert len(out) == 7
+        assert {est.value for est in out.values()} == {torus_distance(x, y)}
+
+
+def test_signed_permutation_classify_takes_the_isometric_rows(monkeypatch):
+    """A classify on the -I system measures its delta rows in the one-pass
+    isometric row path and reads wme-evidence."""
+    rows = []
+    row_norms = classify._row_norms
+
+    def counting(*args):
+        rows.append(args)
+        return row_norms(*args)
+
+    monkeypatch.setattr(classify, "_row_norms", counting)
+    _no_scalar_walk(monkeypatch)
+    cfg = EstimatorConfig(n_max=512, m_max=128, search_radius=8)
+    rep = classify.dichotomy_report(catalog.build_system(ISOMETRIC[0]), cfg, seed=7)
+    assert rep.verdict == "wme-evidence" and rows
 
 
 def _profiles():

@@ -543,21 +543,22 @@ GATE_GROUPS = ["Z", "Z^2", "Z^3", "Z x C2", "Z x C3", "Z^2 x C2", "C3"]
 
 def _gate(spec, cfg, free_matrix):
     """One pair summary on a one-point system over the group, with
-    ``free_matrix`` on each free generator, either ends within GATE_SECONDS
-    or raises BudgetError or GroupSpecError; it never silently runs for
-    minutes."""
+    ``free_matrix`` on each free generator and the identity on each cyclic
+    one, either ends within GATE_SECONDS or raises BudgetError or
+    GroupSpecError; it never silently runs for minutes."""
     group = parse_group(spec)
+    dim = len(free_matrix)
     system = catalog.build_system({
         "name": f"gate-{spec}",
         "group": spec,
-        "dim": 1,
+        "dim": dim,
         "base": {"labels": ["w0"], "weights": [1.0], "perms": [[0]] * group.rank},
-        "maps": [[{"matrix": free_matrix, "shift": [0.125]} if k is None
-                  else {"matrix": [[1]], "shift": [0.0]}] for k in group.generator_orders()],
+        "maps": [[{"matrix": free_matrix, "shift": [0.125] * dim} if k is None
+                  else {"matrix": rds._identity_matrix(dim)}] for k in group.generator_orders()],
     })
     start = time.perf_counter()
     try:
-        pair_summary(system, (0.1,), (0.35,), cfg)
+        pair_summary(system, (0.1,) * dim, (0.35,) * dim, cfg)
     except (BudgetError, GroupSpecError):
         pass
     assert time.perf_counter() - start < GATE_SECONDS
@@ -573,9 +574,9 @@ def test_every_group_finishes_in_bounded_time_or_raises(spec, cfg):
 @pytest.mark.parametrize("cfg", GATE_CFGS, ids=["small-caps", "default-caps"])
 @pytest.mark.parametrize("spec", GATE_GROUPS)
 def test_every_group_reads_in_bounded_time_or_raises(spec, cfg):
-    """The gate with -1 on the free generators: the profiles are not known
-    to be constant, so every scan reads its box and builds its table."""
-    _gate(spec, cfg, [[-1]])
+    """The gate with a shear on the free generators: the profiles are not
+    constant, so every scan reads its box and builds its table."""
+    _gate(spec, cfg, [[1, 0], [1, 1]])
 
 
 # ---------------------------------------------------------------------------

@@ -357,6 +357,70 @@ def test_element_walk_is_a_cocycle(name):
         assert sys_._element_walk(grp.identity(), w, x) == (w, ident, x)
 
 
+def _brute_orbits(system):
+    """The joint base orbits, each as a set, in order of least point, by
+    the orbit walk of test_catalog (a finite orbit is closed under the
+    forward steps)."""
+    orbits = []
+    for start in range(system.base.size):
+        if any(start in orbit for orbit in orbits):
+            continue
+        orbit, todo = set(), [start]
+        while todo:
+            w = todo.pop()
+            if w not in orbit:
+                orbit.add(w)
+                todo.extend(p[w] for p in system.base.generator_perms)
+        orbits.append(orbit)
+    return orbits
+
+
+# Z x C2 over three points: s0 fixes each one and s1 swaps the first two,
+# so only a later generator joins points into an orbit
+C2_JOINED = {"name": "c2-joined", "group": "Z x C2", "dim": 2,
+             "base": {"labels": ["a", "b", "c"], "weights": [0.5, 0.25, 0.25],
+                      "perms": [[0, 1, 2], [1, 0, 2]]},
+             "maps": [[{"matrix": [[2, 1], [1, 1]], "shift": [0.5, 0.0]}] * 3,
+                      [{"matrix": [[-1, 0], [0, -1]]}] * 3]}
+TABLE_SPECS = {**WALK_SPECS, C2_JOINED["name"]: C2_JOINED}
+
+
+@pytest.mark.parametrize("name", [*catalog.names(), *TABLE_SPECS])
+def test_cocycle_table_is_the_maps(name):
+    """Each entry of the exact cocycle table is what the maps, the base
+    permutations and the matrix inverse give directly: a step forward from
+    w goes to perm[w] by maps[i][w]; a step back goes to the p with perm[p]
+    = w by the inverse of maps[i][p], whose shift -M^-1 c is taken here in
+    fractions. A step and its inverse compose to the identity on exact
+    numerators from every base point, and the joint orbits are the
+    brute-force ones."""
+    sys_ = catalog.build_system(TABLE_SPECS[name]) if name in TABLE_SPECS else catalog.load(name)
+    rng = np.random.default_rng(5)
+    ident = rds._identity_matrix(sys_.dim)
+
+    def numerators(v):
+        return tuple(int(Fraction(c) % 1 * 2**1074) for c in v)
+
+    def rows(m):
+        return tuple(float(v) for row in m for v in row)
+
+    for i, (perm, maps) in enumerate(zip(sys_.base.generator_perms, sys_.maps)):
+        fwd, back = sys_._steps[i][1], sys_._steps[i][-1]
+        for w in range(sys_.base.size):
+            m = maps[w].matrix
+            assert (fwd.nxt[w], fwd.mats[w], fwd.rows[w]) == (perm[w], m, rows(m))
+            assert fwd.shifts[w] == numerators(maps[w].shift)
+            p = perm.index(w)
+            inv = rds._mat_inverse(maps[p].matrix)
+            shift = [-sum(a * Fraction(c) for a, c in zip(row, maps[p].shift)) for row in inv]
+            assert (back.nxt[w], back.mats[w], back.rows[w]) == (p, inv, rows(inv))
+            assert back.shifts[w] == numerators(shift)
+            x = rds._numerators(sys_.fibers[w].sample(rng))
+            for word in (((i, 1), (i, -1)), ((i, -1), (i, 1))):
+                assert sys_._walk_word(w, word, ident, x) == (w, ident, x)
+    assert [set(orbit) for orbit in sys_._orbits()] == _brute_orbits(sys_)
+
+
 def test_validate_needs_words_of_two_letters():
     """A relator is a word of two letters or more: Z has none, Z^2 has the
     commutator [s0, s1], and Z x C2 adds s1^2. relation-words checks
@@ -522,6 +586,28 @@ def test_validate_catches_wrong_cyclic_order():
     rep = validate(sys_)
     names = {c.name: c for c in rep.checks}
     assert not names["base-action-relations"].passed
+    assert names["base-action-relations"].residual == 1.0
+    assert names["base-action-relations"].detail == "generator s1 does not have order 2 on the base"
+
+
+def test_validate_catches_noncommuting_base_permutations():
+    """Base permutations that do not commute fail base-action-relations,
+    named by their generators, and the commutator ends off its start."""
+    base = BaseSpace(("a", "b", "c"), (0.4, 0.3, 0.3), ((1, 0, 2), (0, 2, 1)))
+    sys_ = RandomDynamicalSystem(
+        name="noncommuting-base",
+        group=parse_group("Z^2"),
+        base=base,
+        dim=1,
+        fibers=(FiberSpace.full(1),) * 3,
+        maps=((FiberMap.identity(1),) * 3,) * 2,
+    )
+    names = {c.name: c for c in validate(sys_).checks}
+    row = names["base-action-relations"]
+    assert (row.passed, row.residual) == (False, 1.0)
+    assert row.detail == "generators s0, s1 do not commute on the base"
+    assert names["relation-words"].residual == math.inf
+    assert names["relation-words"].detail == "relator [s0, s1] at base point a ends at b"
 
 
 def test_validate_catches_fiber_domain_escape():
