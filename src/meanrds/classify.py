@@ -30,10 +30,11 @@ in stream order the first pair of every later row of both modulus probes,
 the sensitivity points and every point's first candidate at each eps,
 assuming that outcome holds on (each row stops at its first pair, each
 first candidate is a witness), and saves the generator state before each
-row and candidate. The engines of those pairs have the generator-0 lines
-of all their non-constant fibers walked together, in one batched pass
-(``rds._seed_lines``, chunked to the element budget), which on Z folds
-each block of positions into the engines' boxes as it steps. Then every
+row and candidate. The engines of those pairs have the Banach plan's box
+of all their non-constant fibers walked, the first axes together in one
+batched pass (``rds._seed_boxes``, chunked to the element budget), which
+on Z folds each block of positions into the engines' boxes as it steps,
+each later axis per fiber from its slice of the pass. Then every
 profile those pairs will be measured by is window-summed on the Banach
 plan in stacks, one ``_windows.window_means`` call a stack
 (``pseudometrics._keep_means``), kind by kind: the sup profile of each
@@ -110,7 +111,7 @@ from .rds import (
     _direction_norm,
     _fold_norm_rows,
     _near_point,
-    _seed_lines,
+    _seed_boxes,
     torus_distance,
 )
 
@@ -367,7 +368,7 @@ class _Draws:
     """The draws of the probes in stream order, from ``rng``: each row, the
     sensitivity points and each near candidate as a probe reaches it, or
     from what was drawn ahead (module docstring). A first pair or candidate
-    drawn ahead comes with its engine, whose lines are seeded; every other
+    drawn ahead comes with its engine, whose boxes are seeded; every other
     pair comes with None.
 
     Draws are made ahead only with ``cfg`` given, as a report gives it on a
@@ -390,8 +391,8 @@ class _Draws:
         """Draw ahead the rest of the probes, assuming that each modulus
         row stops at its first pair, as every row of wme's first eps did,
         and that each point's first candidate is a witness; seed the
-        predicted pairs' lines over the first axis of the box that every
-        probe reads, in one pass; then take the window means of every
+        predicted pairs' fibers with the box that every probe reads, their
+        first axes in one pass; then take the window means of every
         profile the predicted pairs will be measured by, in stacks of one
         kind, and keep their picks (``_keep_means``): each row's sup
         profile, each mean-L row's separation set at its eps, and each
@@ -415,7 +416,7 @@ class _Draws:
                 near.append(PairEngine(system, x, y))
                 ahead.append(("near", (y, near[-1]), state))
         plan = _scan_plan(system.group, cfg.m_max, None, cfg.search_radius, cfg.element_budget)
-        _seed_lines([e for _, e in rows] + near, plan.lo[0], plan.hi[0], cfg.element_budget)
+        _seed_boxes([e for _, e in rows] + near, plan.lo, plan.hi, cfg.element_budget)
         sups = [(eps, _engine_source(e, "sup")) for eps, e in rows]
         meanl = len(ccfg.eps_list[1:]) * len(ccfg.delta_grid)  # the first mean-L row
         for stack in ([src for _, src in sups if src.constant is None],

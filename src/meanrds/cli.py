@@ -11,7 +11,8 @@ parameters, and contains no timestamps, so identical invocations produce
 identical bytes.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 validation
-failure, 3 inconclusive classification.
+failure (``validate``, or ``estimate`` and ``classify`` refusing a
+config-file system that fails it), 3 inconclusive classification.
 """
 
 from __future__ import annotations
@@ -192,11 +193,24 @@ def _config_hash(command: str, settings: dict, extra: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _resolve_system(name: str, settings: dict):
+class _InvalidSystem(ValueError):
+    """A config-file system that fails :func:`validate`; exit code 2."""
+
+
+def _resolve_system(name: str, settings: dict, checked: bool = True):
+    """The named system. A config-file system is built from its spec and,
+    when ``checked``, refused if it fails :func:`validate`: off the cocycle
+    axioms its profiles describe no system. Catalog systems are known
+    valid and are not checked."""
     spec = settings.get("system_spec")
-    if spec is not None and name in ("config", spec.get("name", "custom")):
-        return catalog.build_system(spec)
-    return catalog.load(name)
+    if spec is None or name not in ("config", spec.get("name", "custom")):
+        return catalog.load(name)
+    system = catalog.build_system(spec)
+    failed = [c for c in validate(system).checks if not c.passed] if checked else []
+    if failed:
+        why = failed[0].detail or f"residual {failed[0].residual:.3e}"
+        raise _InvalidSystem(f"system {system.name!r} fails validation: {failed[0].name} ({why})")
+    return system
 
 
 def _envelope(command: str, settings: dict, extra_hash: dict, payload: dict) -> dict:
@@ -256,8 +270,7 @@ def _cmd_catalog(args, settings) -> int:
 
 
 def _cmd_validate(args, settings) -> int:
-    system = _resolve_system(args.system, settings)
-    report = validate(system)
+    report = validate(_resolve_system(args.system, settings, checked=False))
     env = _envelope("validate", settings, {"system": args.system}, {"report": report.to_dict()})
     _emit(args, env, report.to_text)
     return 0 if report.ok else 2
@@ -433,7 +446,7 @@ def main(argv=None) -> int:
             BudgetError, OSError) as exc:
         msg = exc.args[0] if exc.args else exc
         print(f"meanrds: error: {msg}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _InvalidSystem) else 1
 
 
 if __name__ == "__main__":

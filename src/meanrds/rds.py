@@ -17,13 +17,12 @@ identical inputs.
 A pair's values are read only over boxes of group elements, given by tuple
 corners, from one :class:`PairEngine` per pair, which walks each fiber once
 for every reader of that pair, on Z (the rank-1 case) as on every other
-group. A box walk follows the canonical coordinate path: the first axis out
-of one line of states per fiber, grown on demand in the scalar kernel or
-seeded for every fiber of many engines in one pass of the batched one (on
-Z, as their folded boxes), each later axis with every state reached
-stepping at once in the batched kernel; the engine keeps each box it has
-walked and serves a box inside a kept one as a slice. Both kernels take
-the same left-to-right matrix step.
+group. A box walk follows the canonical coordinate path: the first axis in
+the scalar kernel, or for every fiber of many engines in one pass of the
+batched one, each later axis with every state reached stepping at once in
+the batched kernel. The engine keeps only each box it has walked, folded,
+and serves a box inside a kept one as a slice. Both kernels take the same
+left-to-right matrix step.
 A system holds its cocycle once, exactly, in one table (``_steps``): per
 generator, direction and base point, the point stepped to, the integer
 matrix M and shift numerators s of the step x -> Mx + s, and M's float rows;
@@ -701,10 +700,10 @@ class RandomDynamicalSystem:
 # steps in a local-variable loop. ``nxt[w]`` is the base point after one step
 # from w and ``rows[w]`` the row-major float matrix applied there, the
 # fields of a :class:`_Step`. Each row's products are added left to right
-# and reduced mod 1: the canonical matrix step. The kernel returns the final
-# base point and vector and the flat coordinates after every step. Dimension
-# 1 has no kernel: its matrices are +-1, signed permutations, so every
-# dimension-1 fiber is constant and never walked.
+# and reduced mod 1: the canonical matrix step. The kernel returns the flat
+# coordinates after every step. Dimension 1 has no kernel: its matrices are
+# +-1, signed permutations, so every dimension-1 fiber is constant and never
+# walked.
 #
 # ``_walk_line`` takes that step for many vectors at once, each column from
 # its own base point, as the (pair, fiber) columns of a classify report and
@@ -729,7 +728,7 @@ def _walk_2d(w, d, count, nxt, rows):
         w = nxt[w]
         app(x)
         app(y)
-    return w, (x, y), out
+    return out
 
 
 def _walk_3d(w, d, count, nxt, rows):
@@ -745,7 +744,7 @@ def _walk_3d(w, d, count, nxt, rows):
         app(x)
         app(y)
         app(z)
-    return w, (x, y, z), out
+    return out
 
 
 _WALKS = {2: _walk_2d, 3: _walk_3d}
@@ -856,29 +855,40 @@ def _walk_axis(w, d, steps, powers, lo: int, hi: int):
     return powers.path(w, lo, hi).T.reshape(-1), states.transpose(2, 0, 1).reshape(-1, dim)
 
 
+def _fold_box(system, omega_idx: int, d, lo, hi) -> np.ndarray:
+    """The folded box lo <= g < hi of fiber omega_idx from d, the raw
+    vectors along its first axis (hi[0] - lo[0], dim): each later axis is
+    walked by :func:`_walk_axis`, from every state reached at once."""
+    if len(lo) > 1:
+        powers = system.base._powers
+        w = powers[0].path(omega_idx, lo[0], hi[0])
+        for steps, pw, a, b in zip(system._steps[1:], powers[1:], lo[1:], hi[1:]):
+            w, d = _walk_axis(w, d, steps, pw, a, b)
+    return _fold_norm_rows(d)
+
+
 class PairEngine:
     """Separation values of one pair (x, y) over boxes lo <= g < hi of group
     elements, flattened in row-major order (coordinate 0 slowest).
 
     Build one engine per pair and read every profile of the pair from it:
-    each fiber is then walked once, however many scans read it. Each fiber
-    has one line of raw difference vectors along generator 0, grown on
-    demand in the scalar kernel; :func:`_seed_lines` may first seed it, or
-    on Z the folded box over it, for the fibers of many engines at once, in
-    one pass of the batched kernel :func:`_walk_line`, whose vectors are
-    the scalar kernel's bitwise. A box takes its first axis from that line,
-    and :func:`_walk_axis` walks each later axis along the canonical path
-    (cyclic ones forward), so values are bitwise those of the scalar
-    kernels. Both read the system's cocycle table. A constant fiber, one
+    each fiber is then walked once, however many scans read it. A fiber
+    keeps only folded boxes, read-only, for as long as the engine lives
+    (:meth:`_keep`): a read of equal corners returns the kept array
+    itself, and a box inside a kept one is a read-only slice of it, with
+    the same bits, since a value depends only on its element's path. A
+    reader that will read several boxes of a fiber reads their hull first,
+    so the fiber is walked once. A box outside every kept one walks its
+    first axis from (fiber, delta0) in the scalar kernel, out to both its
+    ends and to 0, and each later axis along the canonical path (cyclic
+    ones forward) in :func:`_walk_axis` (:func:`_fold_box`);
+    :func:`_seed_boxes` may first keep the box for the fibers of many
+    engines at once, walking their first axes in one pass of the batched
+    kernel :func:`_walk_line`, whose vectors are the scalar kernel's
+    bitwise. Both read the system's cocycle table. A constant fiber, one
     whose orbit carries only signed permutations, has the box ``norm0``
-    repeated, with no walk.
-    Corners are tuples on every group; Z is the rank-1 case, whose boxes are
-    ranges of times. Each fiber keeps every box it has walked, folded and
-    read-only, for as long as the engine lives: a read of equal corners
-    returns the kept array itself, and a box inside a kept one is a
-    read-only slice of it, with the same bits, since a value depends only
-    on its element's path. A reader that will read several boxes of a fiber
-    reads their hull first, so the fiber is walked once.
+    repeated, with no walk. Corners are tuples on every group; Z is the
+    rank-1 case, whose boxes are ranges of times.
 
     ``admissible`` holds the support fibers containing both points. The
     weighted ``integral_range`` needs every support fiber, that is
@@ -900,7 +910,6 @@ class PairEngine:
         # _fold_norm_rows of delta0
         self.norm0 = fold_norm(self.delta0)
         self.admissible = system._admissible(self.x, self.y)
-        self._lines: dict[int, dict] = {}
         self._boxes: dict[int, list] = {}  # fiber -> [(lo, hi, values)]
         # (profile, eps or None) -> (plan, inner-max picks) of a stacked
         # scan (pseudometrics._keep_means), kept for one read
@@ -913,31 +922,8 @@ class PairEngine:
         grp.check_element([b - 1 for b in hi])
         return lo, tuple(hi), math.prod(b - a for a, b in zip(lo, hi))
 
-    def _first_axis(self, omega_idx: int, lo: int, hi: int) -> np.ndarray:
-        """Raw difference vectors at t = lo..hi-1 along generator 0 from
-        fiber omega_idx, out of the fiber's line: for each direction the
-        vectors at t = 0, 1, ... (or -1, -2, ...) and the (base point,
-        vector) at the outer end, from which the scalar kernel grows it."""
-        line = self._lines.get(omega_idx)
-        if line is None:
-            start = (omega_idx, self.delta0)
-            line = self._lines[omega_idx] = {
-                1: (np.asarray([self.delta0], dtype=np.float64), start),
-                -1: (np.empty((0, self.sys.dim)), start)}
-        for sign, need in ((1, hi), (-1, -lo)):
-            vecs, (w, d) = line[sign]
-            count = need - len(vecs)
-            if count > 0:
-                step = self.sys._steps[0][sign]
-                w, d, raw = _WALKS[self.sys.dim](w, d, count, step.nxt, step.rows)
-                raw = np.asarray(raw, dtype=np.float64).reshape(count, -1)
-                line[sign] = np.concatenate((vecs, raw)), (w, d)
-        right, left = line[1][0], line[-1][0]
-        return np.concatenate((left[max(-hi, 0):max(-lo, 0)][::-1], right[max(lo, 0):max(hi, 0)]))
-
     def _fiber_box(self, omega_idx: int, lo, hi) -> np.ndarray:
-        kept = self._boxes.setdefault(omega_idx, [])
-        for klo, khi, vals in kept:
+        for klo, khi, vals in self._boxes.get(omega_idx, ()):
             if (klo, khi) == (lo, hi):
                 return vals
             if all(a <= c and e <= b for a, b, c, e in zip(klo, khi, lo, hi)):
@@ -947,17 +933,22 @@ class PairEngine:
                 part.flags.writeable = False
                 return part
         if self.sys._constant[omega_idx]:
-            vals = np.full(math.prod(b - a for a, b in zip(lo, hi)), self.norm0)
-        else:
-            d = self._first_axis(omega_idx, lo[0], hi[0])
-            if len(lo) > 1:
-                powers = self.sys.base._powers
-                w = powers[0].path(omega_idx, lo[0], hi[0])
-                for steps, pw, a, b in zip(self.sys._steps[1:], powers[1:], lo[1:], hi[1:]):
-                    w, d = _walk_axis(w, d, steps, pw, a, b)
-            vals = _fold_norm_rows(d)
+            return self._keep(omega_idx, lo, hi, np.full(math.prod(
+                b - a for a, b in zip(lo, hi)), self.norm0))
+        # the first axis in the scalar kernel, back to min(lo, 0) and
+        # forward to max(hi, 1); the list as float64 directly, not inferred
+        first, stop = min(lo[0], 0), max(hi[0], 1)
+        walk, dim, steps = _WALKS[self.sys.dim], self.sys.dim, self.sys._steps[0]
+        back, ahead = (np.asarray(walk(omega_idx, self.delta0, n, steps[s].nxt, steps[s].rows),
+                                  dtype=np.float64).reshape(n, dim)
+                       for s, n in ((-1, -first), (1, stop - 1)))
+        line = np.concatenate((back[::-1], [self.delta0], ahead))[lo[0] - first:hi[0] - first]
+        return self._keep(omega_idx, lo, hi, _fold_box(self.sys, omega_idx, line, lo, hi))
+
+    def _keep(self, omega_idx: int, lo, hi, vals: np.ndarray) -> np.ndarray:
+        """vals, set read-only and kept as fiber omega_idx's box lo <= g < hi."""
         vals.flags.writeable = False
-        kept.append((lo, hi, vals))
+        self._boxes.setdefault(omega_idx, []).append((lo, hi, vals))
         return vals
 
     def fiber_range(self, omega, lo, hi) -> np.ndarray:
@@ -999,44 +990,35 @@ class PairEngine:
         return out
 
 
-def _seed_lines(engines, lo: int, hi: int, budget: int) -> None:
-    """Seed each engine, on every non-constant fiber holding both points of
-    its pair, with its generator-0 line at t = lo..hi-1 and at 0. The
-    engines, of one system, have walked nothing yet.
+def _seed_boxes(engines, lo, hi, budget: int) -> None:
+    """Keep in each engine, on every non-constant fiber holding both points
+    of its pair, its folded box lo <= g < hi (tuple corners). The engines,
+    of one system, have walked nothing yet.
 
     A column is one such (engine, fiber), starting at the fiber's base
     point with the pair's difference vector. Every column takes each step
-    together, in one pass of :func:`_walk_line`, at most ``budget // line
-    length`` columns a pass, so that a pass holds at most ``budget`` line
-    elements. On a rank-1 group the line is the box lo <= t < hi, so the
+    of the first axis together, in one pass of :func:`_walk_line`, at most
+    ``budget // line length`` columns a pass, so that a pass holds at most
+    ``budget`` line elements. On a rank-1 group the line is the box, so the
     pass folds each block of positions as it steps, holding no raw line,
-    and each engine keeps its folded box, a view of the pass's array; a
-    read outside the box walks the fiber in the scalar kernel, as on a
-    fresh engine. Otherwise each engine's line is a view of its pass's raw
-    vectors, with the state at each end, from which the scalar kernel grows
-    it as before, and the later axes are walked from it per box."""
+    and each engine keeps a view of the pass's array; otherwise each
+    column's later axes are walked from its slice of the pass and folded
+    (:func:`_fold_box`)."""
     system = engines[0].sys
     columns = [(engine, i) for engine in engines for i in engine.admissible
                if not system._constant[i]]
-    first, stop = min(lo, 0), max(hi, 1)
+    first, stop = min(lo[0], 0), max(hi[0], 1)
     size = max(1, budget // (stop - first))
-    fold, powers = system.group.rank == 1, system.base._powers[0]
+    fold = len(lo) == 1
     for k in range(0, len(columns), size):
         part = columns[k:k + size]
         w = np.array([i for _, i in part], dtype=np.intp)
         d = np.array([engine.delta0 for engine, _ in part]).T
-        out = _walk_line(w, d, system._steps[0], powers, first, stop, fold)
-        out.flags.writeable = False
-        if fold:
-            for (engine, i), box in zip(part, out[lo - first:hi - first].T):
-                engine._boxes[i] = [((lo,), (hi,), box)]
-            continue
-        right, left = out[-first:], out[:-first][::-1]
-        ends = zip(powers.path(w, stop - 1, stop)[0].tolist(), out[-1].T.tolist(),
-                   powers.path(w, first, first + 1)[0].tolist(), out[0].T.tolist())
-        for j, ((engine, i), (w_last, d_last, w_first, d_first)) in enumerate(zip(part, ends)):
-            engine._lines[i] = {1: (right[:, :, j], (w_last, tuple(d_last))),
-                                -1: (left[:, :, j], (w_first, tuple(d_first)))}
+        out = _walk_line(w, d, system._steps[0], system.base._powers[0], first, stop, fold)
+        out = out[lo[0] - first:hi[0] - first]
+        for j, (engine, i) in enumerate(part):
+            box = out[..., j] if fold else _fold_box(system, i, out[..., j], lo, hi)
+            engine._keep(i, lo, hi, box)
 
 
 # ---------------------------------------------------------------------------

@@ -466,14 +466,14 @@ def test_a_chunked_report_is_the_report(monkeypatch):
 @pytest.mark.parametrize("name,walks", [("z2-cat", False), ("zxc3-order3", False),
                                         ("cat2", False), ("cat2-64-8-8", True)])
 def test_only_a_first_eps_that_stops_at_first_pairs_draws_ahead(name, walks, monkeypatch):
-    """A report draws pairs ahead, and seeds their lines, only when every
+    """A report draws pairs ahead, and seeds their boxes, only when every
     row of wme's first eps stopped at its first pair: z2-cat and cat2 at
     (64, 16, 2) and zxc3-order3 pass a row of that eps and seed nothing;
     cat2 at (64, 8, 8) holds every prediction."""
     spec, caps, seed, _ = next(p.values for p in REPORT_GOLDEN if p.id == name)
     system = catalog.load(spec) if isinstance(spec, str) else catalog.build_system(spec)
     cfg = EstimatorConfig(n_max=caps[0], m_max=caps[1], search_radius=caps[2])
-    seed_lines, passes = classify._seed_lines, []
-    monkeypatch.setattr(classify, "_seed_lines", lambda *a: passes.append(1) or seed_lines(*a))
+    seed_boxes, passes = classify._seed_boxes, []
+    monkeypatch.setattr(classify, "_seed_boxes", lambda *a: passes.append(1) or seed_boxes(*a))
     dichotomy_report(system, cfg, SMALL_CLASSIFIER, seed=seed)
     assert bool(passes) == walks

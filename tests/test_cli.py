@@ -7,11 +7,12 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from grid_fixtures import Z2_CAT, ZXC2_ROT
+from grid_fixtures import Z2_CAT, Z_SLICED, ZXC2_ROT
 import meanrds
 from meanrds import cli
 from meanrds.cli import main
@@ -258,6 +259,56 @@ def test_density_single_set_json(capsys):
 def test_density_unknown_set(capsys):
     assert main(["density", "--set", "bogus"]) == 1
     assert "unknown subset" in capsys.readouterr().err
+
+
+# Z^2 x C2 in dimension 1: rotations on the free generators and x -> -x on
+# C2, which does not commute with the rotation by 0.25, so the relator
+# [s1, s2] leaves a shift of 1/2
+Z2C2_ROT = {
+    "name": "z2c2-rot",
+    "group": "Z^2 x C2",
+    "dim": 1,
+    "base": {"labels": ["w0"], "weights": [1.0], "perms": [[0], [0], [0]]},
+    "maps": [[{"matrix": [[1]], "shift": [0.41421356237309515]}],
+             [{"matrix": [[1]], "shift": [0.25]}],
+             [{"matrix": [[-1]], "shift": [0.0]}]],
+}
+
+
+@pytest.mark.parametrize("spec,failed", [
+    (Z2C2_ROT, "relation-words (relator [s1, s2] at base point w0 leaves a shift)"),
+    (Z_SLICED, "fiber-domain-coverage (generator s0 at w1)"),
+    ({**TWO_ROT, "base": {**TWO_ROT["base"], "weights": [0.5, 0.6]}},
+     "base-weights-sum (residual 1.000e-01)"),
+], ids=["z2c2-rot", "z-sliced", "weights-1.1"])
+def test_estimate_and_classify_refuse_a_system_that_fails_validation(spec, failed, tmp_path,
+                                                                     capsys):
+    """A config-file system off the cocycle axioms, one whose map carries
+    a sliced fiber off itself, or one whose weights do not sum to 1 gets no
+    estimate and no classification: exit 2, nothing on stdout, one stderr
+    line naming the first failing check and its detail, or its residual
+    where the check has none. ``validate`` still prints its report."""
+    cfg = _cfg_file(tmp_path, {"system": spec, **SMALL})
+    name = spec["name"]
+    for argv in (["estimate"], ["estimate", "--json"], ["classify"]):
+        assert main(argv + ["--system", name, "--config", cfg]) == 2
+        assert capsys.readouterr() == (
+            "", f"meanrds: error: system '{name}' fails validation: {failed}\n")
+    assert main(["validate", "--system", name, "--config", cfg]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"validation of {name}") and f"[FAIL] {failed.split()[0]}" in out
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures").glob("*.json")),
+    ids=lambda p: p.stem)
+def test_benchmark_fixtures_pass_validation(path, capsys):
+    """The gate on config-file systems never refuses a benchmark input:
+    each fixture's system passes every check."""
+    cfg = str(path)
+    name = json.loads(path.read_text())["system"]["name"]
+    assert main(["validate", "--system", name, "--config", cfg]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
 
 
 def test_classify_exit_codes(tmp_path, capsys):

@@ -245,53 +245,50 @@ def _no_scalar_walk(m):
 
 @pytest.mark.parametrize("system,lo,hi,count,lines", LINE_CASES)
 def test_seeded_lines_are_the_scalar_lines(system, lo, hi, count, lines, monkeypatch):
-    """The batched line walk seeds each engine with the scalar kernel's
-    values, bitwise, in dimensions 2 and 3, on Z, Z^2, Z x C2 and Z x C3,
-    for a batch of one pair and of pairs whose admissible fibers differ. On
-    Z each engine keeps its folded box lo <= t < hi and no raw line; on the
-    other groups it keeps its raw generator-0 line, with the vectors of a
-    fresh engine's. Either way the seeded box reads with no scalar walk,
-    and a grown box (lo - 5, hi + 6) and a box over every axis (the later
-    ones walked per pair, as before) read as on a fresh engine. A constant
-    fiber (every fiber of dimension 1, as flip1's), or one without both
-    points, gets neither. A budget of ``lines`` whole lines splits the
+    """The box seeder keeps in each engine the scalar kernel's values,
+    bitwise, in dimensions 2 and 3, on Z, Z^2, Z x C2 and Z x C3, for a
+    batch of one pair and of pairs whose admissible fibers differ. On every
+    rank each engine keeps, per walked fiber, its one folded read-only box
+    over the tuple corners (lo, later axes) to (hi, later axes) and no raw
+    line: the first axes are walked together in one batched pass, the
+    later ones per pair from it. The seeded box reads as the kept array
+    itself with no scalar walk, and equals a fresh engine's box over every
+    axis; a grown box (lo - 5, hi + 6) reads as on a fresh engine. A
+    constant fiber (every fiber of dimension 1, as flip1's), or one without
+    both points, gets no box. A budget of ``lines`` whole lines splits the
     columns into passes of that many."""
     pairs = _line_pairs(system, count)
     seeded = [rds.PairEngine(system, x, y) for x, y in pairs]
     fresh = [rds.PairEngine(system, x, y) for x, y in pairs]
     if system.name == "sliced-shear" and count > 1:
         assert len({e.admissible for e in seeded}) == 2
-    length = max(hi, 1) - min(lo, 0)
-    rds._seed_lines(seeded, lo, hi, DEFAULT_ELEMENT_BUDGET if lines is None else lines * length)
-    rank1 = system.group.rank == 1
-    for engine in seeded:
-        kept, raw = (engine._boxes, engine._lines) if rank1 else (engine._lines, engine._boxes)
-        assert sorted(kept) == _walked_fibers(engine) and not raw
     later = [(0, k) if k else (-2, 3) for k in system.group.generator_orders()[1:]]
-    lo_later, hi_later = tuple(c for c, _ in later), tuple(c for _, c in later)
+    box = ((lo,) + tuple(c for c, _ in later), (hi,) + tuple(c for _, c in later))
+    size = math.prod(b - a for a, b in zip(*box))
+    length = max(hi, 1) - min(lo, 0)
+    rds._seed_boxes(seeded, *box, DEFAULT_ELEMENT_BUDGET if lines is None else lines * length)
+    for engine in seeded:
+        assert sorted(engine._boxes) == _walked_fibers(engine)
+        for (klo, khi, vals), in engine._boxes.values():
+            assert (klo, khi) == box and vals.shape == (size,) and not vals.flags.writeable
     for a, b in zip(seeded, fresh):
         for i in _walked_fibers(a):
-            box = ((lo,) + lo_later, (hi,) + hi_later)
             with monkeypatch.context() as m:
                 _no_scalar_walk(m)
                 got = a.fiber_range(i, *box)
-                if not rank1:
-                    line = a._first_axis(i, lo, hi)
+            assert got is a._boxes[i][0][2]
             assert got.tobytes() == b.fiber_range(i, *box).tobytes()
-            if not rank1:
-                assert line.tobytes() == b._first_axis(i, lo, hi).tobytes()
-                assert line.shape == (hi - lo, system.dim)
-            for box in (((lo - 5,) + lo_later, (hi + 6,) + hi_later),
-                        ((lo - 2,) + lo_later, (hi + 3,) + hi_later)):
-                assert a.fiber_range(i, *box).tobytes() == b.fiber_range(i, *box).tobytes()
+            for grown in (((lo - 5,) + box[0][1:], (hi + 6,) + box[1][1:]),
+                          ((lo - 2,) + box[0][1:], (hi + 3,) + box[1][1:])):
+                assert a.fiber_range(i, *grown).tobytes() == b.fiber_range(i, *grown).tobytes()
 
 
 def test_seeded_lines_chunk_to_the_element_budget(monkeypatch):
-    """A pass of the batched walk holds at most ``budget`` line elements
-    (columns, one per pair and fiber, times line length): above it the 18
-    columns of 9 pairs on cat2's two fibers are walked in chunks that cross
-    from one fiber to the next, with the same seeded boxes bitwise, read
-    with no scalar walk."""
+    """A pass of the box seeder's batched walk holds at most ``budget`` line
+    elements (columns, one per pair and fiber, times line length): above it
+    the 18 columns of 9 pairs on cat2's two fibers are walked in chunks
+    that cross from one fiber to the next, with the same seeded boxes
+    bitwise, read with no scalar walk."""
     system = catalog.load("cat2")
     pairs = _line_pairs(system, 9)
     lo, hi = -6, 9
@@ -307,7 +304,7 @@ def test_seeded_lines_chunk_to_the_element_budget(monkeypatch):
     for budget in (DEFAULT_ELEMENT_BUDGET, 15, 29, 45, 130):
         sizes.clear()
         engines = [rds.PairEngine(system, x, y) for x, y in pairs]
-        rds._seed_lines(engines, lo, hi, budget)
+        rds._seed_boxes(engines, (lo,), (hi,), budget)
         assert max(sizes) <= max(budget, hi - lo) and sum(sizes) == 18 * (hi - lo)
         assert len(sizes) == -(-18 // max(1, budget // (hi - lo)))
         boxes[budget] = [e.fiber_range(i, (lo,), (hi,)).tobytes() for e in engines for i in (0, 1)]
@@ -410,6 +407,33 @@ def test_kept_box_reads_match_reference_elements(spec, x, y, reads, walked, monk
     # a walked box walks its later axis once in each fiber
     assert walks == [(reads[k][0][1], reads[k][1][1]) for k in walked
                      for _ in range(system.base.size)]
+
+
+@pytest.mark.parametrize("system", LINE_SYSTEMS + [
+    catalog.load(n) for n in catalog.names() if n not in ("cat2", "mixed")],
+    ids=lambda s: s.name)
+@pytest.mark.parametrize("tail_first", [True, False], ids=["tail-first", "banach-first"])
+def test_boxes_neither_inside_the_other_walk_apart(system, tail_first):
+    """One engine reads the n_max tail box and the Banach plan box, neither
+    inside the other, in either order: the second read walks its own box,
+    so each fiber keeps both, read-only, and every read is a fresh engine's
+    bytes, on every rank and in dimensions 1-3."""
+    cfg = EstimatorConfig(n_max=512, m_max=128, search_radius=8)
+    tail = _scan_plan(system.group, cfg.n_max, cfg.tail_fraction, 0, cfg.element_budget)
+    banach = _scan_plan(system.group, cfg.m_max, None, cfg.search_radius, cfg.element_budget)
+    boxes = [(tail.lo, tail.hi), (banach.lo, banach.hi)][::1 if tail_first else -1]
+    inside = [all(a <= c and e <= b for a, b, c, e in zip(*outer, *inner))
+              for outer, inner in (boxes, boxes[::-1])]
+    assert inside == [False, False]
+    for x, y in _line_pairs(system, 2):
+        engine = rds.PairEngine(system, x, y)
+        for omega in range(system.base.size):
+            for lo, hi in boxes:
+                want = rds.PairEngine(system, x, y).fiber_range(omega, lo, hi)
+                assert engine.fiber_range(omega, lo, hi).tobytes() == want.tobytes()
+            kept = engine._boxes[omega]
+            assert [(lo, hi) for lo, hi, _ in kept] == boxes
+            assert not any(vals.flags.writeable for _, _, vals in kept)
 
 
 def test_pair_summary_walks_each_fiber_once(monkeypatch):
